@@ -2,17 +2,19 @@
 
 Unlike the figure benchmarks (which regenerate paper artifacts), this one
 exists to give *future PRs a perf trajectory to beat*: it measures the raw
-kernel rates of the real solver -- serial projection step, a single Poisson
-sweep, and the domain-decomposed step -- at two mesh sizes, prints them,
-and writes ``BENCH_cfd.json`` (schema: one record per measurement with
-``{benchmark, mesh, cells_per_sec, wall_s}``) under ``_artifacts``.
+kernel rates of the real solver -- serial projection step, a single Jacobi
+Poisson sweep, a single red-black SOR half-pass, and the domain-decomposed
+step -- at two mesh sizes, prints them, and writes ``BENCH_cfd.json``
+(schema: one record per measurement with ``{benchmark, mesh,
+cells_per_sec, wall_s, host_cores}``) under ``_artifacts``.
 
 Methodology:
 
 * rates are best-of-``REPEATS`` over ``INNER`` back-to-back steps (min is
   the standard noise-robust estimator for throughput micro-benchmarks);
-* the Poisson-sweep rate is isolated by differencing two step timings that
-  differ only in ``poisson_iterations`` -- no private solver hooks, so the
+* the Poisson-sweep and SOR half-pass rates are isolated by differencing
+  two step timings that differ only in ``poisson_iterations`` (an SOR
+  sweep is two colour half-passes) -- no private solver hooks, so the
   harness keeps working across kernel rewrites (the point of a trajectory);
 * every run *overwrites* the JSON; the git history of the artifact is the
   trajectory.
@@ -47,12 +49,18 @@ HIGH_SWEEPS = 61
 ARTIFACT = os.path.join(os.path.dirname(__file__), "_artifacts", "BENCH_cfd.json")
 
 
-def _build(resolution: int, poisson: int, decomposed: bool = False):
+def _build(
+    resolution: int, poisson: int, decomposed: bool = False,
+    pressure_solver: str = "jacobi",
+):
     mesh = default_mesh(resolution)
     bcs = BoundaryConditions(
         inlet=WindInlet(speed_mps=3.0), screens=cups_screen_walls(mesh)
     )
-    cfg = SolverConfig(dt=0.02 / resolution, n_steps=8, poisson_iterations=poisson)
+    cfg = SolverConfig(
+        dt=0.02 / resolution, n_steps=8, poisson_iterations=poisson,
+        pressure_solver=pressure_solver,
+    )
     if decomposed:
         return mesh, DecomposedSolver(mesh, bcs, cfg, n_ranks=4)
     return mesh, ProjectionSolver(mesh, bcs, cfg)
@@ -70,8 +78,21 @@ def _time_steps(solver, fields) -> float:
     return best
 
 
+def _sweep_wall(resolution: int, pressure_solver: str) -> float:
+    """Wall time of one pressure sweep, by differencing sweep depths."""
+    walls = []
+    for poisson in (LOW_SWEEPS, HIGH_SWEEPS):
+        mesh, solver = _build(
+            resolution, poisson=poisson, pressure_solver=pressure_solver
+        )
+        f = FlowFields(mesh).initialize_uniform(temperature=295.15)
+        walls.append(_time_steps(solver, f))
+    t_lo, t_hi = walls
+    return max(t_hi - t_lo, 1e-9) / (INNER * (HIGH_SWEEPS - LOW_SWEEPS))
+
+
 def _measure(resolution: int) -> list[dict]:
-    """All three kernel rates at one mesh size."""
+    """All four kernel rates at one mesh size."""
     records = []
     mesh_label = None
 
@@ -87,33 +108,35 @@ def _measure(resolution: int) -> list[dict]:
         "wall_s": wall / INNER,
     })
 
-    # Poisson sweep, isolated by differencing two sweep depths.
-    _, lo_solver = _build(resolution, poisson=LOW_SWEEPS)
-    _, hi_solver = _build(resolution, poisson=HIGH_SWEEPS)
-    f_lo = FlowFields(mesh).initialize_uniform(temperature=295.15)
-    f_hi = FlowFields(mesh).initialize_uniform(temperature=295.15)
-    t_lo = _time_steps(lo_solver, f_lo)
-    t_hi = _time_steps(hi_solver, f_hi)
-    sweep_wall = max(t_hi - t_lo, 1e-9) / (INNER * (HIGH_SWEEPS - LOW_SWEEPS))
+    # Jacobi sweep and SOR half-pass, isolated by differencing two sweep
+    # depths.
+    sweep_wall = _sweep_wall(resolution, "jacobi")
     records.append({
         "benchmark": "poisson_sweep",
         "mesh": mesh_label,
         "cells_per_sec": mesh.n_cells / sweep_wall,
         "wall_s": sweep_wall,
     })
+    half_pass_wall = _sweep_wall(resolution, "sor") / 2
+    records.append({
+        "benchmark": "sor_half_pass",
+        "mesh": mesh_label,
+        "cells_per_sec": mesh.n_cells / half_pass_wall,
+        "wall_s": half_pass_wall,
+    })
 
-    # Decomposed step (4 slabs, sequential execution -- measures the
-    # decomposition machinery, not thread scheduling noise).
+    # Decomposed step (4 slabs, run one after another).
     mesh, dsolver = _build(resolution, poisson=60, decomposed=True)
-    with dsolver:
-        f = FlowFields(mesh).initialize_uniform(temperature=295.15)
-        wall = _time_steps(dsolver, f)
+    f = FlowFields(mesh).initialize_uniform(temperature=295.15)
+    wall = _time_steps(dsolver, f)
     records.append({
         "benchmark": "decomposed_step",
         "mesh": mesh_label,
         "cells_per_sec": mesh.n_cells * INNER / wall,
         "wall_s": wall / INNER,
     })
+    for r in records:
+        r["host_cores"] = os.cpu_count()
     return records
 
 
@@ -147,4 +170,5 @@ def test_cfd_kernel_throughput(benchmark):
     small = f"{default_mesh().nx}x{default_mesh().ny}x{default_mesh().nz}"
     assert by_key[("serial_step", small)] > 1e6
     assert by_key[("poisson_sweep", small)] > 1e6
+    assert by_key[("sor_half_pass", small)] > 1e6
     assert by_key[("decomposed_step", small)] > 5e5

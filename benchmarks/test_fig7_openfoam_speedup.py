@@ -101,8 +101,8 @@ def test_fig7_mechanism_real_solver(benchmark):
         serial = ProjectionSolver(mesh, bcs, cfg).solve()
         decomposed = {}
         for ranks in (1, 2, 4, 7):
-            with DecomposedSolver(mesh, bcs, cfg, n_ranks=ranks) as solver:
-                decomposed[ranks] = (solver.solve(), solver.halo_exchanges)
+            solver = DecomposedSolver(mesh, bcs, cfg, n_ranks=ranks)
+            decomposed[ranks] = (solver.solve(), solver.halo_exchanges)
         return serial, decomposed
 
     serial, decomposed = run_once(benchmark, run_all_ranks)

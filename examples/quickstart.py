@@ -106,13 +106,11 @@ def step4_pilot_and_cfd() -> None:
           f"(screen attenuation {interior / exterior:.2f})")
 
     # The same case on 4 decomposed slabs -- the MPI-rank stand-in.
-    # DecomposedSolver is a context manager: it owns a thread pool when
-    # workers > 1, and the `with` block guarantees the pool is torn down.
     from repro.cfd import DecomposedSolver
 
-    with DecomposedSolver(case.mesh, case.bcs, case.config, n_ranks=4) as dsolver:
-        dfields = dsolver.solve().fields
-        halos = dsolver.halo_exchanges
+    dsolver = DecomposedSolver(case.mesh, case.bcs, case.config, n_ranks=4)
+    dfields = dsolver.solve().fields
+    halos = dsolver.halo_exchanges
     bit_identical = dfields.allclose(fields, atol=0.0)
     print(f"  decomposed solve (4 slabs, {halos} halo exchanges): "
           f"bit-identical to serial = {bit_identical}")

@@ -45,6 +45,26 @@ class PaddedScratch:
         self.zp = q[1:-1, 1:-1, 2:]
         self.zm = q[1:-1, 1:-1, :-2]
 
+    def flat_rows(self, s: int, e: int) -> tuple[np.ndarray, ...]:
+        """Flat views ``(centre, xp, xm, yp, ym, zp, zm)`` for cell slab
+        ``[s, e)``: rows ``(s+1)*sy .. (e+1)*sy`` of the flattened buffer
+        (padded x-planes ``s+1 .. e``, ghost y/z lanes included) and the
+        same rows shifted by one neighbour along each axis. Every view is
+        a contiguous 1-D slice, so stencils over them stream through
+        memory; results on the ghost lanes are garbage for the caller to
+        discard."""
+        _, padded_ny, padded_nz = self.padded.shape
+        sz = padded_nz              # flat stride of one y step
+        sy = padded_ny * padded_nz  # flat stride of one x step
+        a, b = (s + 1) * sy, (e + 1) * sy
+        q = self.flat
+        return (
+            q[a:b],
+            q[a + sy:b + sy], q[a - sy:b - sy],
+            q[a + sz:b + sz], q[a - sz:b - sz],
+            q[a + 1:b + 1], q[a - 1:b - 1],
+        )
+
     def load(self, values: np.ndarray) -> None:
         """Copy a field into the interior and refresh the ghost layer."""
         np.copyto(self.interior, values)

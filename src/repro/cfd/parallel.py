@@ -9,18 +9,21 @@ decomposed step **bit-identical** to the serial step (property-tested).
 
 The decomposed step runs the *same* row-ranged kernels as
 :class:`~repro.cfd.solver.ProjectionSolver` -- each slab is just an x-row
-range ``(s, e)`` passed to the shared buffered kernels, so serial and
-decomposed execution cannot drift apart. A "halo exchange" is the in-place
-ghost refresh of the shared padded scratch (O(n^2) face traffic, the
-shared-memory analogue of six ``MPI_Sendrecv`` faces); per-slab pressure
-sweep plans are built once and reused for every sweep of every step.
+range ``(s, e)`` passed to the shared buffered kernels, and the pressure
+solve is the serial solver's own iteration loop fanned out over per-slab
+plans -- so serial and decomposed execution cannot drift apart. A "halo
+exchange" is the in-place ghost refresh of the shared padded scratch
+(O(n^2) face traffic, the shared-memory analogue of six ``MPI_Sendrecv``
+faces); per-slab pressure sweep plans are built once and reused for every
+sweep of every step.
 
-Execution: slab updates are dispatched to a thread pool. NumPy releases the
-GIL inside ufuncs and all slab writes go to disjoint row ranges of shared
-scratch, so this yields real shared-memory parallelism for large slabs; the
-paper-scale wall-clock behaviour (Fig. 7) is nevertheless the domain of
-:mod:`repro.cfd.perfmodel` -- a laptop cannot impersonate a 64-core cluster
-node.
+Execution: slabs run one after another in one thread. A thread pool over
+the slabs never beat that on a 2-core host (28x28x12: 56 ms on 2 threads
+vs 52 ms sequential; 56x56x24: 312 vs 286 ms), so the decomposition
+demonstrates the halo-exchange structure and its bit parity, not a
+speed-up; the paper-scale wall-clock behaviour (Fig. 7) is the domain of
+:mod:`repro.cfd.perfmodel` -- a laptop cannot impersonate a 64-core
+cluster node.
 
 Diagnostics that need global state (divergence norms, CFL maxima) are
 computed over the assembled global array, the shared-memory analogue of
@@ -29,7 +32,6 @@ computed over the assembled global array, the shared-memory analogue of
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
 import numpy as np
@@ -68,19 +70,12 @@ def decompose_slabs(nx: int, n_ranks: int) -> list[tuple[int, int]]:
 class DecomposedSolver:
     """Domain-decomposed twin of :class:`ProjectionSolver`.
 
-    Usable as a context manager (``with DecomposedSolver(...) as solver:``)
-    so a configured thread pool is always shut down deterministically.
-
     Parameters
     ----------
     mesh / bcs / config:
         As for the serial solver.
     n_ranks:
         Number of x-slabs.
-    workers:
-        Thread-pool width; ``None`` runs slabs sequentially (deterministic
-        and dependency-free -- the default for tests). Results are
-        bit-identical either way: slab kernels write disjoint row ranges.
     """
 
     def __init__(
@@ -89,7 +84,6 @@ class DecomposedSolver:
         bcs: BoundaryConditions,
         config: Optional[SolverConfig] = None,
         n_ranks: int = 2,
-        workers: Optional[int] = None,
     ) -> None:
         self.mesh = mesh
         self.bcs = bcs
@@ -97,24 +91,18 @@ class DecomposedSolver:
         self.slabs = decompose_slabs(mesh.nx, n_ranks)
         self.n_ranks = n_ranks
         self._serial = ProjectionSolver(mesh, bcs, self.config)
-        self._pool = ThreadPoolExecutor(max_workers=workers) if workers else None
         self.halo_exchanges = 0
         # Per-slab pressure sweep plans, built once and reused every sweep.
-        self._plans = [
+        self._plans = tuple(
             self._serial.pressure.plan(s, e) for s, e in self.slabs
-        ]
+        )
 
     # -- slab machinery ----------------------------------------------------------
 
     def _slab_run(self, fn: Callable[[int, int], None]) -> None:
-        """Run ``fn(s, e)`` for every slab (pooled or sequential)."""
-        if self._pool is None:
-            for s, e in self.slabs:
-                fn(s, e)
-        else:
-            futures = [self._pool.submit(fn, s, e) for s, e in self.slabs]
-            for fut in futures:
-                fut.result()
+        """Run ``fn(s, e)`` for every slab."""
+        for s, e in self.slabs:
+            fn(s, e)
 
     def _exchange_halos(self, *loads: Callable[[], None]) -> None:
         """One counted halo exchange: refresh the given padded buffers."""
@@ -133,47 +121,23 @@ class DecomposedSolver:
         # stencil family, then fan the shared row-ranged kernels out over
         # the slabs.
         self._exchange_halos(lambda: ser._load_velocity_buffers(f))
-        ser._update_upwind_masks(f)
+        ser._update_upwind_masks()
         ser._update_damp_buoy(f)
-        self._slab_run(lambda s, e: ser._predict_rows(f, s, e))
+        self._slab_run(ser._predict_rows)
         f.u, ser._ustar = ser._ustar, f.u
         f.v, ser._vstar = ser._vstar, f.v
         f.w, ser._wstar = ser._wstar, f.w
         ser.apply_velocity_bcs(f)
 
-        # Variable-coefficient Poisson (div(damp grad p) = div(u*)/dt):
-        # slab sweeps with a halo exchange (ghost refresh) per sweep; the
+        # Variable-coefficient Poisson (div(damp grad p) = div(u*)/dt): the
+        # serial iteration loop over the slab plans, with a halo exchange
+        # (ghost refresh) before every sweep or SOR colour half-pass; the
         # outlet Dirichlet face anchors the field.
         ser._load_velocity_buffers(f)
         ser._load_poisson(f)
-        if cfg.pressure_solver == "jacobi":
-            for _ in range(cfg.poisson_iterations):
-                self._exchange_halos(ws.refresh_ghosts)
-                self._slab_run(lambda s, e: ws.sweep(ws.plan(s, e)))
-                ws.swap()
-            ser.last_pressure_sweeps = cfg.poisson_iterations
-        else:
-            # Red-black SOR: same-colour cells are never neighbours, so
-            # each colour half-pass is one halo exchange plus a
-            # conflict-free slab fan-out.
-            sweeps = 0
-            while sweeps < cfg.poisson_iterations:
-                for color in ("red", "black"):
-                    self._exchange_halos(ws.refresh_ghosts)
-                    self._slab_run(
-                        lambda s, e, c=color: ws.sor_pass(
-                            ws.plan(s, e), getattr(ws.plan(s, e), c),
-                            cfg.sor_omega,
-                        )
-                    )
-                sweeps += 1
-                if (
-                    cfg.poisson_tolerance > 0.0
-                    and sweeps % cfg.poisson_check_every == 0
-                    and ws.residual_norm() <= cfg.poisson_tolerance
-                ):
-                    break
-            ser.last_pressure_sweeps = sweeps
+        ser._solve_pressure_impl(
+            self._plans, lambda: self._exchange_halos(ws.refresh_ghosts)
+        )
         np.copyto(f.p, ws.src.interior)
 
         # Corrector, damped by the same mobility.
@@ -183,8 +147,7 @@ class DecomposedSolver:
         ser.apply_velocity_bcs(f)
 
         # Temperature transport (with the corrected velocities).
-        self._exchange_halos(lambda: ser._wt.load(f.temperature))
-        ser._update_upwind_masks(f)
+        self._exchange_halos(lambda: ser._load_transport_buffers(f))
         self._slab_run(lambda s, e: ser._temperature_rows(f, s, e))
         f.temperature, ser._tstar = ser._tstar, f.temperature
         ser.apply_temperature_bcs(f)
@@ -215,14 +178,3 @@ class DecomposedSolver:
                 f"{', '.join(bad)}; reduce dt (configured {self.config.dt})"
             )
         return result
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "DecomposedSolver":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

@@ -51,15 +51,16 @@ def runtime_rng(engine: Engine) -> np.random.Generator:
 FIG7_ANCHOR_MEAN_S = 420.39
 FIG7_ANCHOR_STD_S = 36.29
 
-#: Measured single-core kernel throughput of the *laptop* solver after the
-#: allocation-free kernel rewrite, in cell-updates/sec at the default
-#: 28x28x12 benchmark mesh (best-of-5, benchmarks/test_cfd_kernel_perf.py;
+#: Measured single-core kernel throughput of the *laptop* solver with the
+#: flat-row stencil kernels, in cell-updates/sec at the default 28x28x12
+#: benchmark mesh (median of three runs of the best-of-5 harness,
+#: benchmarks/test_cfd_kernel_perf.py, on a shared 2-core x86-64 host;
 #: ``BENCH_cfd.json`` carries the live trajectory point). These calibrate
 #: :class:`LaptopKernelModel`; the Figure-7 cluster constants above are an
 #: independent anchor and deliberately do not depend on them.
-LAPTOP_SERIAL_STEP_CELLS_PER_S = 1.13e6
+LAPTOP_SERIAL_STEP_CELLS_PER_S = 1.14e6
 LAPTOP_POISSON_SWEEP_CELLS_PER_S = 9.4e7
-LAPTOP_DECOMPOSED_STEP_CELLS_PER_S = 8.8e5
+LAPTOP_DECOMPOSED_STEP_CELLS_PER_S = 8.0e5
 
 
 @dataclass(frozen=True)

@@ -28,13 +28,21 @@ now runs on persistent scratch owned by the solver:
   whose ghost layer is refreshed in place (six face copies, O(n^2));
 * every stencil routine writes through preallocated ``out=`` arrays, so a
   time step performs no full-field allocations;
-* the pressure sweep operates on *flat contiguous* views of two ping-pong
-  padded buffers with pre-padded coefficient arrays, turning every one of
-  its 13 ufunc passes into a contiguous streaming operation;
+* the stencils -- advection, diffusion, divergence, the Poisson
+  coefficients and the pressure sweeps -- operate on *flat contiguous*
+  row views of the padded buffers (:class:`_StencilRows`,
+  :class:`_RowPlan`): a neighbour is the same row range shifted by a
+  constant offset, so every ufunc pass is a contiguous streaming
+  operation rather than a strided 3-D walk. The ghost y/z lanes inside
+  those rows compute garbage that is never read back; a result leaves
+  the padded layout through its interior view;
+* red-black SOR runs as one fused ping-pong pass per colour,
+  ``dst = keep*src + sum_d cw_d*nb_d - rw``, on operands rebuilt once per
+  step (:meth:`PressureWorkspace.load_sor_operands`);
 * all kernels take an x-row range ``(s, e)``: the serial solver passes the
   whole domain and :class:`~repro.cfd.parallel.DecomposedSolver` passes its
-  slabs, so serial and decomposed execution share one code path and stay
-  bit-identical *by construction*.
+  slabs, so serial and decomposed execution share one code path (and one
+  pressure iteration loop) and stay bit-identical *by construction*.
 
 The per-cell arithmetic (operands, operation order) is exactly the seed's,
 so Jacobi-mode results are bit-identical to the original ``np.pad`` kernels
@@ -49,7 +57,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -98,13 +106,17 @@ class SolverConfig:
         Steps per solve.
     poisson_iterations:
         Jacobi sweeps per step (fixed for determinism), or the iteration
-        cap in ``"sor"`` mode.
+        cap in ``"sor"`` mode (one SOR sweep = a red and a black half-pass).
     reference_temperature_k:
         Boussinesq reference.
     pressure_solver:
         ``"jacobi"`` (default): fixed-sweep Jacobi, bit-for-bit the seed
-        behaviour. ``"sor"``: red-black successive over-relaxation, which
-        reaches the same residual in ~2-3x fewer sweeps; combine with
+        behaviour and the parity reference. ``"sor"``: red-black
+        successive over-relaxation. Judged by post-step divergence (the
+        quantity the projection exists to reduce; the algebraic residual
+        misranks the two solvers, see ``docs/calibration.md``), 5 SOR
+        sweeps at omega = 1.7 match or beat 40-60 Jacobi sweeps on the
+        meshes used here -- the fabric twin runs exactly that. Combine with
         ``poisson_tolerance`` for an early exit.
     sor_omega:
         Over-relaxation factor in (0, 2); ~1.7-1.9 is optimal for the
@@ -254,81 +266,91 @@ class _RowPlan:
     ``s+1 .. e`` -- the interior planes of cell slab ``[s, e)`` plus their
     ghost y/z columns (whose results are garbage, overwritten by the next
     ghost refresh and never read). Every operand is a contiguous 1-D slice,
-    so each of the sweep's 13 passes streams through memory with no strided
-    inner loops and no allocation.
+    so each pass streams through memory with no strided inner loops and no
+    allocation.
     """
 
-    __slots__ = ("coef", "rhs", "den", "acc", "tmp", "red", "black", "dirs")
+    __slots__ = ("coef", "rhs", "den", "acc", "tmp", "sor", "dirs")
 
     def __init__(self, ws: "PressureWorkspace", s: int, e: int) -> None:
-        sy, sz = ws.sy, ws.sz
-        a, b = (s + 1) * sy, (e + 1) * sy
+        a, b = (s + 1) * ws.sy, (e + 1) * ws.sy
         self.coef = tuple(c[a:b] for c in ws.coef_flat)
         self.rhs = ws.rhs_flat[a:b]
         self.den = ws.den_flat[a:b]
         self.acc = ws.acc[a:b]
         self.tmp = ws.tmp[a:b]
-        self.red = ws.red_flat[a:b]
-        self.black = ws.black_flat[a:b]
+        # Per colour (keep, cw, rw) of the fused SOR half-pass.
+        self.sor = tuple(
+            (keep[a:b], tuple(c[a:b] for c in cw), rw[a:b])
+            for keep, cw, rw in ws.sor_operands
+        )
         # One (reads, dst, src) triple per ping-pong direction.
         self.dirs = []
         for si, di in ((0, 1), (1, 0)):
-            sf = ws.bufs[si].flat
-            df = ws.bufs[di].flat
-            reads = (
-                sf[a + sy:b + sy], sf[a - sy:b - sy],
-                sf[a + sz:b + sz], sf[a - sz:b - sz],
-                sf[a + 1:b + 1], sf[a - 1:b - 1],
-            )
-            self.dirs.append((reads, df[a:b], sf[a:b]))
+            src, *reads = ws.bufs[si].flat_rows(s, e)
+            self.dirs.append((tuple(reads), ws.bufs[di].flat[a:b], src))
 
 
 class PressureWorkspace:
     """Flat-contiguous scratch for the variable-coefficient Poisson solve.
 
-    Holds two ping-pong padded pressure buffers, pre-padded coefficient /
-    rhs / denominator arrays (ghost cells 0, denominator ghosts 1 so the
-    out-of-range lanes stay finite), shared accumulator scratch, and the
-    global red/black checkerboard masks for SOR. Loaded once per time step;
-    sweeps allocate nothing.
+    Holds two ping-pong padded pressure buffers, flat padded coefficient /
+    rhs / denominator arrays and shared accumulator scratch. The solver
+    loads the operands on the plan rows each step, so their ghost y/z lanes
+    hold finite garbage; the x ghost planes stay 0 (denominator 1) and
+    every lane stays finite. Given ``sor_omega`` it also holds the
+    per-colour operands of the fused SOR half-pass. Sweeps allocate nothing.
     """
 
-    def __init__(self, shape: tuple[int, int, int]) -> None:
+    def __init__(
+        self, shape: tuple[int, int, int], sor_omega: Optional[float] = None
+    ) -> None:
         nx, ny, nz = shape
         self.shape = shape
         pshape = (nx + 2, ny + 2, nz + 2)
         self.sy = (ny + 2) * (nz + 2)
-        self.sz = nz + 2
         self.bufs = (PaddedScratch(shape), PaddedScratch(shape))
         self.cur = 0
 
         def padded(fill: float) -> np.ndarray:
             return np.full(pshape, fill)
 
-        self._coef = tuple(padded(0.0) for _ in range(6))
-        self.coef_flat = tuple(c.ravel() for c in self._coef)
-        self.coef_int = tuple(c[1:-1, 1:-1, 1:-1] for c in self._coef)
-        self._rhs = padded(0.0)
-        self.rhs_flat = self._rhs.ravel()
-        self.rhs_int = self._rhs[1:-1, 1:-1, 1:-1]
-        self._den = padded(1.0)
-        self.den_flat = self._den.ravel()
-        self.den_int = self._den[1:-1, 1:-1, 1:-1]
-        self._acc3 = padded(0.0)
-        self.acc = self._acc3.ravel()
-        self.acc_int = self._acc3[1:-1, 1:-1, 1:-1]
+        self.coef_flat = tuple(padded(0.0).ravel() for _ in range(6))
+        self.rhs_flat = padded(0.0).ravel()
+        self.den_flat = padded(1.0).ravel()
+        acc3 = padded(0.0)
+        self.acc = acc3.ravel()
+        self.acc_int = acc3[1:-1, 1:-1, 1:-1]
         self.tmp = np.zeros_like(self.acc)
 
-        # Global checkerboard (cell-index parity) for red-black SOR; ghost
-        # cells are in neither colour, so SOR passes never touch them.
-        ii, jj, kk = np.indices(shape, sparse=True)
-        parity = (ii + jj + kk) % 2 == 0
-        red = np.zeros(pshape, dtype=bool)
-        red[1:-1, 1:-1, 1:-1] = np.broadcast_to(parity, shape)
-        black = np.zeros(pshape, dtype=bool)
-        black[1:-1, 1:-1, 1:-1] = ~np.broadcast_to(parity, shape)
-        self.red_flat = red.ravel()
-        self.black_flat = black.ravel()
+        # Fused SOR operands per colour of the global checkerboard
+        # (cell-index parity; ghost cells are in neither colour, so their
+        # lanes copy through): keep = 1 - omega*mask is fixed here, the
+        # coefficient weights cw_d = omega*mask*coef_d/den and the rhs
+        # weight rw = omega*mask*rhs/den are rebuilt each step by
+        # load_sor_operands().
+        self._omega_mask: tuple[np.ndarray, ...] = ()
+        self.sor_operands: tuple[
+            tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray], ...
+        ] = ()
+        if sor_omega is not None:
+            ii, jj, kk = np.indices(shape, sparse=True)
+            red = np.broadcast_to((ii + jj + kk) % 2 == 0, shape)
+            masks = []
+            for colour in (red, ~red):
+                m = padded(0.0)
+                m[1:-1, 1:-1, 1:-1] = sor_omega * colour
+                masks.append(m.ravel())
+            self._omega_mask = tuple(masks)
+            self._scale = np.zeros_like(self.acc)
+            self.sor_operands = tuple(
+                (
+                    1.0 - m,
+                    tuple(np.zeros_like(self.acc) for _ in range(6)),
+                    np.zeros_like(self.acc),
+                )
+                for m in masks
+            )
 
         self._plans: dict[tuple[int, int], _RowPlan] = {}
         self.full_plan = self.plan(0, nx)
@@ -373,18 +395,30 @@ class PressureWorkspace:
         np.subtract(acc, plan.rhs, out=acc)
         np.divide(acc, plan.den, out=dst)
 
-    def sor_pass(self, plan: _RowPlan, mask: np.ndarray, omega: float) -> None:
-        """One red-black half-pass over the plan's rows, in place on the
-        source buffer: ``p += omega * (update - p)`` on ``mask`` cells.
-        Same-colour cells are never stencil neighbours, so slabs may run
-        this concurrently between colour barriers."""
-        self.sweep(plan)
-        _, dst, src = plan.dirs[self.cur]
+    def load_sor_operands(self) -> None:
+        """Per-step SOR setup from the loaded coefficients and rhs."""
+        scale = self._scale
+        for m, (_, cw, rw) in zip(self._omega_mask, self.sor_operands):
+            np.divide(m, self.den_flat, out=scale)
+            for c, w in zip(self.coef_flat, cw):
+                np.multiply(c, scale, out=w)
+            np.multiply(self.rhs_flat, scale, out=rw)
+
+    def sor_half_pass(self, plan: _RowPlan, colour: int) -> None:
+        """One red-black half-pass over the plan's rows, source to
+        destination: ``dst = keep*src + sum_d cw_d*nb_d - rw``, i.e.
+        ``p + omega*(jacobi(p) - p)`` on ``colour`` cells and a copy on the
+        others. Same-colour cells are never stencil neighbours, so this is
+        Gauss-Seidel within a colour, and slabs are independent between
+        colour barriers."""
+        reads, dst, src = plan.dirs[self.cur]
+        keep, cw, rw = plan.sor[colour]
         tmp = plan.tmp
-        np.subtract(dst, src, out=tmp)
-        np.multiply(tmp, omega, out=tmp)
-        np.add(src, tmp, out=tmp)
-        np.copyto(src, tmp, where=mask)
+        np.multiply(keep, src, out=dst)
+        for c, r in zip(cw, reads):
+            np.multiply(c, r, out=tmp)
+            np.add(dst, tmp, out=dst)
+        np.subtract(dst, rw, out=dst)
 
     def residual_norm(self) -> float:
         """RMS of ``A p - rhs`` over all cells for the current iterate.
@@ -399,6 +433,40 @@ class PressureWorkspace:
         np.multiply(self.full_plan.acc, self.full_plan.den, out=self.full_plan.acc)
         r = self.acc_int
         return float(np.sqrt(np.mean(r * r)))
+
+
+class _StencilRows:
+    """Flat views for one x-row range of the field stencils (advection,
+    diffusion, divergence, Poisson coefficients).
+
+    The same row layout as :class:`_RowPlan`: every operand is a
+    contiguous slice of a flattened padded buffer, and results on the
+    ghost y/z lanes are garbage that is never read back. ``u``/``v``/
+    ``w``/``t`` hold ``(centre, xp, xm, yp, ym, zp, zm)`` of each padded
+    field (``mobility`` is the padded damping factor the Poisson
+    coefficients average); ``acc_int`` is the interior view of the
+    accumulator rows, through which a result leaves the padded layout.
+    """
+
+    __slots__ = ("u", "v", "w", "t", "mobility", "upwind", "acc", "acc_int",
+                 "buoy", "div", "lap", "t1", "t2")
+
+    def __init__(self, solver: "ProjectionSolver", s: int, e: int) -> None:
+        sy = solver.pressure.sy
+        a, b = (s + 1) * sy, (e + 1) * sy
+        self.u = solver._wu.flat_rows(s, e)
+        self.v = solver._wv.flat_rows(s, e)
+        self.w = solver._ww.flat_rows(s, e)
+        self.t = solver._wt.flat_rows(s, e)
+        self.mobility = solver._wd.flat_rows(s, e)
+        self.upwind = tuple(m[a:b] for m in solver._upwind)
+        self.acc = solver._adv.flat[a:b]
+        self.acc_int = solver._adv.interior[s:e]
+        self.buoy = solver._buoy.flat[a:b]
+        self.div = solver._div.flat[a:b]
+        self.lap = solver._lapb[a:b]
+        self.t1 = solver._f1[a:b]
+        self.t2 = solver._f2[a:b]
 
 
 class ProjectionSolver:
@@ -444,23 +512,32 @@ class ProjectionSolver:
         # Interior-shaped scratch.
         self._t1 = np.zeros(shape)
         self._t2 = np.zeros(shape)
-        self._adv = np.zeros(shape)
-        self._lapb = np.zeros(shape)
         self._drag = np.zeros(shape)
         self._damp = np.zeros(shape)
         self._dtdamp = np.zeros(shape)
-        self._buoy = np.zeros(shape)
-        self._rhs = np.zeros(shape)
-        self._div = np.zeros(shape)
-        self._upos = np.zeros(shape, dtype=bool)
-        self._vpos = np.zeros(shape, dtype=bool)
-        self._wpos = np.zeros(shape, dtype=bool)
         self._ustar = np.zeros(shape)
         self._vstar = np.zeros(shape)
         self._wstar = np.zeros(shape)
         self._tstar = np.zeros(shape)
 
-        self.pressure = PressureWorkspace(shape)
+        # Padded scratch for the field stencils, which run on the flat
+        # padded-row layout (see _StencilRows). The advection
+        # result doubles as the predictor accumulator, read back through
+        # its interior view; buoyancy is padded so it joins the flat sum.
+        self._adv = PaddedScratch(shape)
+        self._buoy = PaddedScratch(shape)
+        self._div = PaddedScratch(shape)
+        n_padded = self._adv.flat.size
+        self._lapb = np.zeros(n_padded)
+        self._f1 = np.zeros(n_padded)
+        self._f2 = np.zeros(n_padded)
+        self._upwind = tuple(np.zeros(n_padded, dtype=bool) for _ in range(3))
+        self._rows: dict[tuple[int, int], _StencilRows] = {}
+
+        cfg = self.config
+        self.pressure = PressureWorkspace(
+            shape, cfg.sor_omega if cfg.pressure_solver == "sor" else None
+        )
         #: Sweeps the last pressure solve actually ran (== the configured
         #: count for Jacobi; possibly fewer for SOR with a tolerance).
         self.last_pressure_sweeps = 0
@@ -510,15 +587,16 @@ class ProjectionSolver:
     def divergence(self, f: FlowFields) -> np.ndarray:
         """div(U) over all cells (freshly allocated; diagnostic API)."""
         self._load_velocity_buffers(f)
-        out = np.zeros(self.mesh.shape)
-        self._divergence_rows(out, 0, self.mesh.nx)
-        return out
+        r = self._stencil_rows(0, self.mesh.nx)
+        self._divergence_rows(r, r.div)
+        return self._div.interior.copy()
 
     def divergence_norm(self, f: FlowFields) -> float:
         """RMS divergence over interior cells."""
         self._load_velocity_buffers(f)
-        self._divergence_rows(self._div, 0, self.mesh.nx)
-        div = self._div[1:-1, 1:-1, 1:-1]
+        r = self._stencil_rows(0, self.mesh.nx)
+        self._divergence_rows(r, r.div)
+        div = self._div.interior[1:-1, 1:-1, 1:-1]
         return float(np.sqrt(np.mean(div**2)))
 
     # -- buffered kernels (row-ranged; shared with the decomposed solver) -----
@@ -529,26 +607,40 @@ class ProjectionSolver:
         self._wv.load(f.v)
         self._ww.load(f.w)
 
-    def _update_upwind_masks(self, f: FlowFields) -> None:
-        np.greater(f.u, 0, out=self._upos)
-        np.greater(f.v, 0, out=self._vpos)
-        np.greater(f.w, 0, out=self._wpos)
+    def _load_transport_buffers(self, f: FlowFields) -> None:
+        """Halo refresh for temperature transport: the temperature and the
+        corrected velocities, which the advection reads in padded form."""
+        self._load_velocity_buffers(f)
+        self._wt.load(f.temperature)
+        self._update_upwind_masks()
+
+    def _update_upwind_masks(self) -> None:
+        """Upwind masks from the loaded velocity buffers (flat layout)."""
+        for ws, mask in zip((self._wu, self._wv, self._ww), self._upwind):
+            np.greater(ws.flat, 0, out=mask)
+
+    def _stencil_rows(self, s: int, e: int) -> _StencilRows:
+        """The (cached) flat views for cell slab ``[s, e)``."""
+        key = (s, e)
+        if key not in self._rows:
+            self._rows[key] = _StencilRows(self, s, e)
+        return self._rows[key]
 
     def _advect_rows(
-        self, ws: PaddedScratch, f: FlowFields,
-        out: np.ndarray, s: int, e: int,
+        self, nb: tuple[np.ndarray, ...], r: _StencilRows
     ) -> None:
-        """First-order upwind ``(U . grad) f`` for x-rows ``[s, e)``;
-        bit-identical to the reference ``_upwind_advect``."""
-        sl = slice(s, e)
-        t1, t2 = self._t1[sl], self._t2[sl]
-        c = ws.interior[sl]
-        o = out[sl]
+        """First-order upwind ``(U . grad) f`` of the padded field whose
+        flat views are ``nb``, into ``r.acc``; per-lane arithmetic is the
+        reference ``_upwind_advect``'s, so interior lanes are bit-identical.
+        """
+        c, xp, xm, yp, ym, zp, zm = nb
+        t1, out = r.t1, r.acc
         for axis, (vel, pos, mns, upwind, d) in enumerate((
-            (f.u[sl], ws.xp[sl], ws.xm[sl], self._upos[sl], self._dx),
-            (f.v[sl], ws.yp[sl], ws.ym[sl], self._vpos[sl], self._dy),
-            (f.w[sl], ws.zp[sl], ws.zm[sl], self._wpos[sl], self._dz),
+            (r.u[0], xp, xm, r.upwind[0], self._dx),
+            (r.v[0], yp, ym, r.upwind[1], self._dy),
+            (r.w[0], zp, zm, r.upwind[2], self._dz),
         )):
+            t2 = out if axis == 0 else r.t2
             np.subtract(c, mns, out=t1)
             np.divide(t1, d, out=t1)
             np.multiply(vel, t1, out=t1)       # vel * backward difference
@@ -556,46 +648,38 @@ class ProjectionSolver:
             np.divide(t2, d, out=t2)
             np.multiply(vel, t2, out=t2)       # vel * forward difference
             np.copyto(t2, t1, where=upwind)    # upwind select
-            if axis == 0:
-                np.copyto(o, t2)
-            else:
-                np.add(o, t2, out=o)
+            if axis:
+                np.add(out, t2, out=out)
 
-    def _lap_rows(
-        self, ws: PaddedScratch, out: np.ndarray, s: int, e: int
-    ) -> None:
-        """7-point Laplacian for x-rows ``[s, e)``."""
-        sl = slice(s, e)
-        t1, t2 = self._t1[sl], self._t2[sl]
-        o = out[sl]
-        np.multiply(2, ws.interior[sl], out=t1)
-        np.subtract(ws.xp[sl], t1, out=t2)
-        np.add(t2, ws.xm[sl], out=t2)
-        np.divide(t2, self._dx2, out=t2)
-        np.copyto(o, t2)
-        np.subtract(ws.yp[sl], t1, out=t2)
-        np.add(t2, ws.ym[sl], out=t2)
+    def _lap_rows(self, nb: tuple[np.ndarray, ...], r: _StencilRows) -> None:
+        """7-point Laplacian of the padded field ``nb`` into ``r.lap``."""
+        c, xp, xm, yp, ym, zp, zm = nb
+        t1, t2, out = r.t1, r.t2, r.lap
+        np.multiply(2, c, out=t1)
+        np.subtract(xp, t1, out=out)
+        np.add(out, xm, out=out)
+        np.divide(out, self._dx2, out=out)
+        np.subtract(yp, t1, out=t2)
+        np.add(t2, ym, out=t2)
         np.divide(t2, self._dy2, out=t2)
-        np.add(o, t2, out=o)
-        np.subtract(ws.zp[sl], t1, out=t2)
-        np.add(t2, ws.zm[sl], out=t2)
+        np.add(out, t2, out=out)
+        np.subtract(zp, t1, out=t2)
+        np.add(t2, zm, out=t2)
         np.divide(t2, self._dz2, out=t2)
-        np.add(o, t2, out=o)
+        np.add(out, t2, out=out)
 
-    def _divergence_rows(self, out: np.ndarray, s: int, e: int) -> None:
-        """div(U) from the loaded velocity buffers for x-rows ``[s, e)``."""
-        sl = slice(s, e)
-        t1 = self._t1[sl]
-        o = out[sl]
-        np.subtract(self._wu.xp[sl], self._wu.xm[sl], out=t1)
-        np.divide(t1, self._2dx, out=t1)
-        np.copyto(o, t1)
-        np.subtract(self._wv.yp[sl], self._wv.ym[sl], out=t1)
+    def _divergence_rows(self, r: _StencilRows, out: np.ndarray) -> None:
+        """div(U) from the loaded velocity buffers into the flat rows
+        ``out``."""
+        t1 = r.t1
+        np.subtract(r.u[1], r.u[2], out=out)
+        np.divide(out, self._2dx, out=out)
+        np.subtract(r.v[3], r.v[4], out=t1)
         np.divide(t1, self._2dy, out=t1)
-        np.add(o, t1, out=o)
-        np.subtract(self._ww.zp[sl], self._ww.zm[sl], out=t1)
+        np.add(out, t1, out=out)
+        np.subtract(r.w[5], r.w[6], out=t1)
         np.divide(t1, self._2dz, out=t1)
-        np.add(o, t1, out=o)
+        np.add(out, t1, out=out)
 
     def _update_damp_buoy(self, f: FlowFields) -> None:
         """Darcy-Forchheimer mobility and Boussinesq buoyancy, in place."""
@@ -615,32 +699,37 @@ class ProjectionSolver:
         np.multiply(self.config.dt, self._drag, out=t1)
         np.add(1.0, t1, out=t1)
         np.divide(1.0, t1, out=self._damp)
-        # buoyancy
+        # buoyancy (padded, for the flat predictor sum)
+        buoy = self._buoy
         np.subtract(
-            f.temperature, self.config.reference_temperature_k, out=self._buoy
+            f.temperature, self.config.reference_temperature_k,
+            out=buoy.interior,
         )
-        np.multiply(GRAVITY * BETA_AIR, self._buoy, out=self._buoy)
+        np.multiply(GRAVITY * BETA_AIR, buoy.flat, out=buoy.flat)
 
-    def _predict_rows(self, f: FlowFields, s: int, e: int) -> None:
-        """Predictor u* for x-rows ``[s, e)`` into the star scratch."""
+    def _predict_rows(self, s: int, e: int) -> None:
+        """Predictor u* for x-rows ``[s, e)`` into the star scratch.
+
+        Runs on the loaded velocity buffers, whose centre lanes are the
+        current ``f.u``/``f.v``/``f.w``."""
         sl = slice(s, e)
-        for ws, val, star, buoyant in (
-            (self._wu, f.u, self._ustar, False),
-            (self._wv, f.v, self._vstar, False),
-            (self._ww, f.w, self._wstar, True),
+        r = self._stencil_rows(s, e)
+        acc, t2 = r.acc, r.t2
+        for nb, star, buoyant in (
+            (r.u, self._ustar, False),
+            (r.v, self._vstar, False),
+            (r.w, self._wstar, True),
         ):
-            self._advect_rows(ws, f, self._adv, s, e)
-            self._lap_rows(ws, self._lapb, s, e)
-            t1 = self._t1[sl]
-            np.negative(self._adv[sl], out=t1)
-            t2 = self._t2[sl]
-            np.multiply(NU_EFFECTIVE, self._lapb[sl], out=t2)
-            np.add(t1, t2, out=t1)
+            self._advect_rows(nb, r)
+            self._lap_rows(nb, r)
+            np.negative(acc, out=acc)
+            np.multiply(NU_EFFECTIVE, r.lap, out=t2)
+            np.add(acc, t2, out=acc)
             if buoyant:
-                np.add(t1, self._buoy[sl], out=t1)
-            np.multiply(self.config.dt, t1, out=t1)
-            np.add(val[sl], t1, out=t1)
-            np.multiply(self._damp[sl], t1, out=star[sl])
+                np.add(acc, r.buoy, out=acc)
+            np.multiply(self.config.dt, acc, out=acc)
+            np.add(nb[0], acc, out=acc)
+            np.multiply(self._damp[sl], r.acc_int, out=star[sl])
 
     def _correct_rows(self, f: FlowFields, s: int, e: int) -> None:
         """Pressure-gradient correction for x-rows ``[s, e)``, in place."""
@@ -659,49 +748,53 @@ class ProjectionSolver:
             np.subtract(target[sl], t1, out=target[sl])
 
     def _temperature_rows(self, f: FlowFields, s: int, e: int) -> None:
-        """Energy transport for x-rows ``[s, e)`` into the T star scratch."""
+        """Energy transport for x-rows ``[s, e)`` into the T star scratch.
+
+        Needs the temperature buffer and the corrected velocities loaded."""
         sl = slice(s, e)
-        self._advect_rows(self._wt, f, self._adv, s, e)
-        self._lap_rows(self._wt, self._lapb, s, e)
-        t1 = self._t1[sl]
-        np.negative(self._adv[sl], out=t1)
-        t2 = self._t2[sl]
-        np.multiply(ALPHA_EFFECTIVE, self._lapb[sl], out=t2)
-        np.add(t1, t2, out=t1)
-        np.multiply(self.config.dt, t1, out=t1)
-        np.add(f.temperature[sl], t1, out=self._tstar[sl])
+        r = self._stencil_rows(s, e)
+        acc, t2 = r.acc, r.t2
+        self._advect_rows(r.t, r)
+        self._lap_rows(r.t, r)
+        np.negative(acc, out=acc)
+        np.multiply(ALPHA_EFFECTIVE, r.lap, out=t2)
+        np.add(acc, t2, out=acc)
+        np.multiply(self.config.dt, acc, out=acc)
+        np.add(f.temperature[sl], r.acc_int, out=self._tstar[sl])
 
     def _load_poisson(self, f: FlowFields) -> None:
-        """Per-step pressure setup: coefficients, rhs, and initial guess."""
+        """Per-step pressure setup: coefficients, rhs, and initial guess,
+        loaded on the full plan's flat rows."""
         ws = self.pressure
+        plan = ws.full_plan
+        r = self._stencil_rows(0, self.mesh.nx)
         self._wd.load(self._damp)
-        wd = self._wd
-        halves = (
-            (wd.xp, self._dx2), (wd.xm, self._dx2),
-            (wd.yp, self._dy2), (wd.ym, self._dy2),
-            (wd.zp, self._dz2), (wd.zm, self._dz2),
-        )
-        for (nb, d2), coef in zip(halves, ws.coef_int):
-            np.add(nb, wd.interior, out=coef)
+        c, *nbs = r.mobility
+        spacing2 = (self._dx2, self._dx2, self._dy2, self._dy2,
+                    self._dz2, self._dz2)
+        for nb, d2, coef in zip(nbs, spacing2, plan.coef):
+            np.add(nb, c, out=coef)
             np.multiply(coef, 0.5, out=coef)
             np.divide(coef, d2, out=coef)
-        np.copyto(ws.den_int, ws.coef_int[0])
-        for coef in ws.coef_int[1:]:
-            np.add(ws.den_int, coef, out=ws.den_int)
+        np.copyto(plan.den, plan.coef[0])
+        for coef in plan.coef[1:]:
+            np.add(plan.den, coef, out=plan.den)
         # rhs = div(u*) / dt from the (already loaded) velocity buffers.
-        self._divergence_rows(self._rhs, 0, self.mesh.nx)
-        np.divide(self._rhs, self.config.dt, out=self._rhs)
-        np.copyto(ws.rhs_int, self._rhs)
+        self._divergence_rows(r, plan.rhs)
+        np.divide(plan.rhs, self.config.dt, out=plan.rhs)
+        if self.config.pressure_solver == "sor":
+            ws.load_sor_operands()
         ws.load(f.p)
 
     def _solve_pressure_serial(self) -> None:
         """Run the configured pressure solver on the loaded workspace."""
         tr = self._tracer
+        ws = self.pressure
         if not tr.enabled:
-            self._solve_pressure_impl()
+            self._solve_pressure_impl((ws.full_plan,), ws.refresh_ghosts)
             return
         t0 = time.perf_counter()
-        self._solve_pressure_impl()
+        self._solve_pressure_impl((ws.full_plan,), ws.refresh_ghosts)
         wall = time.perf_counter() - t0
         sweeps = self.last_pressure_sweeps
         m = tr.metrics
@@ -720,23 +813,34 @@ class ProjectionSolver:
                 buckets=WALL_BUCKETS,
             ).observe(wall / sweeps, solver=self.config.pressure_solver)
 
-    def _solve_pressure_impl(self) -> None:
+    def _solve_pressure_impl(
+        self, plans: Sequence[_RowPlan], refresh: Callable[[], None]
+    ) -> None:
+        """The pressure iteration loop, for serial and decomposed solves.
+
+        Before every sweep (Jacobi) or colour half-pass (SOR), ``refresh``
+        updates the ghost layer -- the decomposed solver's halo exchange
+        -- and the kernel then fans out over ``plans``, which cover all
+        rows. Both kernels write the other ping-pong buffer.
+        """
         ws = self.pressure
         cfg = self.config
         if cfg.pressure_solver == "jacobi":
             for _ in range(cfg.poisson_iterations):
-                ws.refresh_ghosts()
-                ws.sweep(ws.full_plan)
+                refresh()
+                for plan in plans:
+                    ws.sweep(plan)
                 ws.swap()
             self.last_pressure_sweeps = cfg.poisson_iterations
             return
         # Red-black SOR with optional residual early exit.
-        plan = ws.full_plan
         sweeps = 0
         while sweeps < cfg.poisson_iterations:
-            for mask in (plan.red, plan.black):
-                ws.refresh_ghosts()
-                ws.sor_pass(plan, mask, cfg.sor_omega)
+            for colour in (0, 1):
+                refresh()
+                for plan in plans:
+                    ws.sor_half_pass(plan, colour)
+                ws.swap()
             sweeps += 1
             if (
                 cfg.poisson_tolerance > 0.0
@@ -785,9 +889,9 @@ class ProjectionSolver:
         # 1 + dt*drag): screen cells have dt*drag >> 1, where an explicit
         # sink oscillates and blows up.
         self._load_velocity_buffers(f)
-        self._update_upwind_masks(f)
+        self._update_upwind_masks()
         self._update_damp_buoy(f)
-        self._predict_rows(f, 0, m.nx)
+        self._predict_rows(0, m.nx)
         f.u, self._ustar = self._ustar, f.u
         f.v, self._vstar = self._vstar, f.v
         f.w, self._wstar = self._wstar, f.w
@@ -810,8 +914,7 @@ class ProjectionSolver:
         self.apply_velocity_bcs(f)
 
         # Temperature transport (with the corrected velocities).
-        self._wt.load(f.temperature)
-        self._update_upwind_masks(f)
+        self._load_transport_buffers(f)
         self._temperature_rows(f, 0, m.nx)
         f.temperature, self._tstar = self._tstar, f.temperature
         self.apply_temperature_bcs(f)

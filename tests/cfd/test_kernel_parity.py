@@ -190,23 +190,12 @@ class TestDecomposedBitParity:
         mesh, bcs, cfg = build_case()
         ref = ProjectionSolver(mesh, bcs, cfg)
         fr = FlowFields(mesh).initialize_uniform(temperature=294.0)
-        with DecomposedSolver(mesh, bcs, cfg, n_ranks=n_ranks) as dec:
-            fd = FlowFields(mesh).initialize_uniform(temperature=294.0)
-            for i in range(cfg.n_steps):
-                dec.step(fd)
-                reference_step(ref, fr)
-                assert_bit_identical(fd, fr, f"ranks={n_ranks} step {i}")
-
-    def test_pooled_matches_sequential(self):
-        mesh, bcs, cfg = build_case()
-        seq = DecomposedSolver(mesh, bcs, cfg, n_ranks=4)
-        fs = FlowFields(mesh).initialize_uniform(temperature=294.0)
-        with DecomposedSolver(mesh, bcs, cfg, n_ranks=4, workers=4) as pool:
-            fp = FlowFields(mesh).initialize_uniform(temperature=294.0)
-            for _ in range(cfg.n_steps):
-                seq.step(fs)
-                pool.step(fp)
-        assert_bit_identical(fs, fp, "pooled vs sequential")
+        dec = DecomposedSolver(mesh, bcs, cfg, n_ranks=n_ranks)
+        fd = FlowFields(mesh).initialize_uniform(temperature=294.0)
+        for i in range(cfg.n_steps):
+            dec.step(fd)
+            reference_step(ref, fr)
+            assert_bit_identical(fd, fr, f"ranks={n_ranks} step {i}")
 
     def test_sor_decomposed_matches_serial(self):
         mesh, bcs, cfg = build_case(
@@ -214,12 +203,12 @@ class TestDecomposedBitParity:
         )
         ser = ProjectionSolver(mesh, bcs, cfg)
         fs = FlowFields(mesh).initialize_uniform(temperature=294.0)
-        with DecomposedSolver(mesh, bcs, cfg, n_ranks=3) as dec:
-            fd = FlowFields(mesh).initialize_uniform(temperature=294.0)
-            for i in range(cfg.n_steps):
-                ser.step(fs)
-                dec.step(fd)
-                assert_bit_identical(fs, fd, f"sor step {i}")
+        dec = DecomposedSolver(mesh, bcs, cfg, n_ranks=3)
+        fd = FlowFields(mesh).initialize_uniform(temperature=294.0)
+        for i in range(cfg.n_steps):
+            ser.step(fs)
+            dec.step(fd)
+            assert_bit_identical(fs, fd, f"sor step {i}")
 
 
 class TestSorPressureSolver:
@@ -282,6 +271,37 @@ class TestSorPressureSolver:
         r = solver.pressure_residual_norm()
         assert np.isfinite(r) and r >= 0.0
 
+    def test_fused_half_pass_matches_two_step_formulation(self):
+        """``dst = keep*src + sum cw*nb - rw`` equals
+        ``p + omega*mask*(jacobi(p) - p)`` on every interior cell."""
+        mesh, bcs, cfg = build_case(pressure_solver="sor", sor_omega=1.7)
+        solver = ProjectionSolver(mesh, bcs, cfg)
+        f = FlowFields(mesh).initialize_uniform(temperature=294.0)
+        for _ in range(3):
+            solver.step(f)
+        # Load a real step's operands, with a non-trivial initial guess.
+        solver._load_velocity_buffers(f)
+        solver._load_poisson(f)
+        ws = solver.pressure
+        plan = ws.full_plan
+        ii, jj, kk = np.indices(mesh.shape)
+        red = (ii + jj + kk) % 2 == 0
+        for colour, mask in enumerate((red, ~red)):
+            ws.load(f.p)
+            ws.refresh_ghosts()
+            p = ws.src.interior.copy()
+            ws.sweep(plan)
+            jacobi = ws.bufs[1 - ws.cur].interior.copy()
+            expected = p + cfg.sor_omega * mask * (jacobi - p)
+
+            ws.sor_half_pass(plan, colour)
+            fused = ws.bufs[1 - ws.cur].interior
+            scale = np.max(np.abs(expected))
+            assert scale > 0.0
+            assert np.max(np.abs(fused - expected)) <= 1e-12 * scale
+            # Off-colour cells are copied through exactly.
+            assert np.array_equal(fused[~mask], p[~mask])
+
     def test_sor_stays_finite_over_many_steps(self):
         mesh, bcs, cfg = build_case(pressure_solver="sor", sor_omega=1.7)
         solver = ProjectionSolver(mesh, bcs, cfg)
@@ -332,9 +352,9 @@ class TestFiniteChecks:
     def test_decomposed_solve_error_names_blown_up_field(self):
         mesh, bcs, _ = build_case()
         cfg = SolverConfig(dt=50.0, n_steps=10, poisson_iterations=2)
-        with DecomposedSolver(mesh, bcs, cfg, n_ranks=2) as solver:
-            with pytest.raises(FloatingPointError, match="non-finite field"):
-                solver.solve()
+        solver = DecomposedSolver(mesh, bcs, cfg, n_ranks=2)
+        with pytest.raises(FloatingPointError, match="non-finite field"):
+            solver.solve()
 
 
 class TestHoistedBoundaryValues:

@@ -71,16 +71,6 @@ class TestDecomposedEqualsSerial:
         decomposed = DecomposedSolver(mesh, bcs, self._cfg(), n_ranks=ranks).solve()
         assert decomposed.fields.allclose(serial.fields, atol=0.0)
 
-    def test_threaded_execution_matches_too(self):
-        mesh = default_mesh()
-        bcs = self._bcs(mesh)
-        serial = ProjectionSolver(mesh, bcs, self._cfg()).solve()
-        d = DecomposedSolver(mesh, bcs, self._cfg(), n_ranks=4, workers=4)
-        try:
-            assert d.solve().fields.allclose(serial.fields, atol=0.0)
-        finally:
-            d.close()
-
     def test_halo_exchanges_counted(self):
         mesh = default_mesh()
         d = DecomposedSolver(mesh, self._bcs(mesh), self._cfg(), n_ranks=2)
