@@ -27,7 +27,7 @@ import time
 import pytest
 
 from repro.analysis import ComparisonTable
-from repro.parallel import ShardedScaleScenario, ShardRunner
+from repro.parallel import ShardedScaleScenario
 from repro.radio.population import Distribution, RandomVariable, UEPopulation
 
 ARTIFACT = os.path.join(
@@ -83,7 +83,7 @@ def _modeled_worker_walls(scenario: ShardedScaleScenario) -> list[float]:
     walls = []
     for task in scenario._tasks():
         t0 = time.perf_counter()
-        runner = ShardRunner(task)
+        runner = task.build_runner()
         for barrier_t in scenario._barriers():
             runner.advance(barrier_t)
         runner.finish()

@@ -11,10 +11,13 @@ calendar-queue engine. It measures, and records in ``BENCH_scale.json``
   same-timestamp storms through the calendar queue vs a raw
   ``(time, eid)`` heapq;
 * ``scale_scenario`` -- sim-seconds per wall-second and events/sec for a
-  50k-UE, 20-cell :class:`~repro.core.scale.ScaleScenario`.
+  50k-UE, 20-cell :class:`~repro.parallel.ShardedScaleScenario` on one
+  in-process worker (``workers=1, executor="serial"``), per-cell
+  throughput sketches included.
 
-Every full run overwrites the artifact; the smoke test refreshes only its
-own records so the CI artifact stays honest without the heavy runs.
+Every record carries ``host_cores``. Every full run overwrites the
+artifact; the smoke test refreshes only its own records so the CI
+artifact stays honest without the heavy runs.
 """
 
 import heapq
@@ -27,10 +30,11 @@ import numpy as np
 import pytest
 
 from repro.analysis import ComparisonTable
-from repro.core.scale import ScaleScenario
+from repro.parallel import ShardedScaleScenario
 from repro.radio.population import Distribution, RandomVariable, UEPopulation
 from repro.simkernel.engine import Engine
 from repro.simkernel.rng import RngRegistry
+from tests.radio.scalar_reference import uplink_samples_scalar
 
 ARTIFACT = os.path.join(os.path.dirname(__file__), "_artifacts", "BENCH_scale.json")
 
@@ -49,6 +53,8 @@ STORM_WIDTH = 1_500
 def _write_records(new_records: list[dict]) -> None:
     """Merge records into the artifact, replacing same-name benchmarks."""
     os.makedirs(os.path.dirname(ARTIFACT), exist_ok=True)
+    for record in new_records:
+        record["host_cores"] = os.cpu_count()
     names = {r["benchmark"] for r in new_records}
     existing = []
     if os.path.exists(ARTIFACT):
@@ -65,7 +71,7 @@ def _ten_k_cell():
         network="5g-tdd",
         bandwidth_mhz=40.0,
     )
-    return pop.realize(RngRegistry(2025))[0]
+    return pop.realize_cells(RngRegistry(2025), [0])[0]
 
 
 def _radio_rates() -> list[dict]:
@@ -85,7 +91,7 @@ def _radio_rates() -> list[dict]:
     vec_rate = N_UES * VECTOR_SAMPLES / vec_wall
 
     t0 = time.perf_counter()
-    gnb.uplink_samples_scalar(rng, SCALAR_SAMPLES)
+    uplink_samples_scalar(gnb, rng, SCALAR_SAMPLES)
     scalar_wall = time.perf_counter() - t0
     scalar_rate = N_UES * SCALAR_SAMPLES / scalar_wall
 
@@ -171,8 +177,9 @@ def _scenario_rate(n_cells: int, ues_per_cell: float, horizon_s: float) -> dict:
         network="5g-tdd",
         bandwidth_mhz=40.0,
     )
-    scenario = ScaleScenario(
-        population=pop, seed=2025, horizon_s=horizon_s, window_s=10.0
+    scenario = ShardedScaleScenario(
+        pop, seed=2025, horizon_s=horizon_s, window_s=10.0,
+        workers=1, executor="serial",
     )
     t0 = time.perf_counter()
     report = scenario.run()
@@ -249,8 +256,9 @@ def test_scale_smoke_small(benchmark):
             network="5g-tdd",
             bandwidth_mhz=40.0,
         )
-        scenario = ScaleScenario(
-            population=pop, seed=1, horizon_s=30.0, window_s=10.0
+        scenario = ShardedScaleScenario(
+            pop, seed=1, horizon_s=30.0, window_s=10.0,
+            workers=1, executor="serial",
         )
         t0 = time.perf_counter()
         report = scenario.run()

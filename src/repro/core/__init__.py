@@ -29,7 +29,6 @@ from repro.core.e2e import (
     fig3_slos,
 )
 from repro.core.scenario import Scenario, ScenarioResult
-from repro.core.scale import ScaleReport, ScaleScenario
 from repro.core.fabric_sharded import ShardedFabricScenario
 
 __all__ = [
@@ -47,7 +46,5 @@ __all__ = [
     "fig3_slos",
     "Scenario",
     "ScenarioResult",
-    "ScaleReport",
-    "ScaleScenario",
     "ShardedFabricScenario",
 ]

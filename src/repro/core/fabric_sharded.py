@@ -24,16 +24,11 @@ cross-shard CSPOT link mid-run (the determinism battery in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from repro.chaos.shardfaults import ShardChaosCampaign
 from repro.cspot.boundary import CrossShardLink
-from repro.parallel.coordinator import (
-    DEFAULT_WORKER_TIMEOUT_S,
-    EXECUTORS,
-    run_shards_serial,
-    run_shards_spawn,
-)
+from repro.parallel.coordinator import ShardedScenario
 from repro.parallel.envelope import FabricBus
 from repro.parallel.fabric_shard import FabricShardTask, SiteShardResult
 from repro.parallel.merge import (
@@ -41,27 +36,25 @@ from repro.parallel.merge import (
     merge_slo_timelines,
     merge_streams,
 )
-from repro.parallel.plan import CSPOT_TRANSFER_FLOOR_S, ShardPlan
+from repro.parallel.plan import CSPOT_TRANSFER_FLOOR_S
 from repro.parallel.report import FabricParallelReport
 
 
-@dataclass
-class ShardedFabricScenario:
+@dataclass(kw_only=True)
+class ShardedFabricScenario(ShardedScenario):
     """A multi-site fabric with cross-shard CSPOT transfers, sharded.
+
+    The shared parameters (seed, workers, executor, ...) are documented
+    on :class:`~repro.parallel.coordinator.ShardedScenario`.
 
     Parameters
     ----------
     n_sites:
         Number of farm sites (cells); site ``hub_site`` doubles as the
         fabric repository every other site reports into.
-    seed:
-        Master seed shared by every shard's registry.
     horizon_s / window_s:
-        Sampling horizon and per-site sampling window.
-    workers:
-        Number of shards to execute concurrently (1..n_sites).
-    executor:
-        ``"serial"`` or ``"spawn"``.
+        Sampling horizon (default 6 s) and per-site sampling window
+        (default 2 s).
     interaction_delay_s:
         Minimum cross-shard interaction delay bounding the sync quantum;
         defaults to the CSPOT transfer floor. Must not exceed the
@@ -75,48 +68,24 @@ class ShardedFabricScenario:
 
     n_sites: int = 8
     hub_site: int = 0
-    seed: int = 0
     horizon_s: float = 6.0
     window_s: float = 2.0
-    workers: int = 1
-    executor: str = "spawn"
-    interaction_delay_s: float = CSPOT_TRANSFER_FLOOR_S
+    interaction_delay_s: Optional[float] = CSPOT_TRANSFER_FLOOR_S
     sensors_per_cell: int = 4
     transfer_budget_s: float = 1.0
     alert_threshold_mps: float = 1.5
     campaign: Optional[ShardChaosCampaign] = None
     link: CrossShardLink = field(default_factory=CrossShardLink)
-    relative_error: float = 0.01
-    worker_timeout_s: float = DEFAULT_WORKER_TIMEOUT_S
-    #: Per-worker timing side channel from the last spawn run (empty for
-    #: serial); wall-clock data stays out of the canonical report.
-    last_timings: list[dict[str, Any]] = field(
-        default_factory=list, repr=False
-    )
 
     def __post_init__(self) -> None:
-        if self.horizon_s <= 0:
-            raise ValueError(f"horizon_s must be positive: {self.horizon_s}")
-        if self.window_s <= 0:
-            raise ValueError(f"window_s must be positive: {self.window_s}")
-        if self.window_s > self.horizon_s:
-            raise ValueError(
-                f"window_s {self.window_s} exceeds horizon_s {self.horizon_s}"
-            )
-        if self.executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; valid: {EXECUTORS}"
-            )
+        super().__post_init__()
         if not 0 <= self.hub_site < self.n_sites:
             raise ValueError(
                 f"hub site {self.hub_site} out of [0, {self.n_sites})"
             )
-        # Fails fast on workers < 1 or workers > n_sites.
-        self.plan: ShardPlan = ShardPlan.build(self.n_sites, self.workers)
 
-    @property
-    def n_windows(self) -> int:
-        return int(self.horizon_s // self.window_s)
+    def _n_cells(self) -> int:
+        return self.n_sites
 
     def _tasks(self) -> list[FabricShardTask]:
         campaign = self.campaign or ShardChaosCampaign(enabled=False)
@@ -140,27 +109,12 @@ class ShardedFabricScenario:
             for w, cells in enumerate(self.plan.assignments)
         ]
 
-    def _barriers(self) -> tuple[float, ...]:
-        return self.plan.barrier_times(
-            self.horizon_s, self.window_s, self.interaction_delay_s
-        )
-
     # -- the run -----------------------------------------------------------------
 
     def run(self) -> FabricParallelReport:
         """Execute every shard, exchange envelopes, merge canonically."""
-        tasks = self._tasks()
-        barriers = self._barriers()
         bus = FabricBus(self.plan, self.horizon_s)
-        results: list[SiteShardResult]
-        if self.executor == "serial":
-            results = run_shards_serial(tasks, barriers, bus)
-            self.last_timings = []
-        else:
-            results, self.last_timings = run_shards_spawn(
-                tasks, barriers, bus, timeout_s=self.worker_timeout_s
-            )
-        results.sort(key=lambda r: r.cell_index)
+        results: list[SiteShardResult] = self._execute(self._tasks(), bus)
         delivered = sum(r.delivered for r in results)
         if delivered != bus.delivered:
             raise RuntimeError(

@@ -9,10 +9,11 @@ that per-file rules cannot express:
   declared namespace.
 * **Shard-boundary purity** (REPRO511, this module): every class
   reachable from the pickling seam roots (``PICKLE_SEAM_ROOTS`` in
-  :mod:`repro.parallel.worker`) must hold pure data -- no engines,
-  tracers, live generators, open handles or callables. Ambient state
-  shipped across the coordinator->worker pipe silently stops worker
-  results being a function of ``(task, seed)``.
+  :mod:`repro.parallel.worker`), through field types and base classes,
+  must hold pure data -- no engines, tracers, live generators, open
+  handles or callables. Ambient state shipped across the
+  coordinator->worker pipe silently stops worker results being a
+  function of ``(task, seed)``.
 
 Program rules are deliberately a separate registry from the per-file
 ``ALL_RULES``: they have no single-file fixture semantics (their
@@ -160,6 +161,12 @@ def _purity_check(
                     if nested is not None:
                         n_mod, n_name, n_cls = nested
                         stack.append((n_mod, n_name, n_cls, field_chain))
+            # Inherited fields cross the seam too, under the subclass's name.
+            for base in cls.bases:
+                inherited = graph.resolve_class(base, mod)
+                if inherited is not None:
+                    b_mod, b_name, b_cls = inherited
+                    stack.append((b_mod, b_name, b_cls, chain))
 
 
 def _provenance_rule(

@@ -5,17 +5,20 @@ The one sanctioned home for process-level parallelism in this repo
 partitioned by cell into shards, each shard advances on its own
 deterministic engine under conservative window barriers, and the
 per-shard results merge exactly -- so the report is byte-identical for
-any worker count. Two scenario families share the executors: the radio
-scale workload (:class:`ShardedScaleScenario`, no cross-shard traffic)
-and the full fabric (:class:`repro.core.fabric_sharded
-.ShardedFabricScenario`), whose cross-shard CSPOT transfers ride the
-:class:`FabricBus` between window barriers. See ``docs/parallel.md``.
+any worker count. Two scenario families share one skeleton
+(:class:`ShardedScenario`, :class:`ShardTask`, :class:`ShardRunner`) and
+the executors: the radio scale workload (:class:`ShardedScaleScenario`,
+no cross-shard traffic) and the full fabric (:class:`repro.core
+.fabric_sharded.ShardedFabricScenario`), whose cross-shard CSPOT
+transfers ride the :class:`FabricBus` between window barriers. See
+``docs/parallel.md``.
 """
 
 from repro.parallel.coordinator import (
     DEFAULT_WORKER_TIMEOUT_S,
     EXECUTORS,
     ShardedScaleScenario,
+    ShardedScenario,
     run_shards_serial,
     run_shards_spawn,
 )
@@ -47,11 +50,13 @@ from repro.parallel.plan import (
 from repro.parallel.report import FabricParallelReport, ParallelReport
 from repro.parallel.shard import (
     CellShardResult,
+    ScaleShardRunner,
+    ScaleShardTask,
     ShardRunner,
     ShardTask,
     WorkerCrash,
 )
-from repro.parallel.worker import build_runner, worker_main
+from repro.parallel.worker import worker_main
 
 __all__ = [
     "CSPOT_TRANSFER_FLOOR_S",
@@ -66,13 +71,15 @@ __all__ = [
     "LinkFault",
     "ParallelReport",
     "STREAM_KEY_FIELDS",
+    "ScaleShardRunner",
+    "ScaleShardTask",
     "ShardPlan",
     "ShardRunner",
     "ShardTask",
     "ShardedScaleScenario",
+    "ShardedScenario",
     "SiteShardResult",
     "WorkerCrash",
-    "build_runner",
     "canonical_json",
     "canonical_jsonl",
     "fsum_ordered",

@@ -25,10 +25,12 @@ re-raises with worker context; a worker that dies silently closes its
 pipe and the timed receive turns the EOF (or a stall) into a clear
 ``RuntimeError`` naming the worker -- the coordinator never hangs.
 
-:class:`ShardedScaleScenario` is the sharded counterpart of
-:class:`repro.core.scale.ScaleScenario`: the same declarative population
-and sampling horizon, partitioned by cell across workers and merged into
-one :class:`~repro.parallel.report.ParallelReport`. (Its fabric sibling,
+:class:`ShardedScenario` holds what every sharded scenario shares:
+validation, the :class:`~repro.parallel.plan.ShardPlan`, the barrier
+calendar, and dispatch to either executor. :class:`ShardedScaleScenario`
+is the scale workload -- a declarative UE population sampled over a
+horizon, partitioned by cell across workers and merged into one
+:class:`~repro.parallel.report.ParallelReport`. (Its fabric sibling,
 :class:`repro.core.fabric_sharded.ShardedFabricScenario`, drives the
 same executors with a live bus.)
 
@@ -42,7 +44,7 @@ time in a total order, and every merge is exact.
 from __future__ import annotations
 
 import multiprocessing as mp
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from multiprocessing.connection import Connection
 from typing import Any, Optional, Sequence
 
@@ -51,8 +53,8 @@ from repro.parallel.envelope import FabricBus, split_outbound
 from repro.parallel.merge import fsum_ordered, merge_sketches, merge_streams
 from repro.parallel.plan import CellFault, ShardPlan
 from repro.parallel.report import ParallelReport
-from repro.parallel.shard import CellShardResult, ShardTask
-from repro.parallel.worker import AnyTask, build_runner, worker_main
+from repro.parallel.shard import CellShardResult, ScaleShardTask, ShardTask
+from repro.parallel.worker import worker_main
 from repro.radio.population import UEPopulation
 
 EXECUTORS = ("serial", "spawn")
@@ -83,12 +85,12 @@ def _route(
 
 
 def run_shards_serial(
-    tasks: Sequence[AnyTask],
+    tasks: Sequence[ShardTask],
     barriers: Sequence[float],
     bus: Optional[FabricBus] = None,
 ) -> list[Any]:
     """Drive every shard in-process under the barrier/exchange protocol."""
-    runners = [build_runner(task) for task in tasks]
+    runners = [task.build_runner() for task in tasks]
     n = len(runners)
     pending: list[tuple[FabricEnvelope, ...]] = [() for _ in range(n)]
     for i, barrier_t in enumerate(barriers):
@@ -146,7 +148,7 @@ def _expect(
 
 
 def run_shards_spawn(
-    tasks: Sequence[AnyTask],
+    tasks: Sequence[ShardTask],
     barriers: Sequence[float],
     bus: Optional[FabricBus] = None,
     timeout_s: float = DEFAULT_WORKER_TIMEOUT_S,
@@ -203,46 +205,40 @@ def run_shards_spawn(
     return results, timings
 
 
-@dataclass
-class ShardedScaleScenario:
-    """A population-scale radio simulation, sharded across workers.
+@dataclass(kw_only=True)
+class ShardedScenario:
+    """What every sharded scenario shares: plan, barriers, dispatch.
+
+    Subclasses declare the workload (and their own ``horizon_s`` /
+    ``window_s`` defaults), implement :meth:`_n_cells`, and build one
+    task per worker for :meth:`_execute`.
 
     Parameters
     ----------
-    population:
-        Declarative fleet description; realized per cell from
-        ``shard.cell<ccc>.*`` streams inside each owning worker.
     seed:
         Master seed shared by every shard's registry.
     horizon_s / window_s:
-        Sampling horizon and window, as in ``ScaleScenario``.
+        Simulated horizon and per-cell sampling window.
     workers:
         Number of shards to execute concurrently (1..n_cells).
     executor:
-        ``"serial"`` or ``"spawn"`` (see module docstring).
+        ``"serial"`` (in-process, the default) or ``"spawn"`` (see
+        module docstring).
     interaction_delay_s:
         Minimum cross-shard interaction delay bounding the conservative
-        sync window; ``None`` declares the shards decoupled (the default
-        for the pure sampling workload, where no cross-shard message
-        exists). Pass
-        :data:`~repro.parallel.plan.CSPOT_TRANSFER_FLOOR_S` to model the
-        CSPOT transfer floor.
-    faults:
-        Chaos faults, each routed to the worker owning its cell.
+        sync window; ``None`` declares the shards decoupled.
     relative_error:
-        Error bound of the per-cell throughput sketches.
+        Error bound of the per-cell sketches.
     worker_timeout_s:
         Patience for one spawn-worker reply before declaring it dead.
     """
 
-    population: UEPopulation
     seed: int = 0
-    horizon_s: float = 60.0
-    window_s: float = 10.0
+    horizon_s: float
+    window_s: float
     workers: int = 1
-    executor: str = "spawn"
+    executor: str = "serial"
     interaction_delay_s: Optional[float] = None
-    faults: tuple[CellFault, ...] = ()
     relative_error: float = 0.01
     worker_timeout_s: float = DEFAULT_WORKER_TIMEOUT_S
     #: Per-worker timing side channel from the last spawn run (empty for
@@ -265,18 +261,74 @@ class ShardedScaleScenario:
                 f"unknown executor {self.executor!r}; valid: {EXECUTORS}"
             )
         # Fails fast on workers < 1 or workers > n_cells.
-        self.plan: ShardPlan = ShardPlan.build(
-            self.population.n_cells, self.workers
-        )
+        self.plan: ShardPlan = ShardPlan.build(self._n_cells(), self.workers)
+
+    def _n_cells(self) -> int:
+        raise NotImplementedError
 
     @property
     def n_windows(self) -> int:
         return int(self.horizon_s // self.window_s)
 
-    def _tasks(self) -> list[ShardTask]:
+    def _barriers(self) -> tuple[float, ...]:
+        return self.plan.barrier_times(
+            self.horizon_s, self.window_s, self.interaction_delay_s
+        )
+
+    def _execute(
+        self, tasks: Sequence[ShardTask], bus: Optional[FabricBus] = None
+    ) -> list[Any]:
+        """Run every shard on the configured executor; results by cell."""
+        barriers = self._barriers()
+        results: list[Any]
+        if self.executor == "serial":
+            results = run_shards_serial(tasks, barriers, bus)
+            self.last_timings = []
+        else:
+            results, self.last_timings = run_shards_spawn(
+                tasks, barriers, bus, timeout_s=self.worker_timeout_s
+            )
+        results.sort(key=lambda r: r.cell_index)
+        return results
+
+
+@dataclass
+class ShardedScaleScenario(ShardedScenario):
+    """A population-scale radio simulation, sharded across workers.
+
+    The shared parameters (seed, workers, executor, ...) are documented
+    on :class:`ShardedScenario`.
+
+    Parameters
+    ----------
+    population:
+        Declarative fleet description; realized per cell from
+        ``shard.cell<ccc>.*`` streams inside each owning worker.
+    horizon_s / window_s:
+        Sampling horizon (default 60 s) and window (default 10 s): each
+        cell produces ``window_s`` one-second samples per UE per window.
+    faults:
+        Chaos faults, each routed to the worker owning its cell.
+
+    ``interaction_delay_s`` stays ``None`` by default: the pure sampling
+    workload has no cross-shard message. Pass
+    :data:`~repro.parallel.plan.CSPOT_TRANSFER_FLOOR_S` to model the
+    CSPOT transfer floor.
+    """
+
+    population: UEPopulation
+    _: KW_ONLY
+    horizon_s: float = 60.0
+    window_s: float = 10.0
+    faults: tuple[CellFault, ...] = ()
+
+    def _n_cells(self) -> int:
+        return self.population.n_cells
+
+    def _tasks(self) -> list[ScaleShardTask]:
         routed = self.plan.route_faults(self.faults)
         return [
-            ShardTask(
+            ScaleShardTask(
                 population=self.population,
                 seed=self.seed,
                 horizon_s=self.horizon_s,
@@ -288,26 +340,11 @@ class ShardedScaleScenario:
             for w, cells in enumerate(self.plan.assignments)
         ]
 
-    def _barriers(self) -> tuple[float, ...]:
-        return self.plan.barrier_times(
-            self.horizon_s, self.window_s, self.interaction_delay_s
-        )
-
     # -- the run -----------------------------------------------------------------
 
     def run(self) -> ParallelReport:
         """Execute every shard and merge the results canonically."""
-        tasks = self._tasks()
-        barriers = self._barriers()
-        results: list[CellShardResult]
-        if self.executor == "serial":
-            results = run_shards_serial(tasks, barriers)
-            self.last_timings = []
-        else:
-            results, self.last_timings = run_shards_spawn(
-                tasks, barriers, timeout_s=self.worker_timeout_s
-            )
-        results.sort(key=lambda r: r.cell_index)
+        results: list[CellShardResult] = self._execute(self._tasks())
         merged_sketch = merge_sketches(
             (r.sketch for r in results), self.relative_error
         )

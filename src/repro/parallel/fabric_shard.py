@@ -1,12 +1,14 @@
 """The shard-local slice of a sharded fabric: sites, CSPOT nodes, sensors.
 
-A :class:`FabricShardRunner` owns a contiguous block of *sites* (farm
-cells in the paper's multi-farm reading). Each site carries its own
-sensor source and its own :class:`~repro.cspot.node.CSPOTNode`: every
-sampling window the site reads its sensors, appends the telemetry to its
-local CSPOT log (durable-first, the paper's discipline), and forwards a
-summary to the fabric **hub** site -- the repository cell every other
-site reports into (the UCSB role in Fig. 3).
+A :class:`FabricShardRunner` (on the shared
+:class:`~repro.parallel.shard.ShardRunner` skeleton) owns a contiguous
+block of *sites* (farm cells in the paper's multi-farm reading). Each
+site carries its own sensor source and its own
+:class:`~repro.cspot.node.CSPOTNode`: every sampling window the site
+reads its sensors, appends the telemetry to its local CSPOT log
+(durable-first, the paper's discipline), and forwards a summary to the
+fabric **hub** site -- the repository cell every other site reports
+into (the UCSB role in Fig. 3).
 
 The hub transfer always crosses the shard boundary seam
 (:meth:`~repro.cspot.transport.Transport.export_append`), *even when the
@@ -35,16 +37,15 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.cspot.boundary import CrossShardLink, FabricEnvelope, ShardBoundary
 from repro.cspot.node import CSPOTNode
 from repro.cspot.transport import Transport
 from repro.obs.slo import budget_record
 from repro.obs.stream import QuantileSketch
-from repro.parallel.plan import CellFault, LinkFault, shard_stream
-from repro.parallel.shard import WorkerCrash
-from repro.simkernel.engine import Engine
+from repro.parallel.plan import LinkFault, shard_stream
+from repro.parallel.shard import ShardRunner, ShardTask
 from repro.simkernel.events import Event
 
 #: Telemetry summary frame: mean wind (f64), window index (u32), source
@@ -70,42 +71,24 @@ def unpack_telemetry(payload: bytes) -> tuple[float, int, int]:
     return float(mean_mps), int(window), int(src_cell)
 
 
-@dataclass(frozen=True)
-class FabricShardTask:
-    """Everything a worker needs to run its fabric shard (picklable)."""
+@dataclass(frozen=True, kw_only=True)
+class FabricShardTask(ShardTask):
+    """A fabric shard: the owned sites of an ``n_cells``-site fabric."""
 
     n_cells: int
-    seed: int
-    horizon_s: float
-    window_s: float
-    cells: tuple[int, ...]
     hub_cell: int = 0
     sensors_per_cell: int = 4
     transfer_budget_s: float = 1.0
     alert_threshold_mps: float = 1.5
-    faults: tuple[CellFault, ...] = ()
     link_faults: tuple[LinkFault, ...] = ()
     link: CrossShardLink = field(default_factory=CrossShardLink)
-    relative_error: float = 0.01
-    #: Injected protocol failure (tests only; None in production runs).
-    crash: Optional[WorkerCrash] = None
 
     def __post_init__(self) -> None:
-        if self.n_cells < 1:
-            raise ValueError(f"n_cells must be >= 1: {self.n_cells}")
-        if not self.cells:
-            raise ValueError("a fabric shard must own at least one site")
+        super().__post_init__()
         if not 0 <= self.hub_cell < self.n_cells:
             raise ValueError(
                 f"hub cell {self.hub_cell} out of [0, {self.n_cells})"
             )
-        for c in self.cells:
-            if not 0 <= c < self.n_cells:
-                raise ValueError(f"cell {c} out of [0, {self.n_cells})")
-        if self.horizon_s <= 0:
-            raise ValueError(f"horizon_s must be positive: {self.horizon_s}")
-        if self.window_s <= 0:
-            raise ValueError(f"window_s must be positive: {self.window_s}")
         if self.sensors_per_cell < 1:
             raise ValueError(
                 f"sensors_per_cell must be >= 1: {self.sensors_per_cell}"
@@ -119,19 +102,15 @@ class FabricShardTask:
                 f"alert_threshold_mps must be positive: "
                 f"{self.alert_threshold_mps}"
             )
-        owned = set(self.cells)
-        for fault in self.faults:
-            if fault.cell_index not in owned:
-                raise ValueError(
-                    f"fault on cell {fault.cell_index} routed to a shard "
-                    f"owning {sorted(owned)}"
-                )
-        for link_fault in self.link_faults:
-            if link_fault.cell_index not in owned:
-                raise ValueError(
-                    f"link fault on cell {link_fault.cell_index} routed to "
-                    f"a shard owning {sorted(owned)}"
-                )
+        self._require_owned(
+            "link fault", (f.cell_index for f in self.link_faults)
+        )
+
+    def _n_cells(self) -> int:
+        return self.n_cells
+
+    def build_runner(self) -> FabricShardRunner:
+        return FabricShardRunner(self)
 
 
 @dataclass
@@ -167,21 +146,18 @@ class SiteShardResult:
     slo: list[dict[str, Any]] = field(default_factory=list)
 
 
-class FabricShardRunner:
+class FabricShardRunner(ShardRunner[SiteShardResult]):
     """Advances one fabric shard's sites window by window."""
 
+    task: FabricShardTask
+
     def __init__(self, task: FabricShardTask) -> None:
-        self.task = task
-        self.engine = Engine(seed=task.seed)
+        super().__init__(task)
         self.transport = Transport(self.engine)
         self.boundary = ShardBoundary(task.link)
         self.transport.bind_boundary(self.boundary)
-        self._n_windows = int(task.horizon_s // task.window_s)
-        self._advances = 0
-        self._events_drained = 0
 
         self._nodes: dict[int, CSPOTNode] = {}
-        self._results: dict[int, SiteShardResult] = {}
         self._sensor_rngs = {
             c: self.engine.rng(shard_stream(c, "sensors")) for c in task.cells
         }
@@ -192,11 +168,6 @@ class FabricShardRunner:
         self._record_seq: dict[int, int] = {c: 0 for c in task.cells}
         self._slo_seq: dict[int, int] = {c: 0 for c in task.cells}
         self._parked: dict[int, list[bytes]] = {c: [] for c in task.cells}
-        #: Multiplicative sensor derate per (cell, window).
-        self._derates: dict[tuple[int, int], float] = {}
-        for fault in task.faults:
-            key = (fault.cell_index, fault.window)
-            self._derates[key] = self._derates.get(key, 1.0) * fault.derate
         self._link_faults: dict[int, list[LinkFault]] = {
             c: [] for c in task.cells
         }
@@ -229,26 +200,9 @@ class FabricShardRunner:
                 transfer_sketch=QuantileSketch.identity(task.relative_error),
                 ingest_sketch=QuantileSketch.identity(task.relative_error),
             )
-
-        # The full sampling calendar up front: every owned site's window
-        # event on the shared boundary timestamp (the same-timestamp storm
-        # the calendar queue batches in O(1)).
-        for w in range(self._n_windows):
-            when = w * task.window_s
-            for c in task.cells:
-                self.engine.schedule_at(when).add_callback(
-                    self._make_window(c, w)
-                )
+        self._schedule_windows()
 
     # -- accounting -------------------------------------------------------------
-
-    @property
-    def n_windows(self) -> int:
-        return self._n_windows
-
-    @property
-    def events_drained(self) -> int:
-        return self._events_drained
 
     def _next_record_seq(self, cell: int) -> int:
         seq = self._record_seq[cell]
@@ -413,32 +367,12 @@ class FabricShardRunner:
 
     # -- the barrier protocol ---------------------------------------------------
 
-    def advance(self, barrier_t: float) -> int:
-        """Drain every event up to the barrier; return events processed."""
-        crash = self.task.crash
-        if crash is not None and self._advances == crash.barrier_index:
-            if crash.mode == "raise":
-                raise RuntimeError(
-                    f"injected shard crash (cells {self.task.cells}) at "
-                    f"barrier #{crash.barrier_index} (t={barrier_t})"
-                )
-            raise SystemExit(3)
-        self._advances += 1
-        n = self.engine.drain_window(barrier_t)
-        self._events_drained += n
-        return n
-
     def collect_outbound(self) -> tuple[FabricEnvelope, ...]:
         """Envelopes exported during the window just drained."""
         return self.boundary.drain()
 
     def finish(self) -> list[SiteShardResult]:
         """Per-site results in cell-index order (ascending, stable)."""
-        if len(self.engine) != 0:
-            raise RuntimeError(
-                f"fabric shard finished with {len(self.engine)} pending "
-                "events; advance() must reach the horizon first"
-            )
         for c, parked in self._parked.items():
             self._results[c].parked_remaining = len(parked)
-        return [self._results[c] for c in sorted(self._results)]
+        return super().finish()

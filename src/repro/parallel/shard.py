@@ -1,8 +1,14 @@
 """The shard-local half of a sharded run: one engine, a few cells.
 
-A :class:`ShardRunner` owns a contiguous block of cells from the plan and
-advances them window by window under the coordinator's barriers. All of
-its randomness comes from per-cell named streams
+:class:`ShardTask` and :class:`ShardRunner` are the skeleton both
+workload families share: the picklable task (seed, horizon, window,
+owned cells, routed cell faults, injected crash) and a runner that owns a
+contiguous block of cells from the plan and advances them window by
+window under the coordinator's barriers. The radio scale family lives
+here (:class:`ScaleShardTask` / :class:`ScaleShardRunner`); the fabric
+family subclasses the same skeleton in :mod:`repro.parallel.fabric_shard`.
+
+All of a runner's randomness comes from per-cell named streams
 (:func:`~repro.parallel.plan.shard_stream`), all of its output is keyed
 by cell index, and each cell's windows are processed in increasing order
 -- together these make every number a runner produces a function of
@@ -16,7 +22,7 @@ spawned process, so the two paths cannot drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Generic, Iterable, Optional, Sequence, TypeVar
 
 from repro.cspot.boundary import FabricEnvelope
 from repro.obs.stream import QuantileSketch
@@ -56,11 +62,14 @@ class WorkerCrash:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ShardTask:
-    """Everything a worker needs to run its shard (picklable for spawn)."""
+    """Everything a worker needs to run its shard (picklable for spawn).
 
-    population: UEPopulation
+    Subclasses add their workload's fields and implement
+    :meth:`_n_cells` (the scenario's cell count) and :meth:`build_runner`.
+    """
+
     seed: int
     horizon_s: float
     window_s: float
@@ -71,118 +80,81 @@ class ShardTask:
     crash: Optional[WorkerCrash] = None
 
     def __post_init__(self) -> None:
-        if not self.cells:
-            raise ValueError("a shard task must own at least one cell")
         if self.horizon_s <= 0:
             raise ValueError(f"horizon_s must be positive: {self.horizon_s}")
         if self.window_s <= 0:
             raise ValueError(f"window_s must be positive: {self.window_s}")
+        if not self.cells:
+            raise ValueError("a shard task must own at least one cell")
+        n_cells = self._n_cells()
+        for c in self.cells:
+            if not 0 <= c < n_cells:
+                raise ValueError(f"cell {c} out of [0, {n_cells})")
+        self._require_owned("fault", (f.cell_index for f in self.faults))
+
+    def _require_owned(self, what: str, cells: Iterable[int]) -> None:
         owned = set(self.cells)
-        for fault in self.faults:
-            if fault.cell_index not in owned:
+        for c in cells:
+            if c not in owned:
                 raise ValueError(
-                    f"fault on cell {fault.cell_index} routed to a shard "
-                    f"owning {sorted(owned)}"
+                    f"{what} on cell {c} routed to a shard owning "
+                    f"{sorted(owned)}"
                 )
 
+    def _n_cells(self) -> int:
+        raise NotImplementedError
 
-@dataclass
-class CellShardResult:
-    """One cell's complete contribution, shipped back at FINISH."""
-
-    cell_index: int
-    n_ues: int
-    samples: int
-    events: int
-    #: Exact per-cell throughput sketch; merged at the coordinator in
-    #: cell-index order (pickles exactly: bins are ints, partials doubles).
-    sketch: QuantileSketch
-    #: Sim-time-ordered trace records, each carrying the total-order key
-    #: ``(t, shard=cell_index, seq=window)``.
-    records: list[dict[str, Any]] = field(default_factory=list)
+    def build_runner(self) -> ShardRunner[Any]:
+        """The runner this task calls for (both executors use this)."""
+        raise NotImplementedError
 
 
-class ShardRunner:
-    """Advances one shard's cells window by window on a local engine."""
+ResultT = TypeVar("ResultT")
+
+
+class ShardRunner(Generic[ResultT]):
+    """Advances one shard's cells window by window on a local engine.
+
+    Subclasses build their per-cell state and ``_results`` after
+    ``super().__init__``, then call :meth:`_schedule_windows` last.
+    A runner exchanges no cross-shard envelopes unless it overrides
+    :meth:`deliver` and :meth:`collect_outbound`.
+    """
 
     def __init__(self, task: ShardTask) -> None:
         self.task = task
         self.engine = Engine(seed=task.seed)
-        counts = task.population.cell_counts(self.engine.rngs)
-        cells = task.population.realize_cells(
-            self.engine.rngs, task.cells, counts
-        )
-        self._cells: dict[int, CellPopulation] = dict(zip(task.cells, cells))
-        self._rngs = {
-            c: self.engine.rng(shard_stream(c, "radio")) for c in task.cells
-        }
-        self._samples_per_window = max(int(round(task.window_s)), 1)
-        self._n_windows = int(task.horizon_s // task.window_s)
+        self._advances = 0
+        self._results: dict[int, ResultT] = {}
         #: Multiplicative derate per (cell, window): stacked faults compose.
         self._derates: dict[tuple[int, int], float] = {}
         for fault in task.faults:
             key = (fault.cell_index, fault.window)
             self._derates[key] = self._derates.get(key, 1.0) * fault.derate
-        self._results: dict[int, CellShardResult] = {
-            c: CellShardResult(
-                cell_index=c,
-                n_ues=self._cells[c].n_ues,
-                samples=0,
-                events=0,
-                sketch=QuantileSketch.identity(task.relative_error),
-            )
-            for c in task.cells
-        }
-        self._events_drained = 0
-        self._advances = 0
-        # The full calendar up front, exactly like ScaleScenario: every
-        # owned cell's window event on the shared boundary timestamp (the
-        # same-timestamp storm the calendar queue batches in O(1)).
-        for w in range(self._n_windows):
+
+    def _schedule_windows(self) -> None:
+        # The full calendar up front: every owned cell's window event on
+        # the shared boundary timestamp (the same-timestamp storm the
+        # calendar queue batches in O(1)).
+        task = self.task
+        for w in range(int(task.horizon_s // task.window_s)):
             when = w * task.window_s
             for c in task.cells:
                 self.engine.schedule_at(when).add_callback(
-                    self._make_sampler(c, w)
+                    self._make_window(c, w)
                 )
 
-    @property
-    def n_windows(self) -> int:
-        return self._n_windows
+    def _make_window(self, cell: int, window: int) -> Callable[[Event], None]:
+        raise NotImplementedError
 
-    @property
-    def events_drained(self) -> int:
-        return self._events_drained
-
-    def _make_sampler(
-        self, cell_index: int, window: int
-    ) -> Callable[[Event], None]:
-        cell = self._cells[cell_index]
-        rng = self._rngs[cell_index]
-        result = self._results[cell_index]
-        n_samples = self._samples_per_window
-        # None = no fault on this (cell, window); avoids a float sentinel.
-        derate = self._derates.get((cell_index, window))
-
-        def _sample(_event: Event) -> None:
-            block = cell.uplink_matrix(rng, n_samples)
-            if derate is not None:
-                block = block * derate
-            result.sketch.add_array(block)
-            result.samples += block.size
-            result.events += 1
-            result.records.append({
-                "t": self.engine.now,
-                "shard": cell_index,
-                "seq": window,
-                "kind": "window.sample",
-                "cell": cell.name,
-                "n_ues": cell.n_ues,
-                "samples": int(block.size),
-                "sum_bps": float(block.sum()),
-                "derate": 1.0 if derate is None else derate,
-            })
-
-        return _sample
+    def deliver(self, envelopes: Sequence[FabricEnvelope]) -> None:
+        """Accept inbound cross-shard envelopes (none by default)."""
+        if envelopes:
+            raise ValueError(
+                f"shard owning cells {self.task.cells} received "
+                f"{len(envelopes)} cross-shard envelopes; only fabric "
+                "shards exchange messages"
+            )
 
     def advance(self, barrier_t: float) -> int:
         """Drain every event up to the barrier; return events processed.
@@ -204,23 +176,13 @@ class ShardRunner:
             # ("error", ...) message).
             raise SystemExit(3)
         self._advances += 1
-        n = self.engine.drain_window(barrier_t)
-        self._events_drained += n
-        return n
-
-    def deliver(self, envelopes: Sequence[FabricEnvelope]) -> None:
-        """Accept inbound cross-shard envelopes (none exist for radio shards)."""
-        if envelopes:
-            raise ValueError(
-                f"a radio scale shard received {len(envelopes)} cross-shard "
-                "envelopes; only fabric shards exchange messages"
-            )
+        return self.engine.drain_window(barrier_t)
 
     def collect_outbound(self) -> tuple[FabricEnvelope, ...]:
-        """Outbound cross-shard envelopes (always empty for radio shards)."""
+        """Envelopes exported during the window just drained (none by default)."""
         return ()
 
-    def finish(self) -> list[CellShardResult]:
+    def finish(self) -> list[ResultT]:
         """Per-cell results in cell-index order (ascending, stable)."""
         if len(self.engine) != 0:
             raise RuntimeError(
@@ -228,3 +190,88 @@ class ShardRunner:
                 "advance() must reach the horizon first"
             )
         return [self._results[c] for c in sorted(self._results)]
+
+
+# -- the radio scale shard ------------------------------------------------------
+
+
+@dataclass(frozen=True, kw_only=True)
+class ScaleShardTask(ShardTask):
+    """A radio scale shard: the owned cells of a declarative population."""
+
+    population: UEPopulation
+
+    def _n_cells(self) -> int:
+        return self.population.n_cells
+
+    def build_runner(self) -> ScaleShardRunner:
+        return ScaleShardRunner(self)
+
+
+@dataclass
+class CellShardResult:
+    """One cell's complete contribution, shipped back at FINISH."""
+
+    cell_index: int
+    n_ues: int
+    samples: int
+    events: int
+    #: Exact per-cell throughput sketch; merged at the coordinator in
+    #: cell-index order (pickles exactly: bins are ints, partials doubles).
+    sketch: QuantileSketch
+    #: Sim-time-ordered trace records, each carrying the total-order key
+    #: ``(t, shard=cell_index, seq=window)``.
+    records: list[dict[str, Any]] = field(default_factory=list)
+
+
+class ScaleShardRunner(ShardRunner[CellShardResult]):
+    """Samples every owned cell's UEs once per window."""
+
+    def __init__(self, task: ScaleShardTask) -> None:
+        super().__init__(task)
+        population = task.population
+        counts = population.cell_counts(self.engine.rngs)
+        cells = population.realize_cells(self.engine.rngs, task.cells, counts)
+        self._cells: dict[int, CellPopulation] = dict(zip(task.cells, cells))
+        self._rngs = {
+            c: self.engine.rng(shard_stream(c, "radio")) for c in task.cells
+        }
+        self._samples_per_window = max(int(round(task.window_s)), 1)
+        for c in task.cells:
+            self._results[c] = CellShardResult(
+                cell_index=c,
+                n_ues=self._cells[c].n_ues,
+                samples=0,
+                events=0,
+                sketch=QuantileSketch.identity(task.relative_error),
+            )
+        self._schedule_windows()
+
+    def _make_window(self, cell: int, window: int) -> Callable[[Event], None]:
+        population = self._cells[cell]
+        rng = self._rngs[cell]
+        result = self._results[cell]
+        n_samples = self._samples_per_window
+        # None = no fault on this (cell, window); avoids a float sentinel.
+        derate = self._derates.get((cell, window))
+
+        def _sample(_event: Event) -> None:
+            block = population.uplink_matrix(rng, n_samples)
+            if derate is not None:
+                block = block * derate
+            result.sketch.add_array(block)
+            result.samples += block.size
+            result.events += 1
+            result.records.append({
+                "t": self.engine.now,
+                "shard": cell,
+                "seq": window,
+                "kind": "window.sample",
+                "cell": population.name,
+                "n_ues": population.n_ues,
+                "samples": int(block.size),
+                "sum_bps": float(block.sum()),
+                "derate": 1.0 if derate is None else derate,
+            })
+
+        return _sample

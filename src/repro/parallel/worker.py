@@ -16,13 +16,14 @@ pickled over a ``multiprocessing`` duplex pipe:
 ``inbound``/``outbound`` are tuples of
 :class:`~repro.cspot.boundary.FabricEnvelope`; radio scale shards carry
 empty tuples on both legs, so the two scenario families share one
-protocol. The task itself arrives as the first message and selects the
-runner class (:func:`build_runner`), so the spawned interpreter only
-needs the module import path -- the **spawn** start method is the whole
-point: a fresh interpreter with no inherited RNG state, no copy-on-write
-heap, and the same behaviour on every platform. (The ``repro.lint``
-REPRO404 rule bans fork-context multiprocessing precisely because a
-forked child inherits the parent's RNG registry state mid-run.)
+protocol. The task itself arrives as the first message and builds its
+runner (:meth:`~repro.parallel.shard.ShardTask.build_runner`), so the
+spawned interpreter only needs the module import path -- the **spawn**
+start method is the whole point: a fresh interpreter with no inherited
+RNG state, no copy-on-write heap, and the same behaviour on every
+platform. (The ``repro.lint`` REPRO404 rule bans fork-context
+multiprocessing precisely because a forked child inherits the parent's
+RNG registry state mid-run.)
 
 Failure surface: an exception inside the loop is shipped as an
 ``("error", repr)`` message before the worker dies, so the coordinator
@@ -42,15 +43,9 @@ from __future__ import annotations
 
 import time
 from multiprocessing.connection import Connection
-from typing import Any, Union
+from typing import Any
 
-from repro.parallel.fabric_shard import FabricShardRunner, FabricShardTask
-from repro.parallel.shard import ShardRunner, ShardTask
-
-#: Either runner drives the same barrier protocol (deliver / advance /
-#: collect_outbound / finish); the task type selects the class.
-AnyRunner = Union[ShardRunner, FabricShardRunner]
-AnyTask = Union[ShardTask, FabricShardTask]
+from repro.parallel.shard import ShardTask
 
 #: The classes that cross the coordinator->worker pickling seam. The
 #: whole-program lint pass (REPRO511) walks every dataclass field
@@ -59,27 +54,16 @@ AnyTask = Union[ShardTask, FabricShardTask]
 #: be pure data, or worker results silently stop being a function of
 #: (task, seed).
 PICKLE_SEAM_ROOTS = (
-    "repro.parallel.shard.ShardTask",
+    "repro.parallel.shard.ScaleShardTask",
     "repro.parallel.fabric_shard.FabricShardTask",
 )
-
-
-def build_runner(task: AnyTask) -> AnyRunner:
-    """Instantiate the runner class a task calls for (both executors)."""
-    if isinstance(task, ShardTask):
-        return ShardRunner(task)
-    if isinstance(task, FabricShardTask):
-        return FabricShardRunner(task)
-    raise TypeError(
-        f"expected a ShardTask or FabricShardTask, got {type(task)!r}"
-    )
 
 
 def worker_main(conn: Connection) -> None:
     """Run one shard behind a pipe; the spawn entry point."""
     try:
-        task = conn.recv()
-        runner = build_runner(task)
+        task: ShardTask = conn.recv()
+        runner = task.build_runner()
         compute_wall = 0.0
         while True:
             message: tuple[Any, ...] = conn.recv()

@@ -16,9 +16,9 @@ The public sampling methods run array-at-a-time: the scheduler produces a
 ``(n_samples, n_ues)`` PRB-grant matrix, the per-UE state is packed into
 contiguous arrays (:class:`repro.radio.state.UeStateArrays`), and one
 ``standard_normal`` tensor drives the CQI and fading draws for the whole
-run. The retired per-UE loops survive as ``*_samples_scalar`` reference
-implementations; the parity battery asserts the two paths are bit-identical
-sample-for-sample at every N.
+run. The retired per-UE loops live on as reference implementations in
+``tests/radio/scalar_reference.py``; the parity battery asserts the two
+paths are bit-identical sample-for-sample at every N.
 
 Invariants (property-tested): PRB grants never exceed the grid; slice
 partitions conserve PRBs; samples are non-negative and respect hard caps
@@ -196,7 +196,7 @@ class GNodeB:
 
         ``active_ue_ids`` restricts which attached UEs saturate the uplink
         (default: all attached UEs). Returns ``{ue_id: array[n_samples]}``.
-        Vectorized; bit-identical to :meth:`uplink_samples_scalar`.
+        Vectorized; bit-identical to the retired per-UE loop (parity-tested).
         """
         active = self._active(active_ue_ids, n_samples)
         state, samples = self._samples_matrix(rng, n_samples, active, downlink=False)
@@ -215,132 +215,20 @@ class GNodeB:
         rides the downlink. Downlink is gNB-transmitted: the UE-side
         uplink caps (modem TX power, host USB) do not apply; reception
         efficiency reuses the device/modem factors. Vectorized;
-        bit-identical to :meth:`downlink_samples_scalar`.
+        bit-identical to the retired per-UE loop (parity-tested).
         """
         active = self._active(active_ue_ids, n_samples)
         state, samples = self._samples_matrix(rng, n_samples, active, downlink=True)
         return {ue_id: samples[j] for j, ue_id in enumerate(state.ue_ids)}
-
-    # -- scalar reference implementations ---------------------------------------
-
-    def uplink_samples_scalar(
-        self,
-        rng: np.random.Generator,
-        n_samples: int,
-        active_ue_ids: Optional[list[str]] = None,
-    ) -> dict[str, np.ndarray]:
-        """Retired per-UE uplink loop, kept as the parity-battery reference.
-
-        Consumes the RNG stream identically to :meth:`uplink_samples`; the
-        outputs must match bit-for-bit at any N.
-        """
-        active = self._active(active_ue_ids, n_samples)
-        tech = self.carrier.technology
-        duplex = self.carrier.duplex
-        n_active = len(active)
-        derate = self.sdr.derate(self.carrier.bandwidth_mhz, active_ues=n_active)
-        jitter = self.sdr.jitter_scale(self.carrier.bandwidth_mhz, active_ues=n_active)
-        multi_ue_eff = max(0.4, 1.0 - MULTI_UE_OVERHEAD * (n_active - 1))
-
-        out = {ue.ue_id: np.empty(n_samples) for ue in active}
-        for i in range(n_samples):
-            grants = self._grants_for_round(active, rng)
-            for ue in active:
-                prbs = grants.get(ue.ue_id, 0)
-                cqi = int(ue.channel.draw_cqi(rng, 1)[0])
-                phy = (
-                    prbs
-                    * self.carrier.uplink_rate_per_prb(cqi)
-                    * derate
-                    * multi_ue_eff
-                    * ue.channel.gain
-                )
-                realized = min(
-                    phy * ue.combined_efficiency(tech, duplex),
-                    ue.uplink_cap_bps(tech, duplex),
-                )
-                fade = float(ue.channel.draw_fading(rng, 1, jitter_scale=jitter)[0])
-                out[ue.ue_id][i] = max(realized * fade, 0.0)
-        return out
-
-    def downlink_samples_scalar(
-        self,
-        rng: np.random.Generator,
-        n_samples: int,
-        active_ue_ids: Optional[list[str]] = None,
-    ) -> dict[str, np.ndarray]:
-        """Retired per-UE downlink loop; structure mirrors
-        :meth:`uplink_samples_scalar` with the duplex roles swapped. Kept
-        as the parity-battery reference for :meth:`downlink_samples`.
-        """
-        active = self._active(active_ue_ids, n_samples)
-        tech, duplex = self.carrier.technology, self.carrier.duplex
-        n_active = len(active)
-        derate = self.sdr.derate(self.carrier.bandwidth_mhz, active_ues=n_active)
-        jitter = self.sdr.jitter_scale(self.carrier.bandwidth_mhz, active_ues=n_active)
-        multi_ue_eff = max(0.4, 1.0 - MULTI_UE_OVERHEAD * (n_active - 1))
-        dl_over_ul = self._dl_over_ul()
-        out = {ue.ue_id: np.empty(n_samples) for ue in active}
-        for i in range(n_samples):
-            grants = self._grants_for_round(active, rng)
-            for ue in active:
-                prbs = grants.get(ue.ue_id, 0)
-                cqi = int(ue.channel.draw_cqi(rng, 1)[0])
-                phy = (
-                    prbs
-                    * self.carrier.uplink_rate_per_prb(cqi) * dl_over_ul
-                    * derate * multi_ue_eff * ue.channel.gain
-                )
-                # Downlink is gNB-transmitted: the UE-side uplink caps
-                # (modem TX power, host USB) do not apply; reception
-                # efficiency reuses the device/modem factors.
-                realized = phy * ue.combined_efficiency(tech, duplex)
-                fade = float(ue.channel.draw_fading(rng, 1, jitter_scale=jitter)[0])
-                out[ue.ue_id][i] = max(realized * fade, 0.0)
-        return out
-
-    def _grants_for_round(
-        self, active: list[UserEquipment], rng: np.random.Generator
-    ) -> dict[str, int]:
-        """One scheduling round: slice partition, then per-slice scheduling."""
-        total_prbs = self.carrier.n_prbs
-        if self.slice_config is None:
-            demands = [
-                UeDemand(ue.ue_id, prbs_wanted=total_prbs, cqi=int(ue.channel.mean_cqi))
-                for ue in active
-            ]
-            return self.scheduler.allocate(demands, total_prbs)
-
-        partition = self.slice_config.partition_prbs(total_prbs)
-        grants: dict[str, int] = {}
-        by_slice: dict[str, list[UserEquipment]] = {}
-        for ue in active:
-            by_slice.setdefault(ue.slice_name or "default", []).append(ue)
-        for slice_name, ues in by_slice.items():
-            budget = partition[slice_name]
-            sched = self._slice_schedulers.get(slice_name)
-            if sched is None:
-                sched = RoundRobinScheduler()
-                if self.metrics is not None:
-                    sched.bind_metrics(
-                        self.metrics, cell=f"{self.name}/{slice_name}"
-                    )
-                self._slice_schedulers[slice_name] = sched
-            demands = [
-                UeDemand(ue.ue_id, prbs_wanted=budget, cqi=int(ue.channel.mean_cqi))
-                for ue in ues
-            ]
-            grants.update(sched.allocate(demands, budget))
-        return grants
 
     def _grants_matrix(
         self, active: list[UserEquipment], n_rounds: int
     ) -> np.ndarray:
         """All scheduling rounds at once: ``(n_rounds, len(active))`` PRBs.
 
-        Mirrors :meth:`_grants_for_round` exactly -- same demands, same
-        per-slice scheduler instances and state evolution -- but drives
-        each scheduler's :meth:`~repro.radio.scheduler.MacScheduler.
+        Mirrors one ``allocate`` call per round exactly -- same demands,
+        same per-slice scheduler instances and state evolution -- but
+        drives each scheduler's :meth:`~repro.radio.scheduler.MacScheduler.
         allocate_rounds` once instead of once per round. Slices are
         column-blocks; their schedulers hold independent state, so
         slice-major order here equals the scalar path's round-major order.

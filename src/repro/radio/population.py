@@ -14,7 +14,7 @@ perturbs any other subsystem's randomness.
         network="5g-tdd",
         bandwidth_mhz=40.0,
     )
-    cells = pop.realize(RngRegistry(seed))       # 20 CellPopulations
+    cells = pop.realize_cells(RngRegistry(seed), range(20))  # CellPopulations
     matrix = cells[0].uplink_matrix(rng, 30)     # (n_ues, 30) bits/s
 
 Realization cost is O(total UEs) numpy draws; sampling cost is one
@@ -44,7 +44,11 @@ from repro.radio.state import (
 )
 from repro.radio.ue import UserEquipment
 from repro.simkernel.rng import RngRegistry
-from repro.simkernel.streams import cell_stream, population_stream
+from repro.simkernel.streams import (
+    POPULATION_PREFIX,
+    population_stream,
+    shard_stream,
+)
 
 from repro.radio.gnb import MULTI_UE_OVERHEAD
 
@@ -121,14 +125,6 @@ class RandomVariable:
         sigma2 = float(np.log1p(v / (m * m)))
         mu = float(np.log(m)) - 0.5 * sigma2
         return np.exp(rng.normal(mu, np.sqrt(sigma2), size=n))
-
-
-#: Device-class scalars shared by every UE of a population cell; derived
-#: from a template UE so the array path and the object path agree exactly.
-@dataclass(frozen=True)
-class _DeviceProfile:
-    combined_eff: float
-    cap_bps: float
 
 
 @dataclass
@@ -249,8 +245,6 @@ class UEPopulation:
         Per-UE channel operating point distribution, clipped to [1, 15].
     gain_spread:
         Per-UE link-gain distribution (mean ~1; clipped to > 0).
-    stream_prefix:
-        Prefix for the named RNG streams realization draws from.
     """
 
     n_cells: int = 1
@@ -266,7 +260,6 @@ class UEPopulation:
     gain_spread: RandomVariable = field(
         default_factory=lambda: RandomVariable(1.0, Distribution.LOG_NORMAL, 0.0025)
     )
-    stream_prefix: str = "population"
 
     def __post_init__(self) -> None:
         if self.n_cells <= 0:
@@ -313,113 +306,47 @@ class UEPopulation:
         )
 
     def cell_counts(self, rngs: RngRegistry) -> np.ndarray:
-        """Per-cell UE counts from the ``<prefix>.cells`` stream.
+        """Per-cell UE counts from the ``population.cells`` stream.
 
-        One vectorized draw covering every cell, so any consumer -- the
-        single-process :meth:`realize` or each :mod:`repro.parallel`
-        worker computing only its owned cells -- sees the identical count
-        vector from the same master seed.
+        One vectorized draw covering every cell, so each
+        :mod:`repro.parallel` worker computing only its owned cells sees
+        the identical count vector from the same master seed.
         """
         return np.maximum(
             np.rint(
                 self.ues_per_cell.sample(
-                    rngs.get(population_stream(self.stream_prefix, "cells")),
+                    rngs.get(population_stream(POPULATION_PREFIX, "cells")),
                     self.n_cells,
                 )
             ).astype(np.int64),
             1,
         )
 
-    def _cell_from_arrays(
-        self,
-        cell_index: int,
-        n: int,
-        mean_cqi: np.ndarray,
-        gain: np.ndarray,
-        carrier: CarrierConfig,
-        sdr: SdrFrontEnd,
-        template: UserEquipment,
-        profile: _DeviceProfile,
-    ) -> CellPopulation:
-        chan = template.channel
-        width = len(str(max(n - 1, 1)))
-        ue_ids = [f"cell{cell_index:03d}-ue{j:0{width}d}" for j in range(n)]
-        state = UeStateArrays.broadcast(
-            ue_ids=ue_ids,
-            mean_cqi=mean_cqi,
-            gain=gain,
-            cqi_sigma=chan.cqi_sigma,
-            fading_sigma=chan.fading_sigma,
-            combined_eff=profile.combined_eff,
-            cap_bps=profile.cap_bps,
-        )
-        return CellPopulation(
-            name=f"cell{cell_index:03d}",
-            carrier=carrier,
-            sdr=sdr,
-            state=state,
-            template=template,
-        )
-
-    def _device_profile(
-        self, carrier: CarrierConfig, template: UserEquipment
-    ) -> _DeviceProfile:
-        tech, duplex = carrier.technology, carrier.duplex
-        return _DeviceProfile(
-            combined_eff=template.combined_efficiency(tech, duplex),
-            cap_bps=template.uplink_cap_bps(tech, duplex),
-        )
-
-    def realize(self, rngs: RngRegistry) -> list[CellPopulation]:
-        """Draw the whole population into per-cell state arrays.
-
-        Uses three named streams -- ``<prefix>.cells`` (per-cell counts),
-        ``<prefix>.channel`` (per-UE operating points) and
-        ``<prefix>.gain`` (per-UE link gains) -- so same-master-seed
-        realizations are byte-identical and independent of every other
-        subsystem's draws.
-        """
-        carrier, sdr, _ = self._flavour()
-        template = self._template()
-        profile = self._device_profile(carrier, template)
-        counts = self.cell_counts(rngs)
-        chan_rng = rngs.get(population_stream(self.stream_prefix, "channel"))
-        gain_rng = rngs.get(population_stream(self.stream_prefix, "gain"))
-        cells = []
-        for c, n in enumerate(counts):
-            n = int(n)
-            mean_cqi = np.clip(self.mean_cqi.sample(chan_rng, n), 1.0, 15.0)
-            gain = np.maximum(self.gain_spread.sample(gain_rng, n), 1e-3)
-            cells.append(self._cell_from_arrays(
-                c, n, mean_cqi, gain, carrier, sdr, template, profile
-            ))
-        return cells
-
     def realize_cells(
         self,
         rngs: RngRegistry,
         cell_indices: Sequence[int],
         counts: Optional[np.ndarray] = None,
-        stream_prefix: str = "shard",
     ) -> list[CellPopulation]:
-        """Realize only the given cells, from **per-cell** named streams.
+        """Realize the given cells, each from its own named streams.
 
-        This is the sharded-path counterpart of :meth:`realize`: cell
-        ``c`` draws its per-UE operating points from
-        ``<stream_prefix>.cell<ccc>.channel`` and its link gains from
-        ``<stream_prefix>.cell<ccc>.gain`` -- streams keyed by the cell's
-        stable index, never by which worker realizes it. A worker owning
-        cells ``{3, 7}`` therefore realizes bit-identical state whether it
+        Cell ``c`` draws its per-UE operating points from
+        ``shard.cell<ccc>.channel`` and its link gains from
+        ``shard.cell<ccc>.gain`` -- streams keyed by the cell's stable
+        index, never by which worker realizes it. A worker owning cells
+        ``{3, 7}`` therefore realizes bit-identical state whether it
         shares the run with 0 or 7 other workers (the
-        :mod:`repro.parallel` determinism invariant).
-
-        Note the stream layout intentionally differs from
-        :meth:`realize`'s shared sequential streams; the two paths are
-        distinct canonical layouts, each internally deterministic.
+        :mod:`repro.parallel` determinism invariant). ``counts`` defaults
+        to :meth:`cell_counts`.
         """
         carrier, sdr, _ = self._flavour()
         template = self._template()
-        profile = self._device_profile(carrier, template)
+        chan = template.channel
+        # Device-class scalars come from the template UE, so the array path
+        # and the object path (CellPopulation.materialize) agree exactly.
+        tech, duplex = carrier.technology, carrier.duplex
+        combined_eff = template.combined_efficiency(tech, duplex)
+        cap_bps = template.uplink_cap_bps(tech, duplex)
         if counts is None:
             counts = self.cell_counts(rngs)
         if len(counts) != self.n_cells:
@@ -434,12 +361,24 @@ class UEPopulation:
                     f"cell index {c} out of [0, {self.n_cells})"
                 )
             n = int(counts[c])
-            chan_rng = rngs.get(cell_stream(stream_prefix, c, "channel"))
-            gain_rng = rngs.get(cell_stream(stream_prefix, c, "gain"))
-            mean_cqi = np.clip(self.mean_cqi.sample(chan_rng, n), 1.0, 15.0)
-            gain = np.maximum(self.gain_spread.sample(gain_rng, n), 1e-3)
-            cells.append(self._cell_from_arrays(
-                c, n, mean_cqi, gain, carrier, sdr, template, profile
+            chan_rng = rngs.get(shard_stream(c, "channel"))
+            gain_rng = rngs.get(shard_stream(c, "gain"))
+            width = len(str(max(n - 1, 1)))
+            state = UeStateArrays.broadcast(
+                ue_ids=[f"cell{c:03d}-ue{j:0{width}d}" for j in range(n)],
+                mean_cqi=np.clip(self.mean_cqi.sample(chan_rng, n), 1.0, 15.0),
+                gain=np.maximum(self.gain_spread.sample(gain_rng, n), 1e-3),
+                cqi_sigma=chan.cqi_sigma,
+                fading_sigma=chan.fading_sigma,
+                combined_eff=combined_eff,
+                cap_bps=cap_bps,
+            )
+            cells.append(CellPopulation(
+                name=f"cell{c:03d}",
+                carrier=carrier,
+                sdr=sdr,
+                state=state,
+                template=template,
             ))
         return cells
 

@@ -86,21 +86,16 @@ def hpc_background_load_stream(site_name: str) -> str:
 #: Sampled CFD runtime draws from the calibrated performance model.
 CFD_RUNTIME = "cfd.runtime"
 
-# -- core --------------------------------------------------------------------
-
-#: ScaleScenario's single-process radio sampling stream.
-SCALE_RADIO = "scale.radio"
-
 # -- radio populations -------------------------------------------------------
 
-#: Default stream prefix for single-process population realization.
+#: Stream prefix for population-wide draws (the per-cell UE counts).
 POPULATION_PREFIX = "population"
-#: Stream prefix for sharded (per-cell) population realization.
+#: Stream prefix for per-cell draws (realization and shard sampling).
 SHARD_PREFIX = "shard"
 
 
 def population_stream(prefix: str, kind: str) -> str:
-    """Population-level stream ``<prefix>.<kind>`` (cells/channel/gain)."""
+    """Population-level stream ``<prefix>.<kind>`` (e.g. ``population.cells``)."""
     if not kind:
         raise ValueError("empty population stream kind")
     return f"{prefix}.{kind}"
@@ -175,34 +170,19 @@ STREAM_NAMESPACES: tuple[StreamNamespace, ...] = (
         description="Sampled CFD runtimes from the calibrated perf model.",
     ),
     StreamNamespace(
-        pattern="scale.radio",
-        owner="repro.core",
-        description="ScaleScenario single-process radio sampling.",
-    ),
-    StreamNamespace(
         pattern="population.cells",
         owner="repro.radio",
         description="UE-count draws across a declarative population's cells.",
     ),
     StreamNamespace(
-        pattern="population.channel",
-        owner="repro.radio",
-        description="Population-level channel quality (mean CQI) draws.",
-    ),
-    StreamNamespace(
-        pattern="population.gain",
-        owner="repro.radio",
-        description="Population-level link gain spread draws.",
-    ),
-    StreamNamespace(
         pattern="shard.cell<cell>.channel",
         owner="repro.radio",
-        description="Per-cell channel realization for sharded populations.",
+        description="Per-cell channel quality (mean CQI) realization.",
     ),
     StreamNamespace(
         pattern="shard.cell<cell>.gain",
         owner="repro.radio",
-        description="Per-cell link-gain realization for sharded populations.",
+        description="Per-cell link-gain realization.",
     ),
     StreamNamespace(
         pattern="shard.cell<cell>.radio",

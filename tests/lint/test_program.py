@@ -110,6 +110,38 @@ class TestProgramFixtures:
         assert [v.code for v in violations] == ["REPRO511"]
         assert "does not resolve" in violations[0].message
 
+    def test_inherited_ambient_field_is_flagged(self):
+        files = [
+            (
+                "src/demo/worker.py",
+                b'PICKLE_SEAM_ROOTS = ("demo.tasks.ShardTask",)\n',
+            ),
+            (
+                "src/demo/base.py",
+                b"import numpy as np\n"
+                b"from dataclasses import dataclass\n"
+                b"\n"
+                b"@dataclass\n"
+                b"class TaskBase:\n"
+                b"    rng: np.random.Generator\n",
+            ),
+            (
+                "src/demo/tasks.py",
+                b"from dataclasses import dataclass\n"
+                b"from demo.base import TaskBase\n"
+                b"\n"
+                b"@dataclass\n"
+                b"class ShardTask(TaskBase):\n"
+                b"    seed: int\n",
+            ),
+        ]
+        violations = analyze_graph(
+            build_graph(files), (PROGRAM_RULES_BY_CODE["REPRO511"],)
+        )
+        assert [v.code for v in violations] == ["REPRO511"]
+        assert "`ShardTask.rng`" in violations[0].message
+        assert violations[0].path == "src/demo/base.py"
+
     def test_suppression_silences_program_violation(self):
         bad = read_case("repro504_bad")
         suppressed = [

@@ -142,8 +142,12 @@ class TestAccounting:
         assert report.total_ues == sum(report.per_cell_ues)
         assert report.events_processed == 8 * 3
         assert len(report.trace) == 8 * 3
+        # One sample per UE per simulated second.
+        assert report.samples_generated == report.total_ues * 30
         assert report.samples_generated == report.sketch["count"]
         assert report.aggregate_mean_bps > 0
+        with pytest.raises(AttributeError):
+            report.total_ues = 0
 
     def test_trace_records_are_totally_ordered(self):
         report = _scenario(workers=4).run()

@@ -12,10 +12,11 @@ worker, on both executors, within bounded time.
 import pytest
 
 from repro.parallel import (
+    CellFault,
     FabricBus,
     FabricShardTask,
+    ScaleShardTask,
     ShardPlan,
-    ShardTask,
     WorkerCrash,
     run_shards_serial,
     run_shards_spawn,
@@ -27,14 +28,31 @@ pytestmark = pytest.mark.filterwarnings("error")
 N_SITES = 4
 
 
+def _scale_task(**overrides):
+    """One shard of a 2-cell scale scenario (cell 0 unless overridden)."""
+    fields = dict(
+        population=UEPopulation(
+            n_cells=2, ues_per_cell=RandomVariable(5.0, Distribution.POISSON)
+        ),
+        seed=3,
+        horizon_s=4.0,
+        window_s=2.0,
+        cells=(0,),
+    )
+    return ScaleShardTask(**{**fields, **overrides})
+
+
+def _fabric_task(**overrides):
+    """One shard of a 2-site fabric (site 0 unless overridden)."""
+    fields = dict(n_cells=2, seed=3, horizon_s=4.0, window_s=2.0, cells=(0,))
+    return FabricShardTask(**{**fields, **overrides})
+
+
 def _fabric_tasks(crash=None, crash_worker=1):
     plan = ShardPlan.build(N_SITES, 2)
     return plan, [
-        FabricShardTask(
+        _fabric_task(
             n_cells=N_SITES,
-            seed=3,
-            horizon_s=4.0,
-            window_s=2.0,
             cells=cells,
             crash=crash if w == crash_worker else None,
         )
@@ -47,21 +65,37 @@ def _fabric_barriers(plan):
 
 
 def _radio_tasks(crash=None):
-    population = UEPopulation(
-        n_cells=2, ues_per_cell=RandomVariable(5.0, Distribution.POISSON)
-    )
     plan = ShardPlan.build(2, 2)
     return plan, [
-        ShardTask(
-            population=population,
-            seed=3,
-            horizon_s=4.0,
-            window_s=2.0,
-            cells=cells,
-            crash=crash if w == 1 else None,
-        )
+        _scale_task(cells=cells, crash=crash if w == 1 else None)
         for w, cells in enumerate(plan.assignments)
     ]
+
+
+#: The rejections both task families inherit from ``ShardTask``, each as
+#: (overrides on a valid one-cell task of a 2-cell scenario, message).
+SHARED_REJECTIONS = {
+    "non-positive horizon": ({"horizon_s": 0.0}, "horizon_s"),
+    "non-positive window": ({"window_s": -1.0}, "window_s"),
+    "no cells": ({"cells": ()}, "at least one cell"),
+    "cell out of range": ({"cells": (5,)}, r"cell 5 out of \[0, 2\)"),
+    "fault on an unowned cell": (
+        {"faults": (CellFault(cell_index=1, window=0),)},
+        "fault on cell 1 routed",
+    ),
+}
+
+
+class TestTaskValidation:
+    @pytest.mark.parametrize(
+        "build", [_scale_task, _fabric_task], ids=["scale", "fabric"]
+    )
+    @pytest.mark.parametrize("case", sorted(SHARED_REJECTIONS))
+    def test_shared_rejection(self, build, case):
+        build()  # the unmodified task is valid
+        overrides, message = SHARED_REJECTIONS[case]
+        with pytest.raises(ValueError, match=message):
+            build(**overrides)
 
 
 class TestCrashValidation:

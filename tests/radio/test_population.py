@@ -75,8 +75,8 @@ class TestUEPopulation:
         pop = UEPopulation(
             n_cells=3, ues_per_cell=RandomVariable(20.0, Distribution.POISSON)
         )
-        a = pop.realize(RngRegistry(42))
-        b = pop.realize(RngRegistry(42))
+        a = pop.realize_cells(RngRegistry(42), range(3))
+        b = pop.realize_cells(RngRegistry(42), range(3))
         assert [c.n_ues for c in a] == [c.n_ues for c in b]
         for ca, cb in zip(a, b):
             assert ca.state.ue_ids == cb.state.ue_ids
@@ -88,8 +88,8 @@ class TestUEPopulation:
         pop = UEPopulation(n_cells=2)
         rngs = RngRegistry(7)
         rngs.get("some.other.subsystem").standard_normal(1000)
-        a = pop.realize(rngs)
-        b = pop.realize(RngRegistry(7))
+        a = pop.realize_cells(rngs, range(2))
+        b = pop.realize_cells(RngRegistry(7), range(2))
         for ca, cb in zip(a, b):
             assert np.array_equal(ca.state.mean_cqi, cb.state.mean_cqi)
 
@@ -97,12 +97,13 @@ class TestUEPopulation:
         pop = UEPopulation(
             n_cells=16, ues_per_cell=RandomVariable(0.1, Distribution.POISSON)
         )
-        assert all(c.n_ues >= 1 for c in pop.realize(RngRegistry(0)))
+        cells = pop.realize_cells(RngRegistry(0), range(16))
+        assert all(c.n_ues >= 1 for c in cells)
 
     def test_ue_ids_sorted_order_is_column_order(self) -> None:
         cell = UEPopulation(
             n_cells=1, ues_per_cell=RandomVariable(120.0, Distribution.CONSTANT)
-        ).realize(RngRegistry(0))[0]
+        ).realize_cells(RngRegistry(0), [0])[0]
         assert cell.state.ue_ids == sorted(cell.state.ue_ids)
 
     def test_expected_total(self) -> None:
@@ -118,7 +119,7 @@ class TestCellPopulation:
             ues_per_cell=RandomVariable(6.0, Distribution.CONSTANT),
             network="5g-tdd",
             bandwidth_mhz=40.0,
-        ).realize(RngRegistry(9))[0]
+        ).realize_cells(RngRegistry(9), [0])[0]
 
     def test_grants_conserve_prbs(self, cell: CellPopulation) -> None:
         grants = cell.grants_matrix(8)
@@ -136,7 +137,7 @@ class TestCellPopulation:
             ues_per_cell=RandomVariable(6.0, Distribution.CONSTANT),
             network="5g-tdd",
             bandwidth_mhz=40.0,
-        ).realize(RngRegistry(9))[0].grants_matrix(6)
+        ).realize_cells(RngRegistry(9), [0])[0].grants_matrix(6)
         assert np.array_equal(np.vstack([a, b]), both)
 
     def test_uplink_matrix_parity_with_object_path(self, cell: CellPopulation) -> None:
@@ -149,7 +150,7 @@ class TestCellPopulation:
             ues_per_cell=RandomVariable(6.0, Distribution.CONSTANT),
             network="5g-tdd",
             bandwidth_mhz=40.0,
-        ).realize(RngRegistry(9))[0]
+        ).realize_cells(RngRegistry(9), [0])[0]
         obj = gnb.uplink_samples(np.random.default_rng(3), 17)
         vec = fresh.uplink_matrix(np.random.default_rng(3), 17)
         for j, uid in enumerate(fresh.state.ue_ids):

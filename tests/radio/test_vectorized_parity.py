@@ -2,8 +2,8 @@
 
 The contract is *bit identity*: for the same generator state, the
 vectorized ``uplink_samples`` / ``downlink_samples`` must reproduce the
-retired per-UE loops (kept as ``*_samples_scalar``) sample-for-sample with
-``np.array_equal`` -- not ``allclose``. Anything weaker would let the scale
+retired per-UE loops (kept in ``tests/radio/scalar_reference.py``)
+sample-for-sample with ``np.array_equal`` -- not ``allclose``. Anything weaker would let the scale
 path silently drift away from the calibrated model the paper anchors pin.
 """
 
@@ -21,6 +21,10 @@ from repro.radio.scheduler import (
 )
 from repro.radio.slicing import SliceConfig
 from repro.obs.metrics import MetricsRegistry
+from tests.radio.scalar_reference import (
+    downlink_samples_scalar,
+    uplink_samples_scalar,
+)
 
 #: (network flavour, bandwidth) pairs from the paper's grids, kept within
 #: each front end's sampling ceiling.
@@ -42,7 +46,7 @@ def test_uplink_bit_identical(flavour: str, bandwidth: float, n_ues: int, seed: 
     net, _ = _build(flavour, bandwidth, n_ues)
     vec = net.gnb.uplink_samples(np.random.default_rng(seed), 23)
     net2, _ = _build(flavour, bandwidth, n_ues)
-    ref = net2.gnb.uplink_samples_scalar(np.random.default_rng(seed), 23)
+    ref = uplink_samples_scalar(net2.gnb, np.random.default_rng(seed), 23)
     assert vec.keys() == ref.keys()
     for ue_id in ref:
         assert np.array_equal(vec[ue_id], ref[ue_id]), ue_id
@@ -55,7 +59,7 @@ def test_downlink_bit_identical(flavour: str, bandwidth: float, n_ues: int, seed
     net, _ = _build(flavour, bandwidth, n_ues)
     vec = net.gnb.downlink_samples(np.random.default_rng(seed), 23)
     net2, _ = _build(flavour, bandwidth, n_ues)
-    ref = net2.gnb.downlink_samples_scalar(np.random.default_rng(seed), 23)
+    ref = downlink_samples_scalar(net2.gnb, np.random.default_rng(seed), 23)
     for ue_id in ref:
         assert np.array_equal(vec[ue_id], ref[ue_id]), ue_id
 
@@ -75,7 +79,7 @@ def test_sliced_cell_bit_identical(seed: int) -> None:
         return net
 
     vec = build().gnb.uplink_samples(np.random.default_rng(seed), 19)
-    ref = build().gnb.uplink_samples_scalar(np.random.default_rng(seed), 19)
+    ref = uplink_samples_scalar(build().gnb, np.random.default_rng(seed), 19)
     for ue_id in ref:
         assert np.array_equal(vec[ue_id], ref[ue_id]), ue_id
 
@@ -89,7 +93,7 @@ def test_proportional_fair_bit_identical(seed: int) -> None:
         return _build("5g-fdd", 20.0, 3, scheduler=ProportionalFairScheduler())[0]
 
     vec = build().gnb.uplink_samples(np.random.default_rng(seed), 23)
-    ref = build().gnb.uplink_samples_scalar(np.random.default_rng(seed), 23)
+    ref = uplink_samples_scalar(build().gnb, np.random.default_rng(seed), 23)
     for ue_id in ref:
         assert np.array_equal(vec[ue_id], ref[ue_id]), ue_id
 
@@ -105,7 +109,7 @@ def test_metrics_bound_fallback_preserves_observations() -> None:
     assert rounds == 11
 
     net2, _ = _build("5g-tdd", 40.0, 2)
-    ref = net2.gnb.uplink_samples_scalar(np.random.default_rng(1), 11)
+    ref = uplink_samples_scalar(net2.gnb, np.random.default_rng(1), 11)
     for ue_id in ref:
         assert np.array_equal(vec[ue_id], ref[ue_id]), ue_id
 
@@ -185,7 +189,7 @@ def test_ten_thousand_ue_smoke() -> None:
         network="5g-tdd",
         bandwidth_mhz=40.0,
     )
-    cell = pop.realize(RngRegistry(11))[0]
+    cell = pop.realize_cells(RngRegistry(11), [0])[0]
     assert cell.n_ues == 10_000
     block = cell.uplink_matrix(np.random.default_rng(11), 5)
     assert block.shape == (10_000, 5)
@@ -195,7 +199,7 @@ def test_ten_thousand_ue_smoke() -> None:
     grants = cell.grants_matrix(3)
     assert np.all(grants.sum(axis=1) == cell.carrier.n_prbs)
     # A 32-UE slice of the same population matches the object path exactly.
-    small = pop.realize(RngRegistry(11))[0]
+    small = pop.realize_cells(RngRegistry(11), [0])[0]
     ues = small.materialize(32)
     gnb = GNodeB("parity-10k", small.carrier, sdr=small.sdr)
     for ue in ues:
@@ -208,7 +212,7 @@ def test_ten_thousand_ue_smoke() -> None:
     )
     # Same seed => the first 32 channel draws agree; compare object-path
     # samples against the population kernel run on those 32 columns.
-    subcell = sub.realize(RngRegistry(11))[0]
+    subcell = sub.realize_cells(RngRegistry(11), [0])[0]
     obj = gnb.uplink_samples(np.random.default_rng(7), 9)
     vec = subcell.uplink_matrix(np.random.default_rng(7), 9)
     for j, uid in enumerate(subcell.state.ue_ids):
