@@ -131,6 +131,7 @@ def test_parallel_100k_campaign(benchmark):
                 "samples_generated": serial_report.samples_generated,
                 "wall_s": serial_wall,
                 "digest": serial_report.digest,
+                "host_cores": cores,
             },
             {
                 "benchmark": "parallel_spawn4_100k",

@@ -217,7 +217,7 @@ class CellShardResult:
     samples: int
     events: int
     #: Exact per-cell throughput sketch; merged at the coordinator in
-    #: cell-index order (pickles exactly: bins are ints, partials doubles).
+    #: cell-index order (pickles exactly: bins and the exact sum are ints).
     sketch: QuantileSketch
     #: Sim-time-ordered trace records, each carrying the total-order key
     #: ``(t, shard=cell_index, seq=window)``.

@@ -16,7 +16,8 @@ The public sampling methods run array-at-a-time: the scheduler produces a
 ``(n_samples, n_ues)`` PRB-grant matrix, the per-UE state is packed into
 contiguous arrays (:class:`repro.radio.state.UeStateArrays`), and one
 ``standard_normal`` tensor drives the CQI and fading draws for the whole
-run. The retired per-UE loops live on as reference implementations in
+run; :class:`~repro.radio.population.CellPopulation` runs the same kernel.
+The retired per-UE loops live on as reference implementations in
 ``tests/radio/scalar_reference.py``; the parity battery asserts the two
 paths are bit-identical sample-for-sample at every N.
 
@@ -149,19 +150,19 @@ class GNodeB:
             self._rate_table = rate_per_prb_table(self.carrier)
         return self._rate_table
 
-    def _samples_matrix(
+    def _samples(
         self,
         rng: np.random.Generator,
         n_samples: int,
         active: list[UserEquipment],
         downlink: bool,
-    ) -> tuple[UeStateArrays, np.ndarray]:
+    ) -> dict[str, np.ndarray]:
         """The vectorized hot path shared by both directions.
 
         One scheduler call produces the full ``(S, U)`` grant matrix, one
         ``standard_normal`` tensor reproduces the scalar loop's draw order,
-        and one kernel call produces every sample. Returns the packed state
-        (for column order) and a C-contiguous ``(U, S)`` sample matrix.
+        and one kernel call produces every sample. Returns
+        ``{ue_id: array[n_samples]}``, each a row of one ``(U, S)`` matrix.
         """
         tech, duplex = self.carrier.technology, self.carrier.duplex
         n_active = len(active)
@@ -182,9 +183,7 @@ class GNodeB:
             rate_scale=self._dl_over_ul() if downlink else None,
             apply_caps=not downlink,
         )
-        # One bulk transpose+copy: per-UE rows come out contiguous without
-        # a per-UE allocation loop.
-        return state, np.ascontiguousarray(samples.T)
+        return {ue.ue_id: samples[j] for j, ue in enumerate(active)}
 
     def uplink_samples(
         self,
@@ -199,8 +198,7 @@ class GNodeB:
         Vectorized; bit-identical to the retired per-UE loop (parity-tested).
         """
         active = self._active(active_ue_ids, n_samples)
-        state, samples = self._samples_matrix(rng, n_samples, active, downlink=False)
-        return {ue_id: samples[j] for j, ue_id in enumerate(state.ue_ids)}
+        return self._samples(rng, n_samples, active, downlink=False)
 
     def downlink_samples(
         self,
@@ -218,8 +216,7 @@ class GNodeB:
         bit-identical to the retired per-UE loop (parity-tested).
         """
         active = self._active(active_ue_ids, n_samples)
-        state, samples = self._samples_matrix(rng, n_samples, active, downlink=True)
-        return {ue_id: samples[j] for j, ue_id in enumerate(state.ue_ids)}
+        return self._samples(rng, n_samples, active, downlink=True)
 
     def _grants_matrix(
         self, active: list[UserEquipment], n_rounds: int

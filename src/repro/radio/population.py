@@ -132,8 +132,8 @@ class CellPopulation:
     """One cell's worth of realized population state.
 
     Holds the packed :class:`UeStateArrays` plus the carrier/SDR scalars the
-    sampler needs. No ``UserEquipment`` objects exist unless
-    :meth:`materialize` is called.
+    sampler needs. No ``UserEquipment`` objects, and no UE id strings,
+    exist unless :meth:`materialize` or :meth:`ue_ids` is called.
     """
 
     name: str
@@ -153,12 +153,24 @@ class CellPopulation:
             self._rate_table = rate_per_prb_table(self.carrier)
         return self._rate_table
 
+    def ue_ids(self, k: Optional[int] = None) -> list[str]:
+        """Ids of the first ``k`` UEs (default all), made on demand.
+
+        ``<cell name>-ue<j>``, with ``j`` zero-padded to the cell's width,
+        so sorted id order is column order.
+        """
+        k = self.n_ues if k is None else k
+        if not 0 <= k <= self.n_ues:
+            raise ValueError(f"k out of [0, {self.n_ues}]: {k}")
+        width = len(str(max(self.n_ues - 1, 1)))
+        return [f"{self.name}-ue{j:0{width}d}" for j in range(k)]
+
     def grants_matrix(self, n_rounds: int) -> np.ndarray:
         """Round-robin saturating grants, advancing the rotation counter.
 
-        Population ue_ids are zero-padded, so sorted order == column order
-        and the closed-form :func:`round_robin_rounds` applies directly --
-        no ``UeDemand`` objects, no scheduler instance.
+        Sorted :meth:`ue_ids` order is column order, so the closed-form
+        :func:`round_robin_rounds` applies directly -- no ``UeDemand``
+        objects, no scheduler instance.
         """
         grants, self._rotation = round_robin_rounds(
             self.n_ues,
@@ -188,11 +200,10 @@ class CellPopulation:
         multi_ue_eff = max(0.4, 1.0 - MULTI_UE_OVERHEAD * (n - 1))
         grants = self.grants_matrix(n_samples)
         z = rng.standard_normal((n_samples, n, 2))
-        samples = sample_throughput_matrix(
+        return sample_throughput_matrix(
             self.state, grants, z, self.rate_table(),
             derate=derate, multi_ue_eff=multi_ue_eff, jitter_scale=jitter,
         )
-        return np.ascontiguousarray(samples.T)
 
     def materialize(self, k: Optional[int] = None) -> list[UserEquipment]:
         """Instantiate real ``UserEquipment`` for the first ``k`` UEs.
@@ -202,13 +213,10 @@ class CellPopulation:
         reuses the template's device/modem/SIM and carries its drawn
         per-UE channel.
         """
-        k = self.n_ues if k is None else k
-        if not 0 <= k <= self.n_ues:
-            raise ValueError(f"k out of [0, {self.n_ues}]: {k}")
         out = []
-        for j in range(k):
+        for j, ue_id in enumerate(self.ue_ids(k)):
             out.append(UserEquipment(
-                ue_id=self.state.ue_ids[j],
+                ue_id=ue_id,
                 device=self.template.device,
                 modem=self.template.modem,
                 sim=self.template.sim,
@@ -363,9 +371,7 @@ class UEPopulation:
             n = int(counts[c])
             chan_rng = rngs.get(shard_stream(c, "channel"))
             gain_rng = rngs.get(shard_stream(c, "gain"))
-            width = len(str(max(n - 1, 1)))
             state = UeStateArrays.broadcast(
-                ue_ids=[f"cell{c:03d}-ue{j:0{width}d}" for j in range(n)],
                 mean_cqi=np.clip(self.mean_cqi.sample(chan_rng, n), 1.0, 15.0),
                 gain=np.maximum(self.gain_spread.sample(gain_rng, n), 1e-3),
                 cqi_sigma=chan.cqi_sigma,

@@ -75,9 +75,14 @@ def round_robin_rounds(
         # Budget divides evenly: the scalar loop never reaches the
         # remainder-rotation branch, so the rotation counter is untouched.
         return grants, start_rotation
-    starts = (start_rotation + np.arange(n_rounds, dtype=np.int64)) % n_ues
-    offsets = (sorted_pos[None, :] - starts[:, None]) % n_ues
-    grants += offsets < extra
+    # Round r's extra PRBs go to sorted ranks start_rotation + r + i
+    # (mod n_ues), i < extra: set those cells by index, a (rounds x extra)
+    # job rather than a (rounds x n_ues) one.
+    column_of_rank = np.empty_like(sorted_pos)
+    column_of_rank[sorted_pos] = np.arange(n_ues, dtype=np.int64)
+    rounds = np.arange(n_rounds, dtype=np.int64)[:, None]
+    ranks = (start_rotation + rounds + np.arange(extra, dtype=np.int64)) % n_ues
+    grants[rounds, column_of_rank[ranks]] += 1
     return grants, start_rotation + n_rounds
 
 

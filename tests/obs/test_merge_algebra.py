@@ -7,6 +7,10 @@ event stream -- these are the algebraic facts `repro.parallel` relies on
 for worker-count-invariant reports.
 """
 
+import json
+import math
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,15 +19,22 @@ from repro.obs.stream import QuantileSketch, StreamAggregator
 
 REL_ERR = 0.01
 
+#: Every finite double, subnormals and values near the overflow threshold
+#: included: sums of these can overflow any float accumulator.
 finite_values = st.floats(
-    min_value=-1e12,
-    max_value=1e12,
     allow_nan=False,
     allow_infinity=False,
+    allow_subnormal=True,
     width=64,
 )
 
 value_lists = st.lists(finite_values, max_size=60)
+
+#: Finite values mixed with both infinities (whose sum is NaN).
+values_with_infinities = st.lists(
+    st.one_of(finite_values, st.sampled_from([math.inf, -math.inf])),
+    max_size=60,
+)
 
 metric_events = st.lists(
     st.tuples(
@@ -47,6 +58,25 @@ def _merged(*sketches):
     for s in sketches:
         out.merge(s)
     return out
+
+
+def _vector(values):
+    s = QuantileSketch.identity(REL_ERR)
+    s.add_array(np.asarray(values, dtype=np.float64))
+    return s
+
+
+def _snapshot(sketch):
+    """Canonical JSON: unlike dict equality, NaN compares equal to NaN."""
+    return json.dumps(sketch.to_dict(), sort_keys=True)
+
+
+def _rounded_exact_sum(values):
+    exact = sum((Fraction(v) for v in values), Fraction(0))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 class TestSketchMonoid:
@@ -85,10 +115,34 @@ class TestVectorizedIngest:
     @given(value_lists)
     @settings(max_examples=60, deadline=None)
     def test_add_array_matches_scalar_adds(self, a):
-        scalar = _sketch(a)
-        vector = QuantileSketch.identity(REL_ERR)
-        vector.add_array(np.asarray(a, dtype=np.float64))
+        assert _vector(a).to_dict() == _sketch(a).to_dict()
+
+    @given(values_with_infinities)
+    @settings(max_examples=60, deadline=None)
+    def test_add_array_matches_scalar_adds_with_infinities(self, a):
+        assert _snapshot(_vector(a)) == _snapshot(_sketch(a))
+
+
+class TestExactSum:
+    @given(value_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_sum_is_the_correctly_rounded_exact_sum(self, a):
+        expected = _rounded_exact_sum(a)
+        assert _sketch(a).sum == expected
+        assert _vector(a).sum == expected
+
+    def test_intermediate_overflow_cancels(self):
+        # A running float sum overflows after the second value; the exact
+        # sum is back in range after the third.
+        values = [1e308, 1e308, -1e308]
+        scalar, vector = _sketch(values), _vector(values)
+        assert scalar.sum == 1e308
+        assert vector.sum == 1e308
         assert vector.to_dict() == scalar.to_dict()
+
+    def test_sum_beyond_double_range_is_infinite(self):
+        assert _sketch([1e308, 1e308]).sum == math.inf
+        assert _vector([-1e308, -1e308]).sum == -math.inf
 
 
 class TestAggregatorPartition:

@@ -64,6 +64,38 @@ class TestShardCountInvariance:
         assert _scenario().run().digest != _scenario(seed=12).run().digest
 
 
+class TestGoldenDigests:
+    """Literal digests: any change to a grant, a sample, or a sketch sum
+    shows here, serial or spawned. 4 cells, 5g-tdd at 40 MHz, seed 3,
+    two 10 s windows."""
+
+    GOLDEN = {
+        # Far more UEs than PRBs: most UEs hold no PRB in a given second.
+        3000.0: "3813c1e43e06501529c7c7fa072b6cda1478c1779afaf85a59995d7d9a5433a3",
+        # Fewer UEs than PRBs: every UE holds PRBs every second.
+        60.0: "8b291de9d3aeb7829d5d377821fe673f92f3d0190e949058f537797e5677c236",
+    }
+
+    @pytest.mark.parametrize("mean_ues", sorted(GOLDEN))
+    @pytest.mark.parametrize("workers,executor", [(1, "serial"), (2, "spawn")])
+    def test_digest_is_pinned(self, mean_ues, workers, executor):
+        population = UEPopulation(
+            n_cells=4,
+            ues_per_cell=RandomVariable(mean_ues, Distribution.POISSON),
+            network="5g-tdd",
+            bandwidth_mhz=40.0,
+        )
+        report = ShardedScaleScenario(
+            population,
+            seed=3,
+            horizon_s=20.0,
+            window_s=10.0,
+            workers=workers,
+            executor=executor,
+        ).run()
+        assert report.digest == self.GOLDEN[mean_ues]
+
+
 class TestExecutorEquivalence:
     def test_spawn_matches_serial_bytes(self):
         serial = _scenario(workers=2).run()

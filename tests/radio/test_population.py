@@ -79,7 +79,7 @@ class TestUEPopulation:
         b = pop.realize_cells(RngRegistry(42), range(3))
         assert [c.n_ues for c in a] == [c.n_ues for c in b]
         for ca, cb in zip(a, b):
-            assert ca.state.ue_ids == cb.state.ue_ids
+            assert ca.ue_ids() == cb.ue_ids()
             assert np.array_equal(ca.state.mean_cqi, cb.state.mean_cqi)
             assert np.array_equal(ca.state.gain, cb.state.gain)
 
@@ -104,7 +104,7 @@ class TestUEPopulation:
         cell = UEPopulation(
             n_cells=1, ues_per_cell=RandomVariable(120.0, Distribution.CONSTANT)
         ).realize_cells(RngRegistry(0), [0])[0]
-        assert cell.state.ue_ids == sorted(cell.state.ue_ids)
+        assert cell.ue_ids() == sorted(cell.ue_ids())
 
     def test_expected_total(self) -> None:
         pop = UEPopulation(n_cells=20, ues_per_cell=RandomVariable(2500.0))
@@ -153,7 +153,7 @@ class TestCellPopulation:
         ).realize_cells(RngRegistry(9), [0])[0]
         obj = gnb.uplink_samples(np.random.default_rng(3), 17)
         vec = fresh.uplink_matrix(np.random.default_rng(3), 17)
-        for j, uid in enumerate(fresh.state.ue_ids):
+        for j, uid in enumerate(fresh.ue_ids()):
             assert np.array_equal(obj[uid], vec[j])
 
     def test_materialize_bounds(self, cell: CellPopulation) -> None:

@@ -29,7 +29,12 @@ from tests.radio.scalar_reference import (
 #: (network flavour, bandwidth) pairs from the paper's grids, kept within
 #: each front end's sampling ceiling.
 FLAVOURS = [("4g-fdd", 20.0), ("5g-fdd", 20.0), ("5g-tdd", 40.0)]
-BATTERY_N = [1, 3, 17]
+#: 1-17 UEs share each flavour's PRB budget (100 or 106 PRBs), so every UE
+#: holds PRBs every round. 130 exceeds every budget: each round grants one
+#: PRB to a rotating subset and the rest get none. At 450, fewer than a
+#: quarter of the (round, UE) pairs hold PRBs, so the kernel takes its
+#: gather path -- the regime of a UE-fleet cell.
+BATTERY_N = [1, 3, 17, 130, 450]
 BATTERY_SEEDS = [0, 1, 2]
 
 
@@ -215,5 +220,5 @@ def test_ten_thousand_ue_smoke() -> None:
     subcell = sub.realize_cells(RngRegistry(11), [0])[0]
     obj = gnb.uplink_samples(np.random.default_rng(7), 9)
     vec = subcell.uplink_matrix(np.random.default_rng(7), 9)
-    for j, uid in enumerate(subcell.state.ue_ids):
+    for j in range(subcell.n_ues):
         assert np.array_equal(obj[ues[j].ue_id], vec[j])
