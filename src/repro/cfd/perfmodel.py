@@ -42,7 +42,8 @@ def runtime_rng(engine: Engine) -> np.random.Generator:
 
     Callers composing a fabric pass this generator into
     :meth:`CfdPerformanceModel.sample_total_time` instead of naming the
-    ``cfd.runtime`` stream themselves (REPRO502 flags foreign draws).
+    ``cfd.runtime`` stream themselves (the stream owner test flags
+    foreign draws).
     """
     return engine.rng(CFD_RUNTIME)
 

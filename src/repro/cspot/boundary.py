@@ -65,8 +65,8 @@ class CrossShardLink:
     every :class:`~repro.parallel.fabric_shard.FabricShardTask` across
     the coordinator->worker pickling seam, and a ``NetworkPath`` carries
     a :class:`~repro.cspot.faults.FaultInjector` whose bound generator is
-    ambient state (the shard-boundary purity rule, REPRO511). Everything
-    here is a plain scalar, so a pickled link is a value, never a
+    ambient state, which ``tests/parallel/test_seam_purity.py`` rejects
+    on the real tasks. Everything here is a plain scalar, so a pickled link is a value, never a
     snapshot of live RNG state. Defaults follow the calibrated site->hub
     leg (:func:`default_site_hub_path`).
     """

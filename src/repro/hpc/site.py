@@ -88,9 +88,7 @@ class QueueLoadGenerator:
     The arrival stream is keyed by *site name*
     (``hpc.background-load.<site>``): generators for different sites on
     one engine draw from independent streams, so adding a second site's
-    load never perturbs the first site's schedule. (An earlier revision
-    shared one ``hpc.background-load`` stream across every generator;
-    the whole-program stream-provenance pass surfaced the collision.)
+    load never perturbs the first site's schedule.
     """
 
     def __init__(

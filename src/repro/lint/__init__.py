@@ -10,13 +10,12 @@ enforces those conventions statically:
 * per-line ``# repro-lint: disable=CODE`` suppressions
   (:mod:`repro.lint.context`),
 * a checked-in baseline for grandfathered debt (:mod:`repro.lint.baseline`),
-* whole-program ``REPRO5xx`` passes over a cached module graph -- RNG
-  stream provenance, shard-boundary purity (:mod:`repro.lint.graph`,
-  :mod:`repro.lint.provenance`, :mod:`repro.lint.program`),
-* a CLI: ``python -m repro.lint --program src tests benchmarks``
+* a CLI: ``python -m repro.lint src tests benchmarks``
   (:mod:`repro.lint.cli`).
 
-See ``docs/static-analysis.md`` for the full rule catalog.
+RNG stream provenance and shard-seam purity are checked where they
+happen instead (:mod:`repro.simkernel.streams` and the tests named in
+``docs/static-analysis.md``, which also holds the full rule catalog).
 """
 
 from repro.lint.analyzer import (
@@ -28,16 +27,6 @@ from repro.lint.analyzer import (
 from repro.lint.baseline import Baseline, BaselineEntry
 from repro.lint.cli import main
 from repro.lint.context import FileContext, classify_scope
-from repro.lint.graph import ProgramGraph, SummaryCache, build_graph
-from repro.lint.program import (
-    PROGRAM_RULES,
-    PROGRAM_RULES_BY_CODE,
-    ProgramRule,
-    analyze_graph,
-    analyze_program,
-    select_program_rules,
-)
-from repro.lint.provenance import render_stream_registry, resolve_sites
 from repro.lint.rules import ALL_RULES, RULES_BY_CODE, Rule
 from repro.lint.violations import Violation
 
@@ -46,24 +35,13 @@ __all__ = [
     "Baseline",
     "BaselineEntry",
     "FileContext",
-    "PROGRAM_RULES",
-    "PROGRAM_RULES_BY_CODE",
-    "ProgramGraph",
-    "ProgramRule",
     "RULES_BY_CODE",
     "Rule",
-    "SummaryCache",
     "Violation",
-    "analyze_graph",
-    "analyze_program",
-    "build_graph",
     "classify_scope",
     "lint_file",
     "lint_paths",
     "lint_source",
     "main",
-    "render_stream_registry",
-    "resolve_sites",
-    "select_program_rules",
     "select_rules",
 ]

@@ -29,16 +29,11 @@ EXCLUDED_DIR_NAMES = frozenset(
 def select_rules(
     select: Iterable[str] | None = None,
     ignore: Iterable[str] = (),
-    extra_known: Iterable[str] = (),
 ) -> tuple[Rule, ...]:
-    """Resolve the active rule set from ``--select`` / ``--ignore`` codes.
-
-    ``extra_known`` names codes handled elsewhere (the whole-program
-    rules): they are legal to select/ignore here but never returned.
-    """
+    """Resolve the active rule set from ``--select`` / ``--ignore`` codes."""
     selected = set(c.upper() for c in select) if select is not None else None
     ignored = {c.upper() for c in ignore}
-    known = {r.code for r in ALL_RULES} | {c.upper() for c in extra_known}
+    known = {r.code for r in ALL_RULES}
     unknown = ((selected or set()) | ignored) - known
     if unknown:
         raise ValueError(f"unknown rule codes: {', '.join(sorted(unknown))}")

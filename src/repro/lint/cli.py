@@ -1,7 +1,7 @@
 """Command line interface: ``python -m repro.lint src tests benchmarks``.
 
-Exit codes: 0 clean (or fully baselined), 1 violations found (or stream
-registry drift under ``--check-stream-registry``), 2 bad usage.
+Exit codes: 0 clean (or fully baselined), 1 violations found, 2 bad
+usage.
 """
 
 from __future__ import annotations
@@ -14,13 +14,6 @@ from typing import Sequence
 
 from repro.lint.analyzer import lint_paths, select_rules
 from repro.lint.baseline import Baseline
-from repro.lint.program import (
-    PROGRAM_RULES,
-    PROGRAM_RULES_BY_CODE,
-    analyze_program,
-    select_program_rules,
-)
-from repro.lint.provenance import render_stream_registry, resolve_sites
 from repro.lint.rules import ALL_RULES
 from repro.lint.violations import Violation
 
@@ -43,41 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=[Path("src"), Path("tests"), Path("benchmarks")],
         help="files or directories to scan (default: src tests benchmarks)",
-    )
-    parser.add_argument(
-        "--program",
-        action="store_true",
-        help=(
-            "additionally build the whole-program graph and run the "
-            "cross-module REPRO5xx passes (stream provenance, shard purity)"
-        ),
-    )
-    parser.add_argument(
-        "--cache",
-        type=Path,
-        metavar="PATH",
-        help=(
-            "per-file summary cache for --program (JSON; entries keyed by "
-            "content hash, so it is safe to persist across revisions)"
-        ),
-    )
-    parser.add_argument(
-        "--emit-stream-registry",
-        type=Path,
-        metavar="PATH",
-        help=(
-            "write the generated RNG stream registry page to PATH "
-            "(implies building the program graph)"
-        ),
-    )
-    parser.add_argument(
-        "--check-stream-registry",
-        type=Path,
-        metavar="PATH",
-        help=(
-            "fail (exit 1) if PATH differs from the regenerated RNG "
-            "stream registry page (implies building the program graph)"
-        ),
     )
     parser.add_argument(
         "--format",
@@ -139,9 +97,6 @@ def _list_rules() -> int:
         print(f"    {rule.rationale}")
         if rule.allow_suffixes:
             print(f"    allowlisted: {', '.join(rule.allow_suffixes)}")
-    for prule in PROGRAM_RULES:
-        print(f"{prule.code}  {prule.name}  [whole-program]")
-        print(f"    {prule.rationale}")
     return 0
 
 
@@ -167,11 +122,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     select = args.select.split(",") if args.select else None
     ignore = args.ignore.split(",") if args.ignore else ()
     try:
-        rules = select_rules(
-            select=select,
-            ignore=ignore,
-            extra_known=PROGRAM_RULES_BY_CODE,
-        )
+        rules = select_rules(select=select, ignore=ignore)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
 
@@ -181,51 +132,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.justification is not None and not args.write_baseline:
         parser.error("--justification only makes sense with --write-baseline")
-    if args.cache is not None and not (
-        args.program
-        or args.emit_stream_registry
-        or args.check_stream_registry
-    ):
-        parser.error("--cache only makes sense with --program")
-
-    need_graph = bool(
-        args.program or args.emit_stream_registry or args.check_stream_registry
-    )
 
     violations = lint_paths(args.paths, rules=rules)
-    registry_page: str | None = None
-    if need_graph:
-        program_rules = (
-            select_program_rules(select, ignore) if args.program else ()
-        )
-        program_violations, graph = analyze_program(
-            args.paths, cache_path=args.cache, rules=program_rules
-        )
-        violations = sorted(set(violations) | set(program_violations))
-        registry_page = render_stream_registry(graph, resolve_sites(graph))
-
-    if args.emit_stream_registry is not None and registry_page is not None:
-        args.emit_stream_registry.write_text(registry_page, encoding="utf-8")
-        print(
-            f"wrote stream registry to {args.emit_stream_registry}",
-            file=sys.stderr,
-        )
-
-    registry_drift = False
-    if args.check_stream_registry is not None and registry_page is not None:
-        committed = (
-            args.check_stream_registry.read_text(encoding="utf-8")
-            if args.check_stream_registry.exists()
-            else None
-        )
-        if committed != registry_page:
-            registry_drift = True
-            print(
-                f"{args.check_stream_registry} is out of date; regenerate "
-                "with `python -m repro.lint --emit-stream-registry "
-                f"{args.check_stream_registry} <paths>`",
-                file=sys.stderr,
-            )
 
     if args.write_baseline:
         Baseline.from_violations(
@@ -254,7 +162,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"note: stale baseline entry: {entry.format()}",
                 file=sys.stderr,
             )
-        return 1 if (fresh or registry_drift) else 0
+        return 1 if fresh else 0
 
     for violation in fresh:
         print(violation.format())
@@ -284,8 +192,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"{suffix}",
             file=sys.stderr,
         )
-        return 1
-    if registry_drift:
         return 1
     if baselined:
         print(f"clean ({baselined} baselined)", file=sys.stderr)

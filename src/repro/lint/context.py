@@ -94,10 +94,6 @@ class ImportTable:
                     local = alias.asname if alias.asname is not None else alias.name
                     self._names[local] = f"{node.module}.{alias.name}"
 
-    def as_dict(self) -> dict[str, str]:
-        """Local name -> qualified origin, for program-graph summaries."""
-        return dict(self._names)
-
     def resolve(self, expr: ast.expr) -> str | None:
         """Qualified dotted name of ``expr``, or None if not name-like.
 

@@ -13,9 +13,10 @@ Codes group by family:
 * ``REPRO3xx`` -- numeric discipline (float comparisons)
 * ``REPRO4xx`` -- general simulation safety (mutable defaults, bare except,
   blocking I/O in engine callbacks)
-* ``REPRO5xx`` -- whole-program determinism. REPRO521 (wall-clock taint)
-  lives here as a per-file dataflow rule; REPRO501-511 need the module
-  graph and live in :mod:`repro.lint.program`.
+* ``REPRO5xx`` -- determinism dataflow: REPRO521 (wall-clock taint).
+  The retired REPRO501-504 and REPRO511 facts (stream provenance,
+  shard-seam purity) are checked where they happen; see
+  ``docs/static-analysis.md``.
 """
 
 from __future__ import annotations

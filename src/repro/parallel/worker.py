@@ -25,6 +25,11 @@ platform. (The ``repro.lint`` REPRO404 rule bans fork-context
 multiprocessing precisely because a forked child inherits the parent's
 RNG registry state mid-run.)
 
+Seam purity: a task must be pure data -- no engine, tracer, live
+generator, open handle or callable -- or worker results stop being a
+function of ``(task, seed)``. ``tests/parallel/test_seam_purity.py``
+pickles the real tasks and rejects any such object.
+
 Failure surface: an exception inside the loop is shipped as an
 ``("error", repr)`` message before the worker dies, so the coordinator
 can re-raise with context instead of timing out. A worker that dies
@@ -46,17 +51,6 @@ from multiprocessing.connection import Connection
 from typing import Any
 
 from repro.parallel.shard import ShardTask
-
-#: The classes that cross the coordinator->worker pickling seam. The
-#: whole-program lint pass (REPRO511) walks every dataclass field
-#: reachable from these roots and rejects ambient state (engines,
-#: tracers, live generators, open handles): anything pickled here must
-#: be pure data, or worker results silently stop being a function of
-#: (task, seed).
-PICKLE_SEAM_ROOTS = (
-    "repro.parallel.shard.ScaleShardTask",
-    "repro.parallel.fabric_shard.FabricShardTask",
-)
 
 
 def worker_main(conn: Connection) -> None:

@@ -97,7 +97,7 @@ class SyntheticWeather:
 
         The ``sensors.weather`` stream is owned by this package; callers
         composing a fabric use this constructor instead of drawing the
-        stream themselves (REPRO502 flags foreign draws).
+        stream themselves (the stream owner test flags foreign draws).
         """
         return cls(engine.rng(SENSORS_WEATHER), **kwargs)
 

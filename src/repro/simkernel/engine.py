@@ -43,7 +43,7 @@ class Engine:
     ----------
     seed:
         Master seed for the engine's :class:`RngRegistry`. Subsystems draw
-        named child streams (``engine.rng("radio.channel")``) so randomness
+        named child streams (``engine.rng("sensors.weather")``) so randomness
         is stable under composition.
     start_time:
         Initial value of the simulated clock, in seconds.

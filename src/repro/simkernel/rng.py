@@ -11,6 +11,8 @@ import hashlib
 
 import numpy as np
 
+from repro.simkernel.streams import namespace_of
+
 
 def derive_seed(master: int, name: str) -> int:
     """Derive a 64-bit child seed from ``master`` and a stream ``name``.
@@ -32,17 +34,20 @@ class RngRegistry:
     def get(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use.
 
-        ``name`` must be a non-blank string: a blank stream name would
-        silently alias every anonymous consumer onto one stream, which is
-        exactly the cross-subsystem coupling named streams exist to
-        prevent.
+        A new name must be a non-blank string that falls in a declared
+        namespace (:func:`repro.simkernel.streams.namespace_of`): a blank
+        or ad-hoc name would silently alias or collide with another
+        subsystem's stream, exactly the coupling named streams exist to
+        prevent. Only creation validates, so a cached lookup stays one
+        dict access.
         """
-        if not isinstance(name, str) or not name.strip():
-            raise ValueError(
-                f"RNG stream name must be a non-blank string, got {name!r}"
-            )
         gen = self._streams.get(name)
         if gen is None:
+            if not isinstance(name, str) or not name.strip():
+                raise ValueError(
+                    f"RNG stream name must be a non-blank string, got {name!r}"
+                )
+            namespace_of(name)
             gen = np.random.default_rng(derive_seed(self.master_seed, name))
             self._streams[name] = gen
         return gen

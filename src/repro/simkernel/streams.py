@@ -13,19 +13,22 @@ truth for that contract:
   run of characters each).
 * Call sites build names only through the constants and helper
   functions below -- never ad-hoc string literals/f-strings.
-* The whole-program analyzer (``python -m repro.lint --program``)
-  resolves every ``engine.rng(...)`` / ``RngRegistry.get(...)`` call
-  site against this table (REPRO501-504) and regenerates the committed
-  registry page ``docs/rng-streams.md`` from it.
+* The contract is checked where it runs. Importing this module raises if
+  two patterns overlap; :meth:`repro.simkernel.rng.RngRegistry.get`
+  rejects a name no pattern matches (:func:`namespace_of`); and
+  ``tests/simkernel/test_streams.py`` runs the fabric, scale and
+  fabric-shard workloads to check that every namespace is drawn, and
+  only from its owner.
 
 Adding a stream: declare the namespace here, add a constant or helper,
-regenerate the doc (``--emit-stream-registry docs/rng-streams.md``), and
-draw the stream from its owning package.
+and draw the stream from its owning package.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -34,8 +37,9 @@ class StreamNamespace:
 
     ``pattern`` is the dotted stream name; ``<placeholder>`` marks a
     variable segment (matches one dot-free run). ``owner`` is the
-    package whose *library code* may draw the stream -- tests,
-    benchmarks and examples may draw anything.
+    package whose *library code* may draw the stream; tests, benchmarks
+    and examples may draw any declared stream, but never an undeclared
+    name.
     """
 
     pattern: str
@@ -122,12 +126,8 @@ def shard_stream(cell_index: int, purpose: str) -> str:
     return cell_stream(SHARD_PREFIX, cell_index, purpose)
 
 
-#: The declared namespace table, in registry order. The whole-program
-#: analyzer unions every ``STREAM_NAMESPACES`` it finds in the scanned
-#: tree (fixture corpora declare their own), checks declared patterns
-#: for overlap (REPRO501), attributes every call site to a namespace
-#: (REPRO504), enforces owners (REPRO502), and reports namespaces no
-#: call site draws (REPRO503).
+#: The declared namespace table, in registry order. Patterns must be
+#: pairwise disjoint (checked below, at import).
 STREAM_NAMESPACES: tuple[StreamNamespace, ...] = (
     StreamNamespace(
         pattern="chaos",
@@ -200,3 +200,81 @@ STREAM_NAMESPACES: tuple[StreamNamespace, ...] = (
         description="Per-site CSPOT transfer latency draws on a fabric shard.",
     ),
 )
+
+
+#: ``<placeholder>`` segments in namespace patterns.
+_PLACEHOLDER_RE = re.compile(r"<[^<>]+>")
+#: Stands in for a placeholder while two patterns are walked in step.
+_ANY = "\0"
+
+
+def _overlap(a: str, b: str) -> bool:
+    """Whether some stream name matches both patterns.
+
+    The patterns come with each placeholder replaced by ``_ANY``. Exact:
+    walks the two in step, a literal character matching itself and a
+    placeholder one or more dot-free characters. From a placeholder the
+    walk either stays (it takes another character) or moves on (it is
+    done).
+    """
+    seen: set[tuple[int, int]] = set()
+    todo = [(0, 0)]
+    while todo:
+        i, j = todo.pop()
+        if i == len(a) and j == len(b):
+            return True
+        if i == len(a) or j == len(b) or (i, j) in seen:
+            continue
+        seen.add((i, j))
+        ca, cb = a[i], b[j]
+        if ca == cb or (ca == _ANY and cb != ".") or (cb == _ANY and ca != "."):
+            next_i = (i, i + 1) if ca == _ANY else (i + 1,)
+            next_j = (j, j + 1) if cb == _ANY else (j + 1,)
+            todo.extend((x, y) for x in next_i for y in next_j)
+    return False
+
+
+def check_disjoint(patterns: Sequence[str]) -> None:
+    """Raise ``ValueError`` if any two ``patterns`` overlap.
+
+    Overlapping namespaces would hand two subsystems the same
+    ``(master seed, name)`` generator: correlated randomness by
+    construction.
+    """
+    walkable = [_PLACEHOLDER_RE.sub(_ANY, p) for p in patterns]
+    for k, a in enumerate(walkable):
+        for j in range(k + 1, len(walkable)):
+            if _overlap(a, walkable[j]):
+                raise ValueError(
+                    f"stream namespaces {patterns[k]!r} and {patterns[j]!r} "
+                    "overlap: one stream name could fall in both"
+                )
+
+
+check_disjoint([ns.pattern for ns in STREAM_NAMESPACES])
+
+#: Each pattern compiled once: a placeholder matches one dot-free run.
+_COMPILED = tuple(
+    (
+        re.compile(
+            "[^.]+".join(map(re.escape, _PLACEHOLDER_RE.split(ns.pattern)))
+        ),
+        ns,
+    )
+    for ns in STREAM_NAMESPACES
+)
+
+
+def namespace_of(name: str) -> StreamNamespace:
+    """The declared namespace ``name`` falls in.
+
+    Raises ``ValueError`` for a name no pattern matches: an undeclared
+    stream has no owner and no collision guard.
+    """
+    for regex, ns in _COMPILED:
+        if regex.fullmatch(name):
+            return ns
+    raise ValueError(
+        f"RNG stream {name!r} matches no namespace in STREAM_NAMESPACES "
+        "(repro.simkernel.streams); declare it there with its owner"
+    )

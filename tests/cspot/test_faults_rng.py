@@ -14,6 +14,10 @@ from repro.cspot.faults import FaultInjector
 from repro.cspot.transport import NetworkPath, Transport
 from repro.simkernel import Engine
 from repro.simkernel.rng import RngRegistry
+from repro.simkernel.streams import cspot_fault_stream
+
+#: A declared fault-injector stream, standing in for any one path's.
+FAULT_STREAM = cspot_fault_stream("farm", "hub")
 
 
 def _drop_sequence(injector: FaultInjector, n: int = 64) -> list[bool]:
@@ -24,10 +28,10 @@ class TestRegistryDerivedInjectors:
     def test_same_master_seed_identical_schedules(self):
         """Two injectors from the same master seed draw identical schedules."""
         a = FaultInjector(
-            ack_loss_prob=0.3, rng=RngRegistry(42).get("cspot.faults")
+            ack_loss_prob=0.3, rng=RngRegistry(42).get(FAULT_STREAM)
         )
         b = FaultInjector(
-            ack_loss_prob=0.3, rng=RngRegistry(42).get("cspot.faults")
+            ack_loss_prob=0.3, rng=RngRegistry(42).get(FAULT_STREAM)
         )
         assert _drop_sequence(a) == _drop_sequence(b)
 
@@ -42,7 +46,7 @@ class TestRegistryDerivedInjectors:
                 _drop_sequence(
                     FaultInjector(
                         ack_loss_prob=0.5,
-                        rng=RngRegistry(seed).get("cspot.faults"),
+                        rng=RngRegistry(seed).get(FAULT_STREAM),
                     ),
                     n=128,
                 )

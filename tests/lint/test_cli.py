@@ -39,6 +39,14 @@ class TestExitCodes:
             main(["src", "--select", "REPRO999"])
         assert excinfo.value.code == 2
 
+    def test_select_retired_program_code_exits_two(self, tmp_path, monkeypatch):
+        # REPRO504 is not a lint code: RngRegistry.get checks stream names.
+        _write(tmp_path, "clean.py", CLEAN)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["src", "--select", "REPRO504"])
+        assert excinfo.value.code == 2
+
     def test_missing_path_exits_two(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
@@ -50,72 +58,32 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "REPRO101" in out and "REPRO403" in out
 
-
-class TestProgramMode:
-    STREAMS = (
-        "from repro.simkernel.streams import StreamNamespace\n"
-        "STREAM_NAMESPACES = (\n"
-        "    StreamNamespace('alpha.stream', 'demo.alpha', 'alpha stream'),\n"
-        ")\n"
-    )
-    DRAW = "def sample(engine):\n    return engine.rng('alpha.stream')\n"
-    ROGUE = "def sample(engine):\n    return engine.rng('rogue.stream')\n"
-
-    def _demo_tree(self, tmp_path, draw):
-        _write(tmp_path, "demo/streams.py", self.STREAMS)
-        _write(tmp_path, "demo/alpha.py", draw)
-
-    def test_program_clean_exits_zero(self, tmp_path, monkeypatch):
-        self._demo_tree(tmp_path, self.DRAW)
-        monkeypatch.chdir(tmp_path)
-        assert main(["src", "--program"]) == 0
-
-    def test_program_violation_exits_one(self, tmp_path, monkeypatch, capsys):
-        self._demo_tree(tmp_path, self.ROGUE)
-        monkeypatch.chdir(tmp_path)
-        assert main(["src", "--program"]) == 1
+    def test_list_rules_drops_retired_program_codes(self, capsys):
+        # Wall-clock taint stays a lint rule; REPRO501-504 and REPRO511
+        # became runtime checks and left the catalog.
+        assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "REPRO504" in out and "REPRO503" in out
+        assert "REPRO521" in out
+        for code in ("REPRO501", "REPRO502", "REPRO503", "REPRO504", "REPRO511"):
+            assert code not in out
 
-    def test_program_violations_can_be_baselined(self, tmp_path, monkeypatch):
-        self._demo_tree(tmp_path, self.ROGUE)
-        monkeypatch.chdir(tmp_path)
-        assert main(["src", "--program", "--write-baseline"]) == 0
-        assert main(["src", "--program"]) == 0
 
-    def test_select_accepts_program_codes(self, tmp_path, monkeypatch):
-        self._demo_tree(tmp_path, self.ROGUE)
-        monkeypatch.chdir(tmp_path)
-        assert main(["src", "--program", "--select", "REPRO504"]) == 1
-        assert main(["src", "--program", "--ignore", "REPRO503,REPRO504"]) == 0
-
-    def test_cache_flag_requires_program(self, tmp_path, monkeypatch):
-        _write(tmp_path, "clean.py", CLEAN)
-        monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit) as excinfo:
-            main(["src", "--cache", "cache.json"])
-        assert excinfo.value.code == 2
-
-    def test_cache_file_round_trip(self, tmp_path, monkeypatch):
-        self._demo_tree(tmp_path, self.DRAW)
-        monkeypatch.chdir(tmp_path)
-        assert main(["src", "--program", "--cache", "cache.json"]) == 0
-        assert (tmp_path / "cache.json").exists()
-        assert main(["src", "--program", "--cache", "cache.json"]) == 0
-
+class TestJsonFormat:
     def test_json_format_one_finding_per_line(
         self, tmp_path, monkeypatch, capsys
     ):
         import json
 
-        self._demo_tree(tmp_path, self.ROGUE)
+        _write(tmp_path, "dirty.py", DIRTY)
+        _write(tmp_path, "worse.py", DIRTY.replace("time.time", "time.monotonic"))
         monkeypatch.chdir(tmp_path)
-        assert main(["src", "--program", "--format", "json"]) == 1
+        assert main(["src", "--format", "json"]) == 1
         lines = capsys.readouterr().out.strip().splitlines()
         findings = [json.loads(line) for line in lines]
-        assert len(findings) >= 2  # REPRO503 + REPRO504
-        assert {"REPRO503", "REPRO504"} <= {f["code"] for f in findings}
+        assert len(findings) == 2
+        assert {f["path"] for f in findings} == {"src/dirty.py", "src/worse.py"}
         for finding in findings:
+            assert finding["code"] == "REPRO101"
             assert {
                 "path", "line", "col", "code", "message", "fingerprint",
             } <= set(finding)
@@ -129,44 +97,13 @@ class TestProgramMode:
         assert capsys.readouterr().out == ""
 
     def test_json_output_is_byte_stable(self, tmp_path, monkeypatch, capsys):
-        self._demo_tree(tmp_path, self.ROGUE)
+        _write(tmp_path, "dirty.py", DIRTY)
         monkeypatch.chdir(tmp_path)
-        main(["src", "--program", "--format", "json"])
+        main(["src", "--format", "json"])
         first = capsys.readouterr().out
-        main(["src", "--program", "--format", "json"])
+        assert first
+        main(["src", "--format", "json"])
         assert capsys.readouterr().out == first
-
-    def test_list_rules_includes_program_family(self, capsys):
-        assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        assert "REPRO501" in out and "REPRO511" in out and "REPRO521" in out
-
-
-class TestStreamRegistryPages:
-    def test_emit_then_check_round_trips(self, tmp_path, monkeypatch):
-        _write(tmp_path, "demo/streams.py", TestProgramMode.STREAMS)
-        _write(tmp_path, "demo/alpha.py", TestProgramMode.DRAW)
-        monkeypatch.chdir(tmp_path)
-        page = tmp_path / "streams.md"
-        assert main(["src", "--emit-stream-registry", str(page)]) == 0
-        assert "alpha.stream" in page.read_text()
-        assert main(["src", "--check-stream-registry", str(page)]) == 0
-
-    def test_drift_exits_one(self, tmp_path, monkeypatch, capsys):
-        _write(tmp_path, "demo/streams.py", TestProgramMode.STREAMS)
-        _write(tmp_path, "demo/alpha.py", TestProgramMode.DRAW)
-        monkeypatch.chdir(tmp_path)
-        page = tmp_path / "streams.md"
-        assert main(["src", "--emit-stream-registry", str(page)]) == 0
-        page.write_text(page.read_text().replace("alpha stream", "edited"))
-        assert main(["src", "--check-stream-registry", str(page)]) == 1
-        assert "out of date" in capsys.readouterr().err
-
-    def test_missing_page_is_drift(self, tmp_path, monkeypatch):
-        _write(tmp_path, "demo/streams.py", TestProgramMode.STREAMS)
-        _write(tmp_path, "demo/alpha.py", TestProgramMode.DRAW)
-        monkeypatch.chdir(tmp_path)
-        assert main(["src", "--check-stream-registry", "nope.md"]) == 1
 
 
 class TestRuleSelection:

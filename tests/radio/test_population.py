@@ -87,7 +87,7 @@ class TestUEPopulation:
         """Draining an unrelated named stream must not perturb realization."""
         pop = UEPopulation(n_cells=2)
         rngs = RngRegistry(7)
-        rngs.get("some.other.subsystem").standard_normal(1000)
+        rngs.get("sensors.weather").standard_normal(1000)
         a = pop.realize_cells(rngs, range(2))
         b = pop.realize_cells(RngRegistry(7), range(2))
         for ca, cb in zip(a, b):

@@ -179,14 +179,15 @@ def test_run_until_event_never_triggered_raises():
 
 def test_determinism_same_seed_same_draws():
     a, b = Engine(seed=7), Engine(seed=7)
-    assert a.rng("x").random(5).tolist() == b.rng("x").random(5).tolist()
+    draws_a = a.rng("sensors.weather").random(5).tolist()
+    assert draws_a == b.rng("sensors.weather").random(5).tolist()
 
 
 def test_named_streams_independent_of_creation_order():
     a, b = Engine(seed=7), Engine(seed=7)
-    a.rng("first")
-    draws_a = a.rng("second").random(3)
-    draws_b = b.rng("second").random(3)  # "first" never created on b
+    a.rng("sensors.weather")
+    draws_a = a.rng("sensors.robot").random(3)
+    draws_b = b.rng("sensors.robot").random(3)  # weather never created on b
     assert draws_a.tolist() == draws_b.tolist()
 
 
