@@ -61,7 +61,7 @@ def generate_figure3(seed: int = 3):
         RegimeShift(at_time_s=2 * 3600.0, wind_delta_mps=2.5,
                     temperature_delta_k=-3.0)
     )
-    fabric.breaches.add(
+    fabric.farm.breaches.add(
         BreachEvent(panel_index=0, at_time_s=5 * 3600.0, cause="bird-strike")
     )
     metrics = fabric.run(10 * 3600.0)
@@ -91,12 +91,12 @@ def test_fig3_end_to_end_pipeline(benchmark):
     assert metrics.confirmed_breaches >= 1
 
     # The telemetry log at UCSB holds the parked data.
-    ext_log = fabric.ucsb.get_log("telemetry.cups-ext-0")
+    ext_log = fabric.hub.ucsb.get_log("telemetry.cups-ext-0")
     assert ext_log.last_seqno == metrics.telemetry_sent // 5
 
     # Regenerate the figure's CFD output: a rasterized airflow slice plus
     # a ParaView-readable VTK file of the final solution.
-    case = fabric.twin._case
+    case = fabric.hub.twin._case
     assert case is not None
     fields = case.build_solver().solve().fields
     raster = slice_raster(fields, axis="z")

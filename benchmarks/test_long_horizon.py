@@ -65,8 +65,8 @@ def test_72_hour_operations(benchmark):
 
     # Telemetry: exactly-once per station across the whole horizon.
     n_batches = metrics.telemetry_sent // 5
-    for station in fabric.stations:
-        log = fabric.ucsb.get_log(f"telemetry.{station.station_id}")
+    for station in fabric.farm.stations:
+        log = fabric.hub.ucsb.get_log(f"telemetry.{station.station_id}")
         assert log.last_seqno == n_batches
 
     # Change alerts stay economical: a handful per front, not per cycle.
@@ -85,13 +85,13 @@ def test_72_hour_operations(benchmark):
     assert confirmed_panels == {0, 3}
 
     # Multi-site placement was exercised.
-    assert fabric.multisite is not None
-    assert sum(fabric.multisite.placement_counts().values()) >= len(
+    assert fabric.hub.multisite is not None
+    assert sum(fabric.hub.multisite.placement_counts().values()) >= len(
         metrics.cfd_runs
     )
 
     # Return path delivered a summary for every refresh.
-    inbox = fabric.unl.get_log("operator.inbox")
+    inbox = fabric.farm.unl.get_log("operator.inbox")
     assert inbox.last_seqno == len(metrics.cfd_runs)
 
     # Span retention is O(ring size), not O(run length): the 72 h trace

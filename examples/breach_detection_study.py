@@ -41,17 +41,17 @@ def run_scenario(seed: int, severity: float | None):
                     temperature_delta_k=-3.0)
     )
     if severity is not None:
-        fabric.breaches.add(BreachEvent(
+        fabric.farm.breaches.add(BreachEvent(
             panel_index=BREACH_PANEL, at_time_s=BREACH_AT_S,
             severity=severity, cause="study",
         ))
     metrics = fabric.run(HORIZON_S)
     post = [
-        c for c in fabric.twin.comparisons
+        c for c in fabric.hub.twin.comparisons
         if c.breach_suspected and c.time_s >= BREACH_AT_S
     ]
     pre = [
-        c for c in fabric.twin.comparisons
+        c for c in fabric.hub.twin.comparisons
         if c.breach_suspected and c.time_s < BREACH_AT_S
     ]
     detection_delay = (post[0].time_s - BREACH_AT_S) if post else None
@@ -63,7 +63,7 @@ def run_scenario(seed: int, severity: float | None):
         "false_suspicions": len(pre) if severity is not None else (
             len(pre) + len(post)
         ),
-        "comparisons": len(fabric.twin.comparisons),
+        "comparisons": len(fabric.hub.twin.comparisons),
     }
 
 

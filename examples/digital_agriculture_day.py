@@ -40,7 +40,7 @@ def main() -> None:
     fabric.weather.add_shift(RegimeShift(
         at_time_s=9.5 * 3600.0, wind_delta_mps=3.0, temperature_delta_k=-4.0,
     ))
-    fabric.breaches.add(BreachEvent(
+    fabric.farm.breaches.add(BreachEvent(
         panel_index=3, at_time_s=14 * 3600.0, cause="bird-strike",
     ))
 
@@ -65,7 +65,7 @@ def main() -> None:
 
     print("\nBreach response:")
     first_suspicion = next(
-        (c for c in fabric.twin.comparisons if c.breach_suspected), None
+        (c for c in fabric.hub.twin.comparisons if c.breach_suspected), None
     )
     if first_suspicion is not None:
         print(f"  first suspicion at {hhmm(first_suspicion.time_s)} "
@@ -84,12 +84,12 @@ def main() -> None:
     for row in analyze_end_to_end(fabric).rows():
         print(f"  {row}")
 
-    if fabric.twin.has_prediction:
+    if fabric.hub.twin.has_prediction:
         from repro.cfd import render_ascii, slice_raster
 
         print("\nFinal CFD airflow slice at canopy height "
               "(|U|, darker = slower; the screen house is the calm block):")
-        fields = fabric.twin._case.build_solver().solve().fields
+        fields = fabric.hub.twin._case.build_solver().solve().fields
         print(render_ascii(slice_raster(fields, axis="z"), width=56))
 
 

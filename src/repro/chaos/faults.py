@@ -146,9 +146,11 @@ class NodePowerLossInjector(FaultInjection):
 
     def _target(self, fabric: "XGFabric") -> "CSPOTNode":
         try:
-            return {"unl": fabric.unl, "ucsb": fabric.ucsb, "nd": fabric.nd}[
-                self.node
-            ]
+            return {
+                "unl": fabric.farm.unl,
+                "ucsb": fabric.hub.ucsb,
+                "nd": fabric.hub.nd,
+            }[self.node]
         except KeyError:
             raise ValueError(f"unknown CSPOT node {self.node!r}") from None
 
@@ -185,7 +187,7 @@ class RadioFadeInjector(FaultInjection):
         self._saved = None
 
     def inject(self, fabric: "XGFabric") -> None:
-        ue = fabric._ue
+        ue = fabric.farm.ue
         if ue is None:
             return  # radio-free configuration: nothing to fade
         self._saved = ue.channel
@@ -193,7 +195,7 @@ class RadioFadeInjector(FaultInjection):
 
     def revert(self, fabric: "XGFabric") -> None:
         if self._saved is not None:
-            fabric._ue.channel = self._saved
+            fabric.farm.ue.channel = self._saved
 
 
 @dataclass
@@ -215,19 +217,19 @@ class UePowerLossInjector(FaultInjection):
         super().__post_init__()
 
     def inject(self, fabric: "XGFabric") -> None:
-        if fabric.radio is not None and fabric._ue is not None:
-            fabric.radio.detach_ue(fabric._ue)
+        if fabric.farm.radio is not None and fabric.farm.ue is not None:
+            fabric.farm.radio.detach_ue(fabric.farm.ue)
         fabric.transport.path("unl", "ucsb").faults.add_outage(
             fabric.engine.now, self.duration_s
         )
 
     def revert(self, fabric: "XGFabric") -> None:
-        if fabric.radio is not None and fabric._ue is not None:
-            fabric.radio.recover_ue(fabric._ue)
+        if fabric.farm.radio is not None and fabric.farm.ue is not None:
+            fabric.farm.radio.recover_ue(fabric.farm.ue)
         self._snapshot_telemetry(fabric)
 
     def recovered(self, fabric: "XGFabric") -> bool:
-        if fabric._ue is not None and not fabric._ue.attached:
+        if fabric.farm.ue is not None and not fabric.farm.ue.attached:
             return False
         return self._telemetry_progressed(fabric)
 
@@ -248,18 +250,18 @@ class PduSessionDropInjector(FaultInjection):
         super().__post_init__()
 
     def inject(self, fabric: "XGFabric") -> None:
-        if fabric.radio is None or fabric._ue is None:
+        if fabric.farm.radio is None or fabric.farm.ue is None:
             return
-        imsi = fabric._ue.sim.imsi
-        if fabric.radio.core.is_registered(imsi):
-            fabric.radio.core.deregister(imsi)
+        imsi = fabric.farm.ue.sim.imsi
+        if fabric.farm.radio.core.is_registered(imsi):
+            fabric.farm.radio.core.deregister(imsi)
 
     def revert(self, fabric: "XGFabric") -> None:
-        if fabric.radio is not None and fabric._ue is not None:
-            fabric.radio.recover_ue(fabric._ue)
+        if fabric.farm.radio is not None and fabric.farm.ue is not None:
+            fabric.farm.radio.recover_ue(fabric.farm.ue)
 
     def recovered(self, fabric: "XGFabric") -> bool:
-        return fabric._ue is None or fabric._ue.attached
+        return fabric.farm.ue is None or fabric.farm.ue.attached
 
 
 @dataclass
@@ -281,7 +283,7 @@ class HpcNodeFailureInjector(FaultInjection):
         self._failed_n = 0
 
     def inject(self, fabric: "XGFabric") -> None:
-        cluster = fabric.site.cluster
+        cluster = fabric.hub.site.cluster
         # Concurrent failures stack; at least one node must survive.
         self._failed_n = min(self.n_nodes, cluster.total_nodes - 1)
         if self._failed_n <= 0:
@@ -291,12 +293,12 @@ class HpcNodeFailureInjector(FaultInjection):
 
     def revert(self, fabric: "XGFabric") -> None:
         if self._failed_n > 0:
-            fabric.site.cluster.restore_nodes(self._failed_n)
+            fabric.hub.site.cluster.restore_nodes(self._failed_n)
 
     def recovered(self, fabric: "XGFabric") -> bool:
         # Healthy means the pilot layer has capacity on offer again.
-        fabric.controller.retire_finished()
-        return fabric.controller.nodes_available() > 0
+        fabric.hub.controller.retire_finished()
+        return fabric.hub.controller.nodes_available() > 0
 
 
 @dataclass
@@ -316,7 +318,7 @@ class PilotPreemptionInjector(FaultInjection):
 
         live = [
             p
-            for p in fabric.controller.pilots
+            for p in fabric.hub.controller.pilots
             if p.state in (PilotState.SUBMITTED, PilotState.ACTIVE)
         ]
         if not live:
@@ -324,13 +326,13 @@ class PilotPreemptionInjector(FaultInjection):
         victim = max(live, key=lambda p: (p.nodes, p.submit_time or 0.0))
         self.preempted = victim.name
         if victim.job is not None and not victim.job.is_terminal:
-            fabric.site.cluster.fail(victim.job)
+            fabric.hub.site.cluster.fail(victim.job)
 
     def recovered(self, fabric: "XGFabric") -> bool:
         if self.preempted is None:
             return True
-        fabric.controller.retire_finished()
-        return fabric.controller.nodes_available() > 0
+        fabric.hub.controller.retire_finished()
+        return fabric.hub.controller.nodes_available() > 0
 
 
 @dataclass
@@ -353,7 +355,7 @@ class QueueStormInjector(FaultInjection):
     def inject(self, fabric: "XGFabric") -> None:
         from repro.hpc.job import Job
 
-        cluster = fabric.site.cluster
+        cluster = fabric.hub.site.cluster
         nodes = min(self.nodes_per_job, cluster.total_nodes)
         for i in range(self.n_jobs):
             job = Job(
@@ -368,7 +370,7 @@ class QueueStormInjector(FaultInjection):
 
     def recovered(self, fabric: "XGFabric") -> bool:
         # The storm has passed when none of its jobs still occupy the queue.
-        cluster = fabric.site.cluster
+        cluster = fabric.hub.site.cluster
         names = set(self.submitted)
         live = [
             j

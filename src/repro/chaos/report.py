@@ -114,8 +114,8 @@ def audit_delivery(fabric: "XGFabric") -> DeliveryAudit:
     """Audit the telemetry logs at UCSB against the fabric's send count."""
     audit = DeliveryAudit(completed_sends=fabric.metrics.telemetry_sent)
     unique_total = 0
-    for station in fabric.stations:
-        log = fabric.ucsb.get_log(f"telemetry.{station.station_id}")
+    for station in fabric.farm.stations:
+        log = fabric.hub.ucsb.get_log(f"telemetry.{station.station_id}")
         seen: set[tuple[str, float]] = set()
         entries = 0
         for entry in log.scan():

@@ -14,13 +14,17 @@ Wires every substrate into the paper's Figure 3 pipeline:
     -> breach suspicion dispatches the Farm-NG robot to surveil the panel.
 
 :class:`~repro.core.fabric.XGFabric` runs the whole loop on one simulation
-engine; :mod:`repro.core.e2e` produces the section 4.4 accounting.
+engine, composed of a :class:`~repro.core.fabric.FarmSite` (the farm and its
+5G cell) and a :class:`~repro.core.fabric.Hub` (repository, Laminar, HPC,
+CFD, twin); :class:`~repro.core.fabric_sharded.ShardedFabricScenario` runs
+many such farms into one hub across workers; :mod:`repro.core.e2e` produces
+the section 4.4 accounting.
 """
 
 from repro.core.config import FabricConfig
 from repro.core.telemetry import TelemetryRecord
 from repro.core.digital_twin import DigitalTwin, TwinComparison
-from repro.core.fabric import CfdRunRecord, FabricMetrics, XGFabric
+from repro.core.fabric import CfdRunRecord, FabricMetrics, FarmSite, Hub, XGFabric
 from repro.core.e2e import (
     E2EReport,
     FIG3_STAGES,
@@ -37,6 +41,8 @@ __all__ = [
     "DigitalTwin",
     "TwinComparison",
     "XGFabric",
+    "FarmSite",
+    "Hub",
     "FabricMetrics",
     "CfdRunRecord",
     "E2EReport",

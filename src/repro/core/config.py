@@ -78,9 +78,12 @@ class FabricConfig:
     def __post_init__(self) -> None:
         if self.telemetry_interval_s <= 0 or self.duty_cycle_s <= 0:
             raise ValueError("intervals must be positive")
-        if self.duty_cycle_s < 2 * self.window_size * self.telemetry_interval_s / 2:
-            # Need at least two full windows of readings per comparison.
-            pass  # informational; the fabric waits until enough data exists
+        if self.window_size < 2:
+            raise ValueError(f"window_size must be >= 2: {self.window_size}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha out of (0,1): {self.alpha}")
+        if not 1 <= self.vote_threshold <= 3:
+            raise ValueError(f"vote_threshold out of 1..3: {self.vote_threshold}")
         if self.cores_per_simulation < 1:
             raise ValueError("cores_per_simulation must be >= 1")
         if self.residual_threshold_mps <= 0:

@@ -115,7 +115,7 @@ def analyze_end_to_end(
     """Compute the section 4.4 accounting for a completed fabric run."""
     m = metrics if metrics is not None else fabric.metrics
     cfg = fabric.config
-    perf: CfdPerformanceModel = fabric.perfmodel
+    perf: CfdPerformanceModel = fabric.hub.perfmodel
     transfer, source = _transfer_leg(fabric)
     sustained = perf.sustained_interval_s(cfg.cores_per_simulation)
     if m.cfd_runs:

@@ -1,33 +1,49 @@
-"""XGFabric: the end-to-end system.
+"""XGFabric: the end-to-end system, built from a farm site and a hub.
 
-One :class:`XGFabric` instance owns the full Figure 3 pipeline on a single
-simulation engine. Telemetry flows as real bytes through CSPOT logs over
-the calibrated 5G+Internet paths; change detection is the Laminar program
+The Figure 3 pipeline has two sites:
+
+* :class:`FarmSite` -- one farm inside its private 5G cell: the weather
+  truth, the stations, the Farm-ng robot, the ``unl`` CSPOT node, and the
+  5G network with its gateway UE. A telemetry round reads every station
+  and sends each record up an uplink.
+* :class:`Hub` -- the repository and HPC side: the ``ucsb`` and ``nd``
+  nodes, Laminar change detection on the duty cycle
+  (:class:`ChangeDetection`), ND's alert poll, pilots on the batch
+  cluster, the triggered CFD, and the digital twin.
+
+:class:`XGFabric` builds one of each on a single simulation engine with one
+CSPOT transport, wires the farm's uplink to the hub's telemetry logs, and
+runs the loop. Telemetry flows as real bytes through CSPOT logs over the
+calibrated 5G+Internet paths; change detection is the Laminar program
 running on those logs; CFD triggers acquire nodes through the pilot layer
 on a batch-scheduled cluster; the digital twin compares a real (small-
 scale) CFD solution against measured interior conditions and dispatches
-the robot on suspicion.
+the robot on suspicion. The sharded fabric
+(:mod:`repro.core.fabric_sharded`) builds every site from the same
+:class:`FarmSite` and runs the hub's :class:`ChangeDetection` per farm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Generator, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Generator, Optional, Sequence
 
 import numpy as np
 
 from repro.cfd.case import CfdCase, TelemetrySnapshot, case_from_telemetry
 from repro.cfd.perfmodel import CfdPerformanceModel, runtime_rng
+from repro.chaos.policies import RetryPolicy
 from repro.core.config import FabricConfig
 from repro.core.digital_twin import DigitalTwin
 from repro.core.telemetry import TELEMETRY_ELEMENT_SIZE, TelemetryRecord
 from repro.cspot.errors import NodeDownError, PartitionedError
+from repro.cspot.log import WooF
 from repro.cspot.node import CSPOTNode
 from repro.cspot.paths import testbed_paths
 from repro.cspot.transport import RemoteAppendClient, Transport
 from repro.hpc.site import HpcSite, QueueLoadGenerator
 from repro.hpc.sites import nd_crc
-from repro.laminar.change_detect import ChangeDetector, build_change_detection_graph
+from repro.laminar.change_detect import build_change_detection_graph
 from repro.laminar.runtime import LaminarRuntime
 from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import SLO, Alert, SLOEngine
@@ -52,6 +68,10 @@ from repro.simkernel import Engine, Event
 
 #: Process bodies yield events and may receive any triggered value back.
 FabricProcess = Generator[Event, Any, None]
+
+#: A farm's telemetry uplink: sends one station's record bytes and returns
+#: the event the farm waits on before it reads the next station.
+Uplink = Callable[[WeatherStation, bytes], Event]
 
 
 @dataclass
@@ -97,103 +117,262 @@ class FabricMetrics:
         return sum(1 for r in self.robot_reports if r.breach_confirmed)
 
 
-class XGFabric:
-    """The assembled system.
+class FarmSite:
+    """One farm inside its private 5G cell.
+
+    The weather truth, the station grid, the Farm-ng robot, the ``unl``
+    CSPOT node (it holds the operator's inbox), and the 5G network with
+    the gateway UE every byte leaves through.
 
     Parameters
     ----------
-    config:
-        Operating points (defaults = the paper's).
+    engine / config / metrics:
+        The simulation engine, the operating points, and the metrics the
+        telemetry rounds count into.
     breaches:
-        Optional breach schedule (ground truth for the scenario).
-    site:
-        HPC site override; default a Notre Dame CRC preset.
+        Ground-truth breach schedule the interior stations feel.
+    cell:
+        The farm's cell in a sharded fabric: its sensors draw their own
+        ``shard.cell<ccc>.*`` streams. ``None`` (the one farm of a
+        single-engine fabric) draws the ``sensors.*`` streams.
     tracer:
-        Observability tracer (see :mod:`repro.obs`). Disabled by default
-        (``NULL_TRACER``); pass ``Tracer()`` to record spans and metrics
-        across every layer -- the engine hook, CSPOT appends, Laminar
-        fires, pilot decisions, and CFD solves all report through it.
-    slos:
-        Declarative :class:`~repro.obs.slo.SLO` specs (e.g.
-        :func:`~repro.core.e2e.fig3_slos`) evaluated online as spans
-        finish; the engine lands on ``self.slo_engine``. Requires an
-        enabled tracer.
-    recorder:
-        A :class:`~repro.obs.recorder.FlightRecorder` to keep recording
-        the most recent spans/metric deltas in bounded memory. Snapshots
-        fire on SLO breach (when ``slos`` is given) and on chaos fault
-        injection. Requires an enabled tracer.
-    stream:
-        A :class:`~repro.obs.stream.StreamAggregator` fed every span
-        duration and metric observation online (live p50/p95/p99 in
-        O(buckets) memory). Requires an enabled tracer.
+        Records a ``radio.tx`` span per sent record when enabled.
     """
 
     def __init__(
         self,
-        config: Optional[FabricConfig] = None,
+        engine: Engine,
+        config: FabricConfig,
+        metrics: FabricMetrics,
         breaches: Optional[BreachSchedule] = None,
-        site: Optional[HpcSite] = None,
-        tracer: Optional[Tracer] = None,
-        slos: Optional[Sequence[SLO]] = None,
-        recorder: Optional[FlightRecorder] = None,
-        stream: Optional[StreamAggregator] = None,
+        cell: Optional[int] = None,
+        tracer: Tracer = NULL_TRACER,
     ) -> None:
-        self.config = config if config is not None else FabricConfig()
-        cfg = self.config
-        self.engine = Engine(seed=cfg.seed)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        if self.tracer.enabled:
-            # Single attachment point: the engine clock becomes the span
-            # sim-time source and events count into ``sim.events``.
-            self.tracer.attach(self.engine)
-        elif slos is not None or recorder is not None or stream is not None:
-            raise ValueError(
-                "slos/recorder/stream need spans to consume: construct the "
-                "fabric with an enabled tracer (tracer=Tracer())"
-            )
-        self.recorder = recorder
-        self.stream = stream
-        self.slo_engine: Optional[SLOEngine] = None
-        if recorder is not None:
-            # Subscribed before the SLO engine so a breach-triggered
-            # snapshot already contains the span that breached.
-            recorder.bind_clock(self.tracer.now_sim)
-            self.tracer.subscribe(recorder)
-            self.tracer.metrics.subscribe(recorder)
-        if stream is not None:
-            stream.bind_clock(self.tracer.now_sim)
-            self.tracer.subscribe(stream)
-            self.tracer.metrics.subscribe(stream)
-        if slos is not None:
-            engine_sink = SLOEngine(list(slos))
-            self.slo_engine = engine_sink
-            self.tracer.subscribe(engine_sink)
-            if recorder is not None:
-                rec = recorder
-
-                def _snapshot_on_breach(alert: Alert) -> None:
-                    rec.snapshot(trigger=f"slo:{alert.slo}/{alert.rule}")
-
-                engine_sink.on_breach(_snapshot_on_breach)
-        self.metrics = FabricMetrics()
+        self.engine = engine
+        self.metrics = metrics
+        self.tracer = tracer
         self.breaches = breaches if breaches is not None else BreachSchedule()
-
-        # -- physical world ---------------------------------------------------
-        self.weather = SyntheticWeather.from_engine(self.engine)
-        self.stations: list[WeatherStation] = station_grid(cfg.n_interior_stations)
+        self.weather = SyntheticWeather.from_engine(engine, cell)
+        self.stations: list[WeatherStation] = station_grid(
+            config.n_interior_stations
+        )
         self.exterior_station = next(s for s in self.stations if not s.interior)
-        self.robot = FarmNgRobot(self.engine)
+        self.robot = FarmNgRobot(engine, cell=cell)
+        self.instruments = instrument_rng(engine, cell)
+        self.unl = CSPOTNode(engine, "unl")
+        self.unl.create_log("operator.inbox", element_size=256, history_size=1024)
+        # The private 5G network: byte accounting and the attach pipeline.
+        self.radio: Optional[PrivateCellularNetwork] = None
+        self.ue: Optional[UserEquipment] = None
+        if config.include_radio:
+            self.radio = NetworkDeployment.build(
+                "5g-tdd", config.radio_bandwidth_mhz, name="prod"
+            )
+            self.ue = self.radio.add_ue("raspberry-pi", ue_id="unl-gateway")
+            if tracer.enabled:
+                self.radio.gnb.bind_metrics(tracer.metrics)
 
-        # -- CSPOT topology (Fig. 3) --------------------------------------------
-        self.unl = CSPOTNode(self.engine, "unl")
-        self.ucsb = CSPOTNode(self.engine, "ucsb")
-        self.nd = CSPOTNode(self.engine, "nd")
-        self.transport = Transport(self.engine, tracer=self.tracer)
-        paths = testbed_paths()
-        self.transport.connect("unl", "ucsb", paths["unl-ucsb-5g"])
-        self.transport.connect("ucsb", "nd", paths["ucsb-nd-internet"])
+    def telemetry_round(
+        self, uplink: Uplink, derate: Optional[float] = None
+    ) -> Generator[Event, Any, list[StationReading]]:
+        """Read every station once and send each record up ``uplink``.
+
+        The farm waits for each send before it reads the next station, so
+        a round's read times trail its start by the uplink latencies. A
+        ``derate`` scales the round's wind readings (a degraded sensor
+        block). Returns the round's readings.
+        """
+        tr = self.tracer
+        readings: list[StationReading] = []
         for station in self.stations:
+            reading = station.read(
+                self.weather,
+                self.engine.now,
+                self.instruments,
+                breaches=self.breaches,
+            )
+            if derate is not None:
+                reading = replace(
+                    reading, wind_speed_mps=reading.wind_speed_mps * derate
+                )
+            readings.append(reading)
+            payload = TelemetryRecord.from_reading(reading).to_bytes()
+            start = self.engine.now
+            if tr.enabled:
+                # The uplink TX itself is an instant here: its
+                # serialization cost is folded into the calibrated
+                # UNL->UCSB path latency of the append that follows.
+                tr.record(
+                    "radio.tx", start, start,
+                    category="radio",
+                    attrs={
+                        "station": station.station_id,
+                        "bytes": len(payload),
+                    },
+                )
+            yield uplink(station, payload)
+            self.metrics.telemetry_latencies_s.append(self.engine.now - start)
+            self.metrics.telemetry_sent += 1
+            self.metrics.telemetry_bytes += len(payload)
+            self.route_uplink(len(payload))
+        return readings
+
+    def route_uplink(self, n_bytes: int) -> None:
+        """Account ``n_bytes`` through the 5G core while the UE is attached."""
+        if self.radio is not None and self.ue is not None and self.ue.attached:
+            self.radio.core.route_uplink(self.ue.session, n_bytes)
+
+
+def reliable_appender(
+    transport: Transport,
+    policy: RetryPolicy,
+    client: CSPOTNode,
+    server: CSPOTNode,
+    log_name: str,
+) -> RemoteAppendClient:
+    """A reliable ``client -> server`` appender on the configured append policy."""
+    return RemoteAppendClient(
+        transport, client, server, log_name,
+        retry_backoff_s=policy.backoff_s,
+        max_retries=policy.max_attempts,
+        max_backoff_s=policy.max_backoff_s,
+        backoff_factor=policy.backoff_factor,
+    )
+
+
+@dataclass(frozen=True)
+class Decision:
+    """One duty cycle's Laminar verdicts: the three tests and their vote."""
+
+    epoch: int
+    welch_t: bool
+    mann_whitney: bool
+    ks: bool
+    alert: bool
+
+
+class ChangeDetection:
+    """The hub's duty-cycle change detection: Laminar's three-test vote.
+
+    One Laminar change-detection program (Welch t, Mann-Whitney U and KS
+    at ``config.alpha``, voted at ``config.vote_threshold``) on the hub's
+    CSPOT hosts. Each :meth:`decide` is one epoch: the last two
+    ``window_size`` windows of a farm's exterior wind. The :class:`Hub`
+    decides its one farm; a sharded fabric's hub site decides every farm
+    on one program, one epoch each.
+    """
+
+    def __init__(
+        self,
+        engine: Engine,
+        config: FabricConfig,
+        hosts: dict[str, CSPOTNode],
+        transport: Transport,
+        tracer: Tracer = NULL_TRACER,
+    ) -> None:
+        self.config = config
+        self.tracer = tracer
+        self.graph = build_change_detection_graph(
+            alpha=config.alpha,
+            vote_threshold=config.vote_threshold,
+            test_host=config.test_host,
+            vote_host=config.vote_host,
+        )
+        self.runtime = LaminarRuntime(
+            engine,
+            self.graph,
+            hosts=hosts,
+            transport=transport,
+            default_host="ucsb",
+            tracer=tracer,
+        )
+        #: Epochs submitted so far (the next epoch's index).
+        self.epochs = 0
+
+    def decide(self, log: WooF) -> Generator[Event, Any, Optional[Decision]]:
+        """Vote on the exterior wind in ``log``: one Laminar epoch.
+
+        Compares the last ``window_size`` readings against the
+        ``window_size`` before them. Returns ``None`` without an epoch
+        while the log holds fewer than two windows.
+        """
+        cfg = self.config
+        series = [
+            TelemetryRecord.from_bytes(entry.payload).wind_speed_mps
+            for entry in log.scan()
+        ]
+        if len(series) < cfg.readings_needed:
+            return None
+        current = np.asarray(series[-cfg.window_size:])
+        previous = np.asarray(series[-cfg.readings_needed: -cfg.window_size])
+        epoch = self.epochs
+        self.epochs += 1
+        span = (
+            self.tracer.span(
+                "laminar.epoch", category="laminar", attrs={"epoch": epoch}
+            )
+            if self.tracer.enabled
+            else NULL_SPAN
+        )
+        self.runtime.submit(epoch, {"current": current, "previous": previous})
+        yield self.runtime.epoch_done(epoch)
+        decision = self.decision(epoch)
+        span.annotate(alert=decision.alert).end()
+        return decision
+
+    def decision(self, epoch: int) -> Decision:
+        """The verdicts of a completed epoch."""
+        value = self.runtime.value
+        return Decision(
+            epoch=epoch,
+            welch_t=bool(value("welch_t_different", epoch)),
+            mann_whitney=bool(value("mann_whitney_different", epoch)),
+            ks=bool(value("ks_different", epoch)),
+            alert=bool(value("alert", epoch)),
+        )
+
+
+class Hub:
+    """The repository and HPC side of the fabric, serving one farm.
+
+    The ``ucsb`` repository (the farm's telemetry logs, the alert log,
+    the Laminar program) and the ``nd`` HPC head node with the batch
+    cluster, the pilot controller, the triggered CFD and the digital
+    twin. Its processes start with :meth:`start`.
+
+    Parameters
+    ----------
+    engine / config / transport / metrics / tracer:
+        Shared with the farm: one engine, one CSPOT transport.
+    farm:
+        The farm whose telemetry the hub stores, whose exterior wind it
+        watches, and whose operator inbox (on ``unl``) it notifies.
+    site:
+        HPC site override; default a Notre Dame CRC preset.
+    """
+
+    def __init__(
+        self,
+        engine: Engine,
+        config: FabricConfig,
+        transport: Transport,
+        metrics: FabricMetrics,
+        farm: FarmSite,
+        site: Optional[HpcSite] = None,
+        tracer: Tracer = NULL_TRACER,
+    ) -> None:
+        cfg = config
+        self.engine = engine
+        self.config = config
+        self.transport = transport
+        self.metrics = metrics
+        self.farm = farm
+        self.tracer = tracer
+
+        # -- CSPOT (Fig. 3) ---------------------------------------------------
+        self.ucsb = CSPOTNode(engine, "ucsb")
+        self.nd = CSPOTNode(engine, "nd")
+        for station in farm.stations:
             self.ucsb.create_log(
                 f"telemetry.{station.station_id}",
                 element_size=TELEMETRY_ELEMENT_SIZE,
@@ -205,184 +384,82 @@ class XGFabric:
         # results can be returned to the site operator to guide the
         # application of water, pesticides, or to detect failures".
         self.ucsb.create_log("cfd.summary", element_size=256, history_size=1024)
-        self.unl.create_log("operator.inbox", element_size=256, history_size=1024)
-        # Reliable appends follow the configured append policy (defaults =
-        # the historical constants, so behaviour is unchanged until a
-        # policy says otherwise).
-        ap = cfg.policies.append
-
-        def _appender(
-            client: CSPOTNode, server: CSPOTNode, log_name: str
-        ) -> RemoteAppendClient:
-            return RemoteAppendClient(
-                self.transport, client, server, log_name,
-                retry_backoff_s=ap.backoff_s,
-                max_retries=ap.max_attempts,
-                max_backoff_s=ap.max_backoff_s,
-                backoff_factor=ap.backoff_factor,
-            )
-
-        self._summary_appender = _appender(self.nd, self.ucsb, "cfd.summary")
-        self._operator_appender = _appender(self.ucsb, self.unl, "operator.inbox")
-        self._appenders = {
-            station.station_id: _appender(
-                self.unl, self.ucsb, f"telemetry.{station.station_id}"
-            )
-            for station in self.stations
-        }
-
-        # -- private 5G network (byte accounting + attach pipeline) -----------------
-        self.radio: Optional[PrivateCellularNetwork] = None
-        self._ue: Optional[UserEquipment] = None
-        if cfg.include_radio:
-            self.radio = NetworkDeployment.build(
-                "5g-tdd", cfg.radio_bandwidth_mhz, name="prod"
-            )
-            self._ue = self.radio.add_ue("raspberry-pi", ue_id="unl-gateway")
-            if self.tracer.enabled:
-                self.radio.gnb.bind_metrics(self.tracer.metrics)
-
-        # -- change detection (Laminar on CSPOT) --------------------------------------
-        self.detector = ChangeDetector(
-            window_size=cfg.window_size,
-            alpha=cfg.alpha,
-            vote_threshold=cfg.vote_threshold,
+        policy = cfg.policies.append
+        self._summary_appender = reliable_appender(
+            transport, policy, self.nd, self.ucsb, "cfd.summary"
         )
-        self._laminar_graph = build_change_detection_graph(
-            alpha=cfg.alpha,
-            vote_threshold=cfg.vote_threshold,
-            test_host=cfg.test_host,
-            vote_host=cfg.vote_host,
+        self._operator_appender = reliable_appender(
+            transport, policy, self.ucsb, farm.unl, "operator.inbox"
         )
-        self._laminar = LaminarRuntime(
-            self.engine,
-            self._laminar_graph,
-            hosts={"unl": self.unl, "ucsb": self.ucsb},
-            transport=self.transport,
-            default_host="ucsb",
-            tracer=self.tracer,
-        )
-        self._epoch = 0
 
-        # -- HPC + pilots ----------------------------------------------------------------
-        self.site = site if site is not None else nd_crc(self.engine, cfg.hpc_nodes)
+        # -- change detection (Laminar on CSPOT) ------------------------------
+        self.detection = ChangeDetection(
+            engine,
+            cfg,
+            hosts={"unl": farm.unl, "ucsb": self.ucsb},
+            transport=transport,
+            tracer=tracer,
+        )
+
+        # -- HPC + pilots -----------------------------------------------------
+        self.site = site if site is not None else nd_crc(engine, cfg.hpc_nodes)
         self.perfmodel = CfdPerformanceModel(
             cores_per_node=self.site.cluster.cores_per_node
         )
         self.controller = PilotController(
-            self.engine,
+            engine,
             self.site,
             threshold_bytes=cfg.pilot_threshold_bytes,
             task_runtime_estimate_s=self.perfmodel.total_time(
                 cfg.cores_per_simulation
             ),
             walltime_factor=cfg.pilot_walltime_factor,
-            tracer=self.tracer,
+            tracer=tracer,
         )
         self.multisite: Optional[MultiSitePilotController] = None
         if cfg.multi_site:
             from repro.hpc.sites import all_sites
 
-            sites = all_sites(self.engine)
+            sites = all_sites(engine)
             sites["nd-crc"] = self.site  # keep the configured ND shape
             self.multisite = MultiSitePilotController(
-                self.engine,
+                engine,
                 sites,
                 cores_per_task=cfg.cores_per_simulation,
                 threshold_bytes=cfg.pilot_threshold_bytes,
                 walltime_factor=cfg.pilot_walltime_factor,
             )
-        self._bg_load: Optional[QueueLoadGenerator] = None
+        self.bg_load: Optional[QueueLoadGenerator] = None
         if cfg.background_jobs_per_hour > 0:
-            self._bg_load = QueueLoadGenerator(
+            self.bg_load = QueueLoadGenerator(
                 self.site, arrival_rate_per_hour=cfg.background_jobs_per_hour
             )
 
-        # -- digital twin ------------------------------------------------------------------
+        # -- digital twin -----------------------------------------------------
         self.twin = DigitalTwin(
-            self.stations,
+            farm.stations,
             residual_threshold_mps=cfg.residual_threshold_mps,
             calibration_alpha=cfg.calibration_alpha,
         )
         self._cfd_busy = False
         self._last_alert_seqno = 0
-        self._confirmed_panels: set[int] = set()
 
-    # -- the run ------------------------------------------------------------------
-
-    def run(self, duration_s: float) -> FabricMetrics:
-        """Run the whole pipeline for ``duration_s`` of simulated time."""
-        cfg = self.config
-        root = (
-            self.tracer.span(
-                "fabric.run",
-                category="fabric",
-                attrs={"duration_s": duration_s, "seed": cfg.seed},
-            )
-            if self.tracer.enabled
-            else NULL_SPAN
-        )
+    def start(self, duration_s: float) -> None:
+        """Start the hub's processes for a run of ``duration_s``."""
         self.controller.bootstrap()  # the paper's initial single-node pilot
-        if self._bg_load is not None:
-            self._bg_load.start(duration_s)
-        self.engine.process(self._telemetry_loop(duration_s), name="telemetry-loop")
-        self.engine.process(self._duty_cycle_loop(duration_s), name="duty-cycle")
-        self.engine.process(
-            self._alert_poll_loop(duration_s), name="nd-alert-poller"
-        )
-        if cfg.policies.pilot_watchdog_s > 0:
-            self.engine.process(
-                self._pilot_watchdog(duration_s), name="pilot-watchdog"
-            )
-        self.engine.run(until=duration_s)
-        root.annotate(
-            telemetry_sent=self.metrics.telemetry_sent,
-            change_alerts=self.metrics.change_alerts,
-            cfd_runs=len(self.metrics.cfd_runs),
-        ).end()
-        return self.metrics
+        if self.bg_load is not None:
+            self.bg_load.start(duration_s)
+        engine = self.engine
+        engine.process(self._duty_cycle_loop(duration_s), name="duty-cycle")
+        engine.process(self._alert_poll_loop(duration_s), name="nd-alert-poller")
+        if self.config.policies.pilot_watchdog_s > 0:
+            engine.process(self._pilot_watchdog(duration_s), name="pilot-watchdog")
 
-    # -- processes --------------------------------------------------------------------
-
-    def _telemetry_loop(self, duration_s: float) -> FabricProcess:
-        cfg = self.config
-        tr = self.tracer
-        while self.engine.now + cfg.telemetry_interval_s <= duration_s:
-            yield self.engine.timeout(cfg.telemetry_interval_s)
-            readings: list[StationReading] = []
-            for station in self.stations:
-                reading = station.read(
-                    self.weather,
-                    self.engine.now,
-                    instrument_rng(self.engine),
-                    breaches=self.breaches,
-                )
-                readings.append(reading)
-                payload = TelemetryRecord.from_reading(reading).to_bytes()
-                start = self.engine.now
-                if tr.enabled:
-                    # The uplink TX itself is an instant here: its
-                    # serialization cost is folded into the calibrated
-                    # UNL->UCSB path latency of the append that follows.
-                    tr.record(
-                        "radio.tx", start, start,
-                        category="radio",
-                        attrs={
-                            "station": station.station_id,
-                            "bytes": len(payload),
-                        },
-                    )
-                yield self._appenders[station.station_id].append(payload)
-                self.metrics.telemetry_latencies_s.append(self.engine.now - start)
-                self.metrics.telemetry_sent += 1
-                self.metrics.telemetry_bytes += len(payload)
-                if self.radio is not None and self._ue is not None and self._ue.attached:
-                    self.radio.core.route_uplink(self._ue.session, len(payload))
-            # Twin comparison against the freshest interior measurements.
-            self._compare_twin(readings)
+    # -- processes ------------------------------------------------------------
 
     def _duty_cycle_loop(self, duration_s: float) -> FabricProcess:
         cfg = self.config
+        exterior = f"telemetry.{self.farm.exterior_station.station_id}"
         while self.engine.now + cfg.duty_cycle_s <= duration_s:
             yield self.engine.timeout(cfg.duty_cycle_s)
             self.metrics.duty_cycles += 1
@@ -390,29 +467,10 @@ class XGFabric:
                 # The repository is dark (power-loss fault): detection has
                 # nothing to read; the parked telemetry serves next cycle.
                 continue
-            series = self._exterior_wind_series()
-            if len(series) < cfg.readings_needed:
-                continue
-            current = np.asarray(series[-cfg.window_size:])
-            previous = np.asarray(
-                series[-cfg.readings_needed: -cfg.window_size]
+            decision = yield from self.detection.decide(
+                self.ucsb.get_log(exterior)
             )
-            epoch = self._epoch
-            self._epoch += 1
-            span = (
-                self.tracer.span(
-                    "laminar.epoch",
-                    category="laminar",
-                    attrs={"epoch": epoch},
-                )
-                if self.tracer.enabled
-                else NULL_SPAN
-            )
-            self._laminar.submit(epoch, {"current": current, "previous": previous})
-            yield self._laminar.epoch_done(epoch)
-            alert = bool(self._laminar.value("alert", epoch))
-            span.annotate(alert=alert).end()
-            if alert:
+            if decision is not None and decision.alert:
                 self.metrics.change_alerts += 1
                 self.ucsb.local_append(
                     "alerts", f"alert@{self.engine.now:.0f}".encode()
@@ -596,7 +654,7 @@ class XGFabric:
         finally:
             self._cfd_busy = False
 
-    # -- helpers ------------------------------------------------------------------------
+    # -- helpers --------------------------------------------------------------
 
     def _acquire_pilot(self, case: CfdCase) -> tuple[str, Pilot, int]:
         """(site name, pilot, nodes needed) via single- or multi-site path."""
@@ -619,24 +677,17 @@ class XGFabric:
             pilot = self.controller.pilots[-1]  # freshly submitted
         return self.site.name, pilot, nodes_needed
 
-    def _exterior_wind_series(self) -> list[float]:
-        log = self.ucsb.get_log(f"telemetry.{self.exterior_station.station_id}")
-        return [
-            TelemetryRecord.from_bytes(entry.payload).wind_speed_mps
-            for entry in log.scan()
-        ]
-
     def _latest_snapshot(self) -> TelemetrySnapshot:
         """Assemble the CFD boundary conditions from the freshest telemetry."""
         ext_log = self.ucsb.get_log(
-            f"telemetry.{self.exterior_station.station_id}"
+            f"telemetry.{self.farm.exterior_station.station_id}"
         )
         if ext_log.last_seqno == 0:
             raise RuntimeError("no telemetry available to build a CFD case")
         ext = TelemetryRecord.from_bytes(ext_log.get(ext_log.last_seqno).payload)
         interior_temps: list[float] = []
         humidity = ext.relative_humidity
-        for station in self.stations:
+        for station in self.farm.stations:
             if not station.interior:
                 continue
             log = self.ucsb.get_log(f"telemetry.{station.station_id}")
@@ -656,12 +707,164 @@ class XGFabric:
             timestamp_s=self.engine.now,
         )
 
+
+class XGFabric:
+    """The assembled system: one :class:`FarmSite` and one :class:`Hub`.
+
+    Both sites share one engine and one CSPOT transport; the farm's
+    uplink is a reliable append per station into the hub's telemetry
+    logs. The farm lands on ``self.farm`` and the hub on ``self.hub``.
+
+    Parameters
+    ----------
+    config:
+        Operating points (defaults = the paper's).
+    breaches:
+        Optional breach schedule (ground truth for the scenario).
+    site:
+        HPC site override; default a Notre Dame CRC preset.
+    tracer:
+        Observability tracer (see :mod:`repro.obs`). Disabled by default
+        (``NULL_TRACER``); pass ``Tracer()`` to record spans and metrics
+        across every layer -- the engine hook, CSPOT appends, Laminar
+        fires, pilot decisions, and CFD solves all report through it.
+    slos:
+        Declarative :class:`~repro.obs.slo.SLO` specs (e.g.
+        :func:`~repro.core.e2e.fig3_slos`) evaluated online as spans
+        finish; the engine lands on ``self.slo_engine``. Requires an
+        enabled tracer.
+    recorder:
+        A :class:`~repro.obs.recorder.FlightRecorder` to keep recording
+        the most recent spans/metric deltas in bounded memory. Snapshots
+        fire on SLO breach (when ``slos`` is given) and on chaos fault
+        injection. Requires an enabled tracer.
+    stream:
+        A :class:`~repro.obs.stream.StreamAggregator` fed every span
+        duration and metric observation online (live p50/p95/p99 in
+        O(buckets) memory). Requires an enabled tracer.
+    """
+
+    def __init__(
+        self,
+        config: Optional[FabricConfig] = None,
+        breaches: Optional[BreachSchedule] = None,
+        site: Optional[HpcSite] = None,
+        tracer: Optional[Tracer] = None,
+        slos: Optional[Sequence[SLO]] = None,
+        recorder: Optional[FlightRecorder] = None,
+        stream: Optional[StreamAggregator] = None,
+    ) -> None:
+        self.config = config if config is not None else FabricConfig()
+        cfg = self.config
+        self.engine = Engine(seed=cfg.seed)
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        if self.tracer.enabled:
+            # Single attachment point: the engine clock becomes the span
+            # sim-time source and events count into ``sim.events``.
+            self.tracer.attach(self.engine)
+        elif slos is not None or recorder is not None or stream is not None:
+            raise ValueError(
+                "slos/recorder/stream need spans to consume: construct the "
+                "fabric with an enabled tracer (tracer=Tracer())"
+            )
+        self.recorder = recorder
+        self.stream = stream
+        self.slo_engine: Optional[SLOEngine] = None
+        if recorder is not None:
+            # Subscribed before the SLO engine so a breach-triggered
+            # snapshot already contains the span that breached.
+            recorder.bind_clock(self.tracer.now_sim)
+            self.tracer.subscribe(recorder)
+            self.tracer.metrics.subscribe(recorder)
+        if stream is not None:
+            stream.bind_clock(self.tracer.now_sim)
+            self.tracer.subscribe(stream)
+            self.tracer.metrics.subscribe(stream)
+        if slos is not None:
+            engine_sink = SLOEngine(list(slos))
+            self.slo_engine = engine_sink
+            self.tracer.subscribe(engine_sink)
+            if recorder is not None:
+                rec = recorder
+
+                def _snapshot_on_breach(alert: Alert) -> None:
+                    rec.snapshot(trigger=f"slo:{alert.slo}/{alert.rule}")
+
+                engine_sink.on_breach(_snapshot_on_breach)
+        self.metrics = FabricMetrics()
+
+        # One transport carries farm appends and hub traffic alike: their
+        # latency draws share the ``cspot.transport`` stream in event order.
+        self.transport = Transport(self.engine, tracer=self.tracer)
+        self.farm = FarmSite(
+            self.engine, cfg, self.metrics, breaches=breaches, tracer=self.tracer
+        )
+        self.hub = Hub(
+            self.engine, cfg, self.transport, self.metrics, self.farm,
+            site=site, tracer=self.tracer,
+        )
+        #: The farm's weather truth (scenarios add fronts through it).
+        self.weather = self.farm.weather
+        paths = testbed_paths()
+        self.transport.connect("unl", "ucsb", paths["unl-ucsb-5g"])
+        self.transport.connect("ucsb", "nd", paths["ucsb-nd-internet"])
+        self._appenders = {
+            station.station_id: reliable_appender(
+                self.transport,
+                cfg.policies.append,
+                self.farm.unl,
+                self.hub.ucsb,
+                f"telemetry.{station.station_id}",
+            )
+            for station in self.farm.stations
+        }
+        self._confirmed_panels: set[int] = set()
+
+    # -- the run ------------------------------------------------------------------
+
+    def run(self, duration_s: float) -> FabricMetrics:
+        """Run the whole pipeline for ``duration_s`` of simulated time."""
+        cfg = self.config
+        root = (
+            self.tracer.span(
+                "fabric.run",
+                category="fabric",
+                attrs={"duration_s": duration_s, "seed": cfg.seed},
+            )
+            if self.tracer.enabled
+            else NULL_SPAN
+        )
+        self.engine.process(self._telemetry_loop(duration_s), name="telemetry-loop")
+        self.hub.start(duration_s)
+        self.engine.run(until=duration_s)
+        root.annotate(
+            telemetry_sent=self.metrics.telemetry_sent,
+            change_alerts=self.metrics.change_alerts,
+            cfd_runs=len(self.metrics.cfd_runs),
+        ).end()
+        return self.metrics
+
+    # -- processes --------------------------------------------------------------------
+
+    def _telemetry_loop(self, duration_s: float) -> FabricProcess:
+        interval = self.config.telemetry_interval_s
+        while self.engine.now + interval <= duration_s:
+            yield self.engine.timeout(interval)
+            readings = yield from self.farm.telemetry_round(self._uplink)
+            # Twin comparison against the freshest interior measurements.
+            self._compare_twin(readings)
+
+    def _uplink(self, station: WeatherStation, payload: bytes) -> Event:
+        return self._appenders[station.station_id].append(payload)
+
     def _compare_twin(self, readings: list[StationReading]) -> None:
-        if not self.twin.has_prediction:
+        twin = self.hub.twin
+        if not twin.has_prediction:
             return
+        farm = self.farm
         exterior = next(r for r in readings if not r.interior)
         interior = [r for r in readings if r.interior]
-        comparison = self.twin.compare(
+        comparison = twin.compare(
             self.engine.now, exterior.wind_speed_mps, interior
         )
         if comparison.breach_suspected:
@@ -669,12 +872,12 @@ class XGFabric:
             panel = comparison.suspect_panel_index
             if (
                 panel is not None
-                and panel < self.robot.n_panels
+                and panel < farm.robot.n_panels
                 and panel not in self._confirmed_panels
-                and not self.robot.busy
+                and not farm.robot.busy
             ):
-                truth = panel in self.breaches.breached_panels_at(self.engine.now)
-                mission = self.robot.dispatch(panel, breach_present=truth)
+                truth = panel in farm.breaches.breached_panels_at(self.engine.now)
+                mission = farm.robot.dispatch(panel, breach_present=truth)
 
                 def _record(event: Event) -> None:
                     if event.ok:
@@ -684,14 +887,7 @@ class XGFabric:
                         # uplink as the stations ("robot-based sensing").
                         image_bytes = report.images_taken * 2_000_000
                         self.metrics.robot_upload_bytes += image_bytes
-                        if (
-                            self.radio is not None
-                            and self._ue is not None
-                            and self._ue.attached
-                        ):
-                            self.radio.core.route_uplink(
-                                self._ue.session, image_bytes
-                            )
+                        farm.route_uplink(image_bytes)
                         if report.breach_confirmed:
                             # Confirmed damage is now a known repair ticket,
                             # not something to keep re-surveilling.

@@ -38,11 +38,11 @@ class ScenarioResult:
     @property
     def detection_delay_s(self) -> Optional[float]:
         """First breach -> first post-breach twin suspicion, or None."""
-        first_breach = self.fabric.breaches.first_breach_time()
+        first_breach = self.fabric.farm.breaches.first_breach_time()
         if first_breach is None:
             return None
         post = [
-            c for c in self.fabric.twin.comparisons
+            c for c in self.fabric.hub.twin.comparisons
             if c.breach_suspected and c.time_s >= first_breach
         ]
         return post[0].time_s - first_breach if post else None
@@ -50,16 +50,16 @@ class ScenarioResult:
     @property
     def localized_correctly(self) -> bool:
         """Did the first post-breach suspicion name a breached panel?"""
-        first_breach = self.fabric.breaches.first_breach_time()
+        first_breach = self.fabric.farm.breaches.first_breach_time()
         if first_breach is None:
             return False
         post = [
-            c for c in self.fabric.twin.comparisons
+            c for c in self.fabric.hub.twin.comparisons
             if c.breach_suspected and c.time_s >= first_breach
         ]
         if not post:
             return False
-        breached = self.fabric.breaches.breached_panels_at(post[0].time_s)
+        breached = self.fabric.farm.breaches.breached_panels_at(post[0].time_s)
         return post[0].suspect_panel_index in breached
 
 
@@ -135,9 +135,9 @@ class Scenario:
         )
         fabric = XGFabric(cfg, tracer=tracer)
         for shift in self._shifts:
-            fabric.weather.add_shift(shift)
+            fabric.farm.weather.add_shift(shift)
         for event in self._breaches:
-            fabric.breaches.add(event)
+            fabric.farm.breaches.add(event)
         return fabric
 
     def run(self) -> ScenarioResult:

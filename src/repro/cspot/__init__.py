@@ -27,7 +27,6 @@ from repro.cspot.boundary import (
     CrossShardLink,
     FabricEnvelope,
     ShardBoundary,
-    default_site_hub_path,
 )
 from repro.cspot.errors import (
     AckLostError,
@@ -74,5 +73,4 @@ __all__ = [
     "CrossShardLink",
     "FabricEnvelope",
     "ShardBoundary",
-    "default_site_hub_path",
 ]

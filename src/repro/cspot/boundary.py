@@ -15,11 +15,12 @@ simulated send time, ``src_cell`` the stable shard id of the sender, and
 has one worker-count-invariant order with no run-to-run ambiguity.
 
 Latency is stamped at export time from a per-cell named RNG stream
-(``shard.cell<ccc>.transfer``), which makes the draw a function of
-``(master seed, cell, draw index)`` alone -- never of the worker layout.
-The two-round-trip cost model mirrors :meth:`Transport._append_body`:
-four path legs (size fetch + response, payload, ack) plus the server-side
-append cost.
+(``shard.cell<ccc>.transfer``, drawn by
+:meth:`~repro.cspot.transport.Transport.export_append`), which makes the
+draw a function of ``(master seed, cell, draw index)`` alone -- never of
+the worker layout. The two-round-trip cost model mirrors
+:meth:`Transport._append_body`: four path legs (size fetch + response,
+payload, ack) plus the server-side append cost.
 """
 
 from __future__ import annotations
@@ -40,18 +41,6 @@ from repro.cspot.transport import (
 TRANSFER_LEGS = 4
 
 
-def default_site_hub_path() -> NetworkPath:
-    """The calibrated site->hub path: private 5G + Internet backhaul.
-
-    One-way mean/jitter follow the paper's UNL->UCSB (5G + Internet)
-    calibration (Table 1): ~25 ms one-way so the four-leg append lands on
-    the ~100 ms average, with the measured ~17 ms SD spread over the legs.
-    """
-    return NetworkPath(
-        name="site->hub (5g+internet)", one_way_ms=25.0, jitter_ms=4.0
-    )
-
-
 @dataclass(frozen=True)
 class CrossShardLink:
     """The latency model of one cross-shard CSPOT path: pure data.
@@ -60,20 +49,21 @@ class CrossShardLink:
     plus the two-round-trip append protocol cost, so exported transfers
     are stamped with the same distribution an in-engine
     :meth:`~repro.cspot.transport.Transport.remote_append` would spend.
+    Build one from a calibrated path with :meth:`from_path`; the sharded
+    fabric's farm uplink is ``from_path(unl_ucsb_5g())``.
 
     Deliberately *not* a wrapped ``NetworkPath``: the link rides inside
-    every :class:`~repro.parallel.fabric_shard.FabricShardTask` across
+    every :class:`~repro.core.fabric_sharded.FabricShardTask` across
     the coordinator->worker pickling seam, and a ``NetworkPath`` carries
     a :class:`~repro.cspot.faults.FaultInjector` whose bound generator is
     ambient state, which ``tests/parallel/test_seam_purity.py`` rejects
-    on the real tasks. Everything here is a plain scalar, so a pickled link is a value, never a
-    snapshot of live RNG state. Defaults follow the calibrated site->hub
-    leg (:func:`default_site_hub_path`).
+    on the real tasks. Everything here is a plain scalar, so a pickled
+    link is a value, never a snapshot of live RNG state.
     """
 
-    name: str = "site->hub (5g+internet)"
-    one_way_ms: float = 25.0
-    jitter_ms: float = 4.0
+    name: str
+    one_way_ms: float
+    jitter_ms: float
     append_cost_s: float = DEFAULT_APPEND_COST_S
 
     def __post_init__(self) -> None:

@@ -49,7 +49,7 @@ from repro.cspot.faults import FaultInjector
 from repro.cspot.node import CSPOTNode
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.simkernel import Engine, Process
-from repro.simkernel.streams import CSPOT_TRANSPORT, cspot_fault_stream
+from repro.simkernel.streams import CSPOT_TRANSPORT, cspot_fault_stream, shard_stream
 
 
 def lognormal_delay_s(
@@ -138,13 +138,13 @@ class Transport:
         dst_cell: int,
         log_name: str,
         payload: bytes,
-        rng: np.random.Generator,
     ) -> "FabricEnvelope":
         """Export an append whose destination node lives on another shard.
 
-        Latency is stamped from ``rng`` (the *sender's* per-cell stream,
-        so the draw is worker-count-invariant); delivery happens at the
-        coordinator's next window barrier, never sooner.
+        Latency is stamped from the *sender's* per-cell
+        ``shard.cell<ccc>.transfer`` stream, so the draw is
+        worker-count-invariant; delivery happens at the coordinator's next
+        window barrier, never sooner.
         """
         if self._boundary is None:
             raise AppendError(
@@ -157,7 +157,7 @@ class Transport:
             dst_cell=dst_cell,
             log=log_name,
             payload=payload,
-            rng=rng,
+            rng=self.engine.rng(shard_stream(src_cell, "transfer")),
         )
 
     def connect(self, src: str, dst: str, path: NetworkPath, bidirectional: bool = True) -> None:

@@ -171,7 +171,7 @@ def cfd_node(
 
 
 def build_cfd_pipeline_graph(
-    alert_threshold_mps: float = 1.0,
+    wind_threshold_mps: float = 1.0,
     sensor_host: Optional[str] = None,
     cfd_host: Optional[str] = None,
 ) -> DataflowGraph:
@@ -186,7 +186,7 @@ def build_cfd_pipeline_graph(
     request = g.operand("request", CFD_REQUEST)
 
     mean = window_stat_node(g, "wind-mean", window, "mean", host=sensor_host)
-    threshold_node(g, "windy", mean, alert_threshold_mps, host=sensor_host)
+    threshold_node(g, "windy", mean, wind_threshold_mps, host=sensor_host)
     cfd_node(g, "cups-cfd", request, host=cfd_host, compute_cost_s=420.0)
     g.validate()
     return g

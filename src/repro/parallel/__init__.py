@@ -8,10 +8,12 @@ per-shard results merge exactly -- so the report is byte-identical for
 any worker count. Two scenario families share one skeleton
 (:class:`ShardedScenario`, :class:`ShardTask`, :class:`ShardRunner`) and
 the executors: the radio scale workload (:class:`ShardedScaleScenario`,
-no cross-shard traffic) and the full fabric (:class:`repro.core
-.fabric_sharded.ShardedFabricScenario`), whose cross-shard CSPOT
-transfers ride the :class:`FabricBus` between window barriers. See
-``docs/parallel.md``.
+no cross-shard traffic) and the farm fabric (:class:`repro.core
+.fabric_sharded.ShardedFabricScenario`, whose shard tasks and runner live
+beside it in ``repro.core``), whose cross-shard CSPOT transfers ride the
+:class:`FabricBus` between window barriers. This package imports none of
+the fabric stack (sensors, Laminar, CFD): every spawned worker imports it.
+See ``docs/parallel.md``.
 """
 
 from repro.parallel.coordinator import (
@@ -23,13 +25,6 @@ from repro.parallel.coordinator import (
     run_shards_spawn,
 )
 from repro.parallel.envelope import FabricBus, split_outbound
-from repro.parallel.fabric_shard import (
-    FabricShardRunner,
-    FabricShardTask,
-    SiteShardResult,
-    pack_telemetry,
-    unpack_telemetry,
-)
 from repro.parallel.merge import (
     STREAM_KEY_FIELDS,
     canonical_json,
@@ -66,8 +61,6 @@ __all__ = [
     "EXECUTORS",
     "FabricBus",
     "FabricParallelReport",
-    "FabricShardRunner",
-    "FabricShardTask",
     "LinkFault",
     "ParallelReport",
     "STREAM_KEY_FIELDS",
@@ -78,7 +71,6 @@ __all__ = [
     "ShardTask",
     "ShardedScaleScenario",
     "ShardedScenario",
-    "SiteShardResult",
     "WorkerCrash",
     "canonical_json",
     "canonical_jsonl",
@@ -86,12 +78,10 @@ __all__ = [
     "merge_sketches",
     "merge_slo_timelines",
     "merge_streams",
-    "pack_telemetry",
     "run_shards_serial",
     "run_shards_spawn",
     "shard_stream",
     "split_outbound",
     "stream_key",
-    "unpack_telemetry",
     "worker_main",
 ]

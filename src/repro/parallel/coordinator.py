@@ -244,7 +244,7 @@ class ShardedScenario:
     #: Per-worker timing side channel from the last spawn run (empty for
     #: serial); wall-clock data stays out of the canonical report.
     last_timings: list[dict[str, Any]] = field(
-        default_factory=list, repr=False
+        default_factory=list, init=False, repr=False
     )
 
     def __post_init__(self) -> None:

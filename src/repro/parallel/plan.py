@@ -47,7 +47,9 @@ class CellFault:
     """A chaos fault routed to the shard owning ``cell_index``.
 
     The fault derates every sample the cell produces in sampling window
-    ``window`` (a radio fade / capacity loss on that farm's cell).
+    ``window`` (a radio fade / capacity loss on that farm's cell). In the
+    sharded fabric a window is one telemetry round, and the derate
+    scales that round's wind readings (a degraded sensor block).
     Deterministic by construction: the derate applies to the cell's own
     sample block, which is identical regardless of worker count.
     """
@@ -69,11 +71,11 @@ class CellFault:
 class LinkFault:
     """A chaos fault severing one site's cross-shard CSPOT link.
 
-    While severed (sampling windows ``start_window``..``end_window``,
-    inclusive), the site cannot reach the fabric hub: its transfers are
-    *parked* in the local CSPOT log (the paper's delay-tolerant
-    discipline) and flushed, in order, at the first healthy window after
-    the link is restored. A fault that outlasts the run leaves the
+    While severed (windows -- telemetry rounds -- ``start_window``..
+    ``end_window``, inclusive), the site cannot reach the fabric hub: its
+    records are *parked* in the local CSPOT log (the paper's
+    delay-tolerant discipline) and flushed, in order, at the first healthy
+    round after the link is restored. A fault that outlasts the run leaves the
     payloads parked -- counted, never lost.
 
     Routed to the worker owning ``cell_index`` (the *sender* side of the

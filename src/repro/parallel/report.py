@@ -70,7 +70,7 @@ class ParallelReport:
 
 @dataclass(frozen=True)
 class FabricParallelReport:
-    """What a sharded fabric run did: sites, transfers, alerts, SLOs.
+    """What a sharded fabric run did: farms, transfers, decisions, SLOs.
 
     The cross-shard counterpart of :class:`ParallelReport`. Everything
     here is keyed by cell or carried in ``(t, shard, seq)`` total order,
@@ -83,20 +83,22 @@ class FabricParallelReport:
     n_sites: int
     hub_site: int
     sim_seconds: float
+    #: Nominal telemetry rounds in the horizon (``horizon // interval``).
     n_windows: int
-    events_processed: int
+    #: Station readings taken, over every farm.
     samples: int
-    local_appends: int
     #: Cross-shard transfer ledger: sent = delivered + in_flight (parked
-    #: payloads never became envelopes, so they are accounted separately).
+    #: records became envelopes only once flushed).
     transfers_sent: int
     transfers_delivered: int
     transfers_in_flight: int
     in_flight_bytes: int
-    #: Payloads parked behind severed links (total ever / still parked).
+    #: Records parked behind severed links (total ever / still parked).
     parked_total: int
     parked_remaining: int
-    #: Hub-side change-detection alerts raised.
+    #: Hub-side duty-cycle decisions (one Laminar epoch per farm and
+    #: cycle) and the change alerts among them.
+    decisions: int
     alerts: int
     per_site_samples: tuple[int, ...]
     per_site_sent: tuple[int, ...]
@@ -117,15 +119,14 @@ class FabricParallelReport:
             "hub_site": self.hub_site,
             "sim_seconds": self.sim_seconds,
             "n_windows": self.n_windows,
-            "events_processed": self.events_processed,
             "samples": self.samples,
-            "local_appends": self.local_appends,
             "transfers_sent": self.transfers_sent,
             "transfers_delivered": self.transfers_delivered,
             "transfers_in_flight": self.transfers_in_flight,
             "in_flight_bytes": self.in_flight_bytes,
             "parked_total": self.parked_total,
             "parked_remaining": self.parked_remaining,
+            "decisions": self.decisions,
             "alerts": self.alerts,
             "per_site_samples": list(self.per_site_samples),
             "per_site_sent": list(self.per_site_sent),

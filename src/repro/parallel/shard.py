@@ -1,12 +1,13 @@
 """The shard-local half of a sharded run: one engine, a few cells.
 
 :class:`ShardTask` and :class:`ShardRunner` are the skeleton both
-workload families share: the picklable task (seed, horizon, window,
-owned cells, routed cell faults, injected crash) and a runner that owns a
-contiguous block of cells from the plan and advances them window by
-window under the coordinator's barriers. The radio scale family lives
-here (:class:`ScaleShardTask` / :class:`ScaleShardRunner`); the fabric
-family subclasses the same skeleton in :mod:`repro.parallel.fabric_shard`.
+workload families share: the picklable task (seed, horizon, owned cells,
+routed cell faults, injected crash) and a runner that owns a contiguous
+block of cells from the plan and advances them under the coordinator's
+barriers. The radio scale family lives here (:class:`ScaleShardTask` /
+:class:`ScaleShardRunner`, one sampling event per cell and window); the
+fabric family subclasses the same skeleton in
+:mod:`repro.core.fabric_sharded`, where each cell is a farm site.
 
 All of a runner's randomness comes from per-cell named streams
 (:func:`~repro.parallel.plan.shard_stream`), all of its output is keyed
@@ -72,7 +73,6 @@ class ShardTask:
 
     seed: int
     horizon_s: float
-    window_s: float
     cells: tuple[int, ...]
     faults: tuple[CellFault, ...] = ()
     relative_error: float = 0.01
@@ -82,8 +82,6 @@ class ShardTask:
     def __post_init__(self) -> None:
         if self.horizon_s <= 0:
             raise ValueError(f"horizon_s must be positive: {self.horizon_s}")
-        if self.window_s <= 0:
-            raise ValueError(f"window_s must be positive: {self.window_s}")
         if not self.cells:
             raise ValueError("a shard task must own at least one cell")
         n_cells = self._n_cells()
@@ -113,12 +111,12 @@ ResultT = TypeVar("ResultT")
 
 
 class ShardRunner(Generic[ResultT]):
-    """Advances one shard's cells window by window on a local engine.
+    """Advances one shard's cells on a local engine, barrier by barrier.
 
-    Subclasses build their per-cell state and ``_results`` after
-    ``super().__init__``, then call :meth:`_schedule_windows` last.
-    A runner exchanges no cross-shard envelopes unless it overrides
-    :meth:`deliver` and :meth:`collect_outbound`.
+    Subclasses build their per-cell state, ``_results`` and the events
+    that drive them after ``super().__init__``. A runner exchanges no
+    cross-shard envelopes unless it overrides :meth:`deliver` and
+    :meth:`collect_outbound`.
     """
 
     def __init__(self, task: ShardTask) -> None:
@@ -131,21 +129,6 @@ class ShardRunner(Generic[ResultT]):
         for fault in task.faults:
             key = (fault.cell_index, fault.window)
             self._derates[key] = self._derates.get(key, 1.0) * fault.derate
-
-    def _schedule_windows(self) -> None:
-        # The full calendar up front: every owned cell's window event on
-        # the shared boundary timestamp (the same-timestamp storm the
-        # calendar queue batches in O(1)).
-        task = self.task
-        for w in range(int(task.horizon_s // task.window_s)):
-            when = w * task.window_s
-            for c in task.cells:
-                self.engine.schedule_at(when).add_callback(
-                    self._make_window(c, w)
-                )
-
-    def _make_window(self, cell: int, window: int) -> Callable[[Event], None]:
-        raise NotImplementedError
 
     def deliver(self, envelopes: Sequence[FabricEnvelope]) -> None:
         """Accept inbound cross-shard envelopes (none by default)."""
@@ -183,11 +166,16 @@ class ShardRunner(Generic[ResultT]):
         return ()
 
     def finish(self) -> list[ResultT]:
-        """Per-cell results in cell-index order (ascending, stable)."""
-        if len(self.engine) != 0:
+        """Per-cell results in cell-index order (ascending, stable).
+
+        Events past the horizon may stay pending (a send still in flight
+        when the run ends); none at or before it may.
+        """
+        if self.engine.peek() <= self.task.horizon_s:
             raise RuntimeError(
-                f"shard finished with {len(self.engine)} pending events; "
-                "advance() must reach the horizon first"
+                f"shard finished with events pending at t={self.engine.peek()}"
+                f" <= horizon {self.task.horizon_s}; advance() must reach the "
+                "horizon first"
             )
         return [self._results[c] for c in sorted(self._results)]
 
@@ -197,9 +185,16 @@ class ShardRunner(Generic[ResultT]):
 
 @dataclass(frozen=True, kw_only=True)
 class ScaleShardTask(ShardTask):
-    """A radio scale shard: the owned cells of a declarative population."""
+    """A radio scale shard: the owned cells of a declarative population,
+    sampled once per ``window_s`` window."""
 
     population: UEPopulation
+    window_s: float
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.window_s <= 0:
+            raise ValueError(f"window_s must be positive: {self.window_s}")
 
     def _n_cells(self) -> int:
         return self.population.n_cells
@@ -227,6 +222,8 @@ class CellShardResult:
 class ScaleShardRunner(ShardRunner[CellShardResult]):
     """Samples every owned cell's UEs once per window."""
 
+    task: ScaleShardTask
+
     def __init__(self, task: ScaleShardTask) -> None:
         super().__init__(task)
         population = task.population
@@ -245,7 +242,15 @@ class ScaleShardRunner(ShardRunner[CellShardResult]):
                 events=0,
                 sketch=QuantileSketch.identity(task.relative_error),
             )
-        self._schedule_windows()
+        # The full calendar up front: every owned cell's window event on
+        # the shared boundary timestamp (the same-timestamp storm the
+        # calendar queue batches in O(1)).
+        for w in range(int(task.horizon_s // task.window_s)):
+            when = w * task.window_s
+            for c in task.cells:
+                self.engine.schedule_at(when).add_callback(
+                    self._make_window(c, w)
+                )
 
     def _make_window(self, cell: int, window: int) -> Callable[[Event], None]:
         population = self._cells[cell]

@@ -10,10 +10,10 @@ inspects with an imperfect camera (a detection probability per pass).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
+from typing import Generator, Optional
 
 from repro.simkernel import Engine, Process
-from repro.simkernel.streams import SENSORS_ROBOT
+from repro.simkernel.streams import sensor_stream
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,9 @@ class FarmNgRobot:
         Probability one inspection pass spots a real breach.
     inspection_time_s:
         Time per inspection pass along the suspect panel.
+    cell:
+        The farm's cell in a sharded fabric (its own noise stream);
+        ``None`` for the one farm of a single-engine fabric.
     """
 
     def __init__(
@@ -60,6 +63,7 @@ class FarmNgRobot:
         camera_detection_prob: float = 0.9,
         inspection_time_s: float = 120.0,
         n_panels: int = 4,
+        cell: Optional[int] = None,
     ) -> None:
         if perimeter_m <= 0 or speed_mps <= 0:
             raise ValueError("perimeter and speed must be positive")
@@ -76,7 +80,7 @@ class FarmNgRobot:
         self.position_m = 0.0  # arc-length position on the loop
         self.busy = False
         self.missions: list[SurveilReport] = []
-        self._rng = engine.rng(SENSORS_ROBOT)
+        self._rng = engine.rng(sensor_stream("robot", cell))
 
     def panel_center_m(self, panel_index: int) -> float:
         """Arc-length midpoint of a panel's perimeter segment."""

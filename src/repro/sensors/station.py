@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.sensors.breach import BreachSchedule
 from repro.sensors.weather import SyntheticWeather, WeatherState
-from repro.simkernel.streams import SENSORS_INSTRUMENTS
+from repro.simkernel.streams import sensor_stream
 
 if TYPE_CHECKING:
     from repro.simkernel.engine import Engine
@@ -146,15 +146,18 @@ class WeatherStation:
         )
 
 
-def instrument_rng(engine: Engine) -> np.random.Generator:
-    """The shared instrument-noise stream, drawn by its owning package.
+def instrument_rng(
+    engine: Engine, cell: Optional[int] = None
+) -> np.random.Generator:
+    """A farm's shared instrument-noise stream, drawn by its owning package.
 
-    Every station reading perturbs the same ``sensors.instruments``
-    stream (readings are serialized by the telemetry loop, so the draw
-    order is deterministic); callers outside ``repro.sensors`` use this
+    Every station reading of one farm perturbs the same stream
+    (``sensors.instruments``, or farm ``cell``'s own in a sharded
+    fabric); readings are serialized by the telemetry round, so the draw
+    order is deterministic. Callers outside ``repro.sensors`` use this
     accessor instead of naming the stream themselves.
     """
-    return engine.rng(SENSORS_INSTRUMENTS)
+    return engine.rng(sensor_stream("instruments", cell))
 
 
 def station_grid(

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
-from repro.simkernel.streams import SENSORS_WEATHER
+from repro.simkernel.streams import sensor_stream
 
 if TYPE_CHECKING:
     from repro.simkernel.engine import Engine
@@ -92,14 +92,17 @@ class SyntheticWeather:
         self._last_tick = -1
 
     @classmethod
-    def from_engine(cls, engine: Engine, **kwargs: Any) -> "SyntheticWeather":
+    def from_engine(
+        cls, engine: Engine, cell: Optional[int] = None, **kwargs: Any
+    ) -> "SyntheticWeather":
         """Build the truth process on its canonical engine stream.
 
-        The ``sensors.weather`` stream is owned by this package; callers
-        composing a fabric use this constructor instead of drawing the
-        stream themselves (the stream owner test flags foreign draws).
+        The weather stream (``sensors.weather``, or farm ``cell``'s own
+        in a sharded fabric) is owned by this package; callers composing
+        a fabric use this constructor instead of drawing the stream
+        themselves (the stream owner test flags foreign draws).
         """
-        return cls(engine.rng(SENSORS_WEATHER), **kwargs)
+        return cls(engine.rng(sensor_stream("weather", cell)), **kwargs)
 
     # -- internals -----------------------------------------------------------
 

@@ -17,7 +17,7 @@ truth for that contract:
   two patterns overlap; :meth:`repro.simkernel.rng.RngRegistry.get`
   rejects a name no pattern matches (:func:`namespace_of`); and
   ``tests/simkernel/test_streams.py`` runs the fabric, scale and
-  fabric-shard workloads to check that every namespace is drawn, and
+  sharded-fabric workloads to check that every namespace is drawn, and
   only from its owner.
 
 Adding a stream: declare the namespace here, add a constant or helper,
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -46,15 +46,6 @@ class StreamNamespace:
     owner: str
     description: str
 
-
-# -- sensors -----------------------------------------------------------------
-
-#: Farm-ng robot motion/measurement noise.
-SENSORS_ROBOT = "sensors.robot"
-#: Synthetic weather field (diurnal wind + gusts).
-SENSORS_WEATHER = "sensors.weather"
-#: Per-reading instrument noise on every weather station.
-SENSORS_INSTRUMENTS = "sensors.instruments"
 
 # -- cspot -------------------------------------------------------------------
 
@@ -126,6 +117,18 @@ def shard_stream(cell_index: int, purpose: str) -> str:
     return cell_stream(SHARD_PREFIX, cell_index, purpose)
 
 
+def sensor_stream(kind: str, cell: Optional[int] = None) -> str:
+    """A farm's sensor stream of one ``kind`` (weather, instruments, robot).
+
+    The one farm of a single-engine fabric draws ``sensors.<kind>``; farm
+    ``cell`` of a sharded fabric draws its own ``shard.cell<ccc>.<kind>``,
+    so farms sharing a shard engine stay independent.
+    """
+    if cell is None:
+        return f"sensors.{kind}"
+    return shard_stream(cell, kind)
+
+
 #: The declared namespace table, in registry order. Patterns must be
 #: pairwise disjoint (checked below, at import).
 STREAM_NAMESPACES: tuple[StreamNamespace, ...] = (
@@ -190,14 +193,24 @@ STREAM_NAMESPACES: tuple[StreamNamespace, ...] = (
         description="Per-cell radio sampling on a shard runner.",
     ),
     StreamNamespace(
-        pattern="shard.cell<cell>.sensors",
-        owner="repro.parallel",
-        description="Per-site sensor noise on a fabric shard runner.",
+        pattern="shard.cell<cell>.weather",
+        owner="repro.sensors",
+        description="One sharded farm's synthetic weather field.",
+    ),
+    StreamNamespace(
+        pattern="shard.cell<cell>.instruments",
+        owner="repro.sensors",
+        description="One sharded farm's weather-station instrument noise.",
+    ),
+    StreamNamespace(
+        pattern="shard.cell<cell>.robot",
+        owner="repro.sensors",
+        description="One sharded farm's Farm-ng robot noise.",
     ),
     StreamNamespace(
         pattern="shard.cell<cell>.transfer",
-        owner="repro.parallel",
-        description="Per-site CSPOT transfer latency draws on a fabric shard.",
+        owner="repro.cspot",
+        description="Per-site CSPOT transfer latency draws across the shard boundary.",
     ),
 )
 

@@ -41,7 +41,7 @@ def eventful_fabric(seed=3, policies=RESILIENT_POLICIES):
         RegimeShift(at_time_s=2 * 3600.0, wind_delta_mps=2.5,
                     temperature_delta_k=-3.0)
     )
-    fab.breaches.add(BreachEvent(panel_index=0, at_time_s=4 * 3600.0,
+    fab.farm.breaches.add(BreachEvent(panel_index=0, at_time_s=4 * 3600.0,
                                  cause="bird-strike"))
     return fab
 

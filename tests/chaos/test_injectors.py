@@ -299,19 +299,19 @@ class TestInjectorsOnFabric:
             )],
             3 * 3600.0,
         )
-        assert fab.ucsb.alive
+        assert fab.hub.ucsb.alive
         assert report.faults[0].recovered
         assert report.exactly_once
 
     def test_radio_fade_swaps_and_restores_the_channel(self):
         fab = tiny_fabric()
-        original = fab._ue.channel
+        original = fab.farm.ue.channel
         run_with(
             fab,
             [RadioFadeInjector(start_s=600.0, duration_s=600.0)],
             3600.0,
         )
-        assert fab._ue.channel is original
+        assert fab.farm.ue.channel is original
 
     def test_ue_power_loss_reattaches_and_delivers(self):
         fab = tiny_fabric()
@@ -320,26 +320,26 @@ class TestInjectorsOnFabric:
             [UePowerLossInjector(start_s=1800.0, duration_s=900.0)],
             3 * 3600.0,
         )
-        assert fab._ue.attached
+        assert fab.farm.ue.attached
         assert report.faults[0].recovered
         assert report.exactly_once
 
     def test_pdu_session_drop_forces_reregistration(self):
         fab = tiny_fabric()
-        old_session = fab._ue.session
+        old_session = fab.farm.ue.session
         report = run_with(
             fab,
             [PduSessionDropInjector(start_s=1800.0)],
             3600.0,
         )
-        assert fab._ue.attached
-        assert fab._ue.session is not old_session
-        assert fab.radio.core.is_registered(fab._ue.sim.imsi)
+        assert fab.farm.ue.attached
+        assert fab.farm.ue.session is not old_session
+        assert fab.farm.radio.core.is_registered(fab.farm.ue.sim.imsi)
         assert report.faults[0].recovered
 
     def test_hpc_node_failure_restores_capacity(self):
         fab = tiny_fabric()
-        before = fab.site.cluster.total_nodes
+        before = fab.hub.site.cluster.total_nodes
         report = run_with(
             fab,
             [HpcNodeFailureInjector(
@@ -347,7 +347,7 @@ class TestInjectorsOnFabric:
             )],
             3 * 3600.0,
         )
-        assert fab.site.cluster.total_nodes == before
+        assert fab.hub.site.cluster.total_nodes == before
         assert report.faults[0].recovered
 
     def test_pilot_preemption_kills_the_bootstrap_pilot(self):
@@ -373,6 +373,6 @@ class TestInjectorsOnFabric:
         (outcome,) = report.faults
         assert outcome.recovered  # every storm job has left the system
         storm_jobs = [
-            j for j in fab.site.cluster.completed_jobs if j.user == "chaos-storm"
+            j for j in fab.hub.site.cluster.completed_jobs if j.user == "chaos-storm"
         ]
         assert len(storm_jobs) == 6

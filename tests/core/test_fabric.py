@@ -1,10 +1,14 @@
 """Integration tests: the full xGFabric pipeline."""
 
+import hashlib
+import json
 import warnings
+from dataclasses import asdict
 
 import pytest
 
 from repro.core import FabricConfig, XGFabric, analyze_end_to_end
+from repro.cspot.log import WooF
 from repro.sensors import BreachEvent
 from repro.sensors.weather import RegimeShift
 
@@ -33,7 +37,7 @@ def eventful_run():
         RegimeShift(at_time_s=2 * 3600.0, wind_delta_mps=2.5,
                     temperature_delta_k=-3.0)
     )
-    fab.breaches.add(BreachEvent(panel_index=0, at_time_s=4 * 3600.0,
+    fab.farm.breaches.add(BreachEvent(panel_index=0, at_time_s=4 * 3600.0,
                                  cause="bird-strike"))
     metrics = fab.run(8 * 3600.0)
     return fab, metrics
@@ -53,13 +57,13 @@ class TestTelemetryPath:
 
     def test_bytes_parked_in_ucsb_logs(self, quiet_run):
         fab, m = quiet_run
-        log = fab.ucsb.get_log("telemetry.cups-ext-0")
+        log = fab.hub.ucsb.get_log("telemetry.cups-ext-0")
         assert log.last_seqno == 47
 
     def test_bytes_accounted_through_5g_core(self, quiet_run):
         fab, m = quiet_run
-        assert fab.radio is not None
-        assert fab.radio.core.total_uplink_bytes() == m.telemetry_bytes
+        assert fab.farm.radio is not None
+        assert fab.farm.radio.core.total_uplink_bytes() == m.telemetry_bytes
 
 
 class TestChangeDetection:
@@ -77,7 +81,7 @@ class TestChangeDetection:
 
     def test_laminar_fired_for_each_evaluated_cycle(self, eventful_run):
         fab, m = eventful_run
-        vote_node = fab._laminar_graph.get_node("vote")
+        vote_node = fab.hub.detection.graph.get_node("vote")
         assert vote_node.firings >= m.change_alerts
 
 
@@ -105,17 +109,17 @@ class TestCfdArm:
 
     def test_twin_updated_after_first_run(self, eventful_run):
         fab, m = eventful_run
-        assert fab.twin.has_prediction
+        assert fab.hub.twin.has_prediction
 
     def test_results_logged_at_nd(self, eventful_run):
         fab, m = eventful_run
-        assert fab.nd.get_log("cfd.results").last_seqno == len(m.cfd_runs)
+        assert fab.hub.nd.get_log("cfd.results").last_seqno == len(m.cfd_runs)
 
     def test_results_returned_to_site_operator(self, eventful_run):
         # "These results can be returned to the site operator": each CFD
         # completion lands a summary in the UNL operator inbox via UCSB.
         fab, m = eventful_run
-        inbox = fab.unl.get_log("operator.inbox")
+        inbox = fab.farm.unl.get_log("operator.inbox")
         assert inbox.last_seqno == len(m.cfd_runs)
         assert b"interior airflow refreshed" in inbox.get(1).payload
         # Return latency: ND->UCSB + UCSB->UNL reliable appends.
@@ -127,7 +131,7 @@ class TestCfdArm:
 class TestBreachLoop:
     def test_breach_detected_after_it_happens(self, eventful_run):
         fab, m = eventful_run
-        suspected = [c for c in fab.twin.comparisons if c.breach_suspected]
+        suspected = [c for c in fab.hub.twin.comparisons if c.breach_suspected]
         post = [c for c in suspected if c.time_s >= 4 * 3600.0]
         assert post, "breach never suspected"
         # Detected within 3 telemetry intervals of the event.
@@ -151,7 +155,7 @@ class TestBreachLoop:
         assert m.robot_upload_bytes == sum(
             r.images_taken * 2_000_000 for r in m.robot_reports
         )
-        assert fab.radio.core.total_uplink_bytes() == (
+        assert fab.farm.radio.core.total_uplink_bytes() == (
             m.telemetry_bytes + m.robot_upload_bytes
         )
 
@@ -195,5 +199,50 @@ class TestDeterminism:
     def test_radio_can_be_disabled(self):
         fab = XGFabric(small_config(include_radio=False))
         m = fab.run(1800.0)
-        assert fab.radio is None
+        assert fab.farm.radio is None
         assert m.telemetry_sent > 0
+
+
+class TestGoldenDigest:
+    """A literal digest of a short eventful run: 4 h, seed 3, a front at
+    1 h. It covers the repository's telemetry log payloads, the Laminar
+    vote of every epoch, the CFD run records, and the telemetry and
+    operator-notification latencies. Nothing downstream of solver floats
+    (twin comparisons, robot reports) enters it: those can differ across
+    numpy builds. The run is read only through ``weather``, ``run`` and
+    ``metrics`` plus the appended bytes, so the digest pins the fabric's
+    behaviour whatever its internal layout."""
+
+    GOLDEN = "32ebcb8dbb0d613269771791434102f014abdc033a35538d7ded859e9230331c"
+
+    def test_digest_is_pinned(self, monkeypatch):
+        appended = []
+        plain_append = WooF.append
+
+        def recording_append(log, payload, now=0.0):
+            if log.name.startswith("telemetry.") or (
+                log.name == "lam.change-detect.alert"
+            ):
+                appended.append([log.name, now, payload.hex()])
+            return plain_append(log, payload, now=now)
+
+        monkeypatch.setattr(WooF, "append", recording_append)
+        fab = XGFabric(FabricConfig(seed=3))
+        fab.weather.add_shift(
+            RegimeShift(at_time_s=3600.0, wind_delta_mps=2.5,
+                        temperature_delta_k=-3.0)
+        )
+        m = fab.run(4 * 3600.0)
+        assert m.cfd_runs, "the front must trigger at least one CFD run"
+        blob = json.dumps(
+            {
+                "appends": appended,
+                "cfd_runs": [asdict(r) for r in m.cfd_runs],
+                "telemetry_latencies_s": m.telemetry_latencies_s,
+                "operator_notification_latencies_s": (
+                    m.operator_notification_latencies_s
+                ),
+            },
+            sort_keys=True,
+        )
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.GOLDEN

@@ -28,7 +28,7 @@ class TestFabricUnderPartition:
     def test_no_telemetry_lost(self, partitioned_run):
         fab, m = partitioned_run
         # Every station report eventually lands in its UCSB log, exactly once.
-        log = fab.ucsb.get_log("telemetry.cups-ext-0")
+        log = fab.hub.ucsb.get_log("telemetry.cups-ext-0")
         assert log.last_seqno == m.telemetry_sent // 5
 
     def test_latency_spike_during_partition(self, partitioned_run):
@@ -45,7 +45,7 @@ class TestFabricUnderPartition:
         fab, m = partitioned_run
         from repro.core.telemetry import TelemetryRecord
 
-        log = fab.ucsb.get_log("telemetry.cups-ext-0")
+        log = fab.hub.ucsb.get_log("telemetry.cups-ext-0")
         times = [
             TelemetryRecord.from_bytes(e.payload).time_s for e in log.scan()
         ]
@@ -58,7 +58,7 @@ class TestFabricUnderPartition:
         assert m.duty_cycles >= 5
         from repro.core.telemetry import TelemetryRecord
 
-        log = fab.ucsb.get_log("telemetry.cups-ext-0")
+        log = fab.hub.ucsb.get_log("telemetry.cups-ext-0")
         last = TelemetryRecord.from_bytes(log.get(log.last_seqno).payload)
         assert last.time_s > 3600.0 + 1500.0  # post-heal reports arrived
 
@@ -70,7 +70,7 @@ class TestFabricUnderRepeatedOutages:
         for start in (1800.0, 5400.0, 9000.0):
             path.faults.add_partition(start, start + 300.0)
         m = fab.run(4 * 3600.0)
-        log = fab.ucsb.get_log("telemetry.cups-ext-0")
+        log = fab.hub.ucsb.get_log("telemetry.cups-ext-0")
         # Exactly-once delivery across all outages.
         assert log.last_seqno == m.telemetry_sent // 5
         assert m.telemetry_sent > 0

@@ -28,8 +28,8 @@ class TestMultiSiteFabric:
 
     def test_multisite_controller_active(self, result):
         fab = result.fabric
-        assert fab.multisite is not None
-        assert sum(fab.multisite.placement_counts().values()) >= len(
+        assert fab.hub.multisite is not None
+        assert sum(fab.hub.multisite.placement_counts().values()) >= len(
             result.metrics.cfd_runs
         )
 
@@ -40,7 +40,7 @@ class TestMultiSiteFabric:
                            temperature_delta_k=-3.0)
             .run()
         )
-        assert result.fabric.multisite is None
+        assert result.fabric.hub.multisite is None
         assert all(r.site == "nd-crc" for r in result.metrics.cfd_runs)
 
     def test_failover_inside_fabric(self):
@@ -52,9 +52,9 @@ class TestMultiSiteFabric:
                            temperature_delta_k=-3.0)
         )
         fabric = scenario.build()
-        assert fabric.multisite is not None
-        primary = fabric.multisite.rank_sites()[0].site_name
-        melted = fabric.multisite.sites[primary]
+        assert fabric.hub.multisite is not None
+        primary = fabric.hub.multisite.rank_sites()[0].site_name
+        melted = fabric.hub.multisite.sites[primary]
         melted.submit(Job(
             name="storm", nodes=melted.cluster.total_nodes,
             walltime_s=48 * 3600.0, runtime_s=48 * 3600.0,

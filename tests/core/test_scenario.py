@@ -45,8 +45,8 @@ class TestBuilder:
         )
         fabric = s.build()
         assert fabric.config.seed == 7
-        assert fabric.radio is None
-        assert fabric.breaches.first_breach_time() == 2.0 * 3600.0
+        assert fabric.farm.radio is None
+        assert fabric.farm.breaches.first_breach_time() == 2.0 * 3600.0
 
 
 class TestRun:

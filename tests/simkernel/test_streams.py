@@ -25,6 +25,7 @@ from repro.simkernel.streams import (
     hpc_background_load_stream,
     namespace_of,
     population_stream,
+    sensor_stream,
     shard_stream,
 )
 
@@ -94,6 +95,8 @@ class TestNamespaceTable:
             population_stream("population", "cells"): "population.cells",
             shard_stream(3, "radio"): "shard.cell<cell>.radio",
             cell_stream("shard", 3, "gain"): "shard.cell<cell>.gain",
+            sensor_stream("weather"): "sensors.weather",
+            sensor_stream("weather", 3): "shard.cell<cell>.weather",
         }
         for name, pattern in produced.items():
             assert namespace_of(name).pattern == pattern, name
