@@ -150,7 +150,7 @@ def _cfd_setup(mode: str):
     bcs = BoundaryConditions(
         inlet=WindInlet(speed_mps=3.0), screens=cups_screen_walls(mesh)
     )
-    cfg = SolverConfig(dt=0.02, n_steps=8, poisson_iterations=60)
+    cfg = SolverConfig(dt=0.02, n_steps=8, poisson_iterations=30)
     tracer = Tracer() if mode == "enabled" else None
     solver = ProjectionSolver(mesh, bcs, cfg, tracer=tracer)
     fields = FlowFields(mesh).initialize_uniform(temperature=295.15)

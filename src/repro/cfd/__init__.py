@@ -11,11 +11,10 @@ performance model:
   and the protective screen as a Darcy-Forchheimer porous momentum sink;
   screen *breaches* are local removals of that resistance.
 * :mod:`repro.cfd.solver` -- incompressible Boussinesq projection method
-  (Chorin splitting: advect/diffuse, pressure Poisson, correct), vectorized
-  NumPy throughout; conserves mass to solver tolerance (property-tested).
-* :mod:`repro.cfd.parallel` -- slab domain decomposition with halo exchange,
-  bit-identical to the single-domain solver (the correctness half of "runs
-  on N ranks"); wall-clock scaling comes from the performance model.
+  (Chorin splitting: advect/diffuse, pressure Poisson by a fixed count of
+  red-black SOR sweeps, correct), vectorized NumPy throughout; conserves
+  mass to solver tolerance (property-tested). It is the one solver: the
+  fabric twin, the Laminar CFD node and the examples all run it.
 * :mod:`repro.cfd.perfmodel` -- runtime model calibrated to Figure 7
   (420.39 s +/- 36.29 s at 64 cores, single node) and the section 4.4
   multi-node observation (solver fastest on 2 nodes, total app slower).
@@ -36,10 +35,8 @@ from repro.cfd.solver import (
     SolverConfig,
     SolverResult,
 )
-from repro.cfd.parallel import DecomposedSolver, decompose_slabs
 from repro.cfd.perfmodel import (
     CfdPerformanceModel,
-    LaptopKernelModel,
     FIG7_ANCHOR_MEAN_S,
     FIG7_ANCHOR_STD_S,
 )
@@ -63,10 +60,7 @@ __all__ = [
     "ProjectionSolver",
     "SolverConfig",
     "SolverResult",
-    "DecomposedSolver",
-    "decompose_slabs",
     "CfdPerformanceModel",
-    "LaptopKernelModel",
     "FIG7_ANCHOR_MEAN_S",
     "FIG7_ANCHOR_STD_S",
     "CfdCase",

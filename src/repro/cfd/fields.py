@@ -29,7 +29,7 @@ class PaddedScratch:
     never read by the 7-point stencils.
     """
 
-    __slots__ = ("padded", "flat", "interior",
+    __slots__ = ("padded", "flat", "interior", "rows",
                  "xp", "xm", "yp", "ym", "zp", "zm")
 
     def __init__(self, shape: tuple[int, int, int]) -> None:
@@ -38,6 +38,10 @@ class PaddedScratch:
         q = self.padded
         self.flat = q.ravel()
         self.interior = q[1:-1, 1:-1, 1:-1]
+        #: The flat rows of the interior x-planes (padded x-planes
+        #: ``1 .. nx``, ghost y/z lanes included).
+        sy = (ny + 2) * (nz + 2)
+        self.rows = slice(sy, (nx + 1) * sy)
         self.xp = q[2:, 1:-1, 1:-1]
         self.xm = q[:-2, 1:-1, 1:-1]
         self.yp = q[1:-1, 2:, 1:-1]
@@ -45,18 +49,16 @@ class PaddedScratch:
         self.zp = q[1:-1, 1:-1, 2:]
         self.zm = q[1:-1, 1:-1, :-2]
 
-    def flat_rows(self, s: int, e: int) -> tuple[np.ndarray, ...]:
-        """Flat views ``(centre, xp, xm, yp, ym, zp, zm)`` for cell slab
-        ``[s, e)``: rows ``(s+1)*sy .. (e+1)*sy`` of the flattened buffer
-        (padded x-planes ``s+1 .. e``, ghost y/z lanes included) and the
-        same rows shifted by one neighbour along each axis. Every view is
-        a contiguous 1-D slice, so stencils over them stream through
-        memory; results on the ghost lanes are garbage for the caller to
-        discard."""
+    def flat_rows(self) -> tuple[np.ndarray, ...]:
+        """Flat views ``(centre, xp, xm, yp, ym, zp, zm)``: the
+        :attr:`rows` of the flattened buffer and the same rows shifted by
+        one neighbour along each axis. Every view is a contiguous 1-D
+        slice, so stencils over them stream through memory; results on the
+        ghost lanes are garbage for the caller to discard."""
         _, padded_ny, padded_nz = self.padded.shape
         sz = padded_nz              # flat stride of one y step
         sy = padded_ny * padded_nz  # flat stride of one x step
-        a, b = (s + 1) * sy, (e + 1) * sy
+        a, b = self.rows.start, self.rows.stop
         q = self.flat
         return (
             q[a:b],
@@ -141,13 +143,3 @@ class FlowFields:
         out.p = self.p.copy()
         out.temperature = self.temperature.copy()
         return out
-
-    def allclose(self, other: "FlowFields", atol: float = 1e-10) -> bool:
-        """Field-wise comparison (used to verify decomposed == serial)."""
-        return (
-            np.allclose(self.u, other.u, atol=atol)
-            and np.allclose(self.v, other.v, atol=atol)
-            and np.allclose(self.w, other.w, atol=atol)
-            and np.allclose(self.p, other.p, atol=atol)
-            and np.allclose(self.temperature, other.temperature, atol=atol)
-        )

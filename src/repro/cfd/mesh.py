@@ -8,6 +8,7 @@ uses does not change any behaviour the evaluation depends on).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,10 @@ class StructuredMesh:
             if n < 3:
                 raise ValueError(f"{label} must be >= 3 (got {n})")
         for label, length in (("lx", self.lx), ("ly", self.ly), ("lz", self.lz)):
-            if length <= 0:
-                raise ValueError(f"{label} must be positive (got {length})")
+            if not (math.isfinite(length) and length > 0):
+                raise ValueError(
+                    f"{label} must be positive and finite (got {length})"
+                )
 
     @property
     def shape(self) -> tuple[int, int, int]:

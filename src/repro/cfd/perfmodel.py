@@ -6,8 +6,7 @@ single-node speedup curve with a 64-core mean of **420.39 s** (SD 36.29 s,
 10 runs per core count, whiskers +/- 2 SD). A laptop cannot impersonate
 that hardware, so paper-scale timing comes from this model, calibrated to
 the figure's anchor and shaped by the standard decomposition cost
-structure (which :mod:`repro.cfd.parallel` realizes for real at small
-scale):
+structure:
 
     T(cores, nodes) = T_mesh + T_prepost(nodes) + T_solve(cores, nodes)
 
@@ -51,17 +50,6 @@ def runtime_rng(engine: Engine) -> np.random.Generator:
 #: Figure 7's 64-core anchor.
 FIG7_ANCHOR_MEAN_S = 420.39
 FIG7_ANCHOR_STD_S = 36.29
-
-#: Measured single-core kernel throughput of the *laptop* solver with the
-#: flat-row stencil kernels, in cell-updates/sec at the default 28x28x12
-#: benchmark mesh (median of three runs of the best-of-5 harness,
-#: benchmarks/test_cfd_kernel_perf.py, on a shared 2-core x86-64 host;
-#: ``BENCH_cfd.json`` carries the live trajectory point). These calibrate
-#: :class:`LaptopKernelModel`; the Figure-7 cluster constants above are an
-#: independent anchor and deliberately do not depend on them.
-LAPTOP_SERIAL_STEP_CELLS_PER_S = 1.14e6
-LAPTOP_POISSON_SWEEP_CELLS_PER_S = 9.4e7
-LAPTOP_DECOMPOSED_STEP_CELLS_PER_S = 8.0e5
 
 
 @dataclass(frozen=True)
@@ -154,60 +142,3 @@ class CfdPerformanceModel:
             raise ValueError(f"nodes must be >= 1: {nodes}")
         if cores < nodes:
             raise ValueError(f"{cores} cores cannot span {nodes} nodes")
-
-
-@dataclass(frozen=True)
-class LaptopKernelModel:
-    """Throughput model of the *real* laptop solver kernels.
-
-    Where :class:`CfdPerformanceModel` extrapolates the paper's cluster
-    behaviour, this model answers laptop-scale planning questions ("how
-    long will a what-if sweep at this mesh take?") from the measured
-    kernel rates. Constants come from the perf-regression harness
-    (``benchmarks/test_cfd_kernel_perf.py``); re-run it and update the
-    module constants when the kernels change.
-    """
-
-    step_cells_per_s: float = LAPTOP_SERIAL_STEP_CELLS_PER_S
-    sweep_cells_per_s: float = LAPTOP_POISSON_SWEEP_CELLS_PER_S
-    poisson_iterations: int = 60
-
-    def __post_init__(self) -> None:
-        if self.step_cells_per_s <= 0 or self.sweep_cells_per_s <= 0:
-            raise ValueError("kernel rates must be positive")
-        if self.poisson_iterations < 1:
-            raise ValueError("poisson_iterations must be >= 1")
-
-    def step_time_s(self, n_cells: int) -> float:
-        """Estimated wall time for one projection step."""
-        if n_cells < 1:
-            raise ValueError(f"n_cells must be >= 1: {n_cells}")
-        return n_cells / self.step_cells_per_s
-
-    def solve_time_s(self, n_cells: int, n_steps: int) -> float:
-        """Estimated wall time for a fixed-step solve."""
-        if n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1: {n_steps}")
-        return n_steps * self.step_time_s(n_cells)
-
-    def poisson_fraction(self) -> float:
-        """Fraction of a step spent in the pressure Poisson loop.
-
-        This is the serial fraction that pressure-solver improvements
-        (fewer SOR sweeps, tolerance exits) act on: with the default 60
-        sweeps it is ~0.7 of the step, so halving the sweep count cuts
-        roughly a third of the step time.
-        """
-        sweep_s_per_cell = self.poisson_iterations / self.sweep_cells_per_s
-        step_s_per_cell = 1.0 / self.step_cells_per_s
-        return min(sweep_s_per_cell / step_s_per_cell, 1.0)
-
-    def sweeps_budget(self, target_step_time_s: float, n_cells: int) -> int:
-        """Max Poisson sweeps that keep a step under a time budget."""
-        if target_step_time_s <= 0:
-            raise ValueError("target_step_time_s must be positive")
-        non_poisson = self.step_time_s(n_cells) * (1.0 - self.poisson_fraction())
-        headroom = target_step_time_s - non_poisson
-        if headroom <= 0:
-            return 0
-        return int(headroom * self.sweep_cells_per_s / n_cells)

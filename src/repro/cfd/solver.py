@@ -5,59 +5,49 @@ Chorin splitting per time step:
 1. **Predictor** -- explicit upwind advection, central diffusion, the
    screen's Darcy-Forchheimer momentum sink, and Boussinesq buoyancy give a
    provisional velocity ``u*``.
-2. **Pressure Poisson** -- ``div(damp grad p) = div(u*) / dt`` solved by
-   Jacobi iteration with homogeneous Neumann boundaries (fixed iteration
-   count for determinism; the residual is reported, not hidden), or by
-   red-black SOR with a residual-tolerance early exit
-   (``SolverConfig.pressure_solver = "sor"``).
+2. **Pressure Poisson** -- ``div(damp grad p) = div(u*) / dt`` solved by a
+   fixed number of red-black SOR sweeps (``SolverConfig.poisson_iterations``
+   at omega = :data:`SOR_OMEGA`) with homogeneous Neumann boundaries and a
+   Dirichlet outlet. The count is fixed, so neither the cost nor the
+   result of a solve depends on an exit test; the divergence is reported,
+   not hidden.
 3. **Corrector** -- ``u = u* - dt * grad(p)`` projects the field toward
    divergence-freedom (mass conservation; property-tested).
 4. **Energy** -- temperature advects/diffuses with a Dirichlet ground.
 
-All stencils use edge-replicated ghost cells: the same operator applies
-unchanged to a slab with halo cells, which is what makes the
-domain-decomposed solver (:mod:`repro.cfd.parallel`) bit-identical to this
-one. Everything is vectorized NumPy -- no Python loops over cells.
+Every stencil reads one edge-replicated ghost cell per side. Everything is
+vectorized NumPy -- no Python loops over cells.
 
-**Kernel architecture (allocation-free).** The seed kernels rebuilt a
-padded copy of every field with ``np.pad`` on each stencil call -- the
-Poisson loop alone allocated 60 padded arrays per time step. The hot path
-now runs on persistent scratch owned by the solver:
+**Kernel architecture (allocation-free).** The hot path runs on persistent
+scratch owned by the solver:
 
 * each advected/diffused field lives in a :class:`~repro.cfd.fields.PaddedScratch`
   whose ghost layer is refreshed in place (six face copies, O(n^2));
 * every stencil routine writes through preallocated ``out=`` arrays, so a
   time step performs no full-field allocations;
 * the stencils -- advection, diffusion, divergence, the Poisson
-  coefficients and the pressure sweeps -- operate on *flat contiguous*
+  coefficients and the SOR half-passes -- operate on *flat contiguous*
   row views of the padded buffers (:class:`_StencilRows`,
-  :class:`_RowPlan`): a neighbour is the same row range shifted by a
+  :class:`PressureWorkspace`): a neighbour is the same rows shifted by a
   constant offset, so every ufunc pass is a contiguous streaming
   operation rather than a strided 3-D walk. The ghost y/z lanes inside
   those rows compute garbage that is never read back; a result leaves
   the padded layout through its interior view;
 * red-black SOR runs as one fused ping-pong pass per colour,
   ``dst = keep*src + sum_d cw_d*nb_d - rw``, on operands rebuilt once per
-  step (:meth:`PressureWorkspace.load_sor_operands`);
-* all kernels take an x-row range ``(s, e)``: the serial solver passes the
-  whole domain and :class:`~repro.cfd.parallel.DecomposedSolver` passes its
-  slabs, so serial and decomposed execution share one code path (and one
-  pressure iteration loop) and stay bit-identical *by construction*.
+  step (:meth:`PressureWorkspace.load_sor_operands`).
 
-The per-cell arithmetic (operands, operation order) is exactly the seed's,
-so Jacobi-mode results are bit-identical to the original ``np.pad`` kernels
-(enforced by ``tests/cfd/test_kernel_parity.py``).
-
-The legacy free functions (``_pad``, ``_lap``, ...) are retained as the
-readable reference semantics and for the parity tests; the solver itself no
-longer calls them per step.
+The seed ``np.pad`` kernels live on in ``tests/cfd/reference.py``: a
+reference step built on them, in the fused half-pass's per-cell operation
+order, pins this solver bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -89,8 +79,12 @@ GRAVITY = 9.81
 NU_EFFECTIVE = 0.05
 ALPHA_EFFECTIVE = 0.07
 
-#: Valid pressure-solver modes.
-PRESSURE_SOLVERS = ("jacobi", "sor")
+#: Red-black SOR over-relaxation factor, tuned on post-step divergence
+#: (see ``docs/calibration.md``).
+SOR_OMEGA = 1.7
+
+#: Boussinesq reference temperature (K).
+REFERENCE_TEMPERATURE_K = 293.15
 
 
 @dataclass(frozen=True)
@@ -105,59 +99,26 @@ class SolverConfig:
     n_steps:
         Steps per solve.
     poisson_iterations:
-        Jacobi sweeps per step (fixed for determinism), or the iteration
-        cap in ``"sor"`` mode (one SOR sweep = a red and a black half-pass).
-    reference_temperature_k:
-        Boussinesq reference.
-    pressure_solver:
-        ``"jacobi"`` (default): fixed-sweep Jacobi, bit-for-bit the seed
-        behaviour and the parity reference. ``"sor"``: red-black
-        successive over-relaxation. Judged by post-step divergence (the
-        quantity the projection exists to reduce; the algebraic residual
-        misranks the two solvers, see ``docs/calibration.md``), 5 SOR
-        sweeps at omega = 1.7 match or beat 40-60 Jacobi sweeps on the
-        meshes used here -- the fabric twin runs exactly that. Combine with
-        ``poisson_tolerance`` for an early exit.
-    sor_omega:
-        Over-relaxation factor in (0, 2); ~1.7-1.9 is optimal for the
-        meshes used here. Only read in ``"sor"`` mode.
-    poisson_tolerance:
-        RMS-residual early-exit threshold for ``"sor"`` mode. ``0.0``
-        (default) disables the exit and runs the full iteration cap.
-    poisson_check_every:
-        How often (in SOR iterations) the residual is evaluated for the
-        early exit; checking costs about one extra sweep.
+        Red-black SOR sweeps per step, fixed (one sweep = a red and a
+        black half-pass, each about the cost of one Jacobi sweep). Judged
+        by post-step divergence, 5 sweeps match or beat 40 Jacobi sweeps
+        on the meshes used here; the fabric twin runs exactly 5.
     """
 
     dt: float = 0.05
     n_steps: int = 100
-    poisson_iterations: int = 60
-    reference_temperature_k: float = 293.15
-    pressure_solver: str = "jacobi"
-    sor_omega: float = 1.7
-    poisson_tolerance: float = 0.0
-    poisson_check_every: int = 5
+    poisson_iterations: int = 30
 
     def __post_init__(self) -> None:
+        for name in ("dt", "n_steps", "poisson_iterations"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite: {getattr(self, name)}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive: {self.dt}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1: {self.n_steps}")
         if self.poisson_iterations < 1:
             raise ValueError("poisson_iterations must be >= 1")
-        if self.pressure_solver not in PRESSURE_SOLVERS:
-            raise ValueError(
-                f"pressure_solver must be one of {PRESSURE_SOLVERS}: "
-                f"{self.pressure_solver!r}"
-            )
-        if not 0.0 < self.sor_omega < 2.0:
-            raise ValueError(f"sor_omega must be in (0, 2): {self.sor_omega}")
-        if self.poisson_tolerance < 0.0:
-            raise ValueError(
-                f"poisson_tolerance must be >= 0: {self.poisson_tolerance}"
-            )
-        if self.poisson_check_every < 1:
-            raise ValueError("poisson_check_every must be >= 1")
 
 
 @dataclass
@@ -174,79 +135,6 @@ class SolverResult:
         return self.divergence_history[-1] if self.divergence_history else float("nan")
 
 
-# -- reference kernels (seed semantics; kept for parity tests and docs) ------
-
-
-def _pad(f: np.ndarray) -> np.ndarray:
-    return np.pad(f, 1, mode="edge")
-
-
-def _pad_pressure(p: np.ndarray) -> np.ndarray:
-    """Pad pressure: Neumann (edge) everywhere except the outlet (x = lx)
-    face, which is Dirichlet p = 0 (ghost = -last cell). Without a pressure
-    anchor at the outlet, the all-Neumann Poisson problem is incompatible
-    with net inflow and the projection pumps energy instead of removing it.
-    """
-    pp = np.pad(p, 1, mode="edge")
-    pp[-1, :, :] = -pp[-2, :, :]
-    return pp
-
-
-def _lap(fp: np.ndarray, dx: float, dy: float, dz: float) -> np.ndarray:
-    """7-point Laplacian from a padded array."""
-    c = fp[1:-1, 1:-1, 1:-1]
-    return (
-        (fp[2:, 1:-1, 1:-1] - 2 * c + fp[:-2, 1:-1, 1:-1]) / dx**2
-        + (fp[1:-1, 2:, 1:-1] - 2 * c + fp[1:-1, :-2, 1:-1]) / dy**2
-        + (fp[1:-1, 1:-1, 2:] - 2 * c + fp[1:-1, 1:-1, :-2]) / dz**2
-    )
-
-
-def _grad(fp: np.ndarray, dx: float, dy: float, dz: float):
-    """Central gradient components from a padded array."""
-    gx = (fp[2:, 1:-1, 1:-1] - fp[:-2, 1:-1, 1:-1]) / (2 * dx)
-    gy = (fp[1:-1, 2:, 1:-1] - fp[1:-1, :-2, 1:-1]) / (2 * dy)
-    gz = (fp[1:-1, 1:-1, 2:] - fp[1:-1, 1:-1, :-2]) / (2 * dz)
-    return gx, gy, gz
-
-
-def _porous_coeffs(damp: np.ndarray, dx: float, dy: float, dz: float):
-    """Face mobility coefficients for the variable-coefficient Poisson
-    operator ``div(damp grad p)``: arithmetic face averages of the
-    cell-centered mobility, divided by the squared spacing. Returns
-    ``((ax_p, ax_m, ay_p, ay_m, az_p, az_m), denom)``.
-    """
-    bp = _pad(damp)
-    c = bp[1:-1, 1:-1, 1:-1]
-    ax_p = 0.5 * (bp[2:, 1:-1, 1:-1] + c) / dx**2
-    ax_m = 0.5 * (bp[:-2, 1:-1, 1:-1] + c) / dx**2
-    ay_p = 0.5 * (bp[1:-1, 2:, 1:-1] + c) / dy**2
-    ay_m = 0.5 * (bp[1:-1, :-2, 1:-1] + c) / dy**2
-    az_p = 0.5 * (bp[1:-1, 1:-1, 2:] + c) / dz**2
-    az_m = 0.5 * (bp[1:-1, 1:-1, :-2] + c) / dz**2
-    denom = ax_p + ax_m + ay_p + ay_m + az_p + az_m
-    return (ax_p, ax_m, ay_p, ay_m, az_p, az_m), denom
-
-
-def _upwind_advect(
-    fp: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray,
-    dx: float, dy: float, dz: float,
-) -> np.ndarray:
-    """First-order upwind ``(U . grad) f`` from a padded scalar."""
-    c = fp[1:-1, 1:-1, 1:-1]
-    bx = (c - fp[:-2, 1:-1, 1:-1]) / dx
-    fx = (fp[2:, 1:-1, 1:-1] - c) / dx
-    by = (c - fp[1:-1, :-2, 1:-1]) / dy
-    fy = (fp[1:-1, 2:, 1:-1] - c) / dy
-    bz = (c - fp[1:-1, 1:-1, :-2]) / dz
-    fz = (fp[1:-1, 1:-1, 2:] - c) / dz
-    return (
-        np.where(u > 0, u * bx, u * fx)
-        + np.where(v > 0, v * by, v * fy)
-        + np.where(w > 0, w * bz, w * fz)
-    )
-
-
 def nonfinite_fields(f: FlowFields) -> list[str]:
     """Names of flow fields containing NaN/Inf (empty when all finite)."""
     bad = []
@@ -259,69 +147,38 @@ def nonfinite_fields(f: FlowFields) -> list[str]:
     return bad
 
 
-class _RowPlan:
-    """Precomputed flat views for one x-row range of the pressure sweep.
-
-    Rows ``[a, b)`` of the flattened padded buffers cover padded x-planes
-    ``s+1 .. e`` -- the interior planes of cell slab ``[s, e)`` plus their
-    ghost y/z columns (whose results are garbage, overwritten by the next
-    ghost refresh and never read). Every operand is a contiguous 1-D slice,
-    so each pass streams through memory with no strided inner loops and no
-    allocation.
-    """
-
-    __slots__ = ("coef", "rhs", "den", "acc", "tmp", "sor", "dirs")
-
-    def __init__(self, ws: "PressureWorkspace", s: int, e: int) -> None:
-        a, b = (s + 1) * ws.sy, (e + 1) * ws.sy
-        self.coef = tuple(c[a:b] for c in ws.coef_flat)
-        self.rhs = ws.rhs_flat[a:b]
-        self.den = ws.den_flat[a:b]
-        self.acc = ws.acc[a:b]
-        self.tmp = ws.tmp[a:b]
-        # Per colour (keep, cw, rw) of the fused SOR half-pass.
-        self.sor = tuple(
-            (keep[a:b], tuple(c[a:b] for c in cw), rw[a:b])
-            for keep, cw, rw in ws.sor_operands
-        )
-        # One (reads, dst, src) triple per ping-pong direction.
-        self.dirs = []
-        for si, di in ((0, 1), (1, 0)):
-            src, *reads = ws.bufs[si].flat_rows(s, e)
-            self.dirs.append((tuple(reads), ws.bufs[di].flat[a:b], src))
-
-
 class PressureWorkspace:
-    """Flat-contiguous scratch for the variable-coefficient Poisson solve.
+    """Flat-contiguous scratch for the red-black SOR pressure solve.
 
     Holds two ping-pong padded pressure buffers, flat padded coefficient /
-    rhs / denominator arrays and shared accumulator scratch. The solver
-    loads the operands on the plan rows each step, so their ghost y/z lanes
-    hold finite garbage; the x ghost planes stay 0 (denominator 1) and
-    every lane stays finite. Given ``sor_omega`` it also holds the
-    per-colour operands of the fused SOR half-pass. Sweeps allocate nothing.
+    rhs / denominator arrays and the per-colour operands of the fused SOR
+    half-pass. ``coef``/``rhs``/``den`` are views of the rows that cover
+    the interior x-planes, ghost y/z lanes included (their results are
+    garbage, overwritten by the next ghost refresh and never read); every
+    operand is a contiguous 1-D slice, so each pass streams through memory
+    with no strided inner loops. The solver loads the operands on those
+    rows each step, so the ghost lanes hold finite garbage; the x ghost
+    planes stay 0 (denominator 1) and every lane stays finite. Sweeps
+    allocate nothing.
     """
 
-    def __init__(
-        self, shape: tuple[int, int, int], sor_omega: Optional[float] = None
-    ) -> None:
+    def __init__(self, shape: tuple[int, int, int]) -> None:
         nx, ny, nz = shape
-        self.shape = shape
         pshape = (nx + 2, ny + 2, nz + 2)
-        self.sy = (ny + 2) * (nz + 2)
         self.bufs = (PaddedScratch(shape), PaddedScratch(shape))
         self.cur = 0
+        rows = self.bufs[0].rows
 
         def padded(fill: float) -> np.ndarray:
-            return np.full(pshape, fill)
+            return np.full(pshape, fill).ravel()
 
-        self.coef_flat = tuple(padded(0.0).ravel() for _ in range(6))
-        self.rhs_flat = padded(0.0).ravel()
-        self.den_flat = padded(1.0).ravel()
-        acc3 = padded(0.0)
-        self.acc = acc3.ravel()
-        self.acc_int = acc3[1:-1, 1:-1, 1:-1]
-        self.tmp = np.zeros_like(self.acc)
+        self.coef_flat = tuple(padded(0.0) for _ in range(6))
+        self.rhs_flat = padded(0.0)
+        self.den_flat = padded(1.0)
+        self.coef = tuple(c[rows] for c in self.coef_flat)
+        self.rhs = self.rhs_flat[rows]
+        self.den = self.den_flat[rows]
+        self._tmp = np.zeros(self.den.size)
 
         # Fused SOR operands per colour of the global checkerboard
         # (cell-index parity; ghost cells are in neither colour, so their
@@ -329,40 +186,33 @@ class PressureWorkspace:
         # coefficient weights cw_d = omega*mask*coef_d/den and the rhs
         # weight rw = omega*mask*rhs/den are rebuilt each step by
         # load_sor_operands().
-        self._omega_mask: tuple[np.ndarray, ...] = ()
-        self.sor_operands: tuple[
-            tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray], ...
-        ] = ()
-        if sor_omega is not None:
-            ii, jj, kk = np.indices(shape, sparse=True)
-            red = np.broadcast_to((ii + jj + kk) % 2 == 0, shape)
-            masks = []
-            for colour in (red, ~red):
-                m = padded(0.0)
-                m[1:-1, 1:-1, 1:-1] = sor_omega * colour
-                masks.append(m.ravel())
-            self._omega_mask = tuple(masks)
-            self._scale = np.zeros_like(self.acc)
-            self.sor_operands = tuple(
-                (
-                    1.0 - m,
-                    tuple(np.zeros_like(self.acc) for _ in range(6)),
-                    np.zeros_like(self.acc),
-                )
-                for m in masks
+        ii, jj, kk = np.indices(shape, sparse=True)
+        red = np.broadcast_to((ii + jj + kk) % 2 == 0, shape)
+        masks = []
+        for colour in (red, ~red):
+            m = np.zeros(pshape)
+            m[1:-1, 1:-1, 1:-1] = SOR_OMEGA * colour
+            masks.append(m.ravel())
+        self._omega_mask = tuple(masks)
+        self._scale = np.zeros_like(self.den_flat)
+        self._sor_operands = tuple(
+            (
+                1.0 - m,
+                tuple(np.zeros_like(self.den_flat) for _ in range(6)),
+                np.zeros_like(self.den_flat),
             )
-
-        self._plans: dict[tuple[int, int], _RowPlan] = {}
-        self.full_plan = self.plan(0, nx)
-
-    # -- plan / buffer management ---------------------------------------------
-
-    def plan(self, s: int, e: int) -> _RowPlan:
-        """The (cached) sweep plan for cell slab ``[s, e)``."""
-        key = (s, e)
-        if key not in self._plans:
-            self._plans[key] = _RowPlan(self, s, e)
-        return self._plans[key]
+            for m in masks
+        )
+        # The same operands on the interior rows, per colour.
+        self._sor_rows = tuple(
+            (keep[rows], tuple(c[rows] for c in cw), rw[rows])
+            for keep, cw, rw in self._sor_operands
+        )
+        # One (reads, dst, src) triple per ping-pong direction.
+        self._dirs = []
+        for si, di in ((0, 1), (1, 0)):
+            src, *reads = self.bufs[si].flat_rows()
+            self._dirs.append((tuple(reads), self.bufs[di].flat[rows], src))
 
     @property
     def src(self) -> PaddedScratch:
@@ -380,66 +230,45 @@ class PressureWorkspace:
         """Pressure ghost refresh: Neumann faces + the Dirichlet outlet."""
         self.src.refresh_ghosts_outlet()
 
-    # -- kernels ------------------------------------------------------------
-
-    def sweep(self, plan: _RowPlan) -> None:
-        """One Jacobi application ``dst = (sum coef*nb - rhs) / den`` over
-        the plan's rows; per-cell arithmetic order matches the seed kernel
-        exactly (bit-identical)."""
-        reads, dst, _ = plan.dirs[self.cur]
-        acc, tmp = plan.acc, plan.tmp
-        np.multiply(plan.coef[0], reads[0], out=acc)
-        for c, r in zip(plan.coef[1:], reads[1:]):
-            np.multiply(c, r, out=tmp)
-            np.add(acc, tmp, out=acc)
-        np.subtract(acc, plan.rhs, out=acc)
-        np.divide(acc, plan.den, out=dst)
-
     def load_sor_operands(self) -> None:
         """Per-step SOR setup from the loaded coefficients and rhs."""
         scale = self._scale
-        for m, (_, cw, rw) in zip(self._omega_mask, self.sor_operands):
+        for m, (_, cw, rw) in zip(self._omega_mask, self._sor_operands):
             np.divide(m, self.den_flat, out=scale)
             for c, w in zip(self.coef_flat, cw):
                 np.multiply(c, scale, out=w)
             np.multiply(self.rhs_flat, scale, out=rw)
 
-    def sor_half_pass(self, plan: _RowPlan, colour: int) -> None:
-        """One red-black half-pass over the plan's rows, source to
-        destination: ``dst = keep*src + sum_d cw_d*nb_d - rw``, i.e.
+    def sor_half_pass(self, colour: int) -> None:
+        """One red-black half-pass, source to destination:
+        ``dst = keep*src + sum_d cw_d*nb_d - rw``, i.e.
         ``p + omega*(jacobi(p) - p)`` on ``colour`` cells and a copy on the
         others. Same-colour cells are never stencil neighbours, so this is
-        Gauss-Seidel within a colour, and slabs are independent between
-        colour barriers."""
-        reads, dst, src = plan.dirs[self.cur]
-        keep, cw, rw = plan.sor[colour]
-        tmp = plan.tmp
+        Gauss-Seidel within a colour."""
+        reads, dst, src = self._dirs[self.cur]
+        keep, cw, rw = self._sor_rows[colour]
+        tmp = self._tmp
         np.multiply(keep, src, out=dst)
         for c, r in zip(cw, reads):
             np.multiply(c, r, out=tmp)
             np.add(dst, tmp, out=dst)
         np.subtract(dst, rw, out=dst)
 
-    def residual_norm(self) -> float:
-        """RMS of ``A p - rhs`` over all cells for the current iterate.
-
-        Uses ``r = den * (update - p)``, where ``update`` is one Jacobi
-        application -- costs about one sweep.
-        """
-        self.refresh_ghosts()
-        self.sweep(self.full_plan)
-        _, dst, src = self.full_plan.dirs[self.cur]
-        np.subtract(dst, src, out=self.full_plan.acc)
-        np.multiply(self.full_plan.acc, self.full_plan.den, out=self.full_plan.acc)
-        r = self.acc_int
-        return float(np.sqrt(np.mean(r * r)))
+    def solve(self, sweeps: int) -> None:
+        """Run ``sweeps`` red-black sweeps on the loaded operands, with a
+        ghost refresh before every half-pass."""
+        for _ in range(sweeps):
+            for colour in (0, 1):
+                self.refresh_ghosts()
+                self.sor_half_pass(colour)
+                self.swap()
 
 
 class _StencilRows:
-    """Flat views for one x-row range of the field stencils (advection,
-    diffusion, divergence, Poisson coefficients).
+    """Flat views for the field stencils (advection, diffusion,
+    divergence, Poisson coefficients).
 
-    The same row layout as :class:`_RowPlan`: every operand is a
+    The same row layout as :class:`PressureWorkspace`: every operand is a
     contiguous slice of a flattened padded buffer, and results on the
     ghost y/z lanes are garbage that is never read back. ``u``/``v``/
     ``w``/``t`` hold ``(centre, xp, xm, yp, ym, zp, zm)`` of each padded
@@ -451,26 +280,25 @@ class _StencilRows:
     __slots__ = ("u", "v", "w", "t", "mobility", "upwind", "acc", "acc_int",
                  "buoy", "div", "lap", "t1", "t2")
 
-    def __init__(self, solver: "ProjectionSolver", s: int, e: int) -> None:
-        sy = solver.pressure.sy
-        a, b = (s + 1) * sy, (e + 1) * sy
-        self.u = solver._wu.flat_rows(s, e)
-        self.v = solver._wv.flat_rows(s, e)
-        self.w = solver._ww.flat_rows(s, e)
-        self.t = solver._wt.flat_rows(s, e)
-        self.mobility = solver._wd.flat_rows(s, e)
-        self.upwind = tuple(m[a:b] for m in solver._upwind)
-        self.acc = solver._adv.flat[a:b]
-        self.acc_int = solver._adv.interior[s:e]
-        self.buoy = solver._buoy.flat[a:b]
-        self.div = solver._div.flat[a:b]
-        self.lap = solver._lapb[a:b]
-        self.t1 = solver._f1[a:b]
-        self.t2 = solver._f2[a:b]
+    def __init__(self, solver: "ProjectionSolver") -> None:
+        rows = solver._adv.rows
+        self.u = solver._wu.flat_rows()
+        self.v = solver._wv.flat_rows()
+        self.w = solver._ww.flat_rows()
+        self.t = solver._wt.flat_rows()
+        self.mobility = solver._wd.flat_rows()
+        self.upwind = tuple(m[rows] for m in solver._upwind)
+        self.acc = solver._adv.flat[rows]
+        self.acc_int = solver._adv.interior
+        self.buoy = solver._buoy.flat[rows]
+        self.div = solver._div.flat[rows]
+        self.lap = solver._lapb[rows]
+        self.t1 = solver._f1[rows]
+        self.t2 = solver._f2[rows]
 
 
 class ProjectionSolver:
-    """The serial reference solver."""
+    """The projection solver the twin runs."""
 
     def __init__(
         self,
@@ -532,15 +360,9 @@ class ProjectionSolver:
         self._f1 = np.zeros(n_padded)
         self._f2 = np.zeros(n_padded)
         self._upwind = tuple(np.zeros(n_padded, dtype=bool) for _ in range(3))
-        self._rows: dict[tuple[int, int], _StencilRows] = {}
+        self._rows = _StencilRows(self)
 
-        cfg = self.config
-        self.pressure = PressureWorkspace(
-            shape, cfg.sor_omega if cfg.pressure_solver == "sor" else None
-        )
-        #: Sweeps the last pressure solve actually ran (== the configured
-        #: count for Jacobi; possibly fewer for SOR with a tolerance).
-        self.last_pressure_sweeps = 0
+        self.pressure = PressureWorkspace(shape)
 
     # -- stability ------------------------------------------------------------
 
@@ -584,22 +406,14 @@ class ProjectionSolver:
 
     # -- diagnostics ------------------------------------------------------------------
 
-    def divergence(self, f: FlowFields) -> np.ndarray:
-        """div(U) over all cells (freshly allocated; diagnostic API)."""
-        self._load_velocity_buffers(f)
-        r = self._stencil_rows(0, self.mesh.nx)
-        self._divergence_rows(r, r.div)
-        return self._div.interior.copy()
-
     def divergence_norm(self, f: FlowFields) -> float:
         """RMS divergence over interior cells."""
         self._load_velocity_buffers(f)
-        r = self._stencil_rows(0, self.mesh.nx)
-        self._divergence_rows(r, r.div)
+        self._divergence_rows(self._rows.div)
         div = self._div.interior[1:-1, 1:-1, 1:-1]
         return float(np.sqrt(np.mean(div**2)))
 
-    # -- buffered kernels (row-ranged; shared with the decomposed solver) -----
+    # -- buffered kernels ---------------------------------------------------------
 
     def _load_velocity_buffers(self, f: FlowFields) -> None:
         """Halo refresh: copy current velocities into the padded scratch."""
@@ -619,20 +433,11 @@ class ProjectionSolver:
         for ws, mask in zip((self._wu, self._wv, self._ww), self._upwind):
             np.greater(ws.flat, 0, out=mask)
 
-    def _stencil_rows(self, s: int, e: int) -> _StencilRows:
-        """The (cached) flat views for cell slab ``[s, e)``."""
-        key = (s, e)
-        if key not in self._rows:
-            self._rows[key] = _StencilRows(self, s, e)
-        return self._rows[key]
-
-    def _advect_rows(
-        self, nb: tuple[np.ndarray, ...], r: _StencilRows
-    ) -> None:
+    def _advect_rows(self, nb: tuple[np.ndarray, ...]) -> None:
         """First-order upwind ``(U . grad) f`` of the padded field whose
-        flat views are ``nb``, into ``r.acc``; per-lane arithmetic is the
-        reference ``_upwind_advect``'s, so interior lanes are bit-identical.
-        """
+        flat views are ``nb``, into the accumulator rows: per cell,
+        ``vel * backward`` where ``vel > 0`` else ``vel * forward``."""
+        r = self._rows
         c, xp, xm, yp, ym, zp, zm = nb
         t1, out = r.t1, r.acc
         for axis, (vel, pos, mns, upwind, d) in enumerate((
@@ -651,8 +456,9 @@ class ProjectionSolver:
             if axis:
                 np.add(out, t2, out=out)
 
-    def _lap_rows(self, nb: tuple[np.ndarray, ...], r: _StencilRows) -> None:
-        """7-point Laplacian of the padded field ``nb`` into ``r.lap``."""
+    def _lap_rows(self, nb: tuple[np.ndarray, ...]) -> None:
+        """7-point Laplacian of the padded field ``nb`` into the lap rows."""
+        r = self._rows
         c, xp, xm, yp, ym, zp, zm = nb
         t1, t2, out = r.t1, r.t2, r.lap
         np.multiply(2, c, out=t1)
@@ -668,9 +474,10 @@ class ProjectionSolver:
         np.divide(t2, self._dz2, out=t2)
         np.add(out, t2, out=out)
 
-    def _divergence_rows(self, r: _StencilRows, out: np.ndarray) -> None:
+    def _divergence_rows(self, out: np.ndarray) -> None:
         """div(U) from the loaded velocity buffers into the flat rows
         ``out``."""
+        r = self._rows
         t1 = r.t1
         np.subtract(r.u[1], r.u[2], out=out)
         np.divide(out, self._2dx, out=out)
@@ -701,27 +508,23 @@ class ProjectionSolver:
         np.divide(1.0, t1, out=self._damp)
         # buoyancy (padded, for the flat predictor sum)
         buoy = self._buoy
-        np.subtract(
-            f.temperature, self.config.reference_temperature_k,
-            out=buoy.interior,
-        )
+        np.subtract(f.temperature, REFERENCE_TEMPERATURE_K, out=buoy.interior)
         np.multiply(GRAVITY * BETA_AIR, buoy.flat, out=buoy.flat)
 
-    def _predict_rows(self, s: int, e: int) -> None:
-        """Predictor u* for x-rows ``[s, e)`` into the star scratch.
+    def _predict(self) -> None:
+        """Predictor u* into the star scratch.
 
         Runs on the loaded velocity buffers, whose centre lanes are the
         current ``f.u``/``f.v``/``f.w``."""
-        sl = slice(s, e)
-        r = self._stencil_rows(s, e)
+        r = self._rows
         acc, t2 = r.acc, r.t2
         for nb, star, buoyant in (
             (r.u, self._ustar, False),
             (r.v, self._vstar, False),
             (r.w, self._wstar, True),
         ):
-            self._advect_rows(nb, r)
-            self._lap_rows(nb, r)
+            self._advect_rows(nb)
+            self._lap_rows(nb)
             np.negative(acc, out=acc)
             np.multiply(NU_EFFECTIVE, r.lap, out=t2)
             np.add(acc, t2, out=acc)
@@ -729,130 +532,79 @@ class ProjectionSolver:
                 np.add(acc, r.buoy, out=acc)
             np.multiply(self.config.dt, acc, out=acc)
             np.add(nb[0], acc, out=acc)
-            np.multiply(self._damp[sl], r.acc_int, out=star[sl])
+            np.multiply(self._damp, r.acc_int, out=star)
 
-    def _correct_rows(self, f: FlowFields, s: int, e: int) -> None:
-        """Pressure-gradient correction for x-rows ``[s, e)``, in place."""
-        sl = slice(s, e)
+    def _correct(self, f: FlowFields) -> None:
+        """Pressure-gradient correction, in place."""
         pw = self.pressure.src
-        t1 = self._t1[sl]
-        dtdamp = self._dtdamp[sl]
+        t1 = self._t1
         for target, pos, mns, d in (
             (f.u, pw.xp, pw.xm, self._2dx),
             (f.v, pw.yp, pw.ym, self._2dy),
             (f.w, pw.zp, pw.zm, self._2dz),
         ):
-            np.subtract(pos[sl], mns[sl], out=t1)
+            np.subtract(pos, mns, out=t1)
             np.divide(t1, d, out=t1)
-            np.multiply(t1, dtdamp, out=t1)
-            np.subtract(target[sl], t1, out=target[sl])
+            np.multiply(t1, self._dtdamp, out=t1)
+            np.subtract(target, t1, out=target)
 
-    def _temperature_rows(self, f: FlowFields, s: int, e: int) -> None:
-        """Energy transport for x-rows ``[s, e)`` into the T star scratch.
+    def _transport_temperature(self, f: FlowFields) -> None:
+        """Energy transport into the T star scratch.
 
         Needs the temperature buffer and the corrected velocities loaded."""
-        sl = slice(s, e)
-        r = self._stencil_rows(s, e)
+        r = self._rows
         acc, t2 = r.acc, r.t2
-        self._advect_rows(r.t, r)
-        self._lap_rows(r.t, r)
+        self._advect_rows(r.t)
+        self._lap_rows(r.t)
         np.negative(acc, out=acc)
         np.multiply(ALPHA_EFFECTIVE, r.lap, out=t2)
         np.add(acc, t2, out=acc)
         np.multiply(self.config.dt, acc, out=acc)
-        np.add(f.temperature[sl], r.acc_int, out=self._tstar[sl])
+        np.add(f.temperature, r.acc_int, out=self._tstar)
 
     def _load_poisson(self, f: FlowFields) -> None:
-        """Per-step pressure setup: coefficients, rhs, and initial guess,
-        loaded on the full plan's flat rows."""
+        """Per-step pressure setup: coefficients, rhs, SOR operands and
+        the initial guess."""
         ws = self.pressure
-        plan = ws.full_plan
-        r = self._stencil_rows(0, self.mesh.nx)
         self._wd.load(self._damp)
-        c, *nbs = r.mobility
+        c, *nbs = self._rows.mobility
         spacing2 = (self._dx2, self._dx2, self._dy2, self._dy2,
                     self._dz2, self._dz2)
-        for nb, d2, coef in zip(nbs, spacing2, plan.coef):
+        for nb, d2, coef in zip(nbs, spacing2, ws.coef):
             np.add(nb, c, out=coef)
             np.multiply(coef, 0.5, out=coef)
             np.divide(coef, d2, out=coef)
-        np.copyto(plan.den, plan.coef[0])
-        for coef in plan.coef[1:]:
-            np.add(plan.den, coef, out=plan.den)
+        np.copyto(ws.den, ws.coef[0])
+        for coef in ws.coef[1:]:
+            np.add(ws.den, coef, out=ws.den)
         # rhs = div(u*) / dt from the (already loaded) velocity buffers.
-        self._divergence_rows(r, plan.rhs)
-        np.divide(plan.rhs, self.config.dt, out=plan.rhs)
-        if self.config.pressure_solver == "sor":
-            ws.load_sor_operands()
+        self._divergence_rows(ws.rhs)
+        np.divide(ws.rhs, self.config.dt, out=ws.rhs)
+        ws.load_sor_operands()
         ws.load(f.p)
 
-    def _solve_pressure_serial(self) -> None:
-        """Run the configured pressure solver on the loaded workspace."""
+    def _solve_pressure(self) -> None:
+        """Run the fixed SOR sweeps on the loaded workspace."""
         tr = self._tracer
-        ws = self.pressure
+        sweeps = self.config.poisson_iterations
         if not tr.enabled:
-            self._solve_pressure_impl((ws.full_plan,), ws.refresh_ghosts)
+            self.pressure.solve(sweeps)
             return
         t0 = time.perf_counter()
-        self._solve_pressure_impl((ws.full_plan,), ws.refresh_ghosts)
+        self.pressure.solve(sweeps)
         wall = time.perf_counter() - t0
-        sweeps = self.last_pressure_sweeps
         m = tr.metrics
-        m.counter("cfd.poisson.sweeps", help="pressure sweeps run").inc(
-            sweeps, solver=self.config.pressure_solver
-        )
+        m.counter("cfd.poisson.sweeps", help="pressure sweeps run").inc(sweeps)
         m.histogram(
             "cfd.poisson.solve_wall_s",
             help="wall time of one pressure solve",
             buckets=WALL_BUCKETS,
-        ).observe(wall, solver=self.config.pressure_solver)
-        if sweeps:
-            m.histogram(
-                "cfd.poisson.sweep_wall_s",
-                help="wall time per pressure sweep",
-                buckets=WALL_BUCKETS,
-            ).observe(wall / sweeps, solver=self.config.pressure_solver)
-
-    def _solve_pressure_impl(
-        self, plans: Sequence[_RowPlan], refresh: Callable[[], None]
-    ) -> None:
-        """The pressure iteration loop, for serial and decomposed solves.
-
-        Before every sweep (Jacobi) or colour half-pass (SOR), ``refresh``
-        updates the ghost layer -- the decomposed solver's halo exchange
-        -- and the kernel then fans out over ``plans``, which cover all
-        rows. Both kernels write the other ping-pong buffer.
-        """
-        ws = self.pressure
-        cfg = self.config
-        if cfg.pressure_solver == "jacobi":
-            for _ in range(cfg.poisson_iterations):
-                refresh()
-                for plan in plans:
-                    ws.sweep(plan)
-                ws.swap()
-            self.last_pressure_sweeps = cfg.poisson_iterations
-            return
-        # Red-black SOR with optional residual early exit.
-        sweeps = 0
-        while sweeps < cfg.poisson_iterations:
-            for colour in (0, 1):
-                refresh()
-                for plan in plans:
-                    ws.sor_half_pass(plan, colour)
-                ws.swap()
-            sweeps += 1
-            if (
-                cfg.poisson_tolerance > 0.0
-                and sweeps % cfg.poisson_check_every == 0
-                and self.pressure_residual_norm() <= cfg.poisson_tolerance
-            ):
-                break
-        self.last_pressure_sweeps = sweeps
-
-    def pressure_residual_norm(self) -> float:
-        """RMS residual of the pressure equation for the current iterate."""
-        return self.pressure.residual_norm()
+        ).observe(wall)
+        m.histogram(
+            "cfd.poisson.sweep_wall_s",
+            help="wall time per pressure sweep",
+            buckets=WALL_BUCKETS,
+        ).observe(wall / sweeps)
 
     # -- the time step --------------------------------------------------------------------
 
@@ -871,7 +623,7 @@ class ProjectionSolver:
             return
         span = tr.span("cfd.step", category="cfd")
         self._step_impl(f)
-        span.annotate(pressure_sweeps=self.last_pressure_sweeps).end()
+        span.annotate(pressure_sweeps=self.config.poisson_iterations).end()
         m = tr.metrics
         m.counter("cfd.steps", help="time steps advanced").inc()
         m.histogram(
@@ -880,7 +632,6 @@ class ProjectionSolver:
         ).observe(span.duration_wall)
 
     def _step_impl(self, f: FlowFields) -> None:
-        m = self.mesh
         self.apply_velocity_bcs(f)
         self.apply_temperature_bcs(f)
 
@@ -891,7 +642,7 @@ class ProjectionSolver:
         self._load_velocity_buffers(f)
         self._update_upwind_masks()
         self._update_damp_buoy(f)
-        self._predict_rows(0, m.nx)
+        self._predict()
         f.u, self._ustar = self._ustar, f.u
         f.v, self._vstar = self._vstar, f.v
         f.w, self._wstar = self._wstar, f.w
@@ -904,18 +655,18 @@ class ProjectionSolver:
         # Neumann on all faces except the Dirichlet outlet.
         self._load_velocity_buffers(f)
         self._load_poisson(f)
-        self._solve_pressure_serial()
+        self._solve_pressure()
         np.copyto(f.p, self.pressure.src.interior)
 
         # Corrector, damped by the same mobility.
         self.pressure.refresh_ghosts()
         np.multiply(self.config.dt, self._damp, out=self._dtdamp)
-        self._correct_rows(f, 0, m.nx)
+        self._correct(f)
         self.apply_velocity_bcs(f)
 
         # Temperature transport (with the corrected velocities).
         self._load_transport_buffers(f)
-        self._temperature_rows(f, 0, m.nx)
+        self._transport_temperature(f)
         f.temperature, self._tstar = self._tstar, f.temperature
         self.apply_temperature_bcs(f)
 
@@ -940,40 +691,4 @@ class ProjectionSolver:
             result.kinetic_energy_history.append(f.kinetic_energy())
             result.steps_run += 1
         self._check_finite(f, f"after {result.steps_run} steps")
-        return result
-
-    def solve_to_steady(
-        self,
-        fields: Optional[FlowFields] = None,
-        tolerance: float = 0.01,
-        check_every: int = 25,
-        max_steps: int = 2000,
-    ) -> SolverResult:
-        """Run until the kinetic energy plateaus (quasi-steady state).
-
-        Steadiness criterion: the relative KE change over ``check_every``
-        steps falls below ``tolerance``. The turbulent wake never goes
-        exactly steady, so the tolerance is a band, not a fixed point;
-        ``max_steps`` bounds the cost either way.
-        """
-        if not 0.0 < tolerance < 1.0:
-            raise ValueError(f"tolerance out of (0,1): {tolerance}")
-        if check_every < 1 or max_steps < check_every:
-            raise ValueError("need max_steps >= check_every >= 1")
-        f = fields if fields is not None else FlowFields(self.mesh).initialize_uniform(
-            temperature=self.bcs.interior_temperature_k
-        )
-        result = SolverResult(fields=f)
-        last_ke = f.kinetic_energy()
-        while result.steps_run < max_steps:
-            for _ in range(check_every):
-                self.step(f)
-                result.steps_run += 1
-            ke = f.kinetic_energy()
-            result.kinetic_energy_history.append(ke)
-            result.divergence_history.append(self.divergence_norm(f))
-            if last_ke > 0 and abs(ke - last_ke) / last_ke < tolerance:
-                break
-            last_ke = ke
-        self._check_finite(f, "before reaching steady state")
         return result

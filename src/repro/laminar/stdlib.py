@@ -133,7 +133,7 @@ def cfd_node(
     from repro.cfd.case import TelemetrySnapshot, case_from_telemetry
     from repro.cfd.solver import SolverConfig
 
-    cfg = solver_config or SolverConfig(dt=0.1, n_steps=60, poisson_iterations=40)
+    cfg = solver_config or SolverConfig(dt=0.1, n_steps=60, poisson_iterations=20)
 
     def run_cfd(req: dict) -> dict:
         snapshot = TelemetrySnapshot(

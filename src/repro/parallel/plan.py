@@ -5,9 +5,9 @@ paper's multi-farm reading): cell indices are stable properties of the
 scenario, so everything keyed by cell -- RNG stream names, trace shard
 ids, fault routing -- is invariant under the worker count. Workers are an
 execution detail: a :class:`ShardPlan` maps the ``n_cells`` stable shards
-onto ``n_workers`` processes in contiguous balanced blocks (the
-``decompose_slabs`` idiom from :mod:`repro.cfd.parallel`), and nothing a
-worker computes depends on which block it drew.
+onto ``n_workers`` processes in contiguous balanced blocks (sizes differ
+by at most one cell), and nothing a worker computes depends on which
+block it drew.
 
 The plan also derives the conservative synchronization window: workers
 may only advance ``sync_window_s`` past the last global barrier, where

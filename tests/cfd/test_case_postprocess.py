@@ -64,7 +64,7 @@ class TestCaseFromTelemetry:
 
     def test_build_solver_runs(self):
         case = case_from_telemetry(
-            snapshot(), config=SolverConfig(dt=0.05, n_steps=5, poisson_iterations=20)
+            snapshot(), config=SolverConfig(dt=0.05, n_steps=5, poisson_iterations=10)
         )
         result = case.build_solver().solve()
         assert result.steps_run == 5

@@ -1,11 +1,11 @@
-"""Parity and regression tests for the allocation-free kernel rewrite.
+"""Parity and regression tests for the allocation-free solver kernels.
 
-The buffered row-ranged kernels must reproduce the seed ``np.pad``-based
-kernels **bit for bit** in Jacobi mode -- same operands, same IEEE
-operation order. The reference implementation below is the seed time step
-verbatim, built on the retained reference kernels (``_pad``, ``_lap``,
-...), so any drift in the rewrite shows up as an exact-equality failure
-here rather than as a slow physics regression elsewhere.
+The buffered flat-row kernels must reproduce the seed ``np.pad``-based
+kernels **bit for bit** -- same operands, same IEEE operation order. The
+reference step (``tests/cfd/reference.py``) runs the seed kernels with a
+red-black SOR loop in the fused half-pass's per-cell order, so any drift
+in the solver shows up as an exact-equality failure here rather than as a
+slow physics regression elsewhere.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ import pytest
 
 from repro.cfd import (
     BoundaryConditions,
-    DecomposedSolver,
     FlowFields,
     PaddedScratch,
     ProjectionSolver,
@@ -21,99 +20,31 @@ from repro.cfd import (
     StructuredMesh,
     WindInlet,
 )
-from repro.cfd.boundary import (
-    SCREEN_DARCY,
-    SCREEN_FORCHHEIMER,
-    cups_screen_walls,
-)
+from repro.cfd.boundary import cups_screen_walls
 from repro.cfd.mesh import default_mesh
-from repro.cfd.solver import (
-    ALPHA_EFFECTIVE,
-    BETA_AIR,
-    GRAVITY,
-    NU_AIR,
-    NU_EFFECTIVE,
-    _grad,
-    _lap,
-    _pad,
-    _pad_pressure,
-    _porous_coeffs,
-    _upwind_advect,
-    nonfinite_fields,
+from repro.cfd.solver import SOR_OMEGA, nonfinite_fields
+from repro.core.config import FabricConfig
+from tests.cfd.reference import (
+    divergence,
+    divergence_norm,
+    jacobi,
+    pad_pressure,
+    porous_coeffs,
+    reference_step,
 )
 
 FIELDS = ("u", "v", "w", "p", "temperature")
 
 
-def build_case(**config_kwargs):
-    mesh = default_mesh()
+def build_case(mesh=None):
+    mesh = mesh if mesh is not None else default_mesh()
     bcs = BoundaryConditions(
         inlet=WindInlet(speed_mps=3.0, direction_deg=15.0, temperature_k=291.0),
         screens=cups_screen_walls(mesh),
         ground_temperature_k=299.0,
     )
-    cfg = SolverConfig(dt=0.02, n_steps=8, poisson_iterations=20, **config_kwargs)
+    cfg = SolverConfig(dt=0.02, n_steps=8, poisson_iterations=20)
     return mesh, bcs, cfg
-
-
-def reference_step(solver: ProjectionSolver, f: FlowFields) -> None:
-    """The seed projection step, verbatim, on the reference kernels."""
-    m, cfg = solver.mesh, solver.config
-    dt, dx, dy, dz = cfg.dt, m.dx, m.dy, m.dz
-    solver.apply_velocity_bcs(f)
-    solver.apply_temperature_bcs(f)
-
-    up, vp, wp = _pad(f.u), _pad(f.v), _pad(f.w)
-    drag = solver._resistance * (
-        NU_AIR * SCREEN_DARCY + 0.5 * SCREEN_FORCHHEIMER * f.speed()
-    )
-    damp = 1.0 / (1.0 + dt * drag)
-    buoy = GRAVITY * BETA_AIR * (f.temperature - cfg.reference_temperature_k)
-    u_star = damp * (f.u + dt * (
-        -_upwind_advect(up, f.u, f.v, f.w, dx, dy, dz)
-        + NU_EFFECTIVE * _lap(up, dx, dy, dz)
-    ))
-    v_star = damp * (f.v + dt * (
-        -_upwind_advect(vp, f.u, f.v, f.w, dx, dy, dz)
-        + NU_EFFECTIVE * _lap(vp, dx, dy, dz)
-    ))
-    w_star = damp * (f.w + dt * (
-        -_upwind_advect(wp, f.u, f.v, f.w, dx, dy, dz)
-        + NU_EFFECTIVE * _lap(wp, dx, dy, dz)
-        + buoy
-    ))
-    f.u, f.v, f.w = u_star, v_star, w_star
-    solver.apply_velocity_bcs(f)
-
-    gx, _, _ = _grad(_pad(f.u), dx, dy, dz)
-    _, gy, _ = _grad(_pad(f.v), dx, dy, dz)
-    _, _, gz = _grad(_pad(f.w), dx, dy, dz)
-    rhs = (gx + gy + gz) / dt
-    p = f.p
-    coeffs, denom = _porous_coeffs(damp, dx, dy, dz)
-    ax_p, ax_m, ay_p, ay_m, az_p, az_m = coeffs
-    for _ in range(cfg.poisson_iterations):
-        pp = _pad_pressure(p)
-        p = (
-            ax_p * pp[2:, 1:-1, 1:-1] + ax_m * pp[:-2, 1:-1, 1:-1]
-            + ay_p * pp[1:-1, 2:, 1:-1] + ay_m * pp[1:-1, :-2, 1:-1]
-            + az_p * pp[1:-1, 1:-1, 2:] + az_m * pp[1:-1, 1:-1, :-2]
-            - rhs
-        ) / denom
-    f.p = p
-
-    gx, gy, gz = _grad(_pad_pressure(p), dx, dy, dz)
-    f.u -= dt * damp * gx
-    f.v -= dt * damp * gy
-    f.w -= dt * damp * gz
-    solver.apply_velocity_bcs(f)
-
-    tp = _pad(f.temperature)
-    f.temperature = f.temperature + dt * (
-        -_upwind_advect(tp, f.u, f.v, f.w, dx, dy, dz)
-        + ALPHA_EFFECTIVE * _lap(tp, dx, dy, dz)
-    )
-    solver.apply_temperature_bcs(f)
 
 
 def assert_bit_identical(a: FlowFields, b: FlowFields, context: str = ""):
@@ -141,7 +72,7 @@ class TestPaddedScratch:
         ws = PaddedScratch(x.shape)
         np.copyto(ws.interior, x)
         ws.refresh_ghosts_outlet()
-        assert np.array_equal(ws.padded, _pad_pressure(x))
+        assert np.array_equal(ws.padded, pad_pressure(x))
 
     def test_reload_overwrites_previous_state(self):
         ws = PaddedScratch((3, 3, 3))
@@ -152,15 +83,25 @@ class TestPaddedScratch:
 
 class TestSerialBitParity:
     def test_buffered_step_matches_reference(self):
-        mesh, bcs, cfg = build_case()
-        new = ProjectionSolver(mesh, bcs, cfg)
-        ref = ProjectionSolver(mesh, bcs, cfg)
-        fn = FlowFields(mesh).initialize_uniform(temperature=294.0)
-        fr = FlowFields(mesh).initialize_uniform(temperature=294.0)
-        for i in range(cfg.n_steps):
-            new.step(fn)
-            reference_step(ref, fr)
-            assert_bit_identical(fn, fr, f"step {i}")
+        twin = FabricConfig()
+        twin_mesh, twin_bcs, _ = build_case(twin.twin_mesh)
+        cases = (
+            build_case(),
+            # The fabric twin's mesh and sweep count.
+            (twin_mesh, twin_bcs, SolverConfig(
+                dt=twin.twin_solver.dt, n_steps=30,
+                poisson_iterations=twin.twin_solver.poisson_iterations,
+            )),
+        )
+        for mesh, bcs, cfg in cases:
+            new = ProjectionSolver(mesh, bcs, cfg)
+            ref = ProjectionSolver(mesh, bcs, cfg)
+            fn = FlowFields(mesh).initialize_uniform(temperature=294.0)
+            fr = FlowFields(mesh).initialize_uniform(temperature=294.0)
+            for i in range(cfg.n_steps):
+                new.step(fn)
+                reference_step(ref, fr)
+                assert_bit_identical(fn, fr, f"{mesh.shape} step {i}")
 
     def test_divergence_norm_matches_reference(self):
         mesh, bcs, cfg = build_case()
@@ -168,47 +109,7 @@ class TestSerialBitParity:
         f = FlowFields(mesh).initialize_uniform(temperature=294.0)
         for _ in range(3):
             solver.step(f)
-        m = mesh
-        gx, _, _ = _grad(_pad(f.u), m.dx, m.dy, m.dz)
-        _, gy, _ = _grad(_pad(f.v), m.dx, m.dy, m.dz)
-        _, _, gz = _grad(_pad(f.w), m.dx, m.dy, m.dz)
-        div = (gx + gy + gz)[1:-1, 1:-1, 1:-1]
-        expected = float(np.sqrt(np.mean(div**2)))
-        assert solver.divergence_norm(f) == expected
-
-    def test_jacobi_runs_configured_sweeps(self):
-        mesh, bcs, cfg = build_case()
-        solver = ProjectionSolver(mesh, bcs, cfg)
-        f = FlowFields(mesh).initialize_uniform(temperature=294.0)
-        solver.step(f)
-        assert solver.last_pressure_sweeps == cfg.poisson_iterations
-
-
-class TestDecomposedBitParity:
-    @pytest.mark.parametrize("n_ranks", [1, 3, 5])
-    def test_decomposed_matches_reference(self, n_ranks):
-        mesh, bcs, cfg = build_case()
-        ref = ProjectionSolver(mesh, bcs, cfg)
-        fr = FlowFields(mesh).initialize_uniform(temperature=294.0)
-        dec = DecomposedSolver(mesh, bcs, cfg, n_ranks=n_ranks)
-        fd = FlowFields(mesh).initialize_uniform(temperature=294.0)
-        for i in range(cfg.n_steps):
-            dec.step(fd)
-            reference_step(ref, fr)
-            assert_bit_identical(fd, fr, f"ranks={n_ranks} step {i}")
-
-    def test_sor_decomposed_matches_serial(self):
-        mesh, bcs, cfg = build_case(
-            pressure_solver="sor", sor_omega=1.7
-        )
-        ser = ProjectionSolver(mesh, bcs, cfg)
-        fs = FlowFields(mesh).initialize_uniform(temperature=294.0)
-        dec = DecomposedSolver(mesh, bcs, cfg, n_ranks=3)
-        fd = FlowFields(mesh).initialize_uniform(temperature=294.0)
-        for i in range(cfg.n_steps):
-            ser.step(fs)
-            dec.step(fd)
-            assert_bit_identical(fs, fd, f"sor step {i}")
+        assert solver.divergence_norm(f) == divergence_norm(f)
 
 
 class TestSorPressureSolver:
@@ -221,60 +122,31 @@ class TestSorPressureSolver:
     """
 
     @staticmethod
-    def _warm_fields(mesh, bcs):
-        warm = ProjectionSolver(mesh, bcs, SolverConfig(dt=0.02, poisson_iterations=60))
-        f = FlowFields(mesh).initialize_uniform(temperature=295.15)
+    def _warm_fields(solver):
+        """Five steps of the 60-sweep Jacobi baseline from rest."""
+        f = FlowFields(solver.mesh).initialize_uniform(temperature=295.15)
         for _ in range(5):
-            warm.step(f)
+            reference_step(solver, f, jacobi_sweeps=60)
         return f
 
     def test_sor_matches_jacobi_divergence_in_third_the_sweeps(self):
         mesh, bcs, _ = build_case()
-        f0 = self._warm_fields(mesh, bcs)
+        sor = ProjectionSolver(
+            mesh, bcs, SolverConfig(dt=0.02, poisson_iterations=20)
+        )
+        f0 = self._warm_fields(sor)
 
-        jac = ProjectionSolver(mesh, bcs, SolverConfig(dt=0.02, poisson_iterations=60))
         fj = f0.copy()
-        jac.step(fj)
-
-        sor = ProjectionSolver(mesh, bcs, SolverConfig(
-            dt=0.02, poisson_iterations=20,
-            pressure_solver="sor", sor_omega=1.7,
-        ))
+        reference_step(sor, fj, jacobi_sweeps=60)
         fs = f0.copy()
         sor.step(fs)
 
-        assert sor.last_pressure_sweeps == 20 < jac.last_pressure_sweeps == 60
-        assert jac.divergence_norm(fs) <= jac.divergence_norm(fj)
-
-    def test_tolerance_early_exit(self):
-        mesh, bcs, _ = build_case()
-        f0 = self._warm_fields(mesh, bcs)
-        # A huge tolerance exits at the first residual check ...
-        eager = ProjectionSolver(mesh, bcs, SolverConfig(
-            dt=0.02, poisson_iterations=40, pressure_solver="sor",
-            poisson_tolerance=1e12, poisson_check_every=4,
-        ))
-        eager.step(f0.copy())
-        assert eager.last_pressure_sweeps == 4
-        # ... and tolerance 0 (the default) runs the full cap.
-        full = ProjectionSolver(mesh, bcs, SolverConfig(
-            dt=0.02, poisson_iterations=40, pressure_solver="sor",
-        ))
-        full.step(f0.copy())
-        assert full.last_pressure_sweeps == 40
-
-    def test_residual_norm_reports_finite_positive(self):
-        mesh, bcs, cfg = build_case()
-        solver = ProjectionSolver(mesh, bcs, cfg)
-        f = FlowFields(mesh).initialize_uniform(temperature=294.0)
-        solver.step(f)
-        r = solver.pressure_residual_norm()
-        assert np.isfinite(r) and r >= 0.0
+        assert sor.divergence_norm(fs) <= sor.divergence_norm(fj)
 
     def test_fused_half_pass_matches_two_step_formulation(self):
         """``dst = keep*src + sum cw*nb - rw`` equals
         ``p + omega*mask*(jacobi(p) - p)`` on every interior cell."""
-        mesh, bcs, cfg = build_case(pressure_solver="sor", sor_omega=1.7)
+        mesh, bcs, cfg = build_case()
         solver = ProjectionSolver(mesh, bcs, cfg)
         f = FlowFields(mesh).initialize_uniform(temperature=294.0)
         for _ in range(3):
@@ -283,18 +155,19 @@ class TestSorPressureSolver:
         solver._load_velocity_buffers(f)
         solver._load_poisson(f)
         ws = solver.pressure
-        plan = ws.full_plan
+        coeffs, denom = porous_coeffs(solver._damp, mesh.dx, mesh.dy, mesh.dz)
+        rhs = divergence(f) / cfg.dt
         ii, jj, kk = np.indices(mesh.shape)
         red = (ii + jj + kk) % 2 == 0
         for colour, mask in enumerate((red, ~red)):
             ws.load(f.p)
             ws.refresh_ghosts()
             p = ws.src.interior.copy()
-            ws.sweep(plan)
-            jacobi = ws.bufs[1 - ws.cur].interior.copy()
-            expected = p + cfg.sor_omega * mask * (jacobi - p)
+            expected = p + SOR_OMEGA * mask * (
+                jacobi(p, coeffs, denom, rhs, 1) - p
+            )
 
-            ws.sor_half_pass(plan, colour)
+            ws.sor_half_pass(colour)
             fused = ws.bufs[1 - ws.cur].interior
             scale = np.max(np.abs(expected))
             assert scale > 0.0
@@ -303,31 +176,12 @@ class TestSorPressureSolver:
             assert np.array_equal(fused[~mask], p[~mask])
 
     def test_sor_stays_finite_over_many_steps(self):
-        mesh, bcs, cfg = build_case(pressure_solver="sor", sor_omega=1.7)
+        mesh, bcs, cfg = build_case()
         solver = ProjectionSolver(mesh, bcs, cfg)
         f = FlowFields(mesh).initialize_uniform(temperature=294.0)
         for _ in range(20):
             solver.step(f)
         assert nonfinite_fields(f) == []
-
-
-class TestConfigValidation:
-    def test_rejects_unknown_pressure_solver(self):
-        with pytest.raises(ValueError, match="pressure_solver"):
-            SolverConfig(pressure_solver="multigrid")
-
-    @pytest.mark.parametrize("omega", [0.0, 2.0, -1.0, 2.5])
-    def test_rejects_omega_out_of_range(self, omega):
-        with pytest.raises(ValueError, match="sor_omega"):
-            SolverConfig(pressure_solver="sor", sor_omega=omega)
-
-    def test_rejects_negative_tolerance(self):
-        with pytest.raises(ValueError, match="poisson_tolerance"):
-            SolverConfig(poisson_tolerance=-1e-3)
-
-    def test_rejects_bad_check_interval(self):
-        with pytest.raises(ValueError, match="poisson_check_every"):
-            SolverConfig(poisson_check_every=0)
 
 
 class TestFiniteChecks:
@@ -344,15 +198,8 @@ class TestFiniteChecks:
     def test_solve_error_names_blown_up_field(self):
         mesh, bcs, _ = build_case()
         # A wildly unstable dt blows the solve up within a few steps.
-        cfg = SolverConfig(dt=50.0, n_steps=10, poisson_iterations=2)
+        cfg = SolverConfig(dt=50.0, n_steps=10, poisson_iterations=1)
         solver = ProjectionSolver(mesh, bcs, cfg)
-        with pytest.raises(FloatingPointError, match="non-finite field"):
-            solver.solve()
-
-    def test_decomposed_solve_error_names_blown_up_field(self):
-        mesh, bcs, _ = build_case()
-        cfg = SolverConfig(dt=50.0, n_steps=10, poisson_iterations=2)
-        solver = DecomposedSolver(mesh, bcs, cfg, n_ranks=2)
         with pytest.raises(FloatingPointError, match="non-finite field"):
             solver.solve()
 

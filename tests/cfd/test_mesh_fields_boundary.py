@@ -51,6 +51,12 @@ class TestMesh:
         with pytest.raises(ValueError):
             StructuredMesh(4, 4, 4, lx=-1.0)
 
+    @pytest.mark.parametrize("extent", ["lx", "ly", "lz"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_extent(self, extent, value):
+        with pytest.raises(ValueError, match=f"{extent} must be positive and finite"):
+            StructuredMesh(4, 4, 4, **{extent: value})
+
 
 class TestFields:
     def test_initialization(self):
@@ -71,8 +77,11 @@ class TestFields:
         g = f.copy()
         g.u[0, 0, 0] = 99.0
         assert f.u[0, 0, 0] == 1.0
-        assert not f.allclose(g)
-        assert f.allclose(f.copy())
+        assert not np.array_equal(f.u, g.u)
+        h = f.copy()
+        for name in ("u", "v", "w", "p", "temperature"):
+            assert np.array_equal(getattr(h, name), getattr(f, name))
+            assert getattr(h, name) is not getattr(f, name)
 
     def test_kinetic_energy(self):
         m = StructuredMesh(4, 4, 4, lx=4.0, ly=4.0, lz=4.0)

@@ -1,7 +1,7 @@
 """Physics sanity tests beyond the evaluation's needs.
 
 Cheap qualitative checks that the solver behaves like air, not like a
-random PDE: directional symmetry, thermal response, steady-state behaviour.
+random PDE: directional symmetry and thermal response.
 """
 
 import warnings
@@ -29,7 +29,7 @@ def solver_for(wind=3.0, direction=0.0, ground_dt=3.0, mesh=None, **cfg_kw):
         interior_temperature_k=295.15,
         ground_temperature_k=295.15 + ground_dt,
     )
-    defaults = dict(dt=0.05, n_steps=120, poisson_iterations=50)
+    defaults = dict(dt=0.05, n_steps=120, poisson_iterations=25)
     defaults.update(cfg_kw)
     return ProjectionSolver(m, bcs, SolverConfig(**defaults))
 
@@ -83,30 +83,3 @@ class TestThermal:
         near_ground = f.temperature[:, :, 1].mean()
         aloft = f.temperature[:, :, -2].mean()
         assert near_ground > aloft
-
-
-class TestSteadyState:
-    @pytest.mark.slow
-    def test_solve_to_steady_terminates_and_is_finite(self):
-        s = solver_for(n_steps=1)  # n_steps unused by solve_to_steady
-        result = s.solve_to_steady(tolerance=0.05, check_every=20, max_steps=400)
-        assert result.steps_run <= 400
-        assert np.all(np.isfinite(result.fields.speed()))
-        # KE settles into a band: final checks vary less than the spin-up.
-        ke = result.kinetic_energy_history
-        if len(ke) >= 3:
-            assert abs(ke[-1] - ke[-2]) < abs(ke[0]) + 1.0
-
-    def test_steady_state_faster_than_fixed_budget_when_converged(self):
-        s = solver_for()
-        result = s.solve_to_steady(tolerance=0.2, check_every=10, max_steps=1000)
-        assert result.steps_run < 1000  # plateau found before the cap
-
-    def test_validation(self):
-        s = solver_for()
-        with pytest.raises(ValueError):
-            s.solve_to_steady(tolerance=0.0)
-        with pytest.raises(ValueError):
-            s.solve_to_steady(check_every=0)
-        with pytest.raises(ValueError):
-            s.solve_to_steady(check_every=100, max_steps=50)

@@ -34,7 +34,7 @@ def interior_attenuation(mesh: StructuredMesh, n_steps: int = 180) -> float:
         mesh, bcs,
         SolverConfig(dt=0.9 * ProjectionSolver(
             mesh, bcs, SolverConfig()
-        ).max_stable_dt(0.5), n_steps=n_steps, poisson_iterations=60),
+        ).max_stable_dt(0.5), n_steps=n_steps, poisson_iterations=30),
     )
     fields = solver.solve().fields
     speed = fields.speed()
@@ -83,7 +83,7 @@ class TestRefinementRobustness:
             bcs = BoundaryConditions(
                 inlet=WindInlet(3.0), screens=cups_screen_walls(mesh)
             )
-            cfg = SolverConfig(dt=0.05, n_steps=150, poisson_iterations=60)
+            cfg = SolverConfig(dt=0.05, n_steps=150, poisson_iterations=30)
             intact = ProjectionSolver(mesh, bcs, cfg).solve().fields
             breached = ProjectionSolver(mesh, bcs.breach_any(0), cfg).solve().fields
             lo_x = int(25.0 / mesh.dx)

@@ -16,7 +16,7 @@ from repro.cfd.boundary import cups_screen_walls
 from repro.cfd.mesh import StructuredMesh, default_mesh
 
 
-def build_solver(wind=3.0, n_steps=60, poisson=60, screens=True, mesh=None):
+def build_solver(wind=3.0, n_steps=60, poisson=30, screens=True, mesh=None):
     m = mesh if mesh is not None else default_mesh()
     bcs = BoundaryConditions(
         inlet=WindInlet(speed_mps=wind),
@@ -33,6 +33,12 @@ class TestConfigValidation:
             SolverConfig(n_steps=0)
         with pytest.raises(ValueError):
             SolverConfig(poisson_iterations=0)
+
+    @pytest.mark.parametrize("field", ["dt", "n_steps", "poisson_iterations"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SolverConfig(**{field: value})
 
     def test_stable_dt_positive_and_conservative(self):
         s = build_solver()
@@ -102,7 +108,7 @@ class TestFullSolve:
         """A breach must be observable -- the digital-twin requirement."""
         m = default_mesh()
         bcs = BoundaryConditions(inlet=WindInlet(3.0), screens=cups_screen_walls(m))
-        cfg = SolverConfig(dt=0.05, n_steps=200, poisson_iterations=80)
+        cfg = SolverConfig(dt=0.05, n_steps=200, poisson_iterations=40)
         intact = ProjectionSolver(m, bcs, cfg).solve().fields
         breached = ProjectionSolver(m, bcs.breach_any(0), cfg).solve().fields
         sel = np.s_[4:9, 4:24, 0:4]  # region just inside the upwind wall
@@ -119,7 +125,7 @@ class TestFullSolve:
             interior_temperature_k=293.15,
             ground_temperature_k=313.15,
         )
-        cfg = SolverConfig(dt=0.05, n_steps=150, poisson_iterations=60)
+        cfg = SolverConfig(dt=0.05, n_steps=150, poisson_iterations=30)
         f = ProjectionSolver(m, bcs, cfg).solve().fields
         # Mean vertical velocity above the ground layer is positive.
         assert f.w[3:-3, 3:-3, 1:5].mean() > 0.0
@@ -132,8 +138,7 @@ class TestFullSolve:
             interior_temperature_k=293.15,
             ground_temperature_k=293.15,
         )
-        cfg = SolverConfig(dt=0.05, n_steps=30, poisson_iterations=40,
-                           reference_temperature_k=293.15)
+        cfg = SolverConfig(dt=0.05, n_steps=30, poisson_iterations=20)
         f = ProjectionSolver(m, bcs, cfg).solve().fields
         assert float(f.speed().max()) < 1e-8
 
@@ -164,7 +169,7 @@ def test_solver_bounded_property(wind, direction):
         inlet=WindInlet(speed_mps=wind, direction_deg=direction),
         screens=cups_screen_walls(m),
     )
-    cfg = SolverConfig(dt=0.04, n_steps=40, poisson_iterations=40)
+    cfg = SolverConfig(dt=0.04, n_steps=40, poisson_iterations=20)
     result = ProjectionSolver(m, bcs, cfg).solve()
     speed = result.fields.speed()
     assert np.all(np.isfinite(speed))

@@ -246,3 +246,15 @@ class TestGoldenDigest:
             sort_keys=True,
         )
         assert hashlib.sha256(blob.encode()).hexdigest() == self.GOLDEN
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field", [
+        "telemetry_interval_s", "duty_cycle_s", "residual_threshold_mps",
+        "pilot_threshold_bytes", "pilot_walltime_factor",
+        "background_jobs_per_hour", "radio_bandwidth_mhz",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            FabricConfig(**{field: value})

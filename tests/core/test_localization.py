@@ -32,7 +32,7 @@ def twin():
     case = case_from_telemetry(
         snap,
         mesh=StructuredMesh(14, 14, 12, lx=140.0, ly=140.0, lz=30.0),
-        config=SolverConfig(dt=0.1, n_steps=80, poisson_iterations=40),
+        config=SolverConfig(dt=0.1, n_steps=80, poisson_iterations=20),
     )
     fields = case.build_solver().solve().fields
     twin.update(case, fields)

@@ -65,7 +65,7 @@ def make_twin_with_prediction(threshold=1.0, persistence=1):
         relative_humidity=0.5,
     )
     case = case_from_telemetry(
-        snap, config=SolverConfig(dt=0.1, n_steps=40, poisson_iterations=30)
+        snap, config=SolverConfig(dt=0.1, n_steps=40, poisson_iterations=15)
     )
     fields = case.build_solver().solve().fields
     twin.update(case, fields)
@@ -160,7 +160,7 @@ class TestDigitalTwin:
             relative_humidity=0.5,
         )
         case = case_from_telemetry(
-            snap, config=SolverConfig(dt=0.1, n_steps=40, poisson_iterations=30)
+            snap, config=SolverConfig(dt=0.1, n_steps=40, poisson_iterations=15)
         )
         twin.update(case, case.build_solver().solve().fields)
         # ...and the suspicion survives the recalibration.

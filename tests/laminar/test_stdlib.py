@@ -98,7 +98,7 @@ class TestCfdAsNode:
         req = g.operand("req", CFD_REQUEST)
         out = cfd_node(
             g, "cfd", req,
-            solver_config=SolverConfig(dt=0.1, n_steps=30, poisson_iterations=25),
+            solver_config=SolverConfig(dt=0.1, n_steps=30, poisson_iterations=13),
             mesh=StructuredMesh(14, 14, 6, lx=140.0, ly=140.0, lz=30.0),
         )
         values = g.run_epoch(0, {"req": self._request()})
@@ -118,7 +118,7 @@ class TestCfdAsNode:
         req = g.operand("req", CFD_REQUEST)
         out = cfd_node(
             g, "cfd", req, compute_cost_s=420.0,
-            solver_config=SolverConfig(dt=0.1, n_steps=20, poisson_iterations=20),
+            solver_config=SolverConfig(dt=0.1, n_steps=20, poisson_iterations=10),
             mesh=StructuredMesh(12, 12, 6, lx=140.0, ly=140.0, lz=30.0),
         )
         rt = LaminarRuntime(engine, g, hosts={"nd": host})
@@ -132,7 +132,7 @@ class TestCfdAsNode:
         from repro.cfd.mesh import StructuredMesh
         from repro.cfd.solver import SolverConfig
 
-        cfg = SolverConfig(dt=0.1, n_steps=40, poisson_iterations=25)
+        cfg = SolverConfig(dt=0.1, n_steps=40, poisson_iterations=13)
         mesh = StructuredMesh(14, 14, 6, lx=140.0, ly=140.0, lz=30.0)
         g = DataflowGraph("g")
         req = g.operand("req", CFD_REQUEST)
@@ -164,7 +164,7 @@ class TestPipelineGraph:
         threshold_node(g, "windy", mean, 1.0, host="ucsb")
         cfd_node(
             g, "cups-cfd", request, host="nd", compute_cost_s=60.0,
-            solver_config=SolverConfig(dt=0.1, n_steps=15, poisson_iterations=20),
+            solver_config=SolverConfig(dt=0.1, n_steps=15, poisson_iterations=10),
             mesh=StructuredMesh(12, 12, 6, lx=140.0, ly=140.0, lz=30.0),
         )
         rt = LaminarRuntime(

@@ -204,7 +204,7 @@ class TestProcessParallelism:
             "from concurrent.futures import ThreadPoolExecutor\n\n"
             "pool = ThreadPoolExecutor()\n"
         )
-        assert lint_source(src, path="src/repro/cfd/parallel.py") == []
+        assert lint_source(src, path="src/repro/cfd/solver.py") == []
 
     def test_shard_worker_may_read_wall_clock(self):
         src = "import time\n\n\ndef probe():\n    return time.perf_counter()\n"
