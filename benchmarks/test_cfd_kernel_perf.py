@@ -36,7 +36,7 @@ from repro.cfd import (
 )
 from repro.cfd.boundary import cups_screen_walls
 from repro.cfd.mesh import default_mesh
-from repro.core.config import FabricConfig
+from repro.core.config import TWIN_SOLVER
 
 #: Mesh sizes: the default test mesh and its 2x refinement (8x the cells).
 MESH_RESOLUTIONS = (1, 2)
@@ -44,7 +44,7 @@ MESH_RESOLUTIONS = (1, 2)
 REPEATS = 5
 INNER = 4
 #: SOR sweeps per step of the ``serial_step`` measurement: the twin's.
-TWIN_SWEEPS = FabricConfig().twin_solver.poisson_iterations
+TWIN_SWEEPS = TWIN_SOLVER.poisson_iterations
 #: Sweep-isolation pair: the half-pass rate comes from the timing
 #: difference between steps with HIGH_SWEEPS and LOW_SWEEPS SOR sweeps.
 LOW_SWEEPS = 1

@@ -85,8 +85,8 @@ def test_72_hour_operations(benchmark):
     assert confirmed_panels == {0, 3}
 
     # Multi-site placement was exercised.
-    assert fabric.hub.multisite is not None
-    assert sum(fabric.hub.multisite.placement_counts().values()) >= len(
+    assert len(fabric.hub.placement.sites) == 3
+    assert sum(fabric.hub.placement.placement_counts().values()) >= len(
         metrics.cfd_runs
     )
 

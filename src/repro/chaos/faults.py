@@ -72,6 +72,13 @@ class FaultInjection:
             self, "_telemetry_mark", 0
         )
 
+    @staticmethod
+    def _pilots_on_offer(fabric: "XGFabric") -> bool:
+        """Does the hub's pilot placement, at any site, offer capacity?"""
+        placement = fabric.hub.placement
+        placement.retire_finished()
+        return placement.nodes_available() > 0
+
 
 @dataclass
 class CspotPartitionInjector(FaultInjection):
@@ -188,8 +195,6 @@ class RadioFadeInjector(FaultInjection):
 
     def inject(self, fabric: "XGFabric") -> None:
         ue = fabric.farm.ue
-        if ue is None:
-            return  # radio-free configuration: nothing to fade
         self._saved = ue.channel
         ue.channel = ue.channel.degraded(self.cqi_drop, self.fading_scale)
 
@@ -217,21 +222,17 @@ class UePowerLossInjector(FaultInjection):
         super().__post_init__()
 
     def inject(self, fabric: "XGFabric") -> None:
-        if fabric.farm.radio is not None and fabric.farm.ue is not None:
-            fabric.farm.radio.detach_ue(fabric.farm.ue)
+        fabric.farm.radio.detach_ue(fabric.farm.ue)
         fabric.transport.path("unl", "ucsb").faults.add_outage(
             fabric.engine.now, self.duration_s
         )
 
     def revert(self, fabric: "XGFabric") -> None:
-        if fabric.farm.radio is not None and fabric.farm.ue is not None:
-            fabric.farm.radio.recover_ue(fabric.farm.ue)
+        fabric.farm.radio.recover_ue(fabric.farm.ue)
         self._snapshot_telemetry(fabric)
 
     def recovered(self, fabric: "XGFabric") -> bool:
-        if fabric.farm.ue is not None and not fabric.farm.ue.attached:
-            return False
-        return self._telemetry_progressed(fabric)
+        return fabric.farm.ue.attached and self._telemetry_progressed(fabric)
 
 
 @dataclass
@@ -250,23 +251,21 @@ class PduSessionDropInjector(FaultInjection):
         super().__post_init__()
 
     def inject(self, fabric: "XGFabric") -> None:
-        if fabric.farm.radio is None or fabric.farm.ue is None:
-            return
+        core = fabric.farm.radio.core
         imsi = fabric.farm.ue.sim.imsi
-        if fabric.farm.radio.core.is_registered(imsi):
-            fabric.farm.radio.core.deregister(imsi)
+        if core.is_registered(imsi):
+            core.deregister(imsi)
 
     def revert(self, fabric: "XGFabric") -> None:
-        if fabric.farm.radio is not None and fabric.farm.ue is not None:
-            fabric.farm.radio.recover_ue(fabric.farm.ue)
+        fabric.farm.radio.recover_ue(fabric.farm.ue)
 
     def recovered(self, fabric: "XGFabric") -> bool:
-        return fabric.farm.ue is None or fabric.farm.ue.attached
+        return fabric.farm.ue.attached
 
 
 @dataclass
 class HpcNodeFailureInjector(FaultInjection):
-    """``n_nodes`` cluster nodes crash; jobs that no longer fit die."""
+    """``n_nodes`` ND cluster nodes crash; jobs that no longer fit die."""
 
     n_nodes: int = 1
     layer: str = "hpc"
@@ -296,14 +295,16 @@ class HpcNodeFailureInjector(FaultInjection):
             fabric.hub.site.cluster.restore_nodes(self._failed_n)
 
     def recovered(self, fabric: "XGFabric") -> bool:
-        # Healthy means the pilot layer has capacity on offer again.
-        fabric.hub.controller.retire_finished()
-        return fabric.hub.controller.nodes_available() > 0
+        return self._pilots_on_offer(fabric)
 
 
 @dataclass
 class PilotPreemptionInjector(FaultInjection):
-    """Preempt the most capable live pilot (its placeholder job is killed)."""
+    """Preempt the most capable live pilot at any site.
+
+    The victim is the live pilot with the most nodes, the newest on a
+    tie; its placeholder job is killed on its own site's cluster.
+    """
 
     layer: str = "pilot"
 
@@ -318,7 +319,7 @@ class PilotPreemptionInjector(FaultInjection):
 
         live = [
             p
-            for p in fabric.hub.controller.pilots
+            for p in fabric.hub.placement.pilots()
             if p.state in (PilotState.SUBMITTED, PilotState.ACTIVE)
         ]
         if not live:
@@ -326,13 +327,10 @@ class PilotPreemptionInjector(FaultInjection):
         victim = max(live, key=lambda p: (p.nodes, p.submit_time or 0.0))
         self.preempted = victim.name
         if victim.job is not None and not victim.job.is_terminal:
-            fabric.hub.site.cluster.fail(victim.job)
+            victim.site.cluster.fail(victim.job)
 
     def recovered(self, fabric: "XGFabric") -> bool:
-        if self.preempted is None:
-            return True
-        fabric.hub.controller.retire_finished()
-        return fabric.hub.controller.nodes_available() > 0
+        return self.preempted is None or self._pilots_on_offer(fabric)
 
 
 @dataclass

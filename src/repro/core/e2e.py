@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cfd.perfmodel import CfdPerformanceModel
+from repro.core.config import DUTY_CYCLE_S
 from repro.core.fabric import FabricMetrics, XGFabric
 from repro.cspot.paths import TABLE1_ANCHORS
 from repro.obs.critical_path import LatencyBudget, Stage, staged_critical_path
@@ -41,8 +42,12 @@ class E2EReport:
     telemetry_interval_s: float
     #: Measured UNL->UCSB CSPOT append latency (s), averaged over the run.
     mean_telemetry_latency_s: float
-    #: UNL -> ND transfer (UNL->UCSB + UCSB->ND), seconds. Modeled from
-    #: the Table 1 anchors, or measured from spans when traced.
+    #: UNL -> ND transfer (UNL->UCSB + UCSB->ND), seconds. Only a traced
+    #: run measures it. Untraced, it is the Table 1 sum, 101 + 92 ms =
+    #: 0.193 s, whatever the run did. Traced, it is the mean telemetry
+    #: append plus the mean alert fetch: 0.101 + 0.046 = 0.147 s on the
+    #: seed-3 Fig. 3 day. The fetch is one round trip, while Table 1's
+    #: 92 ms is a 4-leg append, so the traced figure reads lower.
     transfer_unl_to_nd_s: float
     #: Sustained cadence on dedicated cores (s per simulation).
     sustained_interval_s: float
@@ -114,25 +119,24 @@ def analyze_end_to_end(
 ) -> E2EReport:
     """Compute the section 4.4 accounting for a completed fabric run."""
     m = metrics if metrics is not None else fabric.metrics
-    cfg = fabric.config
     perf: CfdPerformanceModel = fabric.hub.perfmodel
     transfer, source = _transfer_leg(fabric)
-    sustained = perf.sustained_interval_s(cfg.cores_per_simulation)
+    sustained = perf.sustained_interval_s(fabric.hub.placement.cores_per_task)
     if m.cfd_runs:
         min_validity = min(r.validity_window_s for r in m.cfd_runs)
         queue_waits = [r.queue_wait_s for r in m.cfd_runs]
         mean_wait = sum(queue_waits) / len(queue_waits)
         max_wait = max(queue_waits)
     else:
-        min_validity = cfg.duty_cycle_s - sustained
+        min_validity = DUTY_CYCLE_S - sustained
         mean_wait = max_wait = 0.0
     return E2EReport(
-        telemetry_interval_s=cfg.telemetry_interval_s,
+        telemetry_interval_s=fabric.config.telemetry_interval_s,
         mean_telemetry_latency_s=m.mean_telemetry_latency_s,
         transfer_unl_to_nd_s=transfer,
         sustained_interval_s=sustained,
         min_validity_window_s=min_validity,
-        duty_cycle_s=cfg.duty_cycle_s,
+        duty_cycle_s=DUTY_CYCLE_S,
         cfd_runs=len(m.cfd_runs),
         mean_queue_wait_s=mean_wait,
         max_queue_wait_s=max_wait,

@@ -8,8 +8,9 @@ The Figure 3 pipeline has two sites:
   and sends each record up an uplink.
 * :class:`Hub` -- the repository and HPC side: the ``ucsb`` and ``nd``
   nodes, Laminar change detection on the duty cycle
-  (:class:`ChangeDetection`), ND's alert poll, pilots on the batch
-  cluster, the triggered CFD, and the digital twin.
+  (:class:`ChangeDetection`), ND's alert poll, one pilot placement
+  (ND's batch cluster, or all three facilities), the triggered CFD, and
+  the digital twin.
 
 :class:`XGFabric` builds one of each on a single simulation engine with one
 CSPOT transport, wires the farm's uplink to the hub's telemetry logs, and
@@ -30,10 +31,16 @@ from typing import Any, Callable, Generator, Optional, Sequence
 
 import numpy as np
 
-from repro.cfd.case import CfdCase, TelemetrySnapshot, case_from_telemetry
+from repro.cfd.case import TelemetrySnapshot, case_from_telemetry
 from repro.cfd.perfmodel import CfdPerformanceModel, runtime_rng
 from repro.chaos.policies import RetryPolicy
-from repro.core.config import FabricConfig
+from repro.core.config import (
+    DUTY_CYCLE_S,
+    HPC_NODES,
+    RADIO_BANDWIDTH_MHZ,
+    TWIN_SOLVER,
+    FabricConfig,
+)
 from repro.core.digital_twin import DigitalTwin
 from repro.core.telemetry import TELEMETRY_ELEMENT_SIZE, TelemetryRecord
 from repro.cspot.errors import NodeDownError, PartitionedError
@@ -41,20 +48,17 @@ from repro.cspot.log import WooF
 from repro.cspot.node import CSPOTNode
 from repro.cspot.paths import testbed_paths
 from repro.cspot.transport import RemoteAppendClient, Transport
-from repro.hpc.site import HpcSite, QueueLoadGenerator
-from repro.hpc.sites import nd_crc
-from repro.laminar.change_detect import build_change_detection_graph
+from repro.hpc.site import QueueLoadGenerator
+from repro.hpc.sites import anvil, nd_crc, stampede3
+from repro.laminar.change_detect import WINDOW_SIZE, build_change_detection_graph
 from repro.laminar.runtime import LaminarRuntime
 from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import SLO, Alert, SLOEngine
 from repro.obs.stream import StreamAggregator
 from repro.obs.trace import NULL_SPAN, NULL_TRACER, Tracer
-from repro.pilot.controller import PilotController
 from repro.pilot.multisite import MultiSitePilotController
-from repro.pilot.pilot import Pilot
 from repro.pilot.task import Task
-from repro.radio.network import NetworkDeployment, PrivateCellularNetwork
-from repro.radio.ue import UserEquipment
+from repro.radio.network import NetworkDeployment
 from repro.sensors.breach import BreachSchedule
 from repro.sensors.robot import FarmNgRobot, SurveilReport
 from repro.sensors.station import (
@@ -126,11 +130,9 @@ class FarmSite:
 
     Parameters
     ----------
-    engine / config / metrics:
-        The simulation engine, the operating points, and the metrics the
-        telemetry rounds count into.
-    breaches:
-        Ground-truth breach schedule the interior stations feel.
+    engine / metrics:
+        The simulation engine and the metrics the telemetry rounds count
+        into.
     cell:
         The farm's cell in a sharded fabric: its sensors draw their own
         ``shard.cell<ccc>.*`` streams. ``None`` (the one farm of a
@@ -142,35 +144,29 @@ class FarmSite:
     def __init__(
         self,
         engine: Engine,
-        config: FabricConfig,
         metrics: FabricMetrics,
-        breaches: Optional[BreachSchedule] = None,
         cell: Optional[int] = None,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.engine = engine
         self.metrics = metrics
         self.tracer = tracer
-        self.breaches = breaches if breaches is not None else BreachSchedule()
+        #: Ground-truth breach schedule the interior stations feel.
+        self.breaches = BreachSchedule()
         self.weather = SyntheticWeather.from_engine(engine, cell)
-        self.stations: list[WeatherStation] = station_grid(
-            config.n_interior_stations
-        )
+        self.stations: list[WeatherStation] = station_grid()
         self.exterior_station = next(s for s in self.stations if not s.interior)
         self.robot = FarmNgRobot(engine, cell=cell)
         self.instruments = instrument_rng(engine, cell)
         self.unl = CSPOTNode(engine, "unl")
         self.unl.create_log("operator.inbox", element_size=256, history_size=1024)
         # The private 5G network: byte accounting and the attach pipeline.
-        self.radio: Optional[PrivateCellularNetwork] = None
-        self.ue: Optional[UserEquipment] = None
-        if config.include_radio:
-            self.radio = NetworkDeployment.build(
-                "5g-tdd", config.radio_bandwidth_mhz, name="prod"
-            )
-            self.ue = self.radio.add_ue("raspberry-pi", ue_id="unl-gateway")
-            if tracer.enabled:
-                self.radio.gnb.bind_metrics(tracer.metrics)
+        self.radio = NetworkDeployment.build(
+            "5g-tdd", RADIO_BANDWIDTH_MHZ, name="prod"
+        )
+        self.ue = self.radio.add_ue("raspberry-pi", ue_id="unl-gateway")
+        if tracer.enabled:
+            self.radio.gnb.bind_metrics(tracer.metrics)
 
     def telemetry_round(
         self, uplink: Uplink, derate: Optional[float] = None
@@ -219,7 +215,7 @@ class FarmSite:
 
     def route_uplink(self, n_bytes: int) -> None:
         """Account ``n_bytes`` through the 5G core while the UE is attached."""
-        if self.radio is not None and self.ue is not None and self.ue.attached:
+        if self.ue.attached:
             self.radio.core.route_uplink(self.ue.session, n_bytes)
 
 
@@ -254,30 +250,22 @@ class Decision:
 class ChangeDetection:
     """The hub's duty-cycle change detection: Laminar's three-test vote.
 
-    One Laminar change-detection program (Welch t, Mann-Whitney U and KS
-    at ``config.alpha``, voted at ``config.vote_threshold``) on the hub's
-    CSPOT hosts. Each :meth:`decide` is one epoch: the last two
-    ``window_size`` windows of a farm's exterior wind. The :class:`Hub`
-    decides its one farm; a sharded fabric's hub site decides every farm
-    on one program, one epoch each.
+    One Laminar change-detection program (Welch t, Mann-Whitney U and KS,
+    voted 2 of 3) on the hub's CSPOT hosts. Each :meth:`decide` is one
+    epoch: the last two ``WINDOW_SIZE`` windows of a farm's exterior
+    wind. The :class:`Hub` decides its one farm; a sharded fabric's hub
+    site decides every farm on one program, one epoch each.
     """
 
     def __init__(
         self,
         engine: Engine,
-        config: FabricConfig,
         hosts: dict[str, CSPOTNode],
         transport: Transport,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
-        self.config = config
         self.tracer = tracer
-        self.graph = build_change_detection_graph(
-            alpha=config.alpha,
-            vote_threshold=config.vote_threshold,
-            test_host=config.test_host,
-            vote_host=config.vote_host,
-        )
+        self.graph = build_change_detection_graph()
         self.runtime = LaminarRuntime(
             engine,
             self.graph,
@@ -292,19 +280,18 @@ class ChangeDetection:
     def decide(self, log: WooF) -> Generator[Event, Any, Optional[Decision]]:
         """Vote on the exterior wind in ``log``: one Laminar epoch.
 
-        Compares the last ``window_size`` readings against the
-        ``window_size`` before them. Returns ``None`` without an epoch
+        Compares the last ``WINDOW_SIZE`` readings against the
+        ``WINDOW_SIZE`` before them. Returns ``None`` without an epoch
         while the log holds fewer than two windows.
         """
-        cfg = self.config
         series = [
             TelemetryRecord.from_bytes(entry.payload).wind_speed_mps
             for entry in log.scan()
         ]
-        if len(series) < cfg.readings_needed:
+        if len(series) < 2 * WINDOW_SIZE:
             return None
-        current = np.asarray(series[-cfg.window_size:])
-        previous = np.asarray(series[-cfg.readings_needed: -cfg.window_size])
+        current = np.asarray(series[-WINDOW_SIZE:])
+        previous = np.asarray(series[-2 * WINDOW_SIZE: -WINDOW_SIZE])
         epoch = self.epochs
         self.epochs += 1
         span = (
@@ -336,9 +323,15 @@ class Hub:
     """The repository and HPC side of the fabric, serving one farm.
 
     The ``ucsb`` repository (the farm's telemetry logs, the alert log,
-    the Laminar program) and the ``nd`` HPC head node with the batch
-    cluster, the pilot controller, the triggered CFD and the digital
-    twin. Its processes start with :meth:`start`.
+    the Laminar program) and the ``nd`` HPC head node with the ND CRC
+    batch cluster (``site``), the pilot placement, the triggered CFD and
+    the digital twin. Its processes start with :meth:`start`.
+
+    Every CFD task is placed through one
+    :class:`~repro.pilot.multisite.MultiSitePilotController`
+    (``placement``): over ND alone, or over ND, Anvil and Stampede3 when
+    ``config.multi_site`` is set. ND is its home site, where the paper's
+    initial single-node pilot goes.
 
     Parameters
     ----------
@@ -347,8 +340,6 @@ class Hub:
     farm:
         The farm whose telemetry the hub stores, whose exterior wind it
         watches, and whose operator inbox (on ``unl``) it notifies.
-    site:
-        HPC site override; default a Notre Dame CRC preset.
     """
 
     def __init__(
@@ -358,7 +349,6 @@ class Hub:
         transport: Transport,
         metrics: FabricMetrics,
         farm: FarmSite,
-        site: Optional[HpcSite] = None,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
         cfg = config
@@ -395,40 +385,22 @@ class Hub:
         # -- change detection (Laminar on CSPOT) ------------------------------
         self.detection = ChangeDetection(
             engine,
-            cfg,
             hosts={"unl": farm.unl, "ucsb": self.ucsb},
             transport=transport,
             tracer=tracer,
         )
 
         # -- HPC + pilots -----------------------------------------------------
-        self.site = site if site is not None else nd_crc(engine, cfg.hpc_nodes)
+        self.site = nd_crc(engine, HPC_NODES)
+        #: The ND model the CFD runtime draws come from, wherever it runs.
         self.perfmodel = CfdPerformanceModel(
             cores_per_node=self.site.cluster.cores_per_node
         )
-        self.controller = PilotController(
-            engine,
-            self.site,
-            threshold_bytes=cfg.pilot_threshold_bytes,
-            task_runtime_estimate_s=self.perfmodel.total_time(
-                cfg.cores_per_simulation
-            ),
-            walltime_factor=cfg.pilot_walltime_factor,
-            tracer=tracer,
-        )
-        self.multisite: Optional[MultiSitePilotController] = None
+        sites = {self.site.name: self.site}
         if cfg.multi_site:
-            from repro.hpc.sites import all_sites
-
-            sites = all_sites(engine)
-            sites["nd-crc"] = self.site  # keep the configured ND shape
-            self.multisite = MultiSitePilotController(
-                engine,
-                sites,
-                cores_per_task=cfg.cores_per_simulation,
-                threshold_bytes=cfg.pilot_threshold_bytes,
-                walltime_factor=cfg.pilot_walltime_factor,
-            )
+            for other in (anvil(engine), stampede3(engine)):
+                sites[other.name] = other
+        self.placement = MultiSitePilotController(engine, sites, tracer=tracer)
         self.bg_load: Optional[QueueLoadGenerator] = None
         if cfg.background_jobs_per_hour > 0:
             self.bg_load = QueueLoadGenerator(
@@ -436,17 +408,13 @@ class Hub:
             )
 
         # -- digital twin -----------------------------------------------------
-        self.twin = DigitalTwin(
-            farm.stations,
-            residual_threshold_mps=cfg.residual_threshold_mps,
-            calibration_alpha=cfg.calibration_alpha,
-        )
+        self.twin = DigitalTwin(farm.stations)
         self._cfd_busy = False
         self._last_alert_seqno = 0
 
     def start(self, duration_s: float) -> None:
         """Start the hub's processes for a run of ``duration_s``."""
-        self.controller.bootstrap()  # the paper's initial single-node pilot
+        self.placement.bootstrap()  # the paper's initial single-node pilot
         if self.bg_load is not None:
             self.bg_load.start(duration_s)
         engine = self.engine
@@ -458,10 +426,9 @@ class Hub:
     # -- processes ------------------------------------------------------------
 
     def _duty_cycle_loop(self, duration_s: float) -> FabricProcess:
-        cfg = self.config
         exterior = f"telemetry.{self.farm.exterior_station.station_id}"
-        while self.engine.now + cfg.duty_cycle_s <= duration_s:
-            yield self.engine.timeout(cfg.duty_cycle_s)
+        while self.engine.now + DUTY_CYCLE_S <= duration_s:
+            yield self.engine.timeout(DUTY_CYCLE_S)
             self.metrics.duty_cycles += 1
             if not self.ucsb.alive:
                 # The repository is dark (power-loss fault): detection has
@@ -488,8 +455,8 @@ class Hub:
         policy = cfg.policies.fetch
         # Offset by one telemetry interval so polls trail detections.
         yield self.engine.timeout(cfg.telemetry_interval_s)
-        while self.engine.now + cfg.duty_cycle_s <= duration_s:
-            yield self.engine.timeout(cfg.duty_cycle_s)
+        while self.engine.now + DUTY_CYCLE_S <= duration_s:
+            yield self.engine.timeout(DUTY_CYCLE_S)
             entries = None
             for attempt in range(policy.max_attempts):
                 try:
@@ -514,19 +481,24 @@ class Hub:
         Only runs when ``policies.pilot_watchdog_s`` is positive. Without
         it an HPC node failure that kills every pilot leaves nothing
         submitted until the next data-driven decision; with it, capacity
-        is repaired on the watchdog cadence.
+        is repaired on the watchdog cadence. A pilot at any site counts:
+        the home site is bootstrapped again only when the whole placement
+        holds no pilot nodes.
         """
         interval = self.config.policies.pilot_watchdog_s
+        placement = self.placement
         while self.engine.now + interval <= duration_s:
             yield self.engine.timeout(interval)
-            self.controller.retire_finished()
-            if self.controller.nodes_available() == 0:
-                self.controller.bootstrap()
+            placement.retire_finished()
+            if placement.nodes_available() == 0:
+                placement.bootstrap()
 
     def _cfd_trigger(self) -> FabricProcess:
         """Alert -> pilot -> CFD -> twin refresh (the HPC arm of Fig. 3)."""
         cfg = self.config
         policy = cfg.policies.pilot
+        placement = self.placement
+        cores = placement.cores_per_task
         self._cfd_busy = True
         trigger_time = self.engine.now
         try:
@@ -540,12 +512,12 @@ class Hub:
             case = case_from_telemetry(
                 snapshot,
                 mesh=cfg.twin_mesh,
-                config=cfg.twin_solver,
+                config=TWIN_SOLVER,
                 name=f"cups_structure_{int(trigger_time)}",
             )
             runtime = float(
                 self.perfmodel.sample_total_time(
-                    cfg.cores_per_simulation, runtime_rng(self.engine)
+                    cores, runtime_rng(self.engine)
                 )[0]
             )
             queue_start = self.engine.now
@@ -555,10 +527,12 @@ class Hub:
             # execution; acquire a fresh one and retry (the delay-tolerant
             # discipline again), up to the configured attempt budget.
             for attempt in range(policy.max_attempts):
-                site_name, pilot, nodes_needed = self._acquire_pilot(case)
+                site_name, pilot = placement.acquire_pilot(
+                    case.input_size_bytes()
+                )
                 task = Task(
                     name=f"cfd-{int(trigger_time)}-a{attempt}",
-                    nodes=nodes_needed,
+                    nodes=placement.nodes_for_task(placement.sites[site_name]),
                     runtime_s=runtime,
                 )
                 try:
@@ -599,7 +573,7 @@ class Hub:
                     cause=dispatch_span,
                     attrs={
                         "site": site_name,
-                        "cores": cfg.cores_per_simulation,
+                        "cores": cores,
                         "task": task.name,
                     },
                 )
@@ -622,8 +596,8 @@ class Hub:
                     queue_wait_s=queue_wait,
                     execution_s=runtime,
                     total_response_s=total,
-                    cores=cfg.cores_per_simulation,
-                    validity_window_s=cfg.duty_cycle_s - total,
+                    cores=cores,
+                    validity_window_s=DUTY_CYCLE_S - total,
                     site=site_name,
                 )
             )
@@ -655,27 +629,6 @@ class Hub:
             self._cfd_busy = False
 
     # -- helpers --------------------------------------------------------------
-
-    def _acquire_pilot(self, case: CfdCase) -> tuple[str, Pilot, int]:
-        """(site name, pilot, nodes needed) via single- or multi-site path."""
-        cfg = self.config
-        if self.multisite is not None:
-            site_name, pilot = self.multisite.acquire_pilot(
-                case.input_size_bytes()
-            )
-            nodes_needed = self.multisite.nodes_for_task(
-                self.multisite.sites[site_name]
-            )
-            return site_name, pilot, nodes_needed
-        self.controller.retire_finished()
-        self.controller.on_data(case.input_size_bytes())
-        nodes_needed = max(
-            1, -(-cfg.cores_per_simulation // self.site.cluster.cores_per_node)
-        )
-        pilot = self.controller.best_pilot_for(nodes_needed)
-        if pilot is None:
-            pilot = self.controller.pilots[-1]  # freshly submitted
-        return self.site.name, pilot, nodes_needed
 
     def _latest_snapshot(self) -> TelemetrySnapshot:
         """Assemble the CFD boundary conditions from the freshest telemetry."""
@@ -719,10 +672,6 @@ class XGFabric:
     ----------
     config:
         Operating points (defaults = the paper's).
-    breaches:
-        Optional breach schedule (ground truth for the scenario).
-    site:
-        HPC site override; default a Notre Dame CRC preset.
     tracer:
         Observability tracer (see :mod:`repro.obs`). Disabled by default
         (``NULL_TRACER``); pass ``Tracer()`` to record spans and metrics
@@ -747,8 +696,6 @@ class XGFabric:
     def __init__(
         self,
         config: Optional[FabricConfig] = None,
-        breaches: Optional[BreachSchedule] = None,
-        site: Optional[HpcSite] = None,
         tracer: Optional[Tracer] = None,
         slos: Optional[Sequence[SLO]] = None,
         recorder: Optional[FlightRecorder] = None,
@@ -796,12 +743,10 @@ class XGFabric:
         # One transport carries farm appends and hub traffic alike: their
         # latency draws share the ``cspot.transport`` stream in event order.
         self.transport = Transport(self.engine, tracer=self.tracer)
-        self.farm = FarmSite(
-            self.engine, cfg, self.metrics, breaches=breaches, tracer=self.tracer
-        )
+        self.farm = FarmSite(self.engine, self.metrics, tracer=self.tracer)
         self.hub = Hub(
             self.engine, cfg, self.transport, self.metrics, self.farm,
-            site=site, tracer=self.tracer,
+            tracer=self.tracer,
         )
         #: The farm's weather truth (scenarios add fronts through it).
         self.weather = self.farm.weather

@@ -3,10 +3,11 @@
 :class:`ShardedFabricScenario` is the multi-farm reading of the paper's
 pipeline, partitioned by cell across workers under the conservative
 window-barrier protocol of :mod:`repro.parallel`. Every cell is a
-:class:`~repro.core.fabric.FarmSite` built from ``FabricConfig(seed=seed)``
--- the farm :class:`~repro.core.fabric.XGFabric` runs, at the paper's
-operating points, on its own ``shard.cell<ccc>.*`` sensor streams. Cell
-``hub_site`` also hosts the repository every farm reports into.
+:class:`~repro.core.fabric.FarmSite` -- the farm
+:class:`~repro.core.fabric.XGFabric` runs, at the paper's operating points
+(``FabricConfig(seed=seed)``), on its own ``shard.cell<ccc>.*`` sensor
+streams. Cell ``hub_site`` also hosts the repository every farm reports
+into.
 
 * **Uplink.** Each telemetry round, a farm reads its stations and sends
   every :class:`~repro.core.telemetry.TelemetryRecord` through
@@ -53,7 +54,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from repro.chaos.shardfaults import ShardChaosCampaign
-from repro.core.config import FabricConfig
+from repro.core.config import DUTY_CYCLE_S, FabricConfig
 from repro.core.e2e import fig3_slos
 from repro.core.fabric import (
     ChangeDetection,
@@ -182,7 +183,7 @@ class FabricShardRunner(ShardRunner[SiteShardResult]):
             self._link_faults[link_fault.cell_index].append(link_fault)
         self._farms: dict[int, FarmSite] = {}
         for c in task.cells:
-            farm = FarmSite(self.engine, self.config, FabricMetrics(), cell=c)
+            farm = FarmSite(self.engine, FabricMetrics(), cell=c)
             farm.unl.create_log(
                 PARKED_LOG,
                 element_size=TELEMETRY_ELEMENT_SIZE,
@@ -290,7 +291,7 @@ class FabricShardRunner(ShardRunner[SiteShardResult]):
                     history_size=4096,
                 )
         detection = ChangeDetection(
-            self.engine, self.config, hosts={"ucsb": hub}, transport=self.transport
+            self.engine, hosts={"ucsb": hub}, transport=self.transport
         )
         self.engine.process(
             self._duty_cycle_loop(hub, detection), name="hub-duty-cycle"
@@ -304,9 +305,8 @@ class FabricShardRunner(ShardRunner[SiteShardResult]):
         task = self.task
         result = self._results[task.hub_cell]
         exterior = self._farms[task.hub_cell].exterior_station.station_id
-        duty_cycle_s = self.config.duty_cycle_s
-        while self.engine.now + duty_cycle_s <= task.horizon_s:
-            yield self.engine.timeout(duty_cycle_s)
+        while self.engine.now + DUTY_CYCLE_S <= task.horizon_s:
+            yield self.engine.timeout(DUTY_CYCLE_S)
             for src in range(task.n_cells):
                 decision = yield from detection.decide(
                     hub.get_log(hub_log(src, f"telemetry.{exterior}"))

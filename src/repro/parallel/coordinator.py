@@ -43,6 +43,7 @@ time in a total order, and every merge is exact.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 from dataclasses import KW_ONLY, dataclass, field
 from multiprocessing.connection import Connection
@@ -248,10 +249,21 @@ class ShardedScenario:
     )
 
     def __post_init__(self) -> None:
-        if self.horizon_s <= 0:
-            raise ValueError(f"horizon_s must be positive: {self.horizon_s}")
-        if self.window_s <= 0:
-            raise ValueError(f"window_s must be positive: {self.window_s}")
+        # A NaN or infinite horizon or quantum would never reach its last
+        # barrier; reject it here rather than hang in run().
+        for name in ("horizon_s", "window_s", "worker_timeout_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite: {value}")
+        delay = self.interaction_delay_s
+        if delay is not None and not (math.isfinite(delay) and delay > 0):
+            raise ValueError(
+                f"interaction_delay_s must be positive and finite: {delay}"
+            )
+        if not 0.0 < self.relative_error < 1.0:
+            raise ValueError(
+                f"relative_error must be in (0, 1): {self.relative_error}"
+            )
         if self.window_s > self.horizon_s:
             raise ValueError(
                 f"window_s {self.window_s} exceeds horizon_s {self.horizon_s}"

@@ -20,6 +20,7 @@ which case the sampling window itself is the natural barrier quantum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence, TypeVar
 
@@ -197,13 +198,14 @@ class ShardPlan:
         ``min(window_s, interaction_delay_s)``. A ``None`` delay declares
         the shards decoupled: the sampling window is the quantum.
         """
-        if window_s <= 0:
-            raise ValueError(f"window_s must be positive: {window_s}")
+        if not (math.isfinite(window_s) and window_s > 0):
+            raise ValueError(f"window_s must be positive and finite: {window_s}")
         if interaction_delay_s is None:
             return window_s
-        if interaction_delay_s <= 0:
+        if not (math.isfinite(interaction_delay_s) and interaction_delay_s > 0):
             raise ValueError(
-                f"interaction_delay_s must be positive: {interaction_delay_s}"
+                f"interaction_delay_s must be positive and finite: "
+                f"{interaction_delay_s}"
             )
         return min(window_s, interaction_delay_s)
 
@@ -219,8 +221,8 @@ class ShardPlan:
         the horizon itself is always the final barrier so every shard
         finishes at the same instant.
         """
-        if horizon_s <= 0:
-            raise ValueError(f"horizon_s must be positive: {horizon_s}")
+        if not (math.isfinite(horizon_s) and horizon_s > 0):
+            raise ValueError(f"horizon_s must be positive and finite: {horizon_s}")
         quantum = self.sync_window_s(window_s, interaction_delay_s)
         times: list[float] = []
         k = 1

@@ -17,9 +17,11 @@ from ``squeue``/``qstat``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.cfd.perfmodel import CfdPerformanceModel
 from repro.hpc.site import HpcSite
+from repro.obs.trace import Tracer
 from repro.pilot.controller import PilotController
 from repro.pilot.pilot import Pilot
 from repro.simkernel import Engine
@@ -40,19 +42,23 @@ class SiteScore:
 
 
 class MultiSitePilotController:
-    """Places pilots across several facilities.
+    """Places pilots across one or more facilities.
 
     Parameters
     ----------
     engine:
         Shared simulation engine (all sites must live on it).
     sites:
-        Candidate facilities.
+        Candidate facilities. The first is the home site, where
+        :meth:`bootstrap` places the paper's initial pilot.
     cores_per_task:
         Core count the CFD task wants (64 in the paper).
     threshold_bytes / walltime_factor:
         Passed through to each site's per-site controller (Eqs 1-4 still
         govern sizing within a site).
+    tracer:
+        Passed through to each per-site controller, which records its
+        decisions and submissions.
     """
 
     def __init__(
@@ -62,6 +68,7 @@ class MultiSitePilotController:
         cores_per_task: int = 64,
         threshold_bytes: float = 2.0e6,
         walltime_factor: float = 8.0,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         if not sites:
             raise ValueError("need at least one site")
@@ -83,6 +90,7 @@ class MultiSitePilotController:
                     cores_per_task
                 ),
                 walltime_factor=walltime_factor,
+                tracer=tracer,
             )
             for name, site in sites.items()
         }
@@ -139,6 +147,22 @@ class MultiSitePilotController:
             pilot = controller.pilots[-1]
         self.placements.append((self.engine.now, best.site_name))
         return best.site_name, pilot
+
+    def bootstrap(self) -> Pilot:
+        """Submit the paper's initial single-node pilot at the home site."""
+        return next(iter(self._controllers.values())).bootstrap()
+
+    def retire_finished(self) -> int:
+        """Drop terminal pilots at every site; returns the count dropped."""
+        return sum(c.retire_finished() for c in self._controllers.values())
+
+    def nodes_available(self) -> int:
+        """Eq (2) summed over every site."""
+        return sum(c.nodes_available() for c in self._controllers.values())
+
+    def pilots(self) -> list[Pilot]:
+        """Every site's tracked pilots, site by site."""
+        return [p for c in self._controllers.values() for p in c.pilots]
 
     def controller_for(self, name: str) -> PilotController:
         try:

@@ -23,7 +23,7 @@ from repro.cfd import (
 from repro.cfd.boundary import cups_screen_walls
 from repro.cfd.mesh import default_mesh
 from repro.cfd.solver import SOR_OMEGA, nonfinite_fields
-from repro.core.config import FabricConfig
+from repro.core.config import TWIN_SOLVER, FabricConfig
 from tests.cfd.reference import (
     divergence,
     divergence_norm,
@@ -83,14 +83,13 @@ class TestPaddedScratch:
 
 class TestSerialBitParity:
     def test_buffered_step_matches_reference(self):
-        twin = FabricConfig()
-        twin_mesh, twin_bcs, _ = build_case(twin.twin_mesh)
+        twin_mesh, twin_bcs, _ = build_case(FabricConfig().twin_mesh)
         cases = (
             build_case(),
             # The fabric twin's mesh and sweep count.
             (twin_mesh, twin_bcs, SolverConfig(
-                dt=twin.twin_solver.dt, n_steps=30,
-                poisson_iterations=twin.twin_solver.poisson_iterations,
+                dt=TWIN_SOLVER.dt, n_steps=30,
+                poisson_iterations=TWIN_SOLVER.poisson_iterations,
             )),
         )
         for mesh, bcs, cfg in cases:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cfd import ProjectionSolver
 from repro.cfd.case import TelemetrySnapshot, case_from_telemetry
-from repro.core.config import FabricConfig
+from repro.core.config import TWIN_SOLVER, FabricConfig
 from tests.cfd.reference import jacobi_final_divergence
 
 #: The twin's previous pressure solve: 40 fixed Jacobi sweeps per step.
@@ -24,9 +24,8 @@ def _twin_solver(wind_mps: float) -> ProjectionSolver:
         interior_temperature_k=295.65,
         relative_humidity=0.55,
     )
-    config = FabricConfig()
     return case_from_telemetry(
-        snapshot, mesh=config.twin_mesh, config=config.twin_solver
+        snapshot, mesh=FabricConfig().twin_mesh, config=TWIN_SOLVER
     ).build_solver()
 
 

@@ -8,6 +8,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.core import FabricConfig, XGFabric, analyze_end_to_end
+from repro.core.config import DUTY_CYCLE_S
 from repro.cspot.log import WooF
 from repro.sensors import BreachEvent
 from repro.sensors.weather import RegimeShift
@@ -89,12 +90,12 @@ class TestCfdArm:
     def test_run_records_are_consistent(self, eventful_run):
         fab, m = eventful_run
         for run in m.cfd_runs:
-            assert run.cores == fab.config.cores_per_simulation
+            assert run.cores == fab.hub.placement.cores_per_task == 64
             assert run.execution_s > 0
             assert run.total_response_s >= run.execution_s - 1e-6
             assert run.queue_wait_s >= 0
             assert run.validity_window_s == pytest.approx(
-                fab.config.duty_cycle_s - run.total_response_s
+                DUTY_CYCLE_S - run.total_response_s
             )
 
     def test_execution_near_paper_anchor(self, eventful_run):
@@ -196,12 +197,6 @@ class TestDeterminism:
 
         assert once() == once()
 
-    def test_radio_can_be_disabled(self):
-        fab = XGFabric(small_config(include_radio=False))
-        m = fab.run(1800.0)
-        assert fab.farm.radio is None
-        assert m.telemetry_sent > 0
-
 
 class TestGoldenDigest:
     """A literal digest of a short eventful run: 4 h, seed 3, a front at
@@ -250,11 +245,15 @@ class TestGoldenDigest:
 
 class TestConfigValidation:
     @pytest.mark.parametrize("field", [
-        "telemetry_interval_s", "duty_cycle_s", "residual_threshold_mps",
-        "pilot_threshold_bytes", "pilot_walltime_factor",
-        "background_jobs_per_hour", "radio_bandwidth_mhz",
+        "telemetry_interval_s", "background_jobs_per_hour",
     ])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             FabricConfig(**{field: value})
+
+    def test_rejects_negative_background_load(self):
+        # The hub builds a load generator only for a positive rate, so a
+        # negative one would otherwise run silently with no load at all.
+        with pytest.raises(ValueError, match="background_jobs_per_hour"):
+            FabricConfig(background_jobs_per_hour=-2.0)

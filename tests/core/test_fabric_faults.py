@@ -65,7 +65,7 @@ class TestFabricUnderPartition:
 
 class TestFabricUnderRepeatedOutages:
     def test_three_short_outages(self):
-        fab = XGFabric(FabricConfig(seed=23, include_radio=False))
+        fab = XGFabric(FabricConfig(seed=23))
         path = fab.transport.path("unl", "ucsb")
         for start in (1800.0, 5400.0, 9000.0):
             path.faults.add_partition(start, start + 300.0)

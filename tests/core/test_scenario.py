@@ -40,12 +40,14 @@ class TestBuilder:
 
     def test_build_applies_config_and_events(self):
         s = (
-            Scenario(hours=8, seed=7, config=FabricConfig(include_radio=False))
+            Scenario(
+                hours=8, seed=7, config=FabricConfig(telemetry_interval_s=600.0)
+            )
             .breach(panel=1, at_hour=2.0)
         )
         fabric = s.build()
         assert fabric.config.seed == 7
-        assert fabric.farm.radio is None
+        assert fabric.config.telemetry_interval_s == 600.0
         assert fabric.farm.breaches.first_breach_time() == 2.0 * 3600.0
 
 

@@ -43,7 +43,7 @@ def reference_run():
     engine = Engine(seed=SEED)
     metrics = FabricMetrics()
     transport = Transport(engine)
-    farm = FarmSite(engine, config, metrics, cell=0)
+    farm = FarmSite(engine, metrics, cell=0)
     hub = Hub(engine, config, transport, metrics, farm)
     transport.connect("unl", "ucsb", unl_ucsb_5g())
     transport.connect("ucsb", "nd", ucsb_nd_internet())

@@ -11,11 +11,12 @@ worker, on both executors, within bounded time.
 
 import pytest
 
-from repro.core.fabric_sharded import FabricShardTask
+from repro.core.fabric_sharded import FabricShardTask, ShardedFabricScenario
 from repro.parallel import (
     CellFault,
     FabricBus,
     ScaleShardTask,
+    ShardedScaleScenario,
     ShardPlan,
     WorkerCrash,
     run_shards_serial,
@@ -105,6 +106,53 @@ class TestTaskValidation:
 def test_scale_task_rejects_non_positive_window():
     with pytest.raises(ValueError, match="window_s"):
         _scale_task(window_s=-1.0)
+
+
+def _scale_scenario(**overrides):
+    fields = dict(horizon_s=4.0, window_s=2.0)
+    return ShardedScaleScenario(_scale_task().population, **{**fields, **overrides})
+
+
+def _fabric_scenario(**overrides):
+    fields = dict(n_sites=2, horizon_s=FABRIC_HORIZON_S)
+    return ShardedFabricScenario(**{**fields, **overrides})
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: Scenario inputs that would make ``run()`` spin forever on its barrier
+#: schedule, or fail only inside it: (family, overrides, message). The
+#: fabric family fixes its window and interaction delay.
+SCENARIO_REJECTIONS = [
+    ("scale", {"horizon_s": NAN}, "horizon_s"),
+    ("scale", {"horizon_s": INF}, "horizon_s"),
+    ("scale", {"window_s": NAN}, "window_s"),
+    ("scale", {"interaction_delay_s": NAN}, "interaction_delay_s"),
+    ("scale", {"worker_timeout_s": 0.0}, "worker_timeout_s"),
+    ("scale", {"relative_error": NAN}, "relative_error"),
+    ("fabric", {"horizon_s": NAN}, "horizon_s"),
+    ("fabric", {"horizon_s": INF}, "horizon_s"),
+    ("fabric", {"worker_timeout_s": 0.0}, "worker_timeout_s"),
+    ("fabric", {"relative_error": NAN}, "relative_error"),
+]
+
+
+@pytest.mark.parametrize(
+    "family, overrides, message",
+    SCENARIO_REJECTIONS,
+    ids=[f"{f}-{k}-{v}" for f, o, _ in SCENARIO_REJECTIONS for k, v in o.items()],
+)
+def test_scenario_rejects_unrunnable_inputs(family, overrides, message):
+    build = {"scale": _scale_scenario, "fabric": _fabric_scenario}[family]
+    build()  # the unmodified scenario is valid
+    with pytest.raises(ValueError, match=message):
+        build(**overrides)
+
+
+@pytest.mark.parametrize("window_s, delay_s", [(INF, None), (2.0, NAN)])
+def test_sync_window_rejects_non_finite_quantum(window_s, delay_s):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        ShardPlan.build(2, 1).sync_window_s(window_s, delay_s)
 
 
 class TestCrashValidation:

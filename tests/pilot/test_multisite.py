@@ -103,3 +103,26 @@ class TestPlacement:
         times = [t for t, _ in ctl.placements]
         assert times == sorted(times)
         assert sum(ctl.placement_counts().values()) == 2
+
+
+class TestPlacementWide:
+    """The calls the fabric's watchdog and chaos injectors make."""
+
+    def test_bootstrap_goes_to_the_home_site(self, engine):
+        ctl = controller(engine)
+        pilot = ctl.bootstrap()
+        assert pilot.site is ctl.sites["nd-crc"]  # the first site given
+        assert pilot.nodes == 1
+        assert ctl.pilots() == [pilot]
+
+    def test_capacity_and_retirement_span_every_site(self, engine):
+        ctl = controller(engine)
+        home = ctl.bootstrap()
+        site_name, placed = ctl.acquire_pilot(1e6)
+        assert site_name != "nd-crc"  # the idle home pilot is not warm yet
+        assert ctl.pilots() == [home, placed]
+        assert ctl.nodes_available() == home.nodes + placed.nodes
+        engine.run(until=engine.all_of([home.finished, placed.finished]))
+        assert ctl.retire_finished() == 2
+        assert ctl.nodes_available() == 0
+        assert ctl.pilots() == []

@@ -107,7 +107,7 @@ class TestBacktest:
         trace = record_trace(source, duration_s=4 * 3600.0, interval_s=60.0)
 
         def run_with(weather):
-            fab = XGFabric(FabricConfig(seed=9, include_radio=False))
+            fab = XGFabric(FabricConfig(seed=9))
             fab.weather = weather
             m = fab.run(3 * 3600.0)
             return m.telemetry_sent, m.change_alerts
