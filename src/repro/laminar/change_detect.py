@@ -26,8 +26,11 @@ import numpy as np
 
 from repro.laminar.graph import DataflowGraph
 from repro.laminar.stats_tests import (
+    ALL_TESTS,
     DEFAULT_ALPHA,
     StatTestResult,
+    check_alpha,
+    check_vote_threshold,
     ks_test,
     majority_vote,
     mann_whitney_test,
@@ -72,10 +75,8 @@ class ChangeDetector:
     ) -> None:
         if window_size < 2:
             raise ValueError(f"window_size must be >= 2: {window_size}")
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha out of (0,1): {alpha}")
-        if not 1 <= vote_threshold <= 3:
-            raise ValueError(f"vote_threshold out of 1..3: {vote_threshold}")
+        check_alpha(alpha)
+        check_vote_threshold(vote_threshold, len(ALL_TESTS))
         self.window_size = window_size
         self.alpha = alpha
         self.vote_threshold = vote_threshold
@@ -122,6 +123,8 @@ def build_change_detection_graph(
     ``alert`` operand. Hosts may be assigned per stage ("the statistical
     tests and a voting algorithm ... at UCSB in this study").
     """
+    check_alpha(alpha)
+    check_vote_threshold(vote_threshold, len(ALL_TESTS))
     g = DataflowGraph("change-detect")
     current = g.operand("current", ARRAY_F64)
     previous = g.operand("previous", ARRAY_F64)

@@ -33,6 +33,11 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([[1.0, 2.0]])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            summarize([1.0, bad, 2.0])
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
     def test_bounds_property(self, values):
@@ -64,6 +69,11 @@ class TestConfidenceInterval:
 
     def test_degenerate_constant_series(self):
         assert confidence_interval([3.0, 3.0, 3.0]) == (3.0, 3.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            confidence_interval([1.0, bad, 2.0])
 
 
 class TestComparisonTable:

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.laminar import ChangeDetector, ks_test, mann_whitney_test, welch_t_test
+from repro.laminar import (
+    ChangeDetector,
+    build_change_detection_graph,
+    ks_test,
+    mann_whitney_test,
+    welch_t_test,
+)
 from repro.laminar.stats_tests import StatTestResult, majority_vote
 
 
@@ -49,6 +55,15 @@ class TestIndividualTests:
             test_fn([np.nan, 1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             test_fn([[1.0, 2.0]], [[1.0, 2.0]])
+
+    def test_welch_spread_below_float_range(self):
+        # Variances that underflow to 0 leave t = diff / 0: the means decide.
+        res = welch_t_test([0.0, 0.0], [0.0, 2.8e-244])
+        assert res.different and res.statistic == -np.inf
+        assert not welch_t_test([0.0, 1e-300], [1e-300, 0.0]).different
+        # Variances whose squares underflow still give a finite df and p.
+        res = welch_t_test(np.zeros(6), [0.0, 1e-150, 0.0, 0.0, 0.0, 0.0])
+        assert 0.0 < res.p_value < 1.0 and not res.different
 
     def test_ks_detects_variance_change(self, rng):
         # Variance-only changes are where KS earns its seat at the table.
@@ -113,6 +128,36 @@ class TestChangeDetector:
             ChangeDetector(alpha=0.0)
         with pytest.raises(ValueError):
             ChangeDetector(vote_threshold=4)
+
+
+_WINDOWS = (np.arange(6.0), np.arange(6.0) + 0.5)
+
+
+class TestSettingsValidation:
+    """The graph builder and the three tests reject what the detector
+    rejects: an alpha outside (0, 1) or NaN (nothing is ever different), a
+    vote threshold of 0 (alerts every epoch) or above 3 (never alerts)."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: build_change_detection_graph(alpha=0.0), id="graph-alpha-0"),
+        pytest.param(lambda: build_change_detection_graph(alpha=1.5), id="graph-alpha-1.5"),
+        pytest.param(lambda: build_change_detection_graph(alpha=float("nan")),
+                     id="graph-alpha-nan"),
+        pytest.param(lambda: build_change_detection_graph(vote_threshold=0),
+                     id="graph-threshold-0"),
+        pytest.param(lambda: build_change_detection_graph(vote_threshold=4),
+                     id="graph-threshold-4"),
+        pytest.param(lambda: welch_t_test(*_WINDOWS, alpha=2.0), id="welch-alpha-2"),
+        pytest.param(lambda: welch_t_test(*_WINDOWS, alpha=float("nan")), id="welch-alpha-nan"),
+        pytest.param(lambda: mann_whitney_test(*_WINDOWS, alpha=0.0), id="mwu-alpha-0"),
+        pytest.param(lambda: mann_whitney_test(*_WINDOWS, alpha=float("nan")),
+                     id="mwu-alpha-nan"),
+        pytest.param(lambda: ks_test(*_WINDOWS, alpha=-0.1), id="ks-alpha-negative"),
+        pytest.param(lambda: ks_test(*_WINDOWS, alpha=float("nan")), id="ks-alpha-nan"),
+    ])
+    def test_rejected(self, build):
+        with pytest.raises(ValueError, match="alpha|threshold"):
+            build()
 
 
 @settings(max_examples=50, deadline=None)

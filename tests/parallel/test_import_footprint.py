@@ -3,7 +3,8 @@
 A spawned worker imports ``repro.parallel.worker`` (and with it the
 package) before it can run its shard, so whatever the package pulls in
 lands in each worker's start-up time and memory. The fabric stack --
-sensors, Laminar, CFD, and ``scipy`` through them -- must stay out.
+sensors, Laminar and CFD -- must stay out, and so must ``scipy``, which
+only the tests import.
 """
 
 import json
