@@ -19,6 +19,7 @@ arguments:
 """
 
 import numpy as np
+import pytest
 
 from repro.analysis import ComparisonTable
 from repro.cfd import CfdPerformanceModel
@@ -72,6 +73,7 @@ def test_backhaul_ablation(benchmark):
     assert rel < 0.001
 
 
+@pytest.mark.smoke
 def test_transport_cache_ablation(benchmark):
     """Size cache: halves latency; staleness costs a retry."""
 
@@ -95,15 +97,14 @@ def test_transport_cache_ablation(benchmark):
         client, server = CSPOTNode(engine, "ucsb"), CSPOTNode(engine, "nd")
         server.create_log("data", element_size=1024)
         transport.connect("ucsb", "nd", _paths()["ucsb-nd-internet"])
-        from repro.cspot import RemoteAppendClient
+        from repro.cspot import RemoteAppendClient, RetryPolicy
 
         appender = RemoteAppendClient(
             transport, client, server, "data", use_size_cache=True,
-            retry_backoff_s=0.0,
+            policy=RetryPolicy(backoff_s=0.0),
         )
         engine.run(until=appender.append(b"warm"))
-        server.namespace._logs.pop("data")
-        server.namespace._storages.pop("data")
+        del server.logs["data"]
         server.create_log("data", element_size=2048)
         start = engine.now
         engine.run(until=appender.append(b"after-resize"))

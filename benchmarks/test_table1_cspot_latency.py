@@ -8,6 +8,8 @@ network is an order-of-magnitude improvement that is nevertheless
 imperceptible end-to-end.
 """
 
+import pytest
+
 from repro.analysis import ComparisonTable
 from repro.cspot import CSPOTNode, Transport
 from repro.cspot.latency import measure_path_latency
@@ -49,6 +51,7 @@ def generate_table1():
     return rows, cached.mean_ms
 
 
+@pytest.mark.smoke
 def test_table1_cspot_message_latency(benchmark):
     rows, cached_mean = run_once(benchmark, generate_table1)
 

@@ -2,9 +2,9 @@
 
 A :class:`ChaosCampaign` owns a list of :class:`~repro.chaos.faults
 .FaultInjection`\\ s and arms one engine process per fault when attached to
-a fabric. A campaign with no faults (or ``enabled=False``) arms nothing at
-all -- it adds zero events, zero RNG draws, zero behavioural drift, which
-is the bit-identical guarantee the determinism tests pin down.
+a fabric. A campaign with no faults arms nothing at all -- it adds zero
+events, zero RNG draws, zero behavioural drift, which is the
+bit-identical guarantee the determinism tests pin down.
 
 Fault timing can be randomized *reproducibly* through the engine's named
 ``"chaos"`` RNG stream (:func:`randomized_campaign`): the stream is keyed
@@ -29,6 +29,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.fabric import XGFabric
     from repro.simkernel.events import Event
 
+#: Health-check cadence after a fault is reverted.
+RECOVERY_POLL_S = 30.0
+#: How long after revert a fault may take to recover before the report
+#: calls it unrecovered.
+RECOVERY_TIMEOUT_S = 4 * 3600.0
+
 
 class ChaosCampaign:
     """A set of scheduled faults to drive against one fabric run.
@@ -37,32 +43,21 @@ class ChaosCampaign:
     ----------
     faults:
         The injections, in any order (each is independently scheduled).
-    enabled:
-        When False the campaign attaches as a no-op: no processes are
-        armed and the run is bit-identical to an un-attacked one.
     """
 
-    def __init__(
-        self,
-        faults: Iterable[FaultInjection] = (),
-        enabled: bool = True,
-    ) -> None:
+    def __init__(self, faults: Iterable[FaultInjection] = ()) -> None:
         self.faults = list(faults)
-        self.enabled = enabled
         self.outcomes: list[FaultOutcome] = []
         self._fabric: Optional["XGFabric"] = None
 
     def attach(self, fabric: "XGFabric") -> "ChaosCampaign":
         """Arm one runner process per fault on the fabric's engine.
 
-        Disabled or empty campaigns arm nothing -- the event stream is
-        untouched.
+        An empty campaign arms nothing -- the event stream is untouched.
         """
         if self._fabric is not None:
             raise RuntimeError("campaign is already attached")
         self._fabric = fabric
-        if not self.enabled:
-            return self
         for fault in self.faults:
             fabric.engine.process(
                 self._drive(fabric, fault), name=f"chaos:{fault.name}"
@@ -90,14 +85,14 @@ class ChaosCampaign:
             recorder_dump=dump,
         )
         self.outcomes.append(outcome)
-        deadline = engine.now + fault.recovery_timeout_s
+        deadline = engine.now + RECOVERY_TIMEOUT_S
         while True:
             if fault.recovered(fabric):
                 outcome.recovered_at_s = engine.now
                 break
             if engine.now >= deadline:
                 break
-            yield engine.timeout(fault.recovery_poll_s)
+            yield engine.timeout(RECOVERY_POLL_S)
         self._observe(fabric, outcome)
 
     @staticmethod

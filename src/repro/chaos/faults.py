@@ -14,6 +14,7 @@ snapshots) -- build a fresh list per campaign run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -32,21 +33,17 @@ class FaultInjection:
         When the fault begins and how long its cause persists. A zero
         duration is an instantaneous fault (e.g. a session drop) whose
         whole story is the recovery.
-    recovery_poll_s / recovery_timeout_s:
-        Health-check cadence and give-up horizon after revert.
     """
 
     start_s: float
     duration_s: float = 0.0
     name: str = ""
     layer: str = "generic"
-    recovery_poll_s: float = 30.0
-    recovery_timeout_s: float = 4 * 3600.0
 
     def __post_init__(self) -> None:
-        if self.start_s < 0 or self.duration_s < 0:
+        if not (0 <= self.start_s < math.inf and 0 <= self.duration_s < math.inf):
             raise ValueError(
-                f"fault schedule must be non-negative: "
+                f"fault schedule must be non-negative and finite: "
                 f"start={self.start_s}, duration={self.duration_s}"
             )
         if not self.name:

@@ -1,11 +1,12 @@
-"""Retry / timeout / backoff policies for degraded-mode operation.
+"""The fabric's retry policies for degraded-mode operation.
 
 The paper's delay-tolerance discipline is "a 'failure to append' ... is
-simply retried until it succeeds" (section 4.2). This module makes that
-discipline an explicit, tunable object instead of constants scattered
-through the stack: every layer that retries (CSPOT reliable appends, the
-ND alert fetch, pilot acquisition for CFD triggers) is parameterized by a
-:class:`RetryPolicy`, and :class:`FabricPolicies` bundles the per-layer
+simply retried until it succeeds" (section 4.2). Every layer of the fabric
+that retries (CSPOT reliable appends, the ND alert fetch, pilot acquisition
+for CFD triggers) is parameterized by a
+:class:`~repro.cspot.transport.RetryPolicy` -- defined in
+:mod:`repro.cspot.transport` next to the reliable append it drives, and
+re-exported here -- and :class:`FabricPolicies` bundles the per-layer
 policies the fabric threads through its loops.
 
 Policies are pure data + arithmetic -- no engine, no randomness -- so the
@@ -15,69 +16,11 @@ same policy object can drive simulated retries and be printed into a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
+from repro.cspot.transport import DEFAULT_APPEND_POLICY, RetryPolicy
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff over a bounded number of attempts.
-
-    Attributes
-    ----------
-    max_attempts:
-        Total tries (first attempt included). ``1`` means no retry.
-    backoff_s:
-        Base delay before the second attempt; ``0`` retries immediately.
-    backoff_factor:
-        Multiplier applied per subsequent attempt (``2`` = doubling).
-    max_backoff_s:
-        Ceiling on any single delay -- long partitions are waited out at
-        this cadence rather than hammered or abandoned.
-    """
-
-    max_attempts: int = 100
-    backoff_s: float = 0.5
-    backoff_factor: float = 2.0
-    max_backoff_s: float = 60.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1: {self.max_attempts}")
-        if self.backoff_s < 0:
-            raise ValueError(f"negative backoff: {self.backoff_s}")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1: {self.backoff_factor}"
-            )
-        if self.max_backoff_s < self.backoff_s:
-            raise ValueError("max_backoff_s must be >= backoff_s")
-
-    def delay_s(self, attempt: int) -> float:
-        """Backoff before retrying after failed attempt ``attempt`` (0-based).
-
-        The exponent is clamped so huge attempt numbers cannot overflow;
-        the result is capped at ``max_backoff_s``.
-        """
-        if attempt < 0:
-            raise ValueError(f"negative attempt index: {attempt}")
-        if self.backoff_s == 0.0:
-            return 0.0
-        return min(
-            self.backoff_s * (self.backoff_factor ** min(attempt, 12)),
-            self.max_backoff_s,
-        )
-
-    def total_budget_s(self) -> float:
-        """Sum of all backoff delays if every attempt fails (the worst-case
-        time a caller spends waiting between attempts)."""
-        return sum(self.delay_s(a) for a in range(self.max_attempts - 1))
-
-
-#: The transport's historical constants (RemoteAppendClient defaults) --
-#: the fabric's append behaviour is bit-identical under this policy.
-DEFAULT_APPEND_POLICY = RetryPolicy(
-    max_attempts=100, backoff_s=0.5, backoff_factor=2.0, max_backoff_s=60.0
-)
 
 #: Alert fetches run on a 30-minute duty cycle; a failed fetch retries on
 #: a short backoff and, if the partition outlasts the budget, gives up and
@@ -125,9 +68,10 @@ class FabricPolicies:
     pilot_watchdog_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.pilot_watchdog_s < 0:
+        if not 0 <= self.pilot_watchdog_s < math.inf:
             raise ValueError(
-                f"negative watchdog interval: {self.pilot_watchdog_s}"
+                "watchdog interval must be non-negative and finite: "
+                f"{self.pilot_watchdog_s}"
             )
 
 

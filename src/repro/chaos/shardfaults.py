@@ -15,7 +15,7 @@ parked/flushed/in-flight ledger whether the site shares a worker with
 the hub or not. The determinism battery in
 ``tests/parallel/test_fabric_sharded_determinism.py`` pins this.
 
-A disabled campaign routes nothing at all (the bit-identical guarantee
+An empty campaign routes nothing at all (the bit-identical guarantee
 mirroring :class:`~repro.chaos.campaign.ChaosCampaign`).
 """
 
@@ -41,14 +41,10 @@ class ShardChaosCampaign:
         Link severances, each applied by the worker owning the *sender*
         cell: transfers park locally while severed and flush in order at
         the first healthy window.
-    enabled:
-        When False the campaign routes nothing -- the run is
-        bit-identical to an un-attacked one.
     """
 
     faults: tuple[CellFault, ...] = ()
     link_faults: tuple[LinkFault, ...] = ()
-    enabled: bool = True
 
     @classmethod
     def severed_link(
@@ -113,12 +109,8 @@ class ShardChaosCampaign:
     ]:
         """Per-worker (faults, link_faults), routed by owning cell.
 
-        A disabled campaign routes empty tuples everywhere. Routing is
-        total: every enabled fault lands on exactly one worker.
+        Routing is total: every fault lands on exactly one worker.
         """
-        if not self.enabled:
-            empty = tuple(() for _ in range(plan.n_workers))
-            return empty, empty
         return (
             plan.route_faults(self.faults),
             plan.route_link_faults(self.link_faults),
@@ -126,5 +118,5 @@ class ShardChaosCampaign:
 
     @property
     def n_faults(self) -> int:
-        """Total faults the campaign will route when enabled."""
+        """Total faults the campaign will route."""
         return len(self.faults) + len(self.link_faults)

@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.cfd.case import TelemetrySnapshot, case_from_telemetry
 from repro.cfd.perfmodel import CfdPerformanceModel, runtime_rng
-from repro.chaos.policies import RetryPolicy
 from repro.core.config import (
     DUTY_CYCLE_S,
     HPC_NODES,
@@ -219,23 +218,6 @@ class FarmSite:
             self.radio.core.route_uplink(self.ue.session, n_bytes)
 
 
-def reliable_appender(
-    transport: Transport,
-    policy: RetryPolicy,
-    client: CSPOTNode,
-    server: CSPOTNode,
-    log_name: str,
-) -> RemoteAppendClient:
-    """A reliable ``client -> server`` appender on the configured append policy."""
-    return RemoteAppendClient(
-        transport, client, server, log_name,
-        retry_backoff_s=policy.backoff_s,
-        max_retries=policy.max_attempts,
-        max_backoff_s=policy.max_backoff_s,
-        backoff_factor=policy.backoff_factor,
-    )
-
-
 @dataclass(frozen=True)
 class Decision:
     """One duty cycle's Laminar verdicts: the three tests and their vote."""
@@ -286,7 +268,7 @@ class ChangeDetection:
         """
         series = [
             TelemetryRecord.from_bytes(entry.payload).wind_speed_mps
-            for entry in log.scan()
+            for entry in log.latest(2 * WINDOW_SIZE)
         ]
         if len(series) < 2 * WINDOW_SIZE:
             return None
@@ -375,11 +357,11 @@ class Hub:
         # application of water, pesticides, or to detect failures".
         self.ucsb.create_log("cfd.summary", element_size=256, history_size=1024)
         policy = cfg.policies.append
-        self._summary_appender = reliable_appender(
-            transport, policy, self.nd, self.ucsb, "cfd.summary"
+        self._summary_appender = RemoteAppendClient(
+            transport, self.nd, self.ucsb, "cfd.summary", policy=policy
         )
-        self._operator_appender = reliable_appender(
-            transport, policy, self.ucsb, farm.unl, "operator.inbox"
+        self._operator_appender = RemoteAppendClient(
+            transport, self.ucsb, farm.unl, "operator.inbox", policy=policy
         )
 
         # -- change detection (Laminar on CSPOT) ------------------------------
@@ -754,12 +736,12 @@ class XGFabric:
         self.transport.connect("unl", "ucsb", paths["unl-ucsb-5g"])
         self.transport.connect("ucsb", "nd", paths["ucsb-nd-internet"])
         self._appenders = {
-            station.station_id: reliable_appender(
+            station.station_id: RemoteAppendClient(
                 self.transport,
-                cfg.policies.append,
                 self.farm.unl,
                 self.hub.ucsb,
                 f"telemetry.{station.station_id}",
+                policy=cfg.policies.append,
             )
             for station in self.farm.stations
         }

@@ -72,11 +72,7 @@ from repro.obs.slo import budget_record
 from repro.obs.stream import QuantileSketch
 from repro.parallel.coordinator import ShardedScenario
 from repro.parallel.envelope import FabricBus
-from repro.parallel.merge import (
-    merge_sketches,
-    merge_slo_timelines,
-    merge_streams,
-)
+from repro.parallel.merge import merge_sketches, merge_streams
 from repro.parallel.plan import CSPOT_TRANSFER_FLOOR_S, LinkFault
 from repro.parallel.report import FabricParallelReport
 from repro.parallel.shard import ShardRunner, ShardTask
@@ -436,7 +432,7 @@ class ShardedFabricScenario(ShardedScenario):
         return self.n_sites
 
     def _tasks(self) -> list[FabricShardTask]:
-        campaign = self.campaign or ShardChaosCampaign(enabled=False)
+        campaign = self.campaign or ShardChaosCampaign()
         faults, link_faults = campaign.routed(self.plan)
         return [
             FabricShardTask(
@@ -488,6 +484,6 @@ class ShardedFabricScenario(ShardedScenario):
             ingest_sketch=merge_sketches(
                 (r.ingest_sketch for r in results), self.relative_error
             ).to_dict(),
-            slo=tuple(merge_slo_timelines([r.slo for r in results])),
+            slo=tuple(merge_streams([r.slo for r in results])),
             trace=tuple(merge_streams([r.records for r in results])),
         )

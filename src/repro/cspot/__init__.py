@@ -6,7 +6,8 @@ Python reimplementation of the CSPOT runtime the paper builds xGFabric on
 * **Logs as persistent program variables** -- a :class:`~repro.cspot.log.WooF`
   is an append-only, fixed-element-size, circular log with atomically
   assigned sequence numbers. All program state updates are log appends, so a
-  program interrupted at any moment resumes from persistent storage.
+  program interrupted at any moment resumes from its logs, which outlive
+  the node's power loss.
 * **Two failure modes of append** -- the call errors, or it succeeds but the
   sequence number is lost in transit. Retrying until a sequence number
   returns guarantees durability; server-side deduplication supplies
@@ -37,13 +38,17 @@ from repro.cspot.errors import (
     NodeDownError,
     PartitionedError,
 )
-from repro.cspot.storage import FileStorage, MemoryStorage, StorageBackend
 from repro.cspot.log import LogEntry, WooF
-from repro.cspot.namespace import Namespace
 from repro.cspot.dedup import DedupTable
 from repro.cspot.node import CSPOTNode
 from repro.cspot.faults import FaultInjector
-from repro.cspot.transport import NetworkPath, RemoteAppendClient, Transport
+from repro.cspot.transport import (
+    DEFAULT_APPEND_POLICY,
+    NetworkPath,
+    RemoteAppendClient,
+    RetryPolicy,
+    Transport,
+)
 from repro.cspot.latency import LatencyProbe, measure_path_latency
 from repro.cspot.replication import LogReplicator
 
@@ -55,18 +60,16 @@ __all__ = [
     "EvictedError",
     "NodeDownError",
     "PartitionedError",
-    "StorageBackend",
-    "MemoryStorage",
-    "FileStorage",
     "WooF",
     "LogEntry",
-    "Namespace",
     "DedupTable",
     "CSPOTNode",
     "FaultInjector",
     "NetworkPath",
     "Transport",
     "RemoteAppendClient",
+    "RetryPolicy",
+    "DEFAULT_APPEND_POLICY",
     "LatencyProbe",
     "measure_path_latency",
     "LogReplicator",

@@ -25,6 +25,7 @@ payload, ack) plus the server-side append cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -67,17 +68,18 @@ class CrossShardLink:
     append_cost_s: float = DEFAULT_APPEND_COST_S
 
     def __post_init__(self) -> None:
-        if self.one_way_ms <= 0:
+        if not 0 < self.one_way_ms < math.inf:
             raise ValueError(
-                f"one_way_ms must be positive: {self.one_way_ms}"
+                f"one_way_ms must be positive and finite: {self.one_way_ms}"
             )
-        if self.jitter_ms < 0:
+        if not 0 <= self.jitter_ms < math.inf:
             raise ValueError(
-                f"jitter_ms must be non-negative: {self.jitter_ms}"
+                f"jitter_ms must be non-negative and finite: {self.jitter_ms}"
             )
-        if self.append_cost_s < 0:
+        if not 0 <= self.append_cost_s < math.inf:
             raise ValueError(
-                f"append_cost_s must be non-negative: {self.append_cost_s}"
+                "append_cost_s must be non-negative and finite: "
+                f"{self.append_cost_s}"
             )
 
     @classmethod

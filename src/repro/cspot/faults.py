@@ -8,6 +8,7 @@ through arbitrary partition/power-loss schedules.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import Optional
 
@@ -56,6 +57,8 @@ class FaultInjector:
 
     def add_partition(self, start: float, end: float) -> None:
         """Schedule a partition window [start, end)."""
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise ValueError(f"partition window must be finite: [{start}, {end})")
         if end <= start:
             raise ValueError(f"empty partition window [{start}, {end})")
         # Keep windows sorted and non-overlapping for O(log n) queries.
@@ -75,6 +78,10 @@ class FaultInjector:
         allowed: only the uncovered gaps of ``[start, start+duration)``
         are added, so concurrent fault campaigns merge instead of raising.
         """
+        if not (math.isfinite(start) and math.isfinite(duration)):
+            raise ValueError(
+                f"outage must be finite: start={start}, duration={duration}"
+            )
         end = start + duration
         if end <= start:
             raise ValueError(f"empty outage window [{start}, {end})")

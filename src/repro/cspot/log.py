@@ -6,24 +6,29 @@ monotonically increasing sequence numbers starting at 1; only this
 assignment is atomic -- reads are unsynchronized, which is safe because
 entries are immutable once written (single-assignment).
 
+The log object is its own storage: it keeps its resident entries in a
+ring. CSPOT logs survive "power-loss ... and other device failures that do
+not destroy the log storage" (section 3.1), so a node's power loss kills
+its process (:class:`~repro.cspot.node.CSPOTNode`) and never its logs: the
+same WooF serves the node again after power-on.
+
 Invariants (property-tested in ``tests/cspot``):
 
 * sequence numbers are dense and strictly increasing;
 * an entry read back equals the entry appended (until evicted);
 * after eviction exactly the most recent ``history_size`` entries remain;
-* recovery from storage preserves all of the above.
+* a power cycle of the hosting node preserves all of the above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from repro.cspot.errors import ElementSizeError, EvictedError
-from repro.cspot.storage import MemoryStorage, StorageBackend
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     """An immutable log entry: payload plus its assigned sequence number."""
 
@@ -38,25 +43,16 @@ class WooF:
     Parameters
     ----------
     name:
-        Log name within its namespace.
+        Log name on its node.
     element_size:
-        Maximum payload size in bytes; stored in the log header. Remote
-        appenders must know it to frame their messages -- fetching it is
-        the first round trip of the transport protocol.
+        Maximum payload size in bytes. Remote appenders must know it to
+        frame their messages -- fetching it is the first round trip of the
+        transport protocol.
     history_size:
         Number of slots; older entries are overwritten (circular).
-    storage:
-        Persistence backend; defaults to a fresh :class:`MemoryStorage`.
-        Passing an existing backend recovers the log from it.
     """
 
-    def __init__(
-        self,
-        name: str,
-        element_size: int,
-        history_size: int = 1024,
-        storage: Optional[StorageBackend] = None,
-    ) -> None:
+    def __init__(self, name: str, element_size: int, history_size: int = 1024) -> None:
         if element_size <= 0:
             raise ValueError(f"element_size must be positive: {element_size}")
         if history_size <= 0:
@@ -64,32 +60,10 @@ class WooF:
         self.name = name
         self.element_size = element_size
         self.history_size = history_size
-        self.storage = storage if storage is not None else MemoryStorage()
-        header = self.storage.read_header()
-        if header is not None:
-            if header["element_size"] != element_size or header["history_size"] != history_size:
-                raise ValueError(
-                    f"log {name!r}: storage header "
-                    f"(element_size={header['element_size']}, "
-                    f"history_size={header['history_size']}) does not match "
-                    f"requested ({element_size}, {history_size})"
-                )
-            self._last_seqno = int(header["last_seqno"])
-        else:
-            self._last_seqno = 0
-            self._write_header()
+        self._last_seqno = 0
+        # Slot (seqno - 1) % history_size holds seqno; grows to history_size.
+        self._ring: list[LogEntry] = []
         self._on_append: list[Callable[["WooF", LogEntry], None]] = []
-
-    # -- header ------------------------------------------------------------
-
-    def _write_header(self) -> None:
-        self.storage.write_header(
-            {
-                "element_size": self.element_size,
-                "history_size": self.history_size,
-                "last_seqno": self._last_seqno,
-            }
-        )
 
     # -- observers -----------------------------------------------------------
 
@@ -131,11 +105,11 @@ class WooF:
             )
         self._last_seqno += 1
         seqno = self._last_seqno
-        slot = (seqno - 1) % self.history_size
         entry = LogEntry(seqno=seqno, payload=bytes(payload), appended_at=now)
-        self.storage.write_record(slot, self._frame(entry))
-        self._write_header()
-        self.storage.sync()
+        if len(self._ring) < self.history_size:
+            self._ring.append(entry)
+        else:
+            self._ring[(seqno - 1) % self.history_size] = entry
         for fn in list(self._on_append):
             fn(self, entry)
         return seqno
@@ -151,13 +125,7 @@ class WooF:
                 f"log {self.name!r}: seqno {seqno} evicted "
                 f"(earliest resident is {self.earliest_seqno})"
             )
-        slot = (seqno - 1) % self.history_size
-        entry = self._unframe(self.storage.read_record(slot))
-        if entry.seqno != seqno:  # pragma: no cover - defensive
-            raise EvictedError(
-                f"log {self.name!r}: slot for seqno {seqno} holds {entry.seqno}"
-            )
-        return entry
+        return self._ring[(seqno - 1) % self.history_size]
 
     def latest(self, n: int = 1) -> list[LogEntry]:
         """The most recent ``n`` resident entries, oldest first."""
@@ -180,40 +148,4 @@ class WooF:
 
     def __len__(self) -> int:
         """Number of resident entries."""
-        if self._last_seqno == 0:
-            return 0
-        return self._last_seqno - self.earliest_seqno + 1
-
-    # -- framing ---------------------------------------------------------------------
-
-    @staticmethod
-    def _frame(entry: LogEntry) -> bytes:
-        import struct
-
-        head = struct.pack("<Qd I", entry.seqno, entry.appended_at, len(entry.payload))
-        return head + entry.payload
-
-    @staticmethod
-    def _unframe(frame: bytes) -> LogEntry:
-        import struct
-
-        head_size = struct.calcsize("<Qd I")
-        seqno, appended_at, length = struct.unpack("<Qd I", frame[:head_size])
-        return LogEntry(
-            seqno=seqno,
-            payload=frame[head_size : head_size + length],
-            appended_at=appended_at,
-        )
-
-    @classmethod
-    def recover(cls, name: str, storage: StorageBackend) -> "WooF":
-        """Re-open a log from its storage backend after a process death."""
-        header = storage.read_header()
-        if header is None:
-            raise ValueError(f"storage for {name!r} holds no log header")
-        return cls(
-            name,
-            element_size=int(header["element_size"]),
-            history_size=int(header["history_size"]),
-            storage=storage,
-        )
+        return len(self._ring)

@@ -1,4 +1,4 @@
-"""A CSPOT node: namespace + handlers + lifecycle.
+"""A CSPOT node: its logs + handlers + lifecycle.
 
 Handlers are the only computational mechanism: a handler is bound to one log
 and fired once per append to that log. Handlers run asynchronously (as
@@ -6,9 +6,11 @@ engine events) and can never block waiting for another handler -- "a CSPOT
 program can always make progress". Multi-event synchronization is expressed
 by handler code scanning logs (:meth:`WooF.scan`).
 
-Lifecycle: :meth:`power_off` kills the process (handlers stop, in-flight
-server work dies) but storage survives; :meth:`power_on` recovers every log
-from storage and re-arms the registered handlers.
+Lifecycle: :meth:`power_off` kills the process (handlers that come due
+while it is down never fire, in-flight server work dies, local operations
+raise :class:`~repro.cspot.errors.NodeDownError`) but the logs and the
+dedup table survive; :meth:`power_on` revives the process on the same logs, so
+their seqnos continue and the registered handlers fire again.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from typing import Callable, Optional
 from repro.cspot.dedup import DedupTable
 from repro.cspot.errors import NodeDownError
 from repro.cspot.log import LogEntry, WooF
-from repro.cspot.namespace import Namespace
 from repro.simkernel import Engine
 
 #: A handler receives (node, log, entry) and returns None. Appending to
@@ -44,10 +45,7 @@ class CSPOTNode:
     engine:
         The shared simulation engine.
     name:
-        Node name; also used as the default namespace name.
-    namespace:
-        Existing namespace to host (e.g. when reviving a node); default a
-        fresh memory-backed one.
+        Node name (the testbed's sites: ``"unl"``, ``"ucsb"``, ``"nd"``).
     handler_delay_s:
         Default scheduling delay between an append and its handler's
         execution (models the event-dispatch cost).
@@ -57,39 +55,46 @@ class CSPOTNode:
         self,
         engine: Engine,
         name: str,
-        namespace: Optional[Namespace] = None,
         handler_delay_s: float = 0.001,
     ) -> None:
         self.engine = engine
         self.name = name
-        self.namespace = namespace if namespace is not None else Namespace(name)
         self.handler_delay_s = handler_delay_s
         self.dedup = DedupTable()
         self.alive = True
+        #: The hosted logs by name: the node's persistent storage, which a
+        #: power loss never touches. Server-side protocol steps read it
+        #: after their own liveness check; create logs with
+        #: :meth:`create_log`.
+        self.logs: dict[str, WooF] = {}
         self._bindings: list[_HandlerBinding] = []
-        self._subscribed: set[str] = set()
         self.handler_invocations = 0
         #: (simulated time, log name, exception) per failed handler run.
         self.handler_errors: list[tuple[float, str, BaseException]] = []
-        # Re-arm subscriptions for logs that already exist in the namespace.
-        for log_name in self.namespace.names():
-            self._arm(log_name)
 
     # -- log management ------------------------------------------------------
 
     def create_log(self, log_name: str, element_size: int, history_size: int = 1024) -> WooF:
+        """Create a log on this node; error if the name exists."""
         self._require_alive()
-        log = self.namespace.create(log_name, element_size, history_size)
-        self._arm(log_name)
+        if log_name in self.logs:
+            raise ValueError(f"node {self.name!r}: log {log_name!r} exists")
+        log = WooF(log_name, element_size, history_size)
+        log.subscribe(self._on_append)
+        self.logs[log_name] = log
         return log
 
     def get_log(self, log_name: str) -> WooF:
         self._require_alive()
-        return self.namespace.get(log_name)
+        try:
+            return self.logs[log_name]
+        except KeyError:
+            raise KeyError(
+                f"node {self.name!r}: no log {log_name!r} (have {sorted(self.logs)})"
+            ) from None
 
     def local_append(self, log_name: str, payload: bytes) -> int:
         """Append from code running on this node (no network involved)."""
-        self._require_alive()
         return self.get_log(log_name).append(payload, now=self.engine.now)
 
     # -- handlers -------------------------------------------------------------
@@ -102,16 +107,10 @@ class CSPOTNode:
         Multiple handlers may watch the same log; each fires independently.
         """
         self._require_alive()
-        if log_name not in self.namespace:
+        if log_name not in self.logs:
             raise KeyError(f"node {self.name!r}: no log {log_name!r} to handle")
         delay = self.handler_delay_s if fire_delay_s is None else fire_delay_s
         self._bindings.append(_HandlerBinding(log_name, fn, delay))
-
-    def _arm(self, log_name: str) -> None:
-        if log_name in self._subscribed:
-            return
-        self._subscribed.add(log_name)
-        self.namespace.get(log_name).subscribe(self._on_append)
 
     def _on_append(self, log: WooF, entry: LogEntry) -> None:
         if not self.alive:
@@ -140,18 +139,11 @@ class CSPOTNode:
     # -- lifecycle ----------------------------------------------------------------
 
     def power_off(self) -> None:
-        """Kill the node process. Storage (the namespace) survives."""
+        """Kill the node process. Its logs and dedup table survive."""
         self.alive = False
-        self.namespace.drop_processes()
 
     def power_on(self) -> None:
-        """Revive the node: recover logs from storage, re-arm handlers."""
-        if self.alive:
-            return
-        self.namespace.reopen()
-        self._subscribed.clear()
-        for log_name in self.namespace.names():
-            self._arm(log_name)
+        """Revive the node process on the same logs."""
         self.alive = True
 
     def _require_alive(self) -> None:

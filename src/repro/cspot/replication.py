@@ -22,7 +22,7 @@ from typing import Generator
 
 from repro.cspot.errors import AppendError, NodeDownError
 from repro.cspot.node import CSPOTNode
-from repro.cspot.transport import RemoteAppendClient, Transport
+from repro.cspot.transport import RemoteAppendClient, RetryPolicy, Transport
 from repro.simkernel import Engine, Store
 
 
@@ -39,8 +39,9 @@ class LogReplicator:
         Log to replicate; must exist at the source. The destination log is
         created with matching geometry if absent.
     poll_interval_s:
-        Fallback scan cadence for appends missed while the source was
-        down (handlers die with the process; the pump must not).
+        Fallback scan cadence: the pump cannot read a powered-off source,
+        so a backlog left when the source went down is picked up by the
+        next poll after it comes back.
     """
 
     def __init__(
@@ -59,15 +60,16 @@ class LogReplicator:
         self.dst_node = dst_node
         self.log_name = log_name
         self.poll_interval_s = poll_interval_s
-        src_log = src_node.namespace.get(log_name)
-        if log_name not in dst_node.namespace:
-            dst_node.namespace.create(
+        src_log = src_node.logs[log_name]
+        if log_name not in dst_node.logs:
+            dst_node.create_log(
                 log_name,
                 element_size=src_log.element_size,
                 history_size=src_log.history_size,
             )
         self._appender = RemoteAppendClient(
-            transport, src_node, dst_node, log_name, retry_backoff_s=1.0
+            transport, src_node, dst_node, log_name,
+            policy=RetryPolicy(backoff_s=1.0),
         )
         self._wakeups: Store = Store(self.engine)
         self._running = False
@@ -78,8 +80,8 @@ class LogReplicator:
         # maintained in memory thereafter so a powered-off destination
         # doesn't block progress accounting (the reliable appender already
         # waits out destination outages).
-        self._cursor = dst_node.namespace.get(log_name).last_seqno
-        # Wake on local appends (cheap); polling covers everything else.
+        self._cursor = dst_node.logs[log_name].last_seqno
+        # Wake on every source append (cheap); polling covers the rest.
         src_log.subscribe(lambda log, entry: self._wakeups.put(entry.seqno))
 
     # -- state ------------------------------------------------------------------

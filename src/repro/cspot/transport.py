@@ -30,6 +30,7 @@ one-way (radio frame alignment + core UPF), and the UCSB<->ND Internet path
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator, Optional
 
@@ -93,10 +94,14 @@ class NetworkPath:
     faults: FaultInjector = field(default_factory=FaultInjector)
 
     def __post_init__(self) -> None:
-        if self.one_way_ms <= 0:
-            raise ValueError(f"one_way_ms must be positive: {self.one_way_ms}")
-        if self.jitter_ms < 0:
-            raise ValueError(f"jitter_ms must be non-negative: {self.jitter_ms}")
+        if not 0 < self.one_way_ms < math.inf:
+            raise ValueError(
+                f"one_way_ms must be positive and finite: {self.one_way_ms}"
+            )
+        if not 0 <= self.jitter_ms < math.inf:
+            raise ValueError(
+                f"jitter_ms must be non-negative and finite: {self.jitter_ms}"
+            )
 
     def delay_s(self, rng: np.random.Generator) -> float:
         """Draw one leg's latency in seconds."""
@@ -105,6 +110,79 @@ class NetworkPath:
 
 #: Server-side cost of the durable append itself (storage write + seqno).
 DEFAULT_APPEND_COST_S = 0.001
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Capped exponential backoff over a bounded number of attempts.
+
+    The one home of the backoff rule: the reliable append
+    (:class:`RemoteAppendClient`) retries on it, and the fabric's alert
+    fetch and pilot acquisition loops read their delays from it
+    (:class:`~repro.chaos.policies.FabricPolicies`). Pure data and
+    arithmetic -- no engine, no randomness.
+
+    Attributes
+    ----------
+    max_attempts:
+        Total tries (first attempt included). ``1`` means no retry.
+    backoff_s:
+        Base delay before the second attempt; ``0`` retries immediately.
+    backoff_factor:
+        Multiplier applied per subsequent attempt (``2`` = doubling).
+    max_backoff_s:
+        Ceiling on any single delay -- long partitions are waited out at
+        this cadence rather than hammered or abandoned.
+    """
+
+    max_attempts: int = 100
+    backoff_s: float = 0.5
+    backoff_factor: float = 2.0
+    max_backoff_s: float = 60.0
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1: {self.max_attempts}")
+        if not 0 <= self.backoff_s < math.inf:
+            raise ValueError(
+                f"backoff_s must be non-negative and finite: {self.backoff_s}"
+            )
+        if not 1.0 <= self.backoff_factor < math.inf:
+            raise ValueError(
+                f"backoff_factor must be >= 1 and finite: {self.backoff_factor}"
+            )
+        if not self.backoff_s <= self.max_backoff_s < math.inf:
+            raise ValueError(
+                f"max_backoff_s must be >= backoff_s and finite: "
+                f"{self.max_backoff_s}"
+            )
+
+    def delay_s(self, attempt: int) -> float:
+        """Backoff before retrying after failed attempt ``attempt`` (0-based).
+
+        The exponent is clamped so huge attempt numbers cannot overflow;
+        the result is capped at ``max_backoff_s``.
+        """
+        if attempt < 0:
+            raise ValueError(f"negative attempt index: {attempt}")
+        if self.backoff_s == 0.0:
+            return 0.0
+        return min(
+            self.backoff_s * (self.backoff_factor ** min(attempt, 12)),
+            self.max_backoff_s,
+        )
+
+    def total_budget_s(self) -> float:
+        """Sum of all backoff delays if every attempt fails (the worst-case
+        time a caller spends waiting between attempts)."""
+        return sum(self.delay_s(a) for a in range(self.max_attempts - 1))
+
+
+#: The reliable append's default policy: telemetry, summary and
+#: operator-inbox appends in the fabric all run on it.
+DEFAULT_APPEND_POLICY = RetryPolicy(
+    max_attempts=100, backoff_s=0.5, backoff_factor=2.0, max_backoff_s=60.0
+)
 
 
 class Transport:
@@ -270,8 +348,7 @@ class Transport:
         if cached_element_size is None:
             yield from self._leg(path)  # request
             self._require_server(server, path)
-            log = server.namespace.get(log_name)
-            element_size = log.element_size
+            element_size = server.logs[log_name].element_size
             yield from self._leg(path)  # response
         else:
             element_size = cached_element_size
@@ -286,7 +363,7 @@ class Transport:
         # Round trip 2: payload + ack.
         yield from self._leg(path)  # payload transfer
         self._require_server(server, path)
-        log = server.namespace.get(log_name)
+        log = server.logs[log_name]
         if cached_element_size is not None and cached_element_size != log.element_size:
             # Stale cache: server rejects the mis-framed message.
             raise ElementSizeError(
@@ -384,7 +461,7 @@ class Transport:
             raise NodeDownError(f"client node {client.name!r} is powered off")
         yield from self._leg(path)  # request
         self._require_server(server, path)
-        entries = list(server.namespace.get(log_name).scan(since_seqno))
+        entries = list(server.logs[log_name].scan(since_seqno))
         yield from self._leg(path)  # response
         return entries
 
@@ -412,6 +489,10 @@ class RemoteAppendClient:
     upgrades at-least-once to exactly-once. The client optionally caches the
     element size after the first success (the latency optimization), and
     invalidates the cache on a stale-size failure.
+
+    ``policy`` bounds the attempts and spaces them: after a partition,
+    a dead node or a lost ack the client waits ``policy.delay_s(attempt)``
+    (no wait at all when it is 0); a stale-cache failure retries at once.
     """
 
     _ids = itertools.count()
@@ -423,28 +504,14 @@ class RemoteAppendClient:
         server: CSPOTNode,
         log_name: str,
         use_size_cache: bool = False,
-        retry_backoff_s: float = 0.5,
-        max_retries: int = 100,
-        max_backoff_s: float = 60.0,
-        backoff_factor: float = 2.0,
+        policy: RetryPolicy = DEFAULT_APPEND_POLICY,
     ) -> None:
-        if retry_backoff_s < 0:
-            raise ValueError(f"negative backoff: {retry_backoff_s}")
-        if max_retries < 1:
-            raise ValueError(f"max_retries must be >= 1: {max_retries}")
-        if max_backoff_s < retry_backoff_s:
-            raise ValueError("max_backoff_s must be >= retry_backoff_s")
-        if backoff_factor < 1.0:
-            raise ValueError(f"backoff_factor must be >= 1: {backoff_factor}")
         self.transport = transport
         self.client = client
         self.server = server
         self.log_name = log_name
         self.use_size_cache = use_size_cache
-        self.retry_backoff_s = retry_backoff_s
-        self.max_retries = max_retries
-        self.max_backoff_s = max_backoff_s
-        self.backoff_factor = backoff_factor
+        self.policy = policy
         self.client_id = f"{client.name}/{next(self._ids)}"
         self._cached_size: Optional[int] = None
         self._op_counter = itertools.count()
@@ -461,8 +528,9 @@ class RemoteAppendClient:
     def _retry_body(self, payload: bytes, op_id: str) -> Generator:
         engine = self.transport.engine
         tracer = self.transport.tracer
+        policy = self.policy
         last_error: Exception | None = None
-        for attempt in range(self.max_retries):
+        for attempt in range(policy.max_attempts):
             self.attempts += 1
             if tracer.enabled:
                 tracer.metrics.counter(
@@ -496,23 +564,16 @@ class RemoteAppendClient:
                     tracer.metrics.counter(
                         "cspot.append.retries", help="retried appends"
                     ).inc(log=self.log_name, error=type(exc).__name__)
-                if self.retry_backoff_s:
-                    # Exponential backoff, capped: long partitions (the
-                    # paper's "frequent network interruption" in remote
-                    # deployments) are waited out rather than hammered.
-                    backoff = min(
-                        self.retry_backoff_s
-                        * (self.backoff_factor ** min(attempt, 12)),
-                        self.max_backoff_s,
-                    )
-                    yield engine.timeout(backoff)
+                if policy.backoff_s:
+                    # Long partitions (the paper's "frequent network
+                    # interruption" in remote deployments) are waited out
+                    # rather than hammered.
+                    yield engine.timeout(policy.delay_s(attempt))
                 continue
             if self.use_size_cache and self._cached_size is None:
-                self._cached_size = self.server.namespace.get(
-                    self.log_name
-                ).element_size
+                self._cached_size = self.server.logs[self.log_name].element_size
             return seqno
         raise AppendError(
-            f"append to {self.log_name!r} failed after {self.max_retries} "
+            f"append to {self.log_name!r} failed after {policy.max_attempts} "
             f"attempts; last error: {last_error}"
         )

@@ -128,7 +128,7 @@ class LaminarRuntime:
             element_size = _EPOCH_HEADER.size + op.dtype.max_encoded_size
             for host_name in sorted(self._operand_hosts[op.name]):
                 host = self.hosts[host_name]
-                if log_name not in host.namespace:
+                if log_name not in host.logs:
                     host.create_log(log_name, element_size=element_size)
                 host.register_handler(
                     log_name,

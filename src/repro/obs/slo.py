@@ -292,7 +292,7 @@ def budget_record(
     The sharded-fabric counterpart of :meth:`SLOEngine.timeline`: each
     shard evaluates its own latency observations against the budget and
     emits records carrying the merge layer's total-order key, so
-    :func:`repro.parallel.merge.merge_slo_timelines` reproduces one
+    :func:`repro.parallel.merge.merge_streams` reproduces one
     worker-count-invariant timeline (every field is a pure function of
     the observation, never of the worker layout).
     """

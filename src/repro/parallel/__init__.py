@@ -24,14 +24,12 @@ from repro.parallel.coordinator import (
     run_shards_serial,
     run_shards_spawn,
 )
-from repro.parallel.envelope import FabricBus, split_outbound
+from repro.parallel.envelope import FabricBus
 from repro.parallel.merge import (
     STREAM_KEY_FIELDS,
     canonical_json,
     canonical_jsonl,
-    fsum_ordered,
     merge_sketches,
-    merge_slo_timelines,
     merge_streams,
     stream_key,
 )
@@ -74,14 +72,11 @@ __all__ = [
     "WorkerCrash",
     "canonical_json",
     "canonical_jsonl",
-    "fsum_ordered",
     "merge_sketches",
-    "merge_slo_timelines",
     "merge_streams",
     "run_shards_serial",
     "run_shards_spawn",
     "shard_stream",
-    "split_outbound",
     "stream_key",
     "worker_main",
 ]

@@ -50,8 +50,8 @@ from multiprocessing.connection import Connection
 from typing import Any, Optional, Sequence
 
 from repro.cspot.boundary import FabricEnvelope
-from repro.parallel.envelope import FabricBus, split_outbound
-from repro.parallel.merge import fsum_ordered, merge_sketches, merge_streams
+from repro.parallel.envelope import FabricBus
+from repro.parallel.merge import merge_sketches, merge_streams
 from repro.parallel.plan import CellFault, ShardPlan
 from repro.parallel.report import ParallelReport
 from repro.parallel.shard import CellShardResult, ScaleShardTask, ShardTask
@@ -81,7 +81,9 @@ def _route(
                     "scenario runs without a fabric bus"
                 )
         return [() for _ in range(n_workers)]
-    inbound = bus.route(split_outbound(per_worker_outbound), next_barrier_t)
+    inbound = bus.route(
+        [e for batch in per_worker_outbound for e in batch], next_barrier_t
+    )
     return [tuple(batch) for batch in inbound]
 
 
@@ -366,9 +368,7 @@ class ShardedScaleScenario(ShardedScenario):
         # fsum over cell-ordered per-cell sums would equal merged_sketch.sum
         # (exact partials); use the sketch so one code path owns the sum.
         mean_bps = (
-            merged_sketch.sum / merged_sketch.count
-            if merged_sketch.count
-            else fsum_ordered(())
+            merged_sketch.sum / merged_sketch.count if merged_sketch.count else 0.0
         )
         return ParallelReport(
             n_cells=self.plan.n_cells,

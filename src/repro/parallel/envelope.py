@@ -29,7 +29,7 @@ delivered timeline is byte-identical whatever the partition.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.cspot.boundary import FabricEnvelope
 from repro.parallel.plan import ShardPlan
@@ -95,12 +95,3 @@ class FabricBus:
         """The in-flight envelopes' keys, in total order (for reports)."""
         return tuple(e.key for e in self.in_flight)
 
-
-def split_outbound(
-    per_worker_outbound: Sequence[Sequence[FabricEnvelope]],
-) -> list[FabricEnvelope]:
-    """Flatten per-worker outbound batches into one list (bus input)."""
-    flat: list[FabricEnvelope] = []
-    for batch in per_worker_outbound:
-        flat.extend(batch)
-    return flat

@@ -1,6 +1,6 @@
 """Deterministic merge of per-shard results into one canonical view.
 
-Three merge algebras, each chosen because it is *exactly* invariant under
+Two merge algebras, each chosen because it is *exactly* invariant under
 the partition:
 
 * **Sketches** -- :meth:`repro.obs.stream.QuantileSketch.merge` is exact
@@ -12,17 +12,13 @@ the partition:
   simultaneous records order by stable shard id, then by the shard's own
   sequence number. Every record carries all three keys, so the merged
   stream is a total order with no run-to-run ambiguity.
-* **Scalars** -- per-cell float statistics reduce with ``math.fsum`` over
-  the cell-ordered list: one correctly-rounded sum of exact per-cell
-  contributions, independent of how cells were grouped into workers.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-import math
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.obs.stream import QuantileSketch
 
@@ -47,8 +43,6 @@ def stream_key(record: dict[str, Any]) -> tuple[float, int, int]:
 
 def merge_streams(
     streams: Iterable[Iterable[dict[str, Any]]],
-    *,
-    reject_duplicates: bool = True,
 ) -> list[dict[str, Any]]:
     """Interleave per-shard record streams into one total order.
 
@@ -61,31 +55,17 @@ def merge_streams(
     ``(t, shard, seq)`` must be a *total* order: two records sharing a
     key would merge in input-stream order, which is exactly the
     worker-layout dependence this layer exists to exclude -- so
-    duplicate keys are rejected loudly (``reject_duplicates=False`` is
-    an escape hatch for diagnostic tooling only).
+    duplicate keys are rejected loudly.
     """
     merged = list(heapq.merge(*streams, key=stream_key))
-    if reject_duplicates:
-        for previous, record in zip(merged, merged[1:]):
-            if stream_key(previous) == stream_key(record):
-                raise ValueError(
-                    "duplicate stream key (t, shard, seq)="
-                    f"{stream_key(record)}: the merged stream must be a "
-                    "total order"
-                )
+    for previous, record in zip(merged, merged[1:]):
+        if stream_key(previous) == stream_key(record):
+            raise ValueError(
+                "duplicate stream key (t, shard, seq)="
+                f"{stream_key(record)}: the merged stream must be a "
+                "total order"
+            )
     return merged
-
-
-def merge_slo_timelines(
-    timelines: Sequence[Sequence[dict[str, Any]]],
-) -> list[dict[str, Any]]:
-    """Merge per-shard SLO timelines into one sim-time-ordered timeline.
-
-    A thin alias of :func:`merge_streams` kept for call-site clarity:
-    per-shard SLO evaluations are just another ``(t, shard, seq)``-keyed
-    stream.
-    """
-    return merge_streams(timelines)
 
 
 def merge_sketches(
@@ -102,11 +82,6 @@ def merge_sketches(
     for sketch in sketches:
         merged.merge(sketch)
     return merged
-
-
-def fsum_ordered(values: Iterable[float]) -> float:
-    """Correctly-rounded sum of per-cell scalars (grouping-invariant)."""
-    return math.fsum(values)
 
 
 def canonical_json(payload: Any) -> str:

@@ -3,10 +3,10 @@
 A :class:`ParallelReport` (radio scale) or :class:`FabricParallelReport`
 (full fabric with cross-shard CSPOT transfers) contains only quantities
 that are provably invariant under the worker count: integer accounting
-summed over cells, per-cell float statistics reduced with ``fsum`` in
-cell-index order, exact merged sketches, and ``(t, shard, seq)``-ordered
-trace/SLO streams. Worker count, executor choice, and wall-clock timings
-are deliberately *absent* -- they live on the scenario object -- so
+summed over cells, float statistics read off exact merged sketches, and
+``(t, shard, seq)``-ordered trace/SLO streams. Worker count, executor
+choice, and wall-clock timings are deliberately *absent* -- they live on
+the scenario object -- so
 ``canonical_json()`` (and therefore ``digest``) is byte-identical for
 shard counts 1, 2, 4, 8 of the same seeded scenario.
 """

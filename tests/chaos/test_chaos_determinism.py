@@ -94,8 +94,8 @@ class TestSameSeedCampaignsAreIdentical:
 
 
 class TestDisabledCampaignIsInvisible:
-    """The acceptance bit-identity check: attaching a disabled campaign
-    produces the same trace bytes as never constructing one."""
+    """The acceptance bit-identity check: attaching a campaign that arms
+    nothing produces the same trace bytes as never constructing one."""
 
     @pytest.fixture(scope="class")
     def baseline_jsonl(self):
@@ -103,16 +103,6 @@ class TestDisabledCampaignIsInvisible:
         fab.run(DURATION_S)
         return spans_to_jsonl(fab.tracer.finished_spans(),
                               include_wall=False)
-
-    def test_disabled_campaign_run_is_bit_identical(self, baseline_jsonl):
-        fab = eventful_fabric()
-        ChaosCampaign(standard_campaign(DURATION_S).faults,
-                      enabled=False).attach(fab)
-        fab.run(DURATION_S)
-        assert (
-            spans_to_jsonl(fab.tracer.finished_spans(), include_wall=False)
-            == baseline_jsonl
-        )
 
     def test_empty_campaign_run_is_bit_identical(self, baseline_jsonl):
         fab = eventful_fabric()

@@ -1,11 +1,14 @@
 """Per-layer injector tests: each fault lands, heals, and is observable."""
 
+import math
+
 import pytest
 
 from repro.chaos import (
     ChaosCampaign,
     CspotAckLossInjector,
     CspotPartitionInjector,
+    FaultInjection,
     HpcNodeFailureInjector,
     NodePowerLossInjector,
     PduSessionDropInjector,
@@ -251,6 +254,38 @@ class TestAddOutageMerging:
     def test_empty_outage_rejected(self):
         with pytest.raises(ValueError):
             FaultInjector().add_outage(10.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "start, duration",
+        [(math.nan, 5.0), (0.0, math.nan), (0.0, math.inf)],
+        ids=["start-nan", "duration-nan", "duration-inf"],
+    )
+    def test_non_finite_outage_rejected(self, start, duration):
+        with pytest.raises(ValueError, match="finite"):
+            FaultInjector().add_outage(start, duration)
+
+
+class TestFaultSchedule:
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            {"start_s": math.nan},
+            {"start_s": math.inf},
+            {"start_s": 0.0, "duration_s": math.nan},
+            {"start_s": 0.0, "duration_s": math.inf},
+        ],
+        ids=["start-nan", "start-inf", "duration-nan", "duration-inf"],
+    )
+    def test_non_finite_schedule_rejected(self, schedule):
+        with pytest.raises(ValueError, match="finite"):
+            FaultInjection(**schedule)
+
+    @pytest.mark.parametrize("knob", ["recovery_poll_s", "recovery_timeout_s"])
+    def test_recovery_cadence_is_not_settable(self, knob):
+        # The campaign polls every fault on one fixed cadence, so no fault
+        # can ask for a zero poll that spins at one simulated instant.
+        with pytest.raises(TypeError):
+            CspotPartitionInjector(start_s=0.0, duration_s=60.0, **{knob: 0.0})
 
 
 # -- injectors against a real fabric -----------------------------------------

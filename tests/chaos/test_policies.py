@@ -1,5 +1,7 @@
 """Unit tests for retry/backoff policies."""
 
+import math
+
 import pytest
 
 from repro.chaos.policies import (
@@ -44,6 +46,12 @@ class TestRetryPolicy:
             {"backoff_s": -1.0},
             {"backoff_factor": 0.5},
             {"backoff_s": 10.0, "max_backoff_s": 5.0},
+            {"backoff_s": math.nan},
+            {"backoff_s": math.inf, "max_backoff_s": math.inf},
+            {"backoff_factor": math.nan},
+            {"backoff_factor": math.inf},
+            {"max_backoff_s": math.nan},
+            {"max_backoff_s": math.inf},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
@@ -77,6 +85,11 @@ class TestFabricPolicies:
     def test_resilient_bundle_turns_the_watchdog_on(self):
         assert RESILIENT_POLICIES.pilot_watchdog_s > 0
         assert RESILIENT_POLICIES.append == DEFAULT_APPEND_POLICY
+
+    @pytest.mark.parametrize("interval", [math.nan, math.inf])
+    def test_non_finite_watchdog_rejected(self, interval):
+        with pytest.raises(ValueError, match="finite"):
+            FabricPolicies(pilot_watchdog_s=interval)
 
     def test_negative_watchdog_rejected(self):
         with pytest.raises(ValueError):

@@ -35,16 +35,11 @@ class TestRouting:
         assert len(faults[0]) == 2
         assert len(link_faults[0]) == 1
 
-    def test_disabled_campaign_routes_nothing(self):
+    def test_empty_campaign_routes_nothing(self):
         plan = ShardPlan.build(8, 2)
-        campaign = ShardChaosCampaign(
-            faults=_campaign().faults,
-            link_faults=_campaign().link_faults,
-            enabled=False,
-        )
-        faults, link_faults = campaign.routed(plan)
-        assert all(not f for f in faults)
-        assert all(not f for f in link_faults)
+        faults, link_faults = ShardChaosCampaign().routed(plan)
+        assert faults == ((), ())
+        assert link_faults == ((), ())
 
     def test_n_faults_counts_both_kinds(self):
         assert _campaign().n_faults == 3
@@ -56,7 +51,6 @@ class TestSeveredLink:
         campaign = ShardChaosCampaign.severed_link(4, 2, 5)
         assert campaign.faults == ()
         assert campaign.link_faults == (LinkFault(4, 2, 5),)
-        assert campaign.enabled
 
 
 class TestRandomized:

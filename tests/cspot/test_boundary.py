@@ -1,5 +1,7 @@
 """The CSPOT shard-boundary seam: envelopes, links, transport export."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,19 @@ class TestCrossShardLink:
             with pytest.raises(ValueError):
                 CrossShardLink(name="bad", **bad)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (field, value)
+            for field in ("one_way_ms", "jitter_ms", "append_cost_s")
+            for value in (math.nan, math.inf)
+        ],
+    )
+    def test_non_finite_rejected(self, field, value):
+        link = dict(one_way_ms=25.0, jitter_ms=1.0, append_cost_s=0.001)
+        with pytest.raises(ValueError, match="finite"):
+            CrossShardLink(name="bad", **{**link, field: value})
+
 
 class TestShardBoundary:
     def test_export_assigns_monotonic_per_source_seq(self):
@@ -203,5 +218,5 @@ class TestTransportSeam:
         node = CSPOTNode(engine, "site000")
         node.create_log("telemetry", element_size=32, history_size=8)
         node.local_append("telemetry", b"local")
-        log = node.namespace.get("telemetry")
+        log = node.logs["telemetry"]
         assert [entry.payload for entry in log.scan()] == [b"local"]

@@ -12,6 +12,7 @@ from repro.cspot import (
     CSPOTNode,
     NetworkPath,
     RemoteAppendClient,
+    RetryPolicy,
     Transport,
 )
 from repro.simkernel import Engine
@@ -100,7 +101,8 @@ class TestPowerLossDuringStream:
         engine = Engine(seed=4)
         transport, unl, ucsb, nd = topology(engine)
         appender = RemoteAppendClient(
-            transport, unl, ucsb, "telemetry", retry_backoff_s=30.0
+            transport, unl, ucsb, "telemetry",
+            policy=RetryPolicy(backoff_s=30.0),
         )
 
         def outage():
@@ -128,7 +130,8 @@ class TestPowerLossDuringStream:
         engine = Engine(seed=5)
         transport, unl, ucsb, nd = topology(engine)
         appender = RemoteAppendClient(
-            transport, unl, ucsb, "telemetry", retry_backoff_s=10.0
+            transport, unl, ucsb, "telemetry",
+            policy=RetryPolicy(backoff_s=10.0),
         )
         ucsb.power_off()
 
@@ -161,7 +164,8 @@ class TestCombinedFaults:
 
         engine.process(outage())
         appender = RemoteAppendClient(
-            transport, unl, ucsb, "telemetry", retry_backoff_s=60.0
+            transport, unl, ucsb, "telemetry",
+            policy=RetryPolicy(backoff_s=60.0),
         )
 
         def producer():

@@ -1,16 +1,11 @@
-"""Unit + property tests for WooF logs and storage backends."""
+"""Unit + property tests for WooF logs."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cspot import (
-    ElementSizeError,
-    EvictedError,
-    FileStorage,
-    MemoryStorage,
-    WooF,
-)
+from repro.cspot import CSPOTNode, ElementSizeError, EvictedError, WooF
+from repro.simkernel import Engine
 
 
 class TestWooFBasics:
@@ -87,54 +82,6 @@ class TestWooFBasics:
         assert seen == [1, 2]
 
 
-class TestRecovery:
-    def test_memory_storage_recovery(self):
-        storage = MemoryStorage()
-        log = WooF("t", element_size=16, history_size=4, storage=storage)
-        for i in range(6):
-            log.append(f"x{i}".encode())
-        # Process death: the WooF object is gone, the storage survives.
-        revived = WooF.recover("t", storage)
-        assert revived.last_seqno == 6
-        assert revived.earliest_seqno == 3
-        assert revived.get(6).payload == b"x5"
-        with pytest.raises(EvictedError):
-            revived.get(2)
-
-    def test_recovery_continues_seqnos(self):
-        storage = MemoryStorage()
-        WooF("t", element_size=8, storage=storage).append(b"a")
-        revived = WooF.recover("t", storage)
-        assert revived.append(b"b") == 2
-
-    def test_recover_empty_storage_rejected(self):
-        with pytest.raises(ValueError, match="no log header"):
-            WooF.recover("t", MemoryStorage())
-
-    def test_header_mismatch_rejected(self):
-        storage = MemoryStorage()
-        WooF("t", element_size=8, storage=storage)
-        with pytest.raises(ValueError, match="does not match"):
-            WooF("t", element_size=16, storage=storage)
-
-    def test_file_storage_roundtrip(self, tmp_path):
-        storage = FileStorage(str(tmp_path), "mylog")
-        log = WooF("mylog", element_size=32, history_size=8, storage=storage)
-        for i in range(10):
-            log.append(f"payload-{i}".encode())
-        # Re-open from disk with a brand-new storage object.
-        fresh = FileStorage(str(tmp_path), "mylog")
-        revived = WooF.recover("mylog", fresh)
-        assert revived.last_seqno == 10
-        assert revived.get(10).payload == b"payload-9"
-        assert revived.append(b"after") == 11
-
-    def test_file_storage_missing_record(self, tmp_path):
-        storage = FileStorage(str(tmp_path), "x")
-        with pytest.raises(KeyError):
-            storage.read_record(0)
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     payloads=st.lists(st.binary(min_size=0, max_size=16), min_size=1, max_size=40),
@@ -159,13 +106,18 @@ def test_log_invariants_property(payloads, history):
 @settings(max_examples=50, deadline=None)
 @given(payloads=st.lists(st.binary(min_size=1, max_size=16), min_size=1, max_size=30))
 def test_recovery_preserves_state_property(payloads):
-    """Recovery from storage is lossless for resident entries."""
-    storage = MemoryStorage()
-    log = WooF("p", element_size=16, history_size=8, storage=storage)
+    """A power cycle of the hosting node is lossless for resident entries,
+    and the next append continues the seqnos."""
+    node = CSPOTNode(Engine(seed=0), "pi")
+    node.create_log("p", element_size=16, history_size=8)
     for p in payloads:
-        log.append(p)
-    revived = WooF.recover("p", storage)
-    assert revived.last_seqno == log.last_seqno
-    assert revived.earliest_seqno == log.earliest_seqno
-    for entry in log.scan():
-        assert revived.get(entry.seqno).payload == entry.payload
+        node.local_append("p", p)
+    node.power_off()
+    node.power_on()
+    n = len(payloads)
+    earliest = max(1, n - 8 + 1)
+    log = node.get_log("p")
+    assert log.last_seqno == n
+    assert log.earliest_seqno == earliest
+    assert [e.payload for e in log.scan()] == payloads[earliest - 1:]
+    assert node.local_append("p", b"next") == n + 1

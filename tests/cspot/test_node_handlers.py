@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cspot import CSPOTNode, NodeDownError
-from repro.cspot.namespace import Namespace
 from repro.simkernel import Engine
 
 
@@ -13,30 +12,24 @@ def engine():
 
 
 class TestNamespace:
-    def test_create_and_get(self):
-        ns = Namespace("unl")
-        log = ns.create("telemetry", element_size=128)
-        assert ns.get("telemetry") is log
-        assert "telemetry" in ns
-        assert ns.names() == ["telemetry"]
+    """The logs one node hosts (CSPOT's per-site namespace)."""
 
-    def test_duplicate_create_rejected(self):
-        ns = Namespace("unl")
-        ns.create("x", element_size=8)
+    def test_create_and_get(self, engine):
+        node = CSPOTNode(engine, "unl")
+        log = node.create_log("telemetry", element_size=128)
+        assert node.get_log("telemetry") is log
+        assert "telemetry" in node.logs
+        assert sorted(node.logs) == ["telemetry"]
+
+    def test_duplicate_create_rejected(self, engine):
+        node = CSPOTNode(engine, "unl")
+        node.create_log("x", element_size=8)
         with pytest.raises(ValueError, match="exists"):
-            ns.create("x", element_size=8)
+            node.create_log("x", element_size=8)
 
-    def test_get_missing(self):
+    def test_get_missing(self, engine):
         with pytest.raises(KeyError, match="no log"):
-            Namespace("unl").get("ghost")
-
-    def test_drop_and_reopen(self):
-        ns = Namespace("unl")
-        ns.create("x", element_size=8).append(b"a")
-        ns.drop_processes()
-        assert "x" not in ns
-        ns.reopen()
-        assert ns.get("x").last_seqno == 1
+            CSPOTNode(engine, "unl").get_log("ghost")
 
 
 class TestHandlers:
@@ -153,6 +146,19 @@ class TestPowerLoss:
         node.local_append("data", b"x")
         engine.run()
         assert fired == [1]
+
+    def test_handle_taken_before_power_cycle_stays_live(self, engine):
+        # A power cycle keeps the node's log objects: a handle taken before
+        # it and the node itself append to one log, with one seqno sequence.
+        node = CSPOTNode(engine, "pi")
+        node.create_log("x", element_size=8)
+        handle = node.get_log("x")
+        node.power_off()
+        node.power_on()
+        assert handle.append(b"first", now=engine.now) == 1
+        assert node.local_append("x", b"second") == 2
+        log = node.get_log("x")
+        assert [e.payload for e in log.scan()] == [b"first", b"second"]
 
     def test_power_on_when_alive_is_noop(self, engine):
         node = CSPOTNode(engine, "pi")

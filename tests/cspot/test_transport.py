@@ -1,6 +1,8 @@
 """Tests for the CSPOT transport: the two-RTT protocol, retry/dedup
 exactly-once semantics, the size-cache optimization and fault tolerance."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from repro.cspot import (
     NetworkPath,
     NodeDownError,
     RemoteAppendClient,
+    RetryPolicy,
     Transport,
 )
 from repro.simkernel import Engine
@@ -116,7 +119,7 @@ class TestExactlyOnce:
         seqno = engine.run(until=proc)
         assert seqno == 1
         assert appender.attempts == 3
-        log = server.namespace.get("telemetry")
+        log = server.logs["telemetry"]
         assert log.last_seqno == 1  # exactly one append despite 3 attempts
         assert log.get(1).payload == b"payload"
 
@@ -153,7 +156,8 @@ class TestDelayTolerance:
         transport, client, server, path = make_pair(engine)
         path.faults.add_partition(0.0, 5.0)
         appender = RemoteAppendClient(
-            transport, client, server, "telemetry", retry_backoff_s=1.0
+            transport, client, server, "telemetry",
+            policy=RetryPolicy(backoff_s=1.0),
         )
         proc = appender.append(b"parked")
         seqno = engine.run(until=proc)
@@ -172,7 +176,8 @@ class TestDelayTolerance:
 
         engine.process(revive())
         appender = RemoteAppendClient(
-            transport, client, server, "telemetry", retry_backoff_s=0.5
+            transport, client, server, "telemetry",
+            policy=RetryPolicy(backoff_s=0.5),
         )
         proc = appender.append(b"x")
         assert engine.run(until=proc) == 1
@@ -192,7 +197,7 @@ class TestDelayTolerance:
         path.faults.add_partition(0.0, 1e9)
         appender = RemoteAppendClient(
             transport, client, server, "telemetry",
-            retry_backoff_s=0.1, max_retries=5,
+            policy=RetryPolicy(max_attempts=5, backoff_s=0.1),
         )
         proc = appender.append(b"x")
         with pytest.raises(AppendError, match="after 5 attempts"):
@@ -208,8 +213,7 @@ class TestDelayTolerance:
         engine.run(until=appender.append(b"a"))
         assert appender._cached_size == 1024
         # Server-side recreation with a different element size.
-        server.namespace._logs.pop("telemetry")
-        server.namespace._storages.pop("telemetry")
+        del server.logs["telemetry"]
         server.create_log("telemetry", element_size=2048)
         # The stale cache fails once, invalidates, refetches, succeeds.
         seqno = engine.run(until=appender.append(b"b"))
@@ -251,6 +255,33 @@ class TestPartitionWindows:
         with pytest.raises(ValueError):
             FaultInjector(ack_loss_prob=1.0)
 
+    @pytest.mark.parametrize(
+        "start, end",
+        [(math.nan, 5.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 5.0)],
+        ids=["start-nan", "end-nan", "end-inf", "start-minus-inf"],
+    )
+    def test_non_finite_window_rejected(self, start, end):
+        from repro.cspot import FaultInjector
+
+        with pytest.raises(ValueError, match="finite"):
+            FaultInjector().add_partition(start, end)
+
+
+class TestPathValidation:
+    @pytest.mark.parametrize(
+        "latency",
+        [
+            {"one_way_ms": math.nan},
+            {"one_way_ms": math.inf},
+            {"one_way_ms": 10.0, "jitter_ms": math.nan},
+            {"one_way_ms": 10.0, "jitter_ms": math.inf},
+        ],
+        ids=["one-way-nan", "one-way-inf", "jitter-nan", "jitter-inf"],
+    )
+    def test_non_finite_latency_rejected(self, latency):
+        with pytest.raises(ValueError, match="finite"):
+            NetworkPath("p", **latency)
+
 
 @settings(max_examples=30, deadline=None)
 @given(
@@ -265,7 +296,8 @@ def test_exactly_once_property(ack_drops, n_ops):
     drop_iter = iter(ack_drops)
     path.faults.drop_ack = lambda: next(drop_iter, False)  # type: ignore[method-assign]
     appender = RemoteAppendClient(
-        transport, client, server, "telemetry", retry_backoff_s=0.01
+        transport, client, server, "telemetry",
+        policy=RetryPolicy(backoff_s=0.01),
     )
 
     def body():
@@ -273,7 +305,7 @@ def test_exactly_once_property(ack_drops, n_ops):
             yield appender.append(f"op-{i}".encode())
 
     engine.run(until=engine.process(body()))
-    log = server.namespace.get("telemetry")
+    log = server.logs["telemetry"]
     assert log.last_seqno == n_ops
     for i in range(n_ops):
         assert log.get(i + 1).payload == f"op-{i}".encode()

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cspot import CSPOTNode, NetworkPath, RemoteAppendClient, Transport
+from repro.cspot import (
+    CSPOTNode,
+    NetworkPath,
+    RemoteAppendClient,
+    RetryPolicy,
+    Transport,
+)
 from repro.simkernel import Engine
 
 
@@ -47,7 +53,7 @@ def test_exactly_once_under_arbitrary_partitions(schedule, n_ops):
     transport.connect("unl", "ucsb", path)
     appender = RemoteAppendClient(
         transport, client, server, "data",
-        retry_backoff_s=5.0, max_retries=10_000,
+        policy=RetryPolicy(max_attempts=10_000, backoff_s=5.0),
     )
 
     def producer():
@@ -55,7 +61,7 @@ def test_exactly_once_under_arbitrary_partitions(schedule, n_ops):
             yield appender.append(f"op{k}".encode())
 
     engine.run(until=engine.process(producer()))
-    log = server.namespace.get("data")
+    log = server.logs["data"]
     assert log.last_seqno == n_ops
     assert [e.payload for e in log.scan()] == [
         f"op{k}".encode() for k in range(n_ops)
@@ -135,7 +141,7 @@ def test_exactly_once_under_power_loss_and_partitions(schedule, n_ops):
         engine.process(outage(nodes[who], start, end))
     appender = RemoteAppendClient(
         transport, client, server, "data",
-        retry_backoff_s=5.0, max_retries=10_000,
+        policy=RetryPolicy(max_attempts=10_000, backoff_s=5.0),
     )
 
     def producer():
@@ -143,7 +149,7 @@ def test_exactly_once_under_power_loss_and_partitions(schedule, n_ops):
             yield appender.append(f"op{k}".encode())
 
     engine.run(until=engine.process(producer()))
-    log = server.namespace.get("data")
+    log = server.logs["data"]
     assert log.last_seqno == n_ops
     assert [e.payload for e in log.scan()] == [
         f"op{k}".encode() for k in range(n_ops)

@@ -74,7 +74,7 @@ class TestSingleHost:
         host = CSPOTNode(engine, "ucsb")
         LaminarRuntime(engine, diamond(), hosts={"ucsb": host})
         for op in ("a", "doubled", "tripled", "out"):
-            assert f"lam.diamond.{op}" in host.namespace
+            assert f"lam.diamond.{op}" in host.logs
 
     def test_value_before_binding_raises(self):
         engine = Engine(seed=0)

@@ -104,17 +104,6 @@ class TestChaosInvariance:
     def test_chaos_changes_the_output(self):
         assert _report(campaign=BOUNDARY_CAMPAIGN).digest != _report().digest
 
-    def test_disabled_campaign_is_bit_identical_to_none(self):
-        disabled = ShardChaosCampaign(
-            faults=BOUNDARY_CAMPAIGN.faults,
-            link_faults=BOUNDARY_CAMPAIGN.link_faults,
-            enabled=False,
-        )
-        assert (
-            _report(campaign=disabled).canonical_json()
-            == _report().canonical_json()
-        )
-
     def test_parked_telemetry_is_flushed_not_lost(self):
         clean = _report()
         chaotic = _report(campaign=BOUNDARY_CAMPAIGN)

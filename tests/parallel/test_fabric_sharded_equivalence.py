@@ -18,15 +18,10 @@ import warnings
 import pytest
 
 from repro.core import FabricConfig, ShardedFabricScenario
-from repro.core.fabric import (
-    FabricMetrics,
-    FarmSite,
-    Hub,
-    reliable_appender,
-)
+from repro.core.fabric import FabricMetrics, FarmSite, Hub
 from repro.core.telemetry import TelemetryRecord
 from repro.cspot.paths import ucsb_nd_internet, unl_ucsb_5g
-from repro.cspot.transport import Transport
+from repro.cspot.transport import RemoteAppendClient, Transport
 from repro.simkernel import Engine
 
 SEED = 3
@@ -48,9 +43,9 @@ def reference_run():
     transport.connect("unl", "ucsb", unl_ucsb_5g())
     transport.connect("ucsb", "nd", ucsb_nd_internet())
     appenders = {
-        s.station_id: reliable_appender(
-            transport, config.policies.append, farm.unl, hub.ucsb,
-            f"telemetry.{s.station_id}",
+        s.station_id: RemoteAppendClient(
+            transport, farm.unl, hub.ucsb, f"telemetry.{s.station_id}",
+            policy=config.policies.append,
         )
         for s in farm.stations
     }

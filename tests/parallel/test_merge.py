@@ -10,7 +10,6 @@ from repro.parallel import (
     canonical_json,
     canonical_jsonl,
     merge_sketches,
-    merge_slo_timelines,
     merge_streams,
     stream_key,
 )
@@ -44,12 +43,6 @@ class TestStreamMerge:
     def test_missing_key_field_raises(self):
         with pytest.raises(ValueError, match="total-order key"):
             merge_streams([[{"t": 0.0, "shard": 0}]])
-
-    def test_slo_timeline_alias(self):
-        a = [_rec(1.0, 0, 0, burn=0.5)]
-        b = [_rec(0.5, 1, 0, burn=1.5)]
-        merged = merge_slo_timelines([a, b])
-        assert [r["burn"] for r in merged] == [1.5, 0.5]
 
     def test_stream_key_coerces_types(self):
         assert stream_key({"t": 1, "shard": 2.0, "seq": 3}) == (1.0, 2, 3)

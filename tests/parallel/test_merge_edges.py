@@ -12,7 +12,6 @@ import pytest
 from repro.parallel import (
     canonical_json,
     canonical_jsonl,
-    merge_slo_timelines,
     merge_streams,
     stream_key,
 )
@@ -69,17 +68,6 @@ class TestDuplicateRejection:
     def test_duplicate_keys_within_one_stream_rejected(self):
         with pytest.raises(ValueError, match="duplicate stream key"):
             merge_streams([[_rec(1.0, 0, 0), _rec(1.0, 0, 0)]])
-
-    def test_escape_hatch_for_diagnostics(self):
-        streams = [[_rec(1.0, 0, 0)], [_rec(1.0, 0, 0)]]
-        merged = merge_streams(streams, reject_duplicates=False)
-        assert len(merged) == 2
-
-    def test_slo_timeline_alias_rejects_duplicates_too(self):
-        with pytest.raises(ValueError, match="duplicate stream key"):
-            merge_slo_timelines(
-                [[_rec(3.0, 1, 7, slo="x")], [_rec(3.0, 1, 7, slo="y")]]
-            )
 
     def test_missing_key_field_names_the_field(self):
         with pytest.raises(ValueError, match="total-order key"):
