@@ -564,10 +564,13 @@ class RemoteAppendClient:
                     tracer.metrics.counter(
                         "cspot.append.retries", help="retried appends"
                     ).inc(log=self.log_name, error=type(exc).__name__)
-                if policy.backoff_s:
+                if policy.backoff_s and attempt + 1 < policy.max_attempts:
                     # Long partitions (the paper's "frequent network
                     # interruption" in remote deployments) are waited out
-                    # rather than hammered.
+                    # rather than hammered. The wait is between attempts
+                    # only: an exhausted append raises when its last
+                    # attempt fails, at most total_budget_s() after the
+                    # first began.
                     yield engine.timeout(policy.delay_s(attempt))
                 continue
             if self.use_size_cache and self._cached_size is None:

@@ -16,7 +16,8 @@ The public sampling methods run array-at-a-time: the scheduler produces a
 ``(n_samples, n_ues)`` PRB-grant matrix, the per-UE state is packed into
 contiguous arrays (:class:`repro.radio.state.UeStateArrays`), and one
 ``standard_normal`` tensor drives the CQI and fading draws for the whole
-run; :class:`~repro.radio.population.CellPopulation` runs the same kernel.
+run; :class:`~repro.radio.population.CellPopulation` runs the same
+arithmetic one scheduling round at a time.
 The retired per-UE loops live on as reference implementations in
 ``tests/radio/scalar_reference.py``; the parity battery asserts the two
 paths are bit-identical sample-for-sample at every N.

@@ -2,8 +2,8 @@
 
 The paper's testbed attaches a handful of hand-built ``UserEquipment``
 objects; the scale path needs populations described *statistically* and
-realized straight into the contiguous state arrays the vectorized sampler
-consumes. The contract follows AsyncFlow's request-generator input
+realized straight into the state arrays the vectorized sampler consumes.
+The contract follows AsyncFlow's request-generator input
 (``RVConfig``/``RqsGeneratorInput``): named distributions with validated
 parameters, drawn from named RNG streams so population realization never
 perturbs any other subsystem's randomness.
@@ -17,14 +17,17 @@ perturbs any other subsystem's randomness.
     cells = pop.realize_cells(RngRegistry(seed), range(20))  # CellPopulations
     matrix = cells[0].uplink_matrix(rng, 30)     # (n_ues, 30) bits/s
 
-Realization cost is O(total UEs) numpy draws; sampling cost is one
-vectorized kernel call per cell. ``CellPopulation.materialize`` builds real
-``UserEquipment`` objects for the first ``k`` UEs so parity tests can pin
-the array path to the object path bit-for-bit.
+Realization cost is O(total UEs) numpy draws; sampling a window costs one
+vectorized kernel call per chunk of scheduling rounds (one round in a
+fleet-sized cell, the whole window in a small one).
+``CellPopulation.materialize`` builds real ``UserEquipment`` objects for
+the first ``k`` UEs so parity tests can pin the array path to the object
+path bit-for-bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
@@ -35,12 +38,13 @@ from repro.radio.channel import ChannelModel
 from repro.radio.duplex import DuplexMode, TDD_UL_HEAVY
 from repro.radio.phy import CarrierConfig
 from repro.radio.presets import LTE_CHANNEL, NR_CHANNEL, SDR_4G, SDR_5G
-from repro.radio.scheduler import round_robin_rounds
+from repro.radio.scheduler import round_robin_plan, round_robin_rounds
 from repro.radio.sdr import SdrFrontEnd
 from repro.radio.state import (
     UeStateArrays,
+    gather_pays,
     rate_per_prb_table,
-    sample_throughput_matrix,
+    sample_pairs,
 )
 from repro.radio.ue import UserEquipment
 from repro.simkernel.rng import RngRegistry
@@ -51,6 +55,11 @@ from repro.simkernel.streams import (
 )
 
 from repro.radio.gnb import MULTI_UE_OVERHEAD
+
+#: Most standard normals :meth:`CellPopulation.uplink_matrix` draws at once
+#: (512 kB). Below it, per-round overhead outweighs the draw; above it, a
+#: window-sized draw tensor dominates a fleet cell's memory.
+_CHUNK_DRAWS = 1 << 16
 
 
 class Distribution(str, Enum):
@@ -74,14 +83,14 @@ class RandomVariable:
     Attributes
     ----------
     mean:
-        Target mean of the drawn values.
+        Target mean of the drawn values (finite).
     distribution:
         One of :class:`Distribution`.
     variance:
-        Optional; defaults per family: ``normal`` -> ``mean`` (AsyncFlow's
-        convention), ``log_normal`` -> ``mean``; ignored for ``poisson``
-        (variance == mean by definition), ``exponential`` (``mean**2``) and
-        ``constant`` (0).
+        Optional, finite and non-negative; defaults per family:
+        ``normal`` -> ``mean`` (AsyncFlow's convention), ``log_normal`` ->
+        ``mean``; ignored for ``poisson`` (variance == mean by definition),
+        ``exponential`` (``mean**2``) and ``constant`` (0).
     """
 
     mean: float
@@ -92,18 +101,24 @@ class RandomVariable:
         if not isinstance(self.mean, (int, float)) or isinstance(self.mean, bool):
             raise TypeError(f"mean must be a number, got {self.mean!r}")
         object.__setattr__(self, "mean", float(self.mean))
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite: {self.mean}")
         dist = Distribution(self.distribution)
         object.__setattr__(self, "distribution", dist)
         if dist in (
             Distribution.POISSON, Distribution.LOG_NORMAL, Distribution.EXPONENTIAL
         ) and self.mean <= 0:
             raise ValueError(f"{dist.value} mean must be positive: {self.mean}")
-        if self.variance is not None and self.variance < 0:
-            raise ValueError(f"variance must be non-negative: {self.variance}")
         if self.variance is None and dist in (
             Distribution.NORMAL, Distribution.LOG_NORMAL
         ):
             object.__setattr__(self, "variance", self.mean)
+        # Checked after the default, so a normal whose mean is negative
+        # needs an explicit variance.
+        if self.variance is not None and not 0 <= self.variance < math.inf:
+            raise ValueError(
+                f"variance must be finite and non-negative: {self.variance}"
+            )
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` values as float64 (counts included, for clipping)."""
@@ -170,7 +185,8 @@ class CellPopulation:
 
         Sorted :meth:`ue_ids` order is column order, so the closed-form
         :func:`round_robin_rounds` applies directly -- no ``UeDemand``
-        objects, no scheduler instance.
+        objects, no scheduler instance. The dense ``(n_rounds, n_ues)``
+        form of the grants :meth:`uplink_matrix` applies.
         """
         grants, self._rotation = round_robin_rounds(
             self.n_ues,
@@ -189,6 +205,14 @@ class CellPopulation:
         Bit-identical to attaching :meth:`materialize`'d UEs to a
         round-robin :class:`~repro.radio.gnb.GNodeB` and calling
         ``uplink_samples`` with the same generator (parity-tested).
+
+        Draws and evaluates a chunk of scheduling rounds at a time: at most
+        ``_CHUNK_DRAWS`` standard normals, but at least one round, so a
+        fleet cell runs one round at a time and a small cell its whole
+        window at once. Each chunk's normals go into one reused buffer, in
+        the order one ``(n_samples, n_ues, 2)`` draw would take them, and
+        its granted samples go straight into the returned block. Neither
+        that tensor nor a dense grant matrix is ever built.
         """
         if n_samples <= 0:
             raise ValueError(f"n_samples must be positive: {n_samples}")
@@ -198,12 +222,36 @@ class CellPopulation:
         derate = self.sdr.derate(self.carrier.bandwidth_mhz, active_ues=n)
         jitter = self.sdr.jitter_scale(self.carrier.bandwidth_mhz, active_ues=n)
         multi_ue_eff = max(0.4, 1.0 - MULTI_UE_OVERHEAD * (n - 1))
-        grants = self.grants_matrix(n_samples)
-        z = rng.standard_normal((n_samples, n, 2))
-        return sample_throughput_matrix(
-            self.state, grants, z, self.rate_table(),
-            derate=derate, multi_ue_eff=multi_ue_eff, jitter_scale=jitter,
+        rate_table = self.rate_table()
+        # Round r grants every UE `base` PRBs, plus one to the columns in
+        # extra[r] (sorted id order is column order, so ranks are columns).
+        base, extra, self._rotation = round_robin_plan(
+            n, self.carrier.n_prbs, n_samples, self._rotation
         )
+        # With base == 0 a round grants exactly the extra[r] UEs, one PRB
+        # each; where they are few, only they are evaluated.
+        gather = base == 0 and gather_pays(extra.shape[1], n)
+        block = np.zeros((n, n_samples)) if gather else np.empty((n, n_samples))
+        per_chunk = min(n_samples, max(1, _CHUNK_DRAWS // (2 * n)))
+        z_buf = np.empty((per_chunk, n, 2))
+        for r0 in range(0, n_samples, per_chunk):
+            k = min(per_chunk, n_samples - r0)
+            z = z_buf[:k]
+            rng.standard_normal(out=z)
+            rows, cols = np.arange(k)[:, None], extra[r0:r0 + k]
+            if gather:
+                block[cols, r0 + rows] = sample_pairs(
+                    self.state, cols, 1, z[rows, cols], rate_table,
+                    derate, multi_ue_eff, jitter,
+                )
+            else:
+                prbs = np.full((k, n), base, dtype=np.int64)
+                prbs[rows, cols] += 1
+                block[:, r0:r0 + k] = sample_pairs(
+                    self.state, slice(None), prbs, z, rate_table,
+                    derate, multi_ue_eff, jitter,
+                ).T
+        return block
 
     def materialize(self, k: Optional[int] = None) -> list[UserEquipment]:
         """Instantiate real ``UserEquipment`` for the first ``k`` UEs.

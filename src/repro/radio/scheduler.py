@@ -49,6 +49,37 @@ class UeDemand:
             raise ValueError(f"negative PRB demand: {self.prbs_wanted}")
 
 
+def round_robin_plan(
+    n_ues: int,
+    budget: int,
+    n_rounds: int,
+    start_rotation: int,
+) -> tuple[int, np.ndarray, int]:
+    """Closed-form :class:`RoundRobinScheduler` grants for uniform
+    saturating demands, in sparse form.
+
+    The water-fill collapses when every UE wants at least the whole budget:
+    each round grants ``budget // n`` PRBs to everyone plus one extra PRB to
+    the ``budget % n`` UEs at rotating positions in *sorted ue_id* order
+    (the scalar scheduler's remainder rotation). Returns that base grant,
+    the ``(n_rounds, budget % n)`` int64 sorted ranks that get the extra PRB
+    in each round, and the rotation counter after ``n_rounds`` rounds. The
+    ranks cost a (rounds x extra) array, never a (rounds x n_ues) one.
+    """
+    if n_ues <= 0:
+        raise ValueError(f"n_ues must be positive: {n_ues}")
+    base, extra = divmod(budget, n_ues)
+    if extra == 0:
+        # Budget divides evenly: the scalar loop never reaches the
+        # remainder-rotation branch, so the rotation counter is untouched.
+        return base, np.empty((n_rounds, 0), dtype=np.int64), start_rotation
+    # Round r's extra PRBs go to sorted ranks start_rotation + r + i
+    # (mod n_ues), i < extra.
+    rounds = np.arange(n_rounds, dtype=np.int64)[:, None]
+    ranks = (start_rotation + rounds + np.arange(extra, dtype=np.int64)) % n_ues
+    return base, ranks, start_rotation + n_rounds
+
+
 def round_robin_rounds(
     n_ues: int,
     budget: int,
@@ -56,34 +87,23 @@ def round_robin_rounds(
     start_rotation: int,
     sorted_pos: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """Closed-form :class:`RoundRobinScheduler` grants for uniform
-    saturating demands, one row per round.
+    """:func:`round_robin_plan` as a dense grants matrix, one row per round.
 
-    The water-fill collapses when every UE wants at least the whole budget:
-    each round grants ``budget // n`` PRBs to everyone plus one extra PRB to
-    the ``budget % n`` UEs at rotating positions in *sorted ue_id* order
-    (the scalar scheduler's remainder rotation). ``sorted_pos[j]`` is column
-    ``j``'s rank in that sorted order. Returns the ``(n_rounds, n_ues)``
-    int64 grants matrix and the rotation counter after ``n_rounds`` rounds.
-    Bit-identical to looping ``allocate`` (property-tested).
+    ``sorted_pos[j]`` is column ``j``'s rank in sorted ue_id order. Returns
+    the ``(n_rounds, n_ues)`` int64 grants matrix and the rotation counter
+    after ``n_rounds`` rounds. Bit-identical to looping ``allocate``
+    (property-tested).
     """
-    if n_ues <= 0:
-        raise ValueError(f"n_ues must be positive: {n_ues}")
-    base, extra = divmod(budget, n_ues)
+    base, ranks, rotation = round_robin_plan(
+        n_ues, budget, n_rounds, start_rotation
+    )
     grants = np.full((n_rounds, n_ues), base, dtype=np.int64)
-    if extra == 0:
-        # Budget divides evenly: the scalar loop never reaches the
-        # remainder-rotation branch, so the rotation counter is untouched.
-        return grants, start_rotation
-    # Round r's extra PRBs go to sorted ranks start_rotation + r + i
-    # (mod n_ues), i < extra: set those cells by index, a (rounds x extra)
-    # job rather than a (rounds x n_ues) one.
-    column_of_rank = np.empty_like(sorted_pos)
-    column_of_rank[sorted_pos] = np.arange(n_ues, dtype=np.int64)
-    rounds = np.arange(n_rounds, dtype=np.int64)[:, None]
-    ranks = (start_rotation + rounds + np.arange(extra, dtype=np.int64)) % n_ues
-    grants[rounds, column_of_rank[ranks]] += 1
-    return grants, start_rotation + n_rounds
+    if ranks.size:
+        column_of_rank = np.empty_like(sorted_pos)
+        column_of_rank[sorted_pos] = np.arange(n_ues, dtype=np.int64)
+        rounds = np.arange(n_rounds, dtype=np.int64)[:, None]
+        grants[rounds, column_of_rank[ranks]] += 1
+    return grants, rotation
 
 
 class MacScheduler(ABC):

@@ -1,14 +1,17 @@
-"""Contiguous per-UE state arrays and the vectorized sampling kernel.
+"""Per-UE state arrays and the vectorized sampling kernel.
 
 This is the million-UE hot path. Instead of walking Python ``UserEquipment``
 objects per sample, the radio layer packs the per-UE quantities that the
 throughput model reads -- channel operating point, fading width, link gain,
-modem/host efficiency, uplink cap -- into parallel ``float64`` arrays
-(struct-of-arrays layout, one contiguous vector per field), and computes a
-whole ``(n_ues, n_samples)`` sample matrix with array-at-a-time numpy. A
-zero PRB grant yields a sample of exactly ``+0.0``, so where few (round, UE)
-pairs hold PRBs -- a fleet cell with far more UEs than PRBs -- only those
-pairs are evaluated and scattered into a zeroed matrix.
+modem/host efficiency, uplink cap -- into parallel ``float64`` vectors
+(struct-of-arrays layout, one vector per field), and computes a whole
+``(n_ues, n_samples)`` sample matrix with array-at-a-time numpy. A field
+whose value the whole population shares (a device-class value such as the
+modem efficiency) may be a read-only stride-0 view of one float64: it
+indexes and broadcasts like a full vector, and costs 8 bytes in all rather
+than 8 bytes per UE. A zero PRB grant yields a sample of exactly ``+0.0``, so where few
+(round, UE) pairs hold PRBs -- a fleet cell with far more UEs than PRBs --
+only those pairs are evaluated and scattered into a zeroed matrix.
 
 Bit-identity contract (parity-tested in
 ``tests/radio/test_vectorized_parity.py``): the kernel consumes the *same*
@@ -19,10 +22,13 @@ draws, per sample and per UE, one ``rng.normal`` (CQI) then one
 shapes sequentially from the bit stream. A single
 ``rng.standard_normal((n_samples, n_ues, 2))`` therefore yields exactly the
 scalar draw sequence in C order, and applying ``loc + scale * z`` elementwise
-reproduces the scalar results bit-for-bit. The draw stays full-size even
-where grants are zero, so the stream advances exactly as the scalar loop's.
-The arithmetic below multiplies factors in the same left-to-right order as
-the scalar expressions so IEEE rounding agrees.
+reproduces the scalar results bit-for-bit. For the same reason, ``n_samples``
+consecutive ``(n_ues, 2)`` draws, one per scheduling round, yield the same
+values as that one tensor, which lets a caller hold one round of draws at a
+time. The draw stays full-size even where grants are zero, so the stream
+advances exactly as the scalar loop's. The arithmetic below multiplies
+factors in the same left-to-right order as the scalar expressions so IEEE
+rounding agrees.
 """
 
 from __future__ import annotations
@@ -45,6 +51,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: of the pairs hold PRBs.
 _GATHER_COST = 4
 
+_MAX_FINITE = float(np.finfo(np.float64).max)
+
+#: Each field's allowed values as ``(low, low included, high, wording)``.
+#: Every field must be finite except ``cap_bps``, where ``+inf`` means
+#: uncapped. A NaN fails every comparison, so these ranges reject it too.
+_FIELD_RANGES: dict[str, tuple[float, bool, float, str]] = {
+    "mean_cqi": (1.0, True, 15.0, "in the CQI ladder [1, 15]"),
+    "cqi_sigma": (0.0, True, _MAX_FINITE, "finite and non-negative"),
+    "fading_sigma": (0.0, True, _MAX_FINITE, "finite and non-negative"),
+    "gain": (0.0, False, _MAX_FINITE, "finite and positive"),
+    "combined_eff": (0.0, False, _MAX_FINITE, "finite and positive"),
+    "cap_bps": (0.0, False, float("inf"), "positive (+inf = uncapped)"),
+}
+
+
+def gather_pays(n_granted: int, n_pairs: int) -> bool:
+    """Whether evaluating only the ``n_granted`` of ``n_pairs`` (round, UE)
+    pairs that hold PRBs beats evaluating every pair in place."""
+    return _GATHER_COST * n_granted < n_pairs
+
 
 def rate_per_prb_table(carrier: CarrierConfig) -> np.ndarray:
     """Uplink bits/s per PRB indexed by ``cqi - 1`` (CQI 1..15)."""
@@ -57,9 +83,12 @@ def rate_per_prb_table(carrier: CarrierConfig) -> np.ndarray:
 class UeStateArrays:
     """Struct-of-arrays snapshot of everything the sampler reads per UE.
 
-    Index ``j`` of every array is UE ``j``: the row of the sample matrix
+    Index ``j`` of every field is UE ``j``: the row of the sample matrix
     and the column of the grant matrix. Identifiers stay with the caller
-    (the attached UE objects, or ids a population makes on demand).
+    (the attached UE objects, or ids a population makes on demand). Each
+    field is a ``(n_ues,)`` float64 vector; a value the population shares
+    may be a read-only stride-0 view (see :meth:`broadcast`), which is
+    kept as it is, never copied. Nothing writes into these fields.
 
     Attributes
     ----------
@@ -73,6 +102,11 @@ class UeStateArrays:
         Modem x host efficiency applied to the granted PHY rate.
     cap_bps:
         Hard uplink cap (``inf`` where uncapped). Downlink ignores it.
+
+    Every value must be finite (``cap_bps`` may be ``+inf``), ``mean_cqi``
+    in [1, 15], the sigmas non-negative, and ``gain``, ``combined_eff`` and
+    ``cap_bps`` positive; anything else raises ``ValueError`` here rather
+    than a late failure inside the kernel.
     """
 
     mean_cqi: np.ndarray
@@ -84,23 +118,23 @@ class UeStateArrays:
 
     def __post_init__(self) -> None:
         n = len(self.mean_cqi)
-        for field_name in (
-            "mean_cqi", "cqi_sigma", "fading_sigma", "gain",
-            "combined_eff", "cap_bps",
-        ):
-            arr = np.ascontiguousarray(getattr(self, field_name), dtype=np.float64)
+        for name, (low, closed, high, wording) in _FIELD_RANGES.items():
+            # asarray returns a float64 view as it is, so a stride-0 view
+            # stays one value; min and max reduce it without a copy.
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != (n,):
                 raise ValueError(
-                    f"UeStateArrays.{field_name}: expected shape ({n},), "
+                    f"UeStateArrays.{name}: expected shape ({n},), "
                     f"got {arr.shape}"
                 )
-            setattr(self, field_name, arr)
-        if n and (self.mean_cqi.min() < 1.0 or self.mean_cqi.max() > 15.0):
-            raise ValueError("mean_cqi out of the CQI ladder [1, 15]")
-        if n and (self.cqi_sigma.min() < 0.0 or self.fading_sigma.min() < 0.0):
-            raise ValueError("sigmas must be non-negative")
-        if n and self.gain.min() <= 0.0:
-            raise ValueError("gain must be positive")
+            if n:
+                lo, hi = float(arr.min()), float(arr.max())
+                if not ((lo >= low if closed else lo > low) and hi <= high):
+                    raise ValueError(
+                        f"UeStateArrays.{name} must be {wording}: "
+                        f"got values in [{lo}, {hi}]"
+                    )
+            setattr(self, name, arr)
 
     @property
     def n_ues(self) -> int:
@@ -113,7 +147,7 @@ class UeStateArrays:
         technology: str,
         duplex: DuplexMode,
     ) -> "UeStateArrays":
-        """Pack attached UE objects into contiguous arrays (one pass)."""
+        """Pack attached UE objects into per-UE arrays (one pass)."""
         return cls(
             mean_cqi=np.array([ue.channel.mean_cqi for ue in ues]),
             cqi_sigma=np.array([ue.channel.cqi_sigma for ue in ues]),
@@ -136,16 +170,70 @@ class UeStateArrays:
         cap_bps: float,
     ) -> "UeStateArrays":
         """Build a population-sized state from per-UE draws plus shared
-        device-class scalars (no ``UserEquipment`` objects involved)."""
+        device-class values (no ``UserEquipment`` objects involved).
+
+        ``mean_cqi`` and ``gain`` are the per-UE arrays. Each device-class
+        value is held once, as a read-only stride-0 view of one float64
+        (``np.broadcast_to``): a 50k-UE cell stores two 400 kB vectors
+        instead of six.
+        """
         n = len(mean_cqi)
         return cls(
             mean_cqi=mean_cqi,
-            cqi_sigma=np.full(n, float(cqi_sigma)),
-            fading_sigma=np.full(n, float(fading_sigma)),
+            cqi_sigma=np.broadcast_to(np.float64(cqi_sigma), (n,)),
+            fading_sigma=np.broadcast_to(np.float64(fading_sigma), (n,)),
             gain=gain,
-            combined_eff=np.full(n, float(combined_eff)),
-            cap_bps=np.full(n, float(cap_bps)),
+            combined_eff=np.broadcast_to(np.float64(combined_eff), (n,)),
+            cap_bps=np.broadcast_to(np.float64(cap_bps), (n,)),
         )
+
+
+def sample_pairs(
+    state: UeStateArrays,
+    at: slice | np.ndarray,
+    prbs: np.ndarray | int,
+    z: np.ndarray,
+    rate_per_prb: np.ndarray,
+    derate: float,
+    multi_ue_eff: float,
+    jitter_scale: float,
+    rate_scale: Optional[float] = None,
+    apply_caps: bool = True,
+) -> np.ndarray:
+    """Throughput samples for a set of (round, UE) pairs.
+
+    ``at`` picks each pair's UE from ``state`` (``slice(None)``: every UE,
+    broadcasting over leading round axes), ``prbs`` is each pair's PRB
+    grant, and ``z[..., 0]`` / ``z[..., 1]`` are its CQI and fading
+    standard normals. The other parameters are those of
+    :func:`sample_throughput_matrix`. Returns the samples (bits/s,
+    non-negative) in the shape of ``z[..., 0]``.
+    """
+    # CQI draw: clip(rint(mean + sigma*z), 1, 15), exactly ChannelModel.draw_cqi.
+    cqi = np.clip(
+        np.rint(state.mean_cqi[at] + state.cqi_sigma[at] * z[..., 0]),
+        1, 15,
+    ).astype(np.int64)
+
+    # PHY rate: prbs * rate(cqi) [* dl_over_ul] * derate * multi_ue_eff * gain,
+    # multiplied left-to-right in the scalar expression's order.
+    phy = prbs * rate_per_prb[cqi - 1]
+    if rate_scale is not None:
+        phy = phy * rate_scale
+    phy = phy * derate
+    phy = phy * multi_ue_eff
+    phy = phy * state.gain[at]
+
+    realized = phy * state.combined_eff[at]
+    if apply_caps:
+        realized = np.minimum(realized, state.cap_bps[at])
+
+    # Mean-one lognormal fading: exp(-sigma^2/2 + sigma*z), sigma inflated
+    # by the SDR jitter scale -- exactly ChannelModel.draw_fading.
+    sigma = state.fading_sigma[at] * jitter_scale
+    fade = np.exp(-0.5 * sigma * sigma + sigma * z[..., 1])
+
+    return np.maximum(realized * fade, 0.0)
 
 
 def sample_throughput_matrix(
@@ -197,43 +285,19 @@ def sample_throughput_matrix(
     # gather the granted pairs, evaluate only those, and scatter them into
     # a zeroed matrix. Otherwise evaluate the whole matrix in place, the
     # per-UE arrays broadcasting over rounds.
-    whole = _GATHER_COST * np.count_nonzero(grants) >= grants.size
+    gather = gather_pays(np.count_nonzero(grants), grants.size)
     at: slice | np.ndarray
-    if whole:
-        prbs, z_pairs, at = grants, z, slice(None)
-    else:
+    if gather:
         flat = np.flatnonzero(grants > 0)  # C order: by round, then UE
         rounds, ues = np.divmod(flat, n_ues)
-        prbs = grants.ravel()[flat]
-        z_pairs = z.reshape(-1, 2)[flat]
-        at = ues
-
-    # CQI draw: clip(rint(mean + sigma*z), 1, 15), exactly ChannelModel.draw_cqi.
-    cqi = np.clip(
-        np.rint(state.mean_cqi[at] + state.cqi_sigma[at] * z_pairs[..., 0]),
-        1, 15,
-    ).astype(np.int64)
-
-    # PHY rate: prbs * rate(cqi) [* dl_over_ul] * derate * multi_ue_eff * gain,
-    # multiplied left-to-right in the scalar expression's order.
-    phy = prbs * rate_per_prb[cqi - 1]
-    if rate_scale is not None:
-        phy = phy * rate_scale
-    phy = phy * derate
-    phy = phy * multi_ue_eff
-    phy = phy * state.gain[at]
-
-    realized = phy * state.combined_eff[at]
-    if apply_caps:
-        realized = np.minimum(realized, state.cap_bps[at])
-
-    # Mean-one lognormal fading: exp(-sigma^2/2 + sigma*z), sigma inflated
-    # by the SDR jitter scale -- exactly ChannelModel.draw_fading.
-    sigma = state.fading_sigma[at] * jitter_scale
-    fade = np.exp(-0.5 * sigma * sigma + sigma * z_pairs[..., 1])
-
-    samples = np.maximum(realized * fade, 0.0)
-    if whole:
+        at, prbs, z_pairs = ues, grants.ravel()[flat], z.reshape(-1, 2)[flat]
+    else:
+        at, prbs, z_pairs = slice(None), grants, z
+    samples = sample_pairs(
+        state, at, prbs, z_pairs, rate_per_prb, derate, multi_ue_eff,
+        jitter_scale, rate_scale, apply_caps,
+    )
+    if not gather:
         return np.ascontiguousarray(samples.T)
     out = np.zeros(n_ues * n_samples)
     out[ues * n_samples + rounds] = samples

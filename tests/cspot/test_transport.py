@@ -192,16 +192,22 @@ class TestDelayTolerance:
             engine.run(until=proc)
 
     def test_retries_exhausted_raises(self):
+        """The partition fails each attempt at once, so attempts start at
+        0, 1, 3, 7 and 15 s. The error surfaces with the last failure, at
+        ``total_budget_s()``: no backoff follows the last attempt."""
         engine = Engine(seed=0)
         transport, client, server, path = make_pair(engine)
         path.faults.add_partition(0.0, 1e9)
+        policy = RetryPolicy(max_attempts=5, backoff_s=1.0)
         appender = RemoteAppendClient(
-            transport, client, server, "telemetry",
-            policy=RetryPolicy(max_attempts=5, backoff_s=0.1),
+            transport, client, server, "telemetry", policy=policy,
         )
         proc = appender.append(b"x")
         with pytest.raises(AppendError, match="after 5 attempts"):
             engine.run(until=proc)
+        assert appender.attempts == 5
+        assert policy.total_budget_s() == pytest.approx(15.0)
+        assert engine.now == pytest.approx(policy.total_budget_s())
 
     def test_size_cache_invalidated_on_staleness(self):
         engine = Engine(seed=0)

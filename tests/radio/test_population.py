@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from repro.radio.population import (
     RandomVariable,
     UEPopulation,
 )
+from repro.radio.state import UeStateArrays
 from repro.simkernel.rng import RngRegistry
 
 
@@ -27,6 +31,19 @@ class TestRandomVariable:
             RandomVariable(5.0, "weibull")  # type: ignore[arg-type]
         with pytest.raises(TypeError):
             RandomVariable("many")  # type: ignore[arg-type]
+        for mean in (math.nan, math.inf, -math.inf):
+            for dist in (Distribution.NORMAL, Distribution.CONSTANT):
+                with pytest.raises(ValueError, match="mean must be finite"):
+                    RandomVariable(mean, dist)
+        with pytest.raises(ValueError, match="mean must be finite"):
+            RandomVariable(math.inf, Distribution.POISSON)
+        for variance in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="variance"):
+                RandomVariable(5.0, Distribution.NORMAL, variance=variance)
+        # A normal's variance defaults to its mean, which must then be >= 0.
+        with pytest.raises(ValueError, match="variance"):
+            RandomVariable(-4.0, Distribution.NORMAL)
+        assert RandomVariable(-4.0, Distribution.NORMAL, variance=1.0).variance == 1.0
 
     def test_string_distribution_coerced(self) -> None:
         rv = RandomVariable(3.0, "poisson")  # type: ignore[arg-type]
@@ -140,21 +157,29 @@ class TestCellPopulation:
         ).realize_cells(RngRegistry(9), [0])[0].grants_matrix(6)
         assert np.array_equal(np.vstack([a, b]), both)
 
-    def test_uplink_matrix_parity_with_object_path(self, cell: CellPopulation) -> None:
-        ues = cell.materialize()
-        gnb = GNodeB("pop-parity", cell.carrier, sdr=cell.sdr)
-        for ue in ues:
-            gnb.attach(ue)
-        fresh = UEPopulation(
+    @pytest.mark.parametrize("n_ues", [6, 450, 7000])
+    def test_uplink_matrix_parity_with_object_path(self, n_ues: int) -> None:
+        """Two consecutive windows match the object path, so the rotation
+        carries across calls. At 450 UEs, more than 4 x 106 PRBs, the
+        population evaluates only the granted pairs, as a fleet cell does.
+        At 7,000 UEs a draw chunk holds 4 rounds, so the 17- and 5-round
+        windows also cross chunk boundaries."""
+        cell = UEPopulation(
             n_cells=1,
-            ues_per_cell=RandomVariable(6.0, Distribution.CONSTANT),
+            ues_per_cell=RandomVariable(float(n_ues), Distribution.CONSTANT),
             network="5g-tdd",
             bandwidth_mhz=40.0,
         ).realize_cells(RngRegistry(9), [0])[0]
-        obj = gnb.uplink_samples(np.random.default_rng(3), 17)
-        vec = fresh.uplink_matrix(np.random.default_rng(3), 17)
-        for j, uid in enumerate(fresh.ue_ids()):
-            assert np.array_equal(obj[uid], vec[j])
+        gnb = GNodeB("pop-parity", cell.carrier, sdr=cell.sdr)
+        for ue in cell.materialize():
+            gnb.attach(ue)
+        obj_rng, vec_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for n_samples in (17, 5):
+            obj = gnb.uplink_samples(obj_rng, n_samples)
+            vec = cell.uplink_matrix(vec_rng, n_samples)
+            assert vec.shape == (n_ues, n_samples)
+            for j, uid in enumerate(cell.ue_ids()):
+                assert np.array_equal(obj[uid], vec[j])
 
     def test_materialize_bounds(self, cell: CellPopulation) -> None:
         assert len(cell.materialize(0)) == 0
@@ -165,3 +190,81 @@ class TestCellPopulation:
     def test_sampling_input_validation(self, cell: CellPopulation) -> None:
         with pytest.raises(ValueError):
             cell.uplink_matrix(np.random.default_rng(0), 0)
+
+
+def _valid_state_fields(n: int = 3) -> dict[str, np.ndarray]:
+    return {
+        "mean_cqi": np.full(n, 10.0),
+        "cqi_sigma": np.full(n, 0.7),
+        "fading_sigma": np.full(n, 0.06),
+        "gain": np.ones(n),
+        "combined_eff": np.full(n, 0.8),
+        "cap_bps": np.full(n, math.inf),
+    }
+
+
+class TestUeStateArrays:
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [(name, math.nan) for name in _valid_state_fields()]
+        + [
+            ("cqi_sigma", math.inf),
+            ("fading_sigma", math.inf),
+            ("gain", math.inf),
+            ("combined_eff", math.inf),
+            ("combined_eff", 0.0),
+            ("combined_eff", -1.0),
+            ("cap_bps", 0.0),
+            ("cap_bps", -5.0),
+            ("cap_bps", -math.inf),
+        ],
+    )
+    def test_bad_value_rejected(self, name: str, value: float) -> None:
+        fields = _valid_state_fields()
+        fields[name][1] = value
+        with pytest.raises(ValueError, match=f"UeStateArrays.{name} must be"):
+            UeStateArrays(**fields)
+
+    def test_broadcast_value_checked_in_place(self) -> None:
+        with pytest.raises(ValueError, match="UeStateArrays.combined_eff"):
+            UeStateArrays.broadcast(
+                mean_cqi=np.full(4, 10.0), gain=np.ones(4), cqi_sigma=0.7,
+                fading_sigma=0.06, combined_eff=math.nan, cap_bps=math.inf,
+            )
+
+
+class TestFleetCellMemory:
+    """A 50k-UE cell, the size of a ``ue_fleet_serial`` cell, holds each
+    device-class value once and one scheduling round of draws at a time."""
+
+    @pytest.fixture(scope="class")
+    def fleet_cell(self) -> CellPopulation:
+        return UEPopulation(
+            n_cells=1,
+            ues_per_cell=RandomVariable(50_000.0, Distribution.CONSTANT),
+            network="5g-tdd",
+            bandwidth_mhz=40.0,
+        ).realize_cells(RngRegistry(3), [0])[0]
+
+    def test_device_class_values_are_stride0_views(
+        self, fleet_cell: CellPopulation
+    ) -> None:
+        state = fleet_cell.state
+        for name in ("cqi_sigma", "fading_sigma", "combined_eff", "cap_bps"):
+            view = getattr(state, name)
+            assert view.shape == (50_000,)
+            assert view.strides == (0,)
+            assert not view.flags.writeable
+
+    def test_uplink_matrix_peak_below_twice_its_block(
+        self, fleet_cell: CellPopulation
+    ) -> None:
+        rng = np.random.default_rng(3)
+        tracemalloc.start()
+        try:
+            block = fleet_cell.uplink_matrix(rng, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (50_000, 10)
+        assert peak < 2 * block.nbytes, peak / block.nbytes
