@@ -7,9 +7,12 @@ calendar-queue engine. It measures, and records in ``BENCH_scale.json``
 * ``radio_scalar`` / ``radio_vectorized`` -- UE-samples/sec through the
   retired per-UE loop vs the state-array kernel on the *same* 10k-UE cell
   (the ISSUE acceptance floor: >= 10x);
-* ``engine_storm`` / ``engine_storm_flat_heap`` -- events/sec draining
-  same-timestamp storms through the calendar queue vs a raw
-  ``(time, eid)`` heapq;
+* ``engine_storm`` / ``engine_storm_flat_heap`` /
+  ``engine_storm_flat_engine`` -- events/sec draining same-timestamp
+  storms through the calendar queue, through a raw ``(time, eid)`` heapq
+  that runs no Event machinery, and through the flat-heap engine of
+  ``tests/simkernel/test_engine_batched.py``, which runs the same Event
+  code as the calendar queue;
 * ``scale_scenario`` -- sim-seconds per wall-second and events/sec for a
   50k-UE, 20-cell :class:`~repro.parallel.ShardedScaleScenario` on one
   in-process worker (``workers=1, executor="serial"``), per-cell
@@ -35,6 +38,7 @@ from repro.radio.population import Distribution, RandomVariable, UEPopulation
 from repro.simkernel.engine import Engine
 from repro.simkernel.rng import RngRegistry
 from tests.radio.scalar_reference import uplink_samples_scalar
+from tests.simkernel.test_engine_batched import FlatHeapEngine
 
 ARTIFACT = os.path.join(os.path.dirname(__file__), "_artifacts", "BENCH_scale.json")
 
@@ -114,9 +118,8 @@ def _radio_rates() -> list[dict]:
     ]
 
 
-def _drain_calendar_engine() -> float:
-    """Wall seconds to schedule + drain the storm through Engine."""
-    engine = Engine(seed=0)
+def _drain_engine(engine: Engine | FlatHeapEngine) -> float:
+    """Wall seconds to schedule + drain the storm through ``engine``."""
     sink: list[float] = []
     cb = lambda _e: sink.append(engine.now)  # noqa: E731
     t0 = time.perf_counter()
@@ -148,9 +151,10 @@ def _drain_flat_heap() -> float:
 
 def _engine_rates() -> list[dict]:
     n_events = STORM_TIMES * STORM_WIDTH
-    _drain_calendar_engine()  # warm-up
-    calendar = min(_drain_calendar_engine() for _ in range(3))
+    _drain_engine(Engine(seed=0))  # warm-up
+    calendar = min(_drain_engine(Engine(seed=0)) for _ in range(3))
     flat = min(_drain_flat_heap() for _ in range(3))
+    flat_engine = min(_drain_engine(FlatHeapEngine()) for _ in range(3))
     return [
         {
             "benchmark": "engine_storm",
@@ -166,6 +170,14 @@ def _engine_rates() -> list[dict]:
             "events_per_sec": n_events / flat,
             "wall_s": flat,
             "note": "raw heapq push/pop, no Event machinery",
+        },
+        {
+            "benchmark": "engine_storm_flat_engine",
+            "n_events": n_events,
+            "distinct_timestamps": STORM_TIMES,
+            "events_per_sec": n_events / flat_engine,
+            "wall_s": flat_engine,
+            "note": "one flat (time, eid, event) heap, same Event code",
         },
     ]
 
@@ -223,6 +235,9 @@ def test_scale_throughput(benchmark):
               unit="events/s")
     table.add("raw heapq", by_name["engine_storm_flat_heap"]["events_per_sec"],
               unit="events/s")
+    table.add("flat-heap engine",
+              by_name["engine_storm_flat_engine"]["events_per_sec"],
+              unit="events/s")
     table.add("50k-UE scenario", by_name["scale_scenario"]["sim_s_per_wall_s"],
               unit="sim-s/wall-s")
     table.print()
@@ -235,10 +250,15 @@ def test_scale_throughput(benchmark):
         f"{N_UES} UEs (floor {MIN_SPEEDUP}x)"
     )
     # The calendar queue must at least keep pace with half a *bare* heapq
-    # (which runs no Event machinery at all) on storm workloads.
+    # (which runs no Event machinery at all) on storm workloads, and with a
+    # flat heap that runs the same Event code.
     assert (
         by_name["engine_storm"]["events_per_sec"]
         > 0.5 * by_name["engine_storm_flat_heap"]["events_per_sec"]
+    )
+    assert (
+        by_name["engine_storm"]["events_per_sec"]
+        >= by_name["engine_storm_flat_engine"]["events_per_sec"]
     )
     assert by_name["scale_scenario"]["sim_s_per_wall_s"] > 1.0
 

@@ -321,8 +321,11 @@ class ShardedScaleScenario(ShardedScenario):
     horizon_s / window_s:
         Sampling horizon (default 60 s) and window (default 10 s): each
         cell produces ``window_s`` one-second samples per UE per window.
+        ``window_s`` must be a whole number of seconds and ``horizon_s``
+        a whole number of windows.
     faults:
-        Chaos faults, each routed to the worker owning its cell.
+        Chaos faults, each routed to the worker owning its cell; each
+        must target one of the run's windows.
 
     ``interaction_delay_s`` stays ``None`` by default: the pure sampling
     workload has no cross-shard message. Pass
@@ -335,6 +338,12 @@ class ShardedScaleScenario(ShardedScenario):
     horizon_s: float = 60.0
     window_s: float = 10.0
     faults: tuple[CellFault, ...] = ()
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # The tasks check the windows and the faults: build them now, so a
+        # config that would sample wrongly or inject nothing fails here.
+        self._tasks()
 
     def _n_cells(self) -> int:
         return self.population.n_cells

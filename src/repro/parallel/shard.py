@@ -186,15 +186,35 @@ class ShardRunner(Generic[ResultT]):
 @dataclass(frozen=True, kw_only=True)
 class ScaleShardTask(ShardTask):
     """A radio scale shard: the owned cells of a declarative population,
-    sampled once per ``window_s`` window."""
+    sampled once per ``window_s`` window.
+
+    Each window takes one sample per UE per simulated second, so
+    ``window_s`` must be a whole number of seconds, ``horizon_s`` a whole
+    number of windows, and every fault must fall in one of those windows.
+    """
 
     population: UEPopulation
     window_s: float
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.window_s <= 0:
-            raise ValueError(f"window_s must be positive: {self.window_s}")
+        if not (self.window_s > 0 and float(self.window_s).is_integer()):
+            raise ValueError(
+                f"window_s must be a positive whole number of seconds: "
+                f"{self.window_s}"
+            )
+        if self.horizon_s % self.window_s:
+            raise ValueError(
+                f"horizon_s {self.horizon_s} is not a whole number of "
+                f"{self.window_s} s windows"
+            )
+        n_windows = int(self.horizon_s // self.window_s)
+        for fault in self.faults:
+            if fault.window >= n_windows:
+                raise ValueError(
+                    f"fault on cell {fault.cell_index} targets window "
+                    f"{fault.window} of a {n_windows}-window run"
+                )
 
     def _n_cells(self) -> int:
         return self.population.n_cells
@@ -233,7 +253,7 @@ class ScaleShardRunner(ShardRunner[CellShardResult]):
         self._rngs = {
             c: self.engine.rng(shard_stream(c, "radio")) for c in task.cells
         }
-        self._samples_per_window = max(int(round(task.window_s)), 1)
+        self._samples_per_window = int(task.window_s)
         for c in task.cells:
             self._results[c] = CellShardResult(
                 cell_index=c,
@@ -263,7 +283,7 @@ class ScaleShardRunner(ShardRunner[CellShardResult]):
         def _sample(_event: Event) -> None:
             block = population.uplink_matrix(rng, n_samples)
             if derate is not None:
-                block = block * derate
+                block *= derate  # the block is this call's own: no copy
             result.sketch.add_array(block)
             result.samples += block.size
             result.events += 1

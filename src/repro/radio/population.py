@@ -17,16 +17,19 @@ perturbs any other subsystem's randomness.
     cells = pop.realize_cells(RngRegistry(seed), range(20))  # CellPopulations
     matrix = cells[0].uplink_matrix(rng, 30)     # (n_ues, 30) bits/s
 
-Realization cost is O(total UEs) numpy draws; sampling a window costs one
-vectorized kernel call per chunk of scheduling rounds (one round in a
-fleet-sized cell, the whole window in a small one).
-``CellPopulation.materialize`` builds real ``UserEquipment`` objects for
-the first ``k`` UEs so parity tests can pin the array path to the object
-path bit-for-bit.
+Realization costs O(cells) and draws no UE: a cell draws a UE's operating
+point the first time a call needs that UE, so a fleet cell whose
+round-robin scheduler reaches 125 of its ~50k UEs in 20 rounds draws 125.
+Sampling a window costs one vectorized kernel call per chunk of
+scheduling rounds (one round in a fleet-sized cell, the whole window in a
+small one). ``CellPopulation.materialize`` builds real ``UserEquipment``
+objects for the first ``k`` UEs so parity tests can pin the array path to
+the object path bit-for-bit.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -144,24 +147,81 @@ class RandomVariable:
 
 @dataclass
 class CellPopulation:
-    """One cell's worth of realized population state.
+    """One cell of a realized population.
 
-    Holds the packed :class:`UeStateArrays` plus the carrier/SDR scalars the
-    sampler needs. No ``UserEquipment`` objects, and no UE id strings,
-    exist unless :meth:`materialize` or :meth:`ue_ids` is called.
+    Holds the cell's UE count, the carrier/SDR scalars the sampler needs,
+    and what it takes to draw each UE's operating point: the population's
+    ``mean_cqi`` and ``gain_spread`` distributions and the cell's own
+    ``channel`` and ``gain`` generators. A UE's ``mean_cqi`` and ``gain``
+    are drawn the first time a call needs that UE, in UE order, so the
+    cell holds only the prefix that calls have reached: in the gather
+    branch of :meth:`uplink_matrix`, up to the largest rank granted a PRB;
+    in the dense branch, in :attr:`state` and in :meth:`materialize`, as
+    far as they read. A fleet cell's round-robin scheduler reaches
+    ``rounds + PRB budget - 1`` UEs, 125 of ~50k in 20 rounds.
+
+    numpy fills a draw one element after another, so drawing ``m`` values
+    and then ``k - m`` more yields exactly one ``k``-value draw: the
+    values are the bits an eager draw of every UE gives. The cell draws
+    from its own generators, never from the registry's (see
+    :meth:`UEPopulation.realize_cells`). No ``UserEquipment`` objects, and
+    no UE id strings, exist unless :meth:`materialize` or :meth:`ue_ids`
+    is called.
     """
 
     name: str
     carrier: CarrierConfig
     sdr: SdrFrontEnd
-    state: UeStateArrays
     template: UserEquipment
+    n_ues: int
+    mean_cqi: RandomVariable
+    gain_spread: RandomVariable
+    channel_rng: np.random.Generator = field(repr=False)
+    gain_rng: np.random.Generator = field(repr=False)
     _rotation: int = 0
     _rate_table: Optional[np.ndarray] = field(default=None, repr=False)
+    _device: dict[str, float] = field(init=False, repr=False)
+    _drawn: UeStateArrays = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # Device-class values come from the template UE, so the array path
+        # and the object path (materialize) agree exactly. The zero-UE
+        # state range-checks them now, before any UE is drawn.
+        tech, duplex = self.carrier.technology, self.carrier.duplex
+        self._device = {
+            "cqi_sigma": self.template.channel.cqi_sigma,
+            "fading_sigma": self.template.channel.fading_sigma,
+            "combined_eff": self.template.combined_efficiency(tech, duplex),
+            "cap_bps": self.template.uplink_cap_bps(tech, duplex),
+        }
+        empty = np.empty(0)
+        self._drawn = UeStateArrays.broadcast(
+            mean_cqi=empty, gain=empty, **self._device
+        )
 
     @property
-    def n_ues(self) -> int:
-        return self.state.n_ues
+    def state(self) -> UeStateArrays:
+        """Every UE's state, drawing the UEs no call has reached yet."""
+        return self._state_through(self.n_ues)
+
+    def _state_through(self, k: int) -> UeStateArrays:
+        """The state of at least the first ``k`` UEs, drawing those not
+        drawn yet. The four device-class values stay stride-0 views."""
+        drawn = self._drawn
+        new = k - drawn.n_ues
+        if new > 0:
+            self._drawn = drawn = UeStateArrays.broadcast(
+                mean_cqi=np.concatenate([
+                    drawn.mean_cqi,
+                    np.clip(self.mean_cqi.sample(self.channel_rng, new), 1.0, 15.0),
+                ]),
+                gain=np.concatenate([
+                    drawn.gain,
+                    np.maximum(self.gain_spread.sample(self.gain_rng, new), 1e-3),
+                ]),
+                **self._device,
+            )
+        return drawn
 
     def rate_table(self) -> np.ndarray:
         if self._rate_table is None:
@@ -231,6 +291,9 @@ class CellPopulation:
         # With base == 0 a round grants exactly the extra[r] UEs, one PRB
         # each; where they are few, only they are evaluated.
         gather = base == 0 and gather_pays(extra.shape[1], n)
+        # The gather branch reads only the UEs granted an extra PRB, ranks
+        # that wrap mod n; the dense branch reads every UE.
+        state = self._state_through(int(extra.max()) + 1 if gather else n)
         block = np.zeros((n, n_samples)) if gather else np.empty((n, n_samples))
         per_chunk = min(n_samples, max(1, _CHUNK_DRAWS // (2 * n)))
         z_buf = np.empty((per_chunk, n, 2))
@@ -241,14 +304,14 @@ class CellPopulation:
             rows, cols = np.arange(k)[:, None], extra[r0:r0 + k]
             if gather:
                 block[cols, r0 + rows] = sample_pairs(
-                    self.state, cols, 1, z[rows, cols], rate_table,
+                    state, cols, 1, z[rows, cols], rate_table,
                     derate, multi_ue_eff, jitter,
                 )
             else:
                 prbs = np.full((k, n), base, dtype=np.int64)
                 prbs[rows, cols] += 1
                 block[:, r0:r0 + k] = sample_pairs(
-                    self.state, slice(None), prbs, z, rate_table,
+                    state, slice(None), prbs, z, rate_table,
                     derate, multi_ue_eff, jitter,
                 ).T
         return block
@@ -261,18 +324,20 @@ class CellPopulation:
         reuses the template's device/modem/SIM and carries its drawn
         per-UE channel.
         """
+        ids = self.ue_ids(k)
+        state = self._state_through(len(ids))
         out = []
-        for j, ue_id in enumerate(self.ue_ids(k)):
+        for j, ue_id in enumerate(ids):
             out.append(UserEquipment(
                 ue_id=ue_id,
                 device=self.template.device,
                 modem=self.template.modem,
                 sim=self.template.sim,
                 channel=ChannelModel(
-                    mean_cqi=float(self.state.mean_cqi[j]),
-                    cqi_sigma=float(self.state.cqi_sigma[j]),
-                    fading_sigma=float(self.state.fading_sigma[j]),
-                    gain=float(self.state.gain[j]),
+                    mean_cqi=float(state.mean_cqi[j]),
+                    cqi_sigma=float(state.cqi_sigma[j]),
+                    fading_sigma=float(state.fading_sigma[j]),
+                    gain=float(state.gain[j]),
                 ),
                 unit_cap_bps=None,
             ))
@@ -394,15 +459,18 @@ class UEPopulation:
         shares the run with 0 or 7 other workers (the
         :mod:`repro.parallel` determinism invariant). ``counts`` defaults
         to :meth:`cell_counts`.
+
+        Realization draws no UE: it costs O(cells), and each cell draws a
+        UE's operating point when a call first needs it. A cell draws
+        from its own copies of the two generators as they stand at
+        realization and never advances the registry's, so a cell's draws
+        are a function of the registry and the cell index alone: two cells
+        realized for one index from one registry hold the same values,
+        whatever order they draw in. Bad device-class values are rejected
+        here, not at a cell's first draw.
         """
         carrier, sdr, _ = self._flavour()
         template = self._template()
-        chan = template.channel
-        # Device-class scalars come from the template UE, so the array path
-        # and the object path (CellPopulation.materialize) agree exactly.
-        tech, duplex = carrier.technology, carrier.duplex
-        combined_eff = template.combined_efficiency(tech, duplex)
-        cap_bps = template.uplink_cap_bps(tech, duplex)
         if counts is None:
             counts = self.cell_counts(rngs)
         if len(counts) != self.n_cells:
@@ -416,23 +484,16 @@ class UEPopulation:
                 raise ValueError(
                     f"cell index {c} out of [0, {self.n_cells})"
                 )
-            n = int(counts[c])
-            chan_rng = rngs.get(shard_stream(c, "channel"))
-            gain_rng = rngs.get(shard_stream(c, "gain"))
-            state = UeStateArrays.broadcast(
-                mean_cqi=np.clip(self.mean_cqi.sample(chan_rng, n), 1.0, 15.0),
-                gain=np.maximum(self.gain_spread.sample(gain_rng, n), 1e-3),
-                cqi_sigma=chan.cqi_sigma,
-                fading_sigma=chan.fading_sigma,
-                combined_eff=combined_eff,
-                cap_bps=cap_bps,
-            )
             cells.append(CellPopulation(
                 name=f"cell{c:03d}",
                 carrier=carrier,
                 sdr=sdr,
-                state=state,
                 template=template,
+                n_ues=int(counts[c]),
+                mean_cqi=self.mean_cqi,
+                gain_spread=self.gain_spread,
+                channel_rng=copy.deepcopy(rngs.get(shard_stream(c, "channel"))),
+                gain_rng=copy.deepcopy(rngs.get(shard_stream(c, "gain"))),
             ))
         return cells
 

@@ -2,15 +2,15 @@
 
 The event queue is a *calendar* of per-timestamp buckets rather than one
 flat binary heap: a min-heap orders the distinct pending timestamps, and
-each timestamp owns a FIFO deque of ``(eid, event)`` pairs. Scheduling an
-event at an already-pending timestamp is an O(1) append instead of an
-O(log n) ``heappush``, so same-timestamp event storms (every cell sampling
-on the same tick, a chaos campaign firing a burst) cost amortized O(1) per
-event. Because event ids are assigned monotonically and appends preserve
-arrival order, draining a bucket front-to-back reproduces the exact
-``(time, eid)`` order the flat heap produced -- the deterministic FIFO
-tie-break is byte-for-byte unchanged (property-tested against a heapq
-reference model in ``tests/simkernel/test_engine_batched.py``).
+each timestamp owns a FIFO deque of its events. Scheduling an event at an
+already-pending timestamp is an O(1) append instead of an O(log n)
+``heappush``, so same-timestamp event storms (every cell sampling on the
+same tick, a chaos campaign firing a burst) cost amortized O(1) per event.
+Because appends preserve scheduling order, draining a bucket front-to-back
+reproduces the exact ``(time, eid)`` order a flat heap with monotonic
+event ids produces -- the deterministic FIFO tie-break needs no id at all
+(property-tested against a heapq reference model in
+``tests/simkernel/test_engine_batched.py``).
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from itertools import count
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -36,8 +35,8 @@ class Engine:
     """A deterministic discrete-event simulation engine.
 
     Events scheduled at the same simulated time are processed in scheduling
-    order (FIFO tie-break via a monotonically increasing sequence number), so
-    two runs with the same seed produce identical traces.
+    order (a FIFO tie-break), so two runs with the same seed produce
+    identical traces.
 
     Parameters
     ----------
@@ -54,11 +53,9 @@ class Engine:
         #: Min-heap of the *distinct* timestamps that currently have a
         #: non-empty bucket; each timestamp appears exactly once.
         self._times: list[float] = []
-        #: Per-timestamp FIFO buckets; deque order == eid order because
-        #: eids are monotonic and appends preserve arrival order.
-        self._buckets: dict[float, deque[tuple[int, Event]]] = {}
+        #: Per-timestamp FIFO buckets, in scheduling order.
+        self._buckets: dict[float, deque[Event]] = {}
         self._n_pending = 0
-        self._eid: Iterator[int] = count()
         self.rngs = RngRegistry(seed)
         self._trace_hooks: list[Callable[[float, Event], None]] = []
 
@@ -109,7 +106,7 @@ class Engine:
             # First event at this timestamp: one heap push per distinct time.
             bucket = self._buckets[when] = deque()
             heapq.heappush(self._times, when)
-        bucket.append((next(self._eid), event))
+        bucket.append(event)
         self._n_pending += 1
 
     def __len__(self) -> int:
@@ -136,7 +133,7 @@ class Engine:
             raise SimulationError("step() on an empty event queue")
         when = self._times[0]
         bucket = self._buckets[when]
-        _, event = bucket.popleft()
+        event = bucket.popleft()
         self._n_pending -= 1
         if not bucket:
             # Drained: retire the timestamp before callbacks run, so a

@@ -76,24 +76,47 @@ class TestGoldenDigests:
         60.0: "8b291de9d3aeb7829d5d377821fe673f92f3d0190e949058f537797e5677c236",
     }
 
-    @pytest.mark.parametrize("mean_ues", sorted(GOLDEN))
-    @pytest.mark.parametrize("workers,executor", [(1, "serial"), (2, "spawn")])
-    def test_digest_is_pinned(self, mean_ues, workers, executor):
+    #: The same runs with cell 1's window 0 derated twice (0.25 x 0.5)
+    #: and cell 2's window 1 zeroed: a faulted window scales its own block.
+    GOLDEN_FAULTED = {
+        3000.0: "971229699ca03ee71c8170cb263ad486dbaf35eb59abd3c25457b68ff66e4a8d",
+        60.0: "d1e64a2c8fb03b232d627a2990794482fcf49494241a00c39cb3ffab71e1252f",
+    }
+    FAULTS = (
+        CellFault(cell_index=1, window=0, derate=0.25),
+        CellFault(cell_index=1, window=0, derate=0.5),
+        CellFault(cell_index=2, window=1, derate=0.0),
+    )
+
+    @staticmethod
+    def _run(mean_ues, workers, executor, faults=()):
         population = UEPopulation(
             n_cells=4,
             ues_per_cell=RandomVariable(mean_ues, Distribution.POISSON),
             network="5g-tdd",
             bandwidth_mhz=40.0,
         )
-        report = ShardedScaleScenario(
+        return ShardedScaleScenario(
             population,
             seed=3,
             horizon_s=20.0,
             window_s=10.0,
             workers=workers,
             executor=executor,
+            faults=faults,
         ).run()
+
+    @pytest.mark.parametrize("mean_ues", sorted(GOLDEN))
+    @pytest.mark.parametrize("workers,executor", [(1, "serial"), (2, "spawn")])
+    def test_digest_is_pinned(self, mean_ues, workers, executor):
+        report = self._run(mean_ues, workers, executor)
         assert report.digest == self.GOLDEN[mean_ues]
+
+    @pytest.mark.parametrize("mean_ues", sorted(GOLDEN_FAULTED))
+    @pytest.mark.parametrize("workers,executor", [(1, "serial"), (2, "spawn")])
+    def test_faulted_digest_is_pinned(self, mean_ues, workers, executor):
+        report = self._run(mean_ues, workers, executor, self.FAULTS)
+        assert report.digest == self.GOLDEN_FAULTED[mean_ues]
 
 
 class TestExecutorEquivalence:

@@ -121,8 +121,9 @@ def _fabric_scenario(**overrides):
 NAN, INF = float("nan"), float("inf")
 
 #: Scenario inputs that would make ``run()`` spin forever on its barrier
-#: schedule, or fail only inside it: (family, overrides, message). The
-#: fabric family fixes its window and interaction delay.
+#: schedule, fail only inside it, or run but sample wrongly or inject
+#: nothing: (family, overrides, message). The fabric family fixes its
+#: window and interaction delay.
 SCENARIO_REJECTIONS = [
     ("scale", {"horizon_s": NAN}, "horizon_s"),
     ("scale", {"horizon_s": INF}, "horizon_s"),
@@ -130,6 +131,16 @@ SCENARIO_REJECTIONS = [
     ("scale", {"interaction_delay_s": NAN}, "interaction_delay_s"),
     ("scale", {"worker_timeout_s": 0.0}, "worker_timeout_s"),
     ("scale", {"relative_error": NAN}, "relative_error"),
+    # A window takes one sample per UE per second: 2.5 s and 0.5 s
+    # windows would take 2 and 1.
+    ("scale", {"horizon_s": 5.0, "window_s": 2.5}, "whole number of seconds"),
+    ("scale", {"horizon_s": 3.0, "window_s": 0.5}, "whole number of seconds"),
+    # A partial last window is never sampled, yet the report counts it.
+    ("scale", {"horizon_s": 5.0}, "not a whole number of 2.0 s windows"),
+    ("scale", {"horizon_s": 25.0, "window_s": 10.0}, "whole number of 10.0"),
+    # The run has windows 0 and 1: a later fault would change nothing.
+    ("scale", {"faults": (CellFault(cell_index=0, window=2),)}, "window 2 of"),
+    ("scale", {"faults": (CellFault(cell_index=1, window=5),)}, "window 5 of"),
     ("fabric", {"horizon_s": NAN}, "horizon_s"),
     ("fabric", {"horizon_s": INF}, "horizon_s"),
     ("fabric", {"worker_timeout_s": 0.0}, "worker_timeout_s"),
@@ -140,7 +151,10 @@ SCENARIO_REJECTIONS = [
 @pytest.mark.parametrize(
     "family, overrides, message",
     SCENARIO_REJECTIONS,
-    ids=[f"{f}-{k}-{v}" for f, o, _ in SCENARIO_REJECTIONS for k, v in o.items()],
+    ids=[
+        f"{f}-" + "-".join(f"{k}-{v}" for k, v in o.items())
+        for f, o, _ in SCENARIO_REJECTIONS
+    ],
 )
 def test_scenario_rejects_unrunnable_inputs(family, overrides, message):
     build = {"scale": _scale_scenario, "fabric": _fabric_scenario}[family]

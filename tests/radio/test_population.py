@@ -16,7 +16,9 @@ from repro.radio.population import (
     UEPopulation,
 )
 from repro.radio.state import UeStateArrays
+from repro.radio.ue import UserEquipment
 from repro.simkernel.rng import RngRegistry
+from repro.simkernel.streams import shard_stream
 
 
 class TestRandomVariable:
@@ -232,29 +234,160 @@ class TestUeStateArrays:
                 fading_sigma=0.06, combined_eff=math.nan, cap_bps=math.inf,
             )
 
+    def test_broadcast_value_checked_with_no_ues(self) -> None:
+        """A cell starts with zero UEs drawn; its device-class values are
+        checked all the same."""
+        with pytest.raises(ValueError, match="UeStateArrays.cap_bps"):
+            UeStateArrays.broadcast(
+                mean_cqi=np.empty(0), gain=np.empty(0), cqi_sigma=0.7,
+                fading_sigma=0.06, combined_eff=0.8, cap_bps=-1.0,
+            )
+
+    def test_realize_rejects_a_bad_device_value(
+        self, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        """Realization draws no UE, yet still rejects a bad device class."""
+        monkeypatch.setattr(
+            UserEquipment, "combined_efficiency", lambda *_: math.nan
+        )
+        with pytest.raises(ValueError, match="UeStateArrays.combined_eff"):
+            UEPopulation(n_cells=2).realize_cells(RngRegistry(0), [1])
+
+
+def _cells(
+    n_ues: float, n_cells: int = 1, **fields: RandomVariable
+) -> list[CellPopulation]:
+    """Every cell of a 5g-tdd, 40 MHz population of ``n_ues`` UEs a cell."""
+    return UEPopulation(
+        n_cells=n_cells,
+        ues_per_cell=RandomVariable(n_ues, Distribution.CONSTANT),
+        network="5g-tdd",
+        bandwidth_mhz=40.0,
+        **fields,
+    ).realize_cells(RngRegistry(3), range(n_cells))
+
+
+def _assert_device_values_stride0(state: UeStateArrays) -> None:
+    for name in ("cqi_sigma", "fading_sigma", "combined_eff", "cap_bps"):
+        view = getattr(state, name)
+        assert view.shape == (state.n_ues,)
+        assert view.strides == (0,)
+        assert not view.flags.writeable
+
+
+class TestLazyDraws:
+    """A cell draws a UE's operating point when a call first needs it, and
+    gets the bytes an eager draw of every UE gives."""
+
+    @pytest.mark.parametrize(
+        ("n_ues", "windows", "drawn"),
+        [
+            # Gather branch, as in a fleet cell: 106 extra-PRB ranks a round.
+            (5_000, (10, 10, 10), (115, 125, 135)),
+            # Gather branch whose ranks wrap past n in the third window.
+            (450, (100, 150, 120), (205, 355, 450)),
+            # Just above the budget: ranks wrap at once, the dense branch.
+            (130, (17, 5, 9), (130, 130, 130)),
+            # Fewer UEs than PRBs: dense.
+            (6, (17, 5, 9), (6, 6, 6)),
+        ],
+    )
+    def test_lazy_cell_matches_a_forced_one(
+        self, n_ues: int, windows: tuple[int, ...], drawn: tuple[int, ...]
+    ) -> None:
+        (lazy,), (forced,) = _cells(float(n_ues)), _cells(float(n_ues))
+        assert forced.state.n_ues == n_ues  # draws every UE up front
+        lazy_rng, forced_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for n_samples, n_drawn in zip(windows, drawn):
+            block = lazy.uplink_matrix(lazy_rng, n_samples)
+            assert block.tobytes() == forced.uplink_matrix(
+                forced_rng, n_samples
+            ).tobytes()
+            assert lazy._drawn.n_ues == n_drawn
+        assert lazy.state.mean_cqi.tobytes() == forced.state.mean_cqi.tobytes()
+        assert lazy.state.gain.tobytes() == forced.state.gain.tobytes()
+
+    @pytest.mark.parametrize("dist", list(Distribution))
+    def test_draws_in_pieces_equal_one_draw(self, dist: Distribution) -> None:
+        """numpy fills a draw one element after another, for every family."""
+        spec = {
+            "mean_cqi": RandomVariable(8.0, dist),
+            "gain_spread": RandomVariable(1.0, dist),
+        }
+        (pieces,), (whole,) = _cells(300.0, **spec), _cells(300.0, **spec)
+        assert len(pieces.materialize(7)) == 7
+        assert len(pieces.materialize(120)) == 120
+        assert pieces._drawn.n_ues == 120
+        for name in ("mean_cqi", "gain"):
+            assert (
+                getattr(pieces.state, name).tobytes()
+                == getattr(whole.state, name).tobytes()
+            )
+
+    def test_two_realizations_from_one_registry_hold_the_same_values(
+        self,
+    ) -> None:
+        """A cell draws from its own copies of the registry's generators,
+        so cells realized for one index never interleave their draws."""
+        pop = UEPopulation(
+            n_cells=2, ues_per_cell=RandomVariable(50.0, Distribution.CONSTANT)
+        )
+        rngs = RngRegistry(4)
+        (a,), (b,) = pop.realize_cells(rngs, [1]), pop.realize_cells(rngs, [1])
+        a.materialize(10)
+        b.materialize(30)
+        a.materialize(20)
+        reference = pop.realize_cells(RngRegistry(4), [1])[0].state
+        for cell in (a, b):
+            assert np.array_equal(cell.state.mean_cqi, reference.mean_cqi)
+            assert np.array_equal(cell.state.gain, reference.gain)
+        # The registry's generators stay where realization found them.
+        fresh = RngRegistry(4)
+        for purpose in ("channel", "gain"):
+            name = shard_stream(1, purpose)
+            assert (
+                rngs.get(name).bit_generator.state
+                == fresh.get(name).bit_generator.state
+            )
+
 
 class TestFleetCellMemory:
     """A 50k-UE cell, the size of a ``ue_fleet_serial`` cell, holds each
-    device-class value once and one scheduling round of draws at a time."""
+    device-class value once, one scheduling round of draws at a time, and
+    only the UEs its scheduler has reached."""
 
     @pytest.fixture(scope="class")
     def fleet_cell(self) -> CellPopulation:
-        return UEPopulation(
-            n_cells=1,
-            ues_per_cell=RandomVariable(50_000.0, Distribution.CONSTANT),
-            network="5g-tdd",
-            bandwidth_mhz=40.0,
-        ).realize_cells(RngRegistry(3), [0])[0]
+        return _cells(50_000.0)[0]
 
     def test_device_class_values_are_stride0_views(
         self, fleet_cell: CellPopulation
     ) -> None:
-        state = fleet_cell.state
-        for name in ("cqi_sigma", "fading_sigma", "combined_eff", "cap_bps"):
-            view = getattr(state, name)
-            assert view.shape == (50_000,)
-            assert view.strides == (0,)
-            assert not view.flags.writeable
+        _assert_device_values_stride0(fleet_cell.state)
+        assert fleet_cell.state.n_ues == 50_000
+
+    def test_two_windows_draw_only_the_ues_they_reach(self) -> None:
+        """Round-robin reaches rounds + 106 - 1 UEs: 125 after 20 rounds."""
+        (cell,) = _cells(50_000.0)
+        rng = np.random.default_rng(3)
+        assert cell._drawn.n_ues == 0
+        for n_drawn in (115, 125):
+            cell.uplink_matrix(rng, 10)
+            assert cell._drawn.n_ues == n_drawn
+            _assert_device_values_stride0(cell._state_through(n_drawn))
+
+    def test_realizing_twenty_cells_retains_under_1mb(self) -> None:
+        """Realization draws no UE: 20 cells of 50k UEs, ~1M in all, hold
+        less than a megabyte (16 MB when every UE was drawn up front)."""
+        _cells(1.0)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            cells = _cells(50_000.0, n_cells=20)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(c.n_ues for c in cells) == 1_000_000
+        assert retained < 1 << 20, retained
 
     def test_uplink_matrix_peak_below_twice_its_block(
         self, fleet_cell: CellPopulation
