@@ -58,16 +58,30 @@ def step2_cspot() -> None:
 
 def step3_change_detection() -> None:
     print("\n== 3. Laminar change detection ==")
-    from repro.laminar import ChangeDetector
+    from repro.cspot import CSPOTNode
+    from repro.laminar import LaminarRuntime, build_change_detection_graph
+    from repro.simkernel import Engine
 
     rng = np.random.default_rng(3)
-    detector = ChangeDetector()  # 6-reading windows, 2-of-3 voting
-    quiet = detector.compare(rng.normal(3.0, 0.4, 6), rng.normal(3.0, 0.4, 6))
-    front = detector.compare(rng.normal(5.5, 0.4, 6), rng.normal(3.0, 0.4, 6))
-    print(f"  stationary wind: changed={quiet.changed} "
-          f"(votes {quiet.votes_for_change}/3)")
-    print(f"  front passage:   changed={front.changed} "
-          f"(votes {front.votes_for_change}/3)")
+    engine = Engine(seed=3)
+    # 6-reading windows, three tests voted 2 of 3, on one CSPOT host.
+    runtime = LaminarRuntime(
+        engine, build_change_detection_graph(),
+        hosts={"ucsb": CSPOTNode(engine, "ucsb")},
+    )
+    cycles = {
+        "stationary wind": (rng.normal(3.0, 0.4, 6), rng.normal(3.0, 0.4, 6)),
+        "front passage":   (rng.normal(5.5, 0.4, 6), rng.normal(3.0, 0.4, 6)),
+    }
+    for epoch, (label, (current, previous)) in enumerate(cycles.items()):
+        runtime.submit(epoch, {"current": current, "previous": previous})
+        engine.run(until=runtime.epoch_done(epoch))
+        verdicts = {
+            test: bool(runtime.value(f"{test}_different", epoch))
+            for test in ("welch_t", "mann_whitney", "ks")
+        }
+        print(f"  {label + ':':17s}alert={bool(runtime.value('alert', epoch))} "
+              + " ".join(f"{test}={v}" for test, v in verdicts.items()))
 
 
 def step4_pilot_and_cfd() -> None:

@@ -93,7 +93,6 @@ class DigitalTwin:
         self._streak: dict[str, int] = {s.station_id: 0 for s in interior}
         self._needs_seed = False
         self._seed_holdout: set[str] = set()
-        self._variant_probes: dict[int, dict[str, float]] = {}
         self.comparisons: list[TwinComparison] = []
 
     @property
@@ -125,7 +124,6 @@ class DigitalTwin:
         self._seed_holdout = {
             sid for sid, streak in self._streak.items() if streak > 0
         }
-        self._variant_probes.clear()  # stale against the new case
 
     def predict(
         self, station_id: str, boundary_wind_mps: float, calibrated: bool = True
@@ -152,86 +150,6 @@ class DigitalTwin:
                 )
         self._needs_seed = False
         self._seed_holdout = set()
-
-    # -- what-if localization ---------------------------------------------------
-
-    def _variant_prediction(self, panel_index: int) -> dict[str, float]:
-        """Station probes for the current case with ``panel_index`` breached,
-        computed by actually solving the breached variant (cached per case).
-        """
-        assert self._case is not None
-        cached = self._variant_probes.get(panel_index)
-        if cached is not None:
-            return cached
-        variant_bcs = self._case.bcs.breach_any(panel_index)
-        from repro.cfd.solver import ProjectionSolver
-
-        fields = ProjectionSolver(
-            self._case.mesh, variant_bcs, self._case.config
-        ).solve().fields
-        height = max(self.probe_height_m, 1.5 * fields.mesh.dz)
-        height = min(height, fields.mesh.lz - 0.5 * fields.mesh.dz)
-        points = [
-            (s.position_m[0], s.position_m[1], height) for s in self.stations
-        ]
-        probed = probe_at_points(fields, points)
-        result = {
-            s.station_id: float(v) for s, v in zip(self.stations, probed)
-        }
-        self._variant_probes[panel_index] = result
-        return result
-
-    def localize_by_simulation(
-        self,
-        boundary_wind_mps: float,
-        interior_readings: list[StationReading],
-        candidate_panels: Optional[list[int]] = None,
-    ) -> list[tuple[int, float]]:
-        """Rank candidate breach panels by what-if CFD agreement.
-
-        For each candidate panel, solve the breached variant of the current
-        case and compare the *residual pattern* it predicts (variant minus
-        intact prediction, per station) with the measured pattern (measured
-        minus calibrated intact prediction). Differencing removes the
-        model's per-station bias, so the match score reflects the breach's
-        spatial signature, not calibration error. Returns
-        ``[(panel_index, score), ...]`` best (lowest score) first; score is
-        the RMS pattern mismatch in m/s.
-        """
-        if self._case is None:
-            raise RuntimeError("twin has no CFD prediction yet")
-        if not interior_readings:
-            raise ValueError("need interior readings to localize against")
-        panels = (
-            candidate_panels
-            if candidate_panels is not None
-            else sorted(
-                {s.nearest_panel_index for s in self.stations
-                 if s.nearest_panel_index is not None}
-            )
-        )
-        if not panels:
-            raise ValueError("no candidate panels")
-        wind_scale = max(boundary_wind_mps, 0.0) / self._case_wind_mps
-        measured_delta: dict[str, float] = {}
-        for reading in interior_readings:
-            cal_pred = self.predict(reading.station_id, boundary_wind_mps)
-            measured_delta[reading.station_id] = (
-                reading.wind_speed_mps - cal_pred
-            )
-        scores: list[tuple[int, float]] = []
-        for panel in panels:
-            variant = self._variant_prediction(panel)
-            sq_sum, n = 0.0, 0
-            for sid, m_delta in measured_delta.items():
-                expected_delta = (
-                    variant[sid] - self._predicted_at_case_wind[sid]
-                ) * wind_scale * self._ratio[sid]
-                sq_sum += (m_delta - expected_delta) ** 2
-                n += 1
-            scores.append((panel, (sq_sum / n) ** 0.5))
-        scores.sort(key=lambda pair: pair[1])
-        return scores
 
     def compare(
         self,

@@ -23,7 +23,6 @@ from repro.hpc.modules import (
 )
 from repro.hpc.site import BatchSystem, HpcSite, QueueLoadGenerator
 from repro.hpc.sites import anvil, nd_crc, stampede3, all_sites
-from repro.hpc.scripts import render_job_script, submit_command_line
 
 __all__ = [
     "Job",
@@ -45,6 +44,4 @@ __all__ = [
     "anvil",
     "stampede3",
     "all_sites",
-    "render_job_script",
-    "submit_command_line",
 ]

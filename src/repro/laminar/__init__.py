@@ -9,10 +9,13 @@ Key properties carried over from the paper's description (section 3.5):
 * **Single-assignment operands** -- each operand is bound at most once per
   execution epoch, which is what makes CSPOT logs (append-only, immutable
   entries) a sound substrate for functional dataflow semantics.
+  :meth:`LaminarRuntime.submit` checks an epoch's sources before its first
+  append and rejects a second submit of the same epoch.
 * **CSPOT as the runtime** -- operand bindings are log appends; node firing
   is a CSPOT handler. The runtime maintains per-epoch ready counters on the
   programmer's behalf ("implementing ... many of the optimizations needed
-  to avoid log scans during synchronization").
+  to avoid log scans during synchronization"). :class:`LaminarRuntime` is
+  the one executor; the tests hold it to a synchronous reference.
 * **Network transparency** -- nodes may be placed on different CSPOT hosts;
   cross-host operand bindings ride the CSPOT transport, inheriting its
   delay tolerance.

@@ -51,7 +51,6 @@ class DataflowGraph:
         inputs: list[Operand],
         output: Optional[Operand] = None,
         host: Optional[str] = None,
-        compute_cost_s: float = 0.0,
     ) -> LaminarNode:
         if name in self._nodes:
             raise GraphError(f"graph {self.name!r}: node {name!r} exists")
@@ -60,10 +59,7 @@ class DataflowGraph:
                 raise GraphError(
                     f"graph {self.name!r}: operand {op.name!r} not declared here"
                 )
-        node = LaminarNode(
-            name=name, fn=fn, inputs=inputs, output=output,
-            host=host, compute_cost_s=compute_cost_s,
-        )
+        node = LaminarNode(name=name, fn=fn, inputs=inputs, output=output, host=host)
         self._nodes[name] = node
         return node
 
@@ -108,9 +104,6 @@ class DataflowGraph:
         """Operands not produced by any node: the graph's external inputs."""
         produced = set(self.producers())
         return [op for op in self._operands.values() if op.name not in produced]
-
-    def sink_nodes(self) -> list[LaminarNode]:
-        return [n for n in self._nodes.values() if n.output is None]
 
     # -- validation --------------------------------------------------------------
 
@@ -157,49 +150,3 @@ class DataflowGraph:
 
         for name in self._nodes:
             visit(name, [])
-
-    def topological_order(self) -> list[LaminarNode]:
-        """Nodes in an order where producers precede consumers."""
-        self.validate()
-        producers = self.producers()
-        order: list[LaminarNode] = []
-        done: set[str] = set()
-
-        def visit(node: LaminarNode) -> None:
-            if node.name in done:
-                return
-            for op in node.inputs:
-                producer = producers.get(op.name)
-                if producer is not None:
-                    visit(self._nodes[producer])
-            done.add(node.name)
-            order.append(node)
-
-        for node in self._nodes.values():
-            visit(node)
-        return order
-
-    def run_epoch(self, epoch: int, inputs: dict[str, Any]) -> dict[str, Any]:
-        """Synchronous reference execution (no CSPOT): bind sources, fire in
-        topological order, return all operand values for the epoch.
-
-        The CSPOT-backed execution lives in
-        :class:`~repro.laminar.runtime.LaminarRuntime`; this method is the
-        semantic oracle tests compare it against.
-        """
-        sources = {op.name for op in self.source_operands()}
-        extra = set(inputs) - sources
-        if extra:
-            raise GraphError(f"values supplied for non-source operands: {sorted(extra)}")
-        missing = sources - set(inputs)
-        if missing:
-            raise GraphError(f"missing source operand values: {sorted(missing)}")
-        for name, value in inputs.items():
-            self._operands[name].bind(epoch, value)
-        for node in self.topological_order():
-            node.fire(epoch)
-        return {
-            name: op.get(epoch)
-            for name, op in self._operands.items()
-            if op.is_bound(epoch)
-        }

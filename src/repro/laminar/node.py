@@ -6,12 +6,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.laminar.operand import Operand
-from repro.laminar.types import TypeError_
 
 
 @dataclass
 class LaminarNode:
-    """A dataflow node: fires when every input operand is bound.
+    """A dataflow node: the runtime fires it once all its inputs are bound.
 
     Attributes
     ----------
@@ -21,8 +20,7 @@ class LaminarNode:
         The embedded computation; called with input values in declared
         order, must return the output value. "Any computation that
         produces the same outputs from a given set of inputs ... can be
-        embedded within a Laminar computational node" -- including, in the
-        xGFabric application, an entire CFD simulation.
+        embedded within a Laminar computational node".
     inputs:
         Input operands, in the order ``fn`` expects them.
     output:
@@ -32,8 +30,8 @@ class LaminarNode:
         Placement label -- which CSPOT node executes this function. The
         paper's change detector, for instance, can run "either within the
         private 5G network or at UCSB in any combination".
-    compute_cost_s:
-        Simulated execution time charged by the runtime when firing.
+    firings:
+        How many times the runtime has fired this node.
     """
 
     name: str
@@ -41,7 +39,6 @@ class LaminarNode:
     inputs: list[Operand]
     output: Optional[Operand] = None
     host: Optional[str] = None
-    compute_cost_s: float = 0.0
     firings: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
@@ -50,28 +47,3 @@ class LaminarNode:
         names = [op.name for op in self.inputs]
         if len(set(names)) != len(names):
             raise ValueError(f"node {self.name!r}: duplicate input operands {names}")
-        if self.compute_cost_s < 0:
-            raise ValueError(f"negative compute cost: {self.compute_cost_s}")
-
-    def ready(self, epoch: int) -> bool:
-        """All inputs bound for ``epoch``?"""
-        return all(op.is_bound(epoch) for op in self.inputs)
-
-    def fire(self, epoch: int) -> Any:
-        """Execute the node for ``epoch``; binds and returns the output.
-
-        Strict semantics: firing before all inputs are bound is an error
-        (the runtime never does this; direct callers might).
-        """
-        if not self.ready(epoch):
-            missing = [op.name for op in self.inputs if not op.is_bound(epoch)]
-            raise TypeError_(
-                f"node {self.name!r} fired for epoch {epoch} with unbound "
-                f"inputs {missing} (strict semantics)"
-            )
-        args = [op.get(epoch) for op in self.inputs]
-        result = self.fn(*args)
-        self.firings += 1
-        if self.output is not None:
-            self.output.bind(epoch, result)
-        return result

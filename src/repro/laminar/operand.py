@@ -1,53 +1,23 @@
-"""Operands: typed, single-assignment dataflow values."""
+"""Operands: the typed edges of a dataflow graph."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
-from repro.laminar.types import LaminarType, TypeError_
+from repro.laminar.types import LaminarType
 
 
-@dataclass
+@dataclass(frozen=True)
 class Operand:
-    """A typed edge in a Laminar graph.
+    """A typed edge in a Laminar graph: a name and a type.
 
-    An operand is *single-assignment per epoch*: the runtime stores one
-    binding per execution epoch in the operand's CSPOT log, and a second
-    binding for the same epoch is an error. (Epochs are what let a static
-    graph process a stream: the paper's change detector runs once per
-    30-minute duty cycle, each run a new epoch.)
+    An operand is *single-assignment per epoch*: the graph gives it at
+    most one producer, and the runtime binds it once per execution epoch,
+    in the operand's CSPOT log, rejecting a second submit of an epoch.
+    (Epochs are what let a static graph process a stream: the paper's
+    change detector runs once per 30-minute duty cycle, each run a new
+    epoch.) The bindings themselves live in the runtime.
     """
 
     name: str
     dtype: LaminarType
-    _bindings: dict[int, Any] = field(default_factory=dict)
-
-    def bind(self, epoch: int, value: Any) -> None:
-        """Bind ``value`` for ``epoch``; rejects rebinding and type errors."""
-        if epoch < 0:
-            raise ValueError(f"negative epoch: {epoch}")
-        self.dtype.check(value, context=f"operand {self.name!r}")
-        if epoch in self._bindings:
-            raise TypeError_(
-                f"operand {self.name!r} already bound for epoch {epoch} "
-                f"(single-assignment violated)"
-            )
-        self._bindings[epoch] = value
-
-    def is_bound(self, epoch: int) -> bool:
-        return epoch in self._bindings
-
-    def get(self, epoch: int) -> Any:
-        try:
-            return self._bindings[epoch]
-        except KeyError:
-            raise KeyError(
-                f"operand {self.name!r} not bound for epoch {epoch}"
-            ) from None
-
-    def epochs(self) -> list[int]:
-        return sorted(self._bindings)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Operand {self.name}:{self.dtype.name} epochs={len(self._bindings)}>"

@@ -12,9 +12,8 @@ Mapping (per the paper's design):
 * per-(node, epoch) *ready counters* replace log scans -- the optimization
   Laminar implements "on behalf of the programmer".
 
-The runtime is the distributed execution engine;
-:meth:`~repro.laminar.graph.DataflowGraph.run_epoch` is the synchronous
-semantic oracle the tests compare against.
+This runtime is the one Laminar executor; the tests hold it to a
+synchronous reference executor kept with them.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from repro.cspot.transport import RemoteAppendClient, Transport
 from repro.laminar.graph import DataflowGraph, GraphError
 from repro.laminar.node import LaminarNode
 from repro.laminar.operand import Operand
+from repro.laminar.types import I64, TypeError_
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.simkernel import Engine
 
@@ -114,6 +114,7 @@ class LaminarRuntime:
         self._fired: set[tuple[str, int]] = set()       # firing scheduled
         self._completed: set[tuple[str, int]] = set()   # firing finished
         self._epoch_events: dict[int, Any] = {}
+        self._submitted: set[int] = set()
         self._appenders: dict[tuple[str, str, str], RemoteAppendClient] = {}
         self._create_logs()
 
@@ -150,7 +151,11 @@ class LaminarRuntime:
 
         Appends each value to the operand's log at every consuming host
         (local append at hosts we inject from; the dispatch handlers then
-        drive the dataflow).
+        drive the dataflow). Everything is checked before the first
+        append, so a rejected submit leaves no trace: each source must be
+        given a value of its type, ``epoch`` must be a non-negative int
+        (else ``ValueError``), and an epoch binds once (a second submit
+        raises :class:`~repro.laminar.types.TypeError_`).
         """
         sources = {op.name for op in self.graph.source_operands()}
         extra = set(inputs) - sources
@@ -161,9 +166,17 @@ class LaminarRuntime:
         missing = sources - set(inputs)
         if missing:
             raise GraphError(f"missing source operand values: {sorted(missing)}")
+        if not I64.validate(epoch) or epoch < 0:
+            raise ValueError(f"epoch must be a non-negative int: {epoch!r}")
+        if epoch in self._submitted:
+            raise TypeError_(
+                f"epoch {epoch} already submitted (single assignment violated)"
+            )
+        for name, value in inputs.items():
+            self.graph.get_operand(name).dtype.check(value, context=f"source {name!r}")
+        self._submitted.add(epoch)
         for name, value in inputs.items():
             operand = self.graph.get_operand(name)
-            operand.dtype.check(value, context=f"source {name!r}")
             payload = _EPOCH_HEADER.pack(epoch) + operand.dtype.encode(value)
             for host_name in sorted(self._operand_hosts[name]):
                 self.hosts[host_name].local_append(self._log_name(name), payload)
@@ -192,66 +205,6 @@ class LaminarRuntime:
         raise KeyError(
             f"operand {operand_name!r} has no binding for epoch {epoch} yet"
         )
-
-    def placement_of(self, node_name: str) -> str:
-        return self._placement[node_name]
-
-    def prune_epochs(self, before_epoch: int) -> int:
-        """Drop in-memory dataflow state for epochs < ``before_epoch``.
-
-        A streaming program (the change detector runs every 30 minutes,
-        forever) would otherwise grow its binding/ready tables without
-        bound. The durable record stays in the CSPOT logs (subject to
-        their circular history); only the runtime's working state is
-        pruned. Returns the number of table entries removed.
-        """
-        removed = 0
-        for key in [k for k in self._values if k[2] < before_epoch]:
-            del self._values[key]
-            removed += 1
-        for key in [k for k in self._ready if k[1] < before_epoch]:
-            del self._ready[key]
-            removed += 1
-        for key in [k for k in self._fired if k[1] < before_epoch]:
-            self._fired.discard(key)
-            removed += 1
-        for key in [k for k in self._completed if k[1] < before_epoch]:
-            self._completed.discard(key)
-            removed += 1
-        for epoch in [e for e in self._epoch_events if e < before_epoch]:
-            del self._epoch_events[epoch]
-        return removed
-
-    def run_stream(
-        self,
-        inputs_sequence,
-        interval_s: float,
-        keep_epochs: int = 4,
-    ):
-        """Drive one epoch per ``interval_s``, pruning old state as it goes.
-
-        ``inputs_sequence`` is an iterable of source-operand dicts; returns
-        a process yielding the list of epoch indices executed. This is the
-        duty-cycle pattern (`submit` -> wait -> prune) packaged for
-        long-running programs.
-        """
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        if keep_epochs < 1:
-            raise ValueError("keep_epochs must be >= 1")
-
-        def body():
-            executed = []
-            for epoch, inputs in enumerate(inputs_sequence):
-                if epoch > 0:
-                    yield self.engine.timeout(interval_s)
-                self.submit(epoch, inputs)
-                yield self.epoch_done(epoch)
-                executed.append(epoch)
-                self.prune_epochs(epoch - keep_epochs + 1)
-            return executed
-
-        return self.engine.process(body(), name=f"lam-stream:{self.graph.name}")
 
     # -- dataflow engine -----------------------------------------------------------
 
@@ -288,8 +241,6 @@ class LaminarRuntime:
             else None
         )
         try:
-            if node.compute_cost_s > 0:
-                yield self.engine.timeout(node.compute_cost_s)
             args = [
                 self._values[(host_name, op.name, epoch)] for op in node.inputs
             ]

@@ -3,14 +3,11 @@
 Operands are stored in CSPOT logs, so every type must serialize to a
 bounded-size byte string. Built-in scalar and array types are provided;
 "application-specific types" (the paper's phrase) are created by
-instantiating :class:`LaminarType` with custom encode/decode functions --
-that is how a whole CFD case description travels through a Laminar graph as
-a single operand.
+instantiating :class:`LaminarType` with custom encode/decode functions.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -135,27 +132,3 @@ ARRAY_F64 = LaminarType(
     decode=lambda b: np.frombuffer(b, dtype=np.float64).copy(),
     max_encoded_size=8 * 4096,
 )
-
-
-def record_type(name: str, fields: dict[str, type], max_size: int = 65536) -> LaminarType:
-    """Build an application-specific record type (JSON-encoded).
-
-    ``fields`` maps field names to Python types; extra fields are rejected.
-    This is the mechanism for embedding e.g. a CFD case specification as a
-    single typed operand.
-    """
-    if not fields:
-        raise ValueError("record type needs at least one field")
-
-    def _validate(v: Any) -> bool:
-        if not isinstance(v, dict) or set(v) != set(fields):
-            return False
-        return all(isinstance(v[k], t) for k, t in fields.items())
-
-    return LaminarType(
-        name=f"record:{name}",
-        validate=_validate,
-        encode=lambda v: json.dumps(v, sort_keys=True).encode("utf-8"),
-        decode=lambda b: json.loads(b.decode("utf-8")),
-        max_encoded_size=max_size,
-    )

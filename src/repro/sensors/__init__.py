@@ -12,7 +12,6 @@ from repro.sensors.weather import SyntheticWeather, WeatherState
 from repro.sensors.station import StationReading, WeatherStation, station_grid
 from repro.sensors.breach import BreachEvent, BreachSchedule
 from repro.sensors.robot import FarmNgRobot, SurveilReport
-from repro.sensors.replay import ReplayWeather, load_trace, record_trace, save_trace
 
 __all__ = [
     "SyntheticWeather",
@@ -24,8 +23,4 @@ __all__ = [
     "BreachSchedule",
     "FarmNgRobot",
     "SurveilReport",
-    "ReplayWeather",
-    "record_trace",
-    "save_trace",
-    "load_trace",
 ]

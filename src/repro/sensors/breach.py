@@ -3,8 +3,8 @@
 "Unobserved events (e.g. bird strike, foraging fauna, damage concomitant
 with theft, etc.) can cause screen breaches that must be detected." A
 :class:`BreachEvent` names the damaged panel and when the damage occurred;
-the fabric uses the schedule both to perturb the *measured* interior
-airflow (ground truth) and, in what-if mode, to build breached CFD cases.
+the fabric uses the schedule to perturb the *measured* interior airflow
+(ground truth).
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.laminar import DataflowGraph, F64, GraphError, I64, TypeError_
+from tests.laminar.reference import run_reference
 
 
 def diamond():
@@ -74,21 +75,16 @@ class TestStructure:
     def test_sources_and_sinks(self):
         g = diamond()
         assert [op.name for op in g.source_operands()] == ["a"]
-        assert g.sink_nodes() == []
-        # Add a sink consuming `out`.
+        # A sink consumes `out` and produces nothing; the sources stay.
         g.node("emit", lambda v: None, inputs=[g.get_operand("out")])
-        assert [n.name for n in g.sink_nodes()] == ["emit"]
+        g.validate()
+        assert [n.name for n in g.nodes if n.output is None] == ["emit"]
+        assert [op.name for op in g.source_operands()] == ["a"]
 
     def test_producers_and_consumers(self):
         g = diamond()
         assert g.producers()["out"] == "combine"
         assert {n.name for n in g.consumers("a")} == {"double", "triple"}
-
-    def test_topological_order(self):
-        g = diamond()
-        order = [n.name for n in g.topological_order()]
-        assert order.index("double") < order.index("combine")
-        assert order.index("triple") < order.index("combine")
 
     def test_get_missing(self):
         g = diamond()
@@ -101,28 +97,28 @@ class TestStructure:
 class TestReferenceExecution:
     def test_diamond_result(self):
         g = diamond()
-        values = g.run_epoch(0, {"a": 4})
+        values = run_reference(g, {"a": 4})
         assert values["out"] == 4 * 2 + 4 * 3
 
     def test_epochs_independent(self):
+        # The graph holds no values: each run starts from its own sources.
         g = diamond()
-        assert g.run_epoch(0, {"a": 1})["out"] == 5
-        assert g.run_epoch(1, {"a": 2})["out"] == 10
+        assert run_reference(g, {"a": 1})["out"] == 5
+        assert run_reference(g, {"a": 2})["out"] == 10
 
     def test_missing_source_rejected(self):
         g = diamond()
         with pytest.raises(GraphError, match="missing source"):
-            g.run_epoch(0, {})
+            run_reference(g, {})
 
     def test_non_source_input_rejected(self):
         g = diamond()
         with pytest.raises(GraphError, match="non-source"):
-            g.run_epoch(0, {"a": 1, "out": 9})
+            run_reference(g, {"a": 1, "out": 9})
 
-    def test_strictness_enforced_on_manual_fire(self):
-        g = diamond()
-        with pytest.raises(TypeError_, match="strict"):
-            g.get_node("combine").fire(0)
+    def test_typed_sources_checked(self):
+        with pytest.raises(TypeError_, match="source 'a'"):
+            run_reference(diamond(), {"a": "four"})
 
     def test_typed_outputs_checked(self):
         g = DataflowGraph("g")
@@ -130,4 +126,4 @@ class TestReferenceExecution:
         y = g.operand("y", F64)
         g.node("bad", lambda v: "string", inputs=[x], output=y)
         with pytest.raises(TypeError_):
-            g.run_epoch(0, {"x": 1})
+            run_reference(g, {"x": 1})

@@ -1,12 +1,11 @@
-"""Tests for the Laminar type system and single-assignment operands."""
+"""Tests for the Laminar type system."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.laminar import ARRAY_F64, BOOL, F64, I64, Operand, STRING, TypeError_
-from repro.laminar.types import record_type
+from repro.laminar import ARRAY_F64, BOOL, F64, I64, STRING, TypeError_
 
 
 class TestScalarTypes:
@@ -42,18 +41,6 @@ class TestScalarTypes:
         assert not ARRAY_F64.validate([[1, 2]])
         assert not ARRAY_F64.validate("abc")
 
-    def test_record_type(self):
-        CfdCase = record_type("cfd-case", {"mesh_cells": int, "wind_mps": float})
-        val = {"mesh_cells": 1000, "wind_mps": 4.2}
-        CfdCase.check(val)
-        assert CfdCase.roundtrip(val) == val
-        assert not CfdCase.validate({"mesh_cells": 1000})  # missing field
-        assert not CfdCase.validate({"mesh_cells": 1000, "wind_mps": 4.2, "x": 1})
-
-    def test_record_type_needs_fields(self):
-        with pytest.raises(ValueError):
-            record_type("empty", {})
-
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=-(2**62), max_value=2**62))
@@ -73,32 +60,3 @@ def test_array_roundtrip_property(values):
     arr = np.asarray(values, dtype=np.float64)
     assert np.array_equal(ARRAY_F64.roundtrip(arr), arr)
 
-
-class TestOperand:
-    def test_bind_and_get(self):
-        op = Operand("x", I64)
-        op.bind(0, 5)
-        assert op.get(0) == 5
-        assert op.is_bound(0)
-        assert not op.is_bound(1)
-
-    def test_single_assignment_per_epoch(self):
-        op = Operand("x", I64)
-        op.bind(0, 5)
-        with pytest.raises(TypeError_, match="single-assignment"):
-            op.bind(0, 6)
-        op.bind(1, 6)  # new epoch is fine
-        assert op.epochs() == [0, 1]
-
-    def test_type_checked_binding(self):
-        op = Operand("x", I64)
-        with pytest.raises(TypeError_):
-            op.bind(0, "not an int")
-
-    def test_get_unbound(self):
-        with pytest.raises(KeyError):
-            Operand("x", I64).get(0)
-
-    def test_negative_epoch(self):
-        with pytest.raises(ValueError):
-            Operand("x", I64).bind(-1, 5)

@@ -152,20 +152,30 @@ class TestWeatherStation:
 
     def test_noise_makes_consecutive_readings_indistinct(self, weather, rng):
         # The paper's premise: under stationary conditions, consecutive
-        # readings are usually NOT statistically different.
-        from repro.laminar import ChangeDetector
+        # readings are usually NOT statistically different. Each trial is
+        # one epoch of the change-detection graph: the last 6 readings
+        # against the 6 before them.
+        from repro.cspot import CSPOTNode
+        from repro.laminar import LaminarRuntime, build_change_detection_graph
+        from repro.simkernel import Engine
 
         station = WeatherStation("ext", (5.0, 70.0))
-        detector = ChangeDetector()
+        engine = Engine(seed=0)
+        runtime = LaminarRuntime(
+            engine, build_change_detection_graph(),
+            hosts={"ucsb": CSPOTNode(engine, "ucsb")},
+        )
         alerts = 0
         trials = 30
         for trial in range(trials):
             t0 = 50_000.0 + trial * 4000.0
-            readings = [
+            readings = np.array([
                 station.read(weather, t0 + k * 300.0, rng).wind_speed_mps
                 for k in range(12)
-            ]
-            alerts += detector.evaluate_series(np.array(readings)).changed
+            ])
+            runtime.submit(trial, {"current": readings[6:], "previous": readings[:6]})
+            engine.run(until=runtime.epoch_done(trial))
+            alerts += bool(runtime.value("alert", trial))
         assert alerts < trials / 3
 
     def test_interior_station_needs_panel(self):
