@@ -82,14 +82,6 @@ class PaddedScratch:
         q[:, :, 0] = q[:, :, 1]
         q[:, :, -1] = q[:, :, -2]
 
-    def refresh_ghosts_outlet(self) -> None:
-        """Ghost refresh with the outlet Dirichlet face (x = lx): the
-        ghost plane holds the *negated* last interior plane, anchoring
-        p = 0 on the face (see ``solver._pad_pressure``)."""
-        self.refresh_ghosts()
-        q = self.padded
-        np.negative(q[-2], out=q[-1])
-
 
 @dataclass
 class FlowFields:

@@ -35,6 +35,8 @@ class StructuredMesh:
 
     def __post_init__(self) -> None:
         for label, n in (("nx", self.nx), ("ny", self.ny), ("nz", self.nz)):
+            if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+                raise TypeError(f"{label} must be an integer (got {n!r})")
             if n < 3:
                 raise ValueError(f"{label} must be >= 3 (got {n})")
         for label, length in (("lx", self.lx), ("ly", self.ly), ("lz", self.lz)):

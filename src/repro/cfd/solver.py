@@ -25,20 +25,27 @@ scratch owned by the solver:
   whose ghost layer is refreshed in place (six face copies, O(n^2));
 * every stencil routine writes through preallocated ``out=`` arrays, so a
   time step performs no full-field allocations;
-* the stencils -- advection, diffusion, divergence, the Poisson
-  coefficients and the SOR half-passes -- operate on *flat contiguous*
-  row views of the padded buffers (:class:`_StencilRows`,
-  :class:`PressureWorkspace`): a neighbour is the same rows shifted by a
+* the field stencils -- advection, diffusion, divergence -- operate on
+  *flat contiguous* row views of the padded buffers
+  (:class:`_StencilRows`): a neighbour is the same rows shifted by a
   constant offset, so every ufunc pass is a contiguous streaming
   operation rather than a strided 3-D walk. The ghost y/z lanes inside
   those rows compute garbage that is never read back; a result leaves
-  the padded layout through its interior view;
-* red-black SOR runs as one fused ping-pong pass per colour,
-  ``dst = keep*src + sum_d cw_d*nb_d - rw``, on operands rebuilt once per
-  step (:meth:`PressureWorkspace.load_sor_operands`).
+  the padded layout through its interior view. Upwind advection takes
+  one difference per axis, on rows extended by that axis's stride: the
+  backward difference at a cell is the forward difference one neighbour
+  back;
+* red-black SOR runs on colour-packed pressure (:class:`PressureWorkspace`):
+  each half-pass updates only its own colour, in place,
+  ``own = keep*own + sum_d cw_d*nb_d - rw``, on about half the rows, with
+  operands built at half length once per step;
+* a solve applies the boundary conditions and loads the stencil buffers
+  once, before its first step: every step ends in exactly that state, so
+  the next starts at the mobility. Divergence and kinetic energy are
+  computed once, of the final fields.
 
 The seed ``np.pad`` kernels live on in ``tests/cfd/reference.py``: a
-reference step built on them, in the fused half-pass's per-cell operation
+reference step built on them, in the half-pass's per-cell operation
 order, pins this solver bit for bit.
 """
 
@@ -46,8 +53,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -113,6 +120,10 @@ class SolverConfig:
         for name in ("dt", "n_steps", "poisson_iterations"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite: {getattr(self, name)}")
+        for name in ("n_steps", "poisson_iterations"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer: {value!r}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive: {self.dt}")
         if self.n_steps < 1:
@@ -123,16 +134,13 @@ class SolverConfig:
 
 @dataclass
 class SolverResult:
-    """Outcome of a solve."""
+    """Outcome of a solve: the final fields and their diagnostics (RMS
+    divergence over interior cells, total kinetic energy)."""
 
     fields: FlowFields
-    divergence_history: list[float] = field(default_factory=list)
-    kinetic_energy_history: list[float] = field(default_factory=list)
-    steps_run: int = 0
-
-    @property
-    def final_divergence(self) -> float:
-        return self.divergence_history[-1] if self.divergence_history else float("nan")
+    steps_run: int
+    final_divergence: float
+    final_kinetic_energy: float
 
 
 def nonfinite_fields(f: FlowFields) -> list[str]:
@@ -147,146 +155,236 @@ def nonfinite_fields(f: FlowFields) -> list[str]:
     return bad
 
 
-class PressureWorkspace:
-    """Flat-contiguous scratch for the red-black SOR pressure solve.
+class _Colour:
+    """One colour of the packed pressure: its slots, the SOR operands on
+    its sweep, and the map of the face ghosts it reads (see
+    :class:`PressureWorkspace`)."""
 
-    Holds two ping-pong padded pressure buffers, flat padded coefficient /
-    rhs / denominator arrays and the per-colour operands of the fused SOR
-    half-pass. ``coef``/``rhs``/``den`` are views of the rows that cover
-    the interior x-planes, ghost y/z lanes included (their results are
-    garbage, overwritten by the next ghost refresh and never read); every
-    operand is a contiguous 1-D slice, so each pass streams through memory
-    with no strided inner loops. The solver loads the operands on those
-    rows each step, so the ghost lanes hold finite garbage; the x ghost
-    planes stay 0 (denominator 1) and every lane stays finite. Sweeps
-    allocate nothing.
+    __slots__ = ("p", "mobility", "cells", "sweep", "own", "rhs_at",
+                 "omega", "keep", "cw", "rw", "tmp", "reads",
+                 "mobility_reads", "ghost_src", "ghost_dst", "ghost_buf",
+                 "outlet_buf")
+
+
+class PressureWorkspace:
+    """Colour-packed scratch for the red-black SOR pressure solve.
+
+    The padded pressure is laid out with odd flat strides: the z lane and
+    the x-plane stride are padded to odd lengths. A cell's colour is then
+    the parity of its flat index -- red (even ``i+j+k``) cells sit at odd
+    flat indices -- so each colour packs into one contiguous array, red
+    slot ``r`` holding flat ``2r+1`` and black slot ``b`` flat ``2b``.
+    All six neighbours of a cell have the other colour, at constant slot
+    offsets: for a flat offset ``o``, red slot ``r`` reads black slot
+    ``r + (1+o)/2`` and black slot ``b`` reads red slot ``b + (o-1)/2``.
+
+    A half-pass therefore updates only its own colour, in place, with
+    contiguous passes over the slots from its first to its last interior
+    cell: red-black is Gauss-Seidel within a colour. The ghost and padding
+    slots inside that sweep carry ``keep = 1`` and zero weights, so they
+    keep their (finite) values. The face ghosts a colour reads live in
+    the other colour's array; :meth:`refresh_ghosts` sets them through a
+    small index map before each half-pass. The operands are built once
+    per step, at half length, from a packed mobility in which every slot
+    holds the mobility of its nearest cell (edge replication at the face
+    ghosts, and positive everywhere). :meth:`unpack` writes both colours
+    into :attr:`padded`, every face ghost current, for the corrector.
+    Sweeps allocate nothing; inside them only the ghost refresh indexes.
     """
 
-    def __init__(self, shape: tuple[int, int, int]) -> None:
-        nx, ny, nz = shape
-        pshape = (nx + 2, ny + 2, nz + 2)
-        self.bufs = (PaddedScratch(shape), PaddedScratch(shape))
-        self.cur = 0
-        rows = self.bufs[0].rows
-
-        def padded(fill: float) -> np.ndarray:
-            return np.full(pshape, fill).ravel()
-
-        self.coef_flat = tuple(padded(0.0) for _ in range(6))
-        self.rhs_flat = padded(0.0)
-        self.den_flat = padded(1.0)
-        self.coef = tuple(c[rows] for c in self.coef_flat)
-        self.rhs = self.rhs_flat[rows]
-        self.den = self.den_flat[rows]
-        self._tmp = np.zeros(self.den.size)
-
-        # Fused SOR operands per colour of the global checkerboard
-        # (cell-index parity; ghost cells are in neither colour, so their
-        # lanes copy through): keep = 1 - omega*mask is fixed here, the
-        # coefficient weights cw_d = omega*mask*coef_d/den and the rhs
-        # weight rw = omega*mask*rhs/den are rebuilt each step by
-        # load_sor_operands().
-        ii, jj, kk = np.indices(shape, sparse=True)
-        red = np.broadcast_to((ii + jj + kk) % 2 == 0, shape)
-        masks = []
-        for colour in (red, ~red):
-            m = np.zeros(pshape)
-            m[1:-1, 1:-1, 1:-1] = SOR_OMEGA * colour
-            masks.append(m.ravel())
-        self._omega_mask = tuple(masks)
-        self._scale = np.zeros_like(self.den_flat)
-        self._sor_operands = tuple(
-            (
-                1.0 - m,
-                tuple(np.zeros_like(self.den_flat) for _ in range(6)),
-                np.zeros_like(self.den_flat),
-            )
-            for m in masks
+    def __init__(self, mesh: StructuredMesh) -> None:
+        nx, ny, nz = mesh.shape
+        lane = (nz + 2) | 1              # odd z-lane length
+        plane = ((ny + 2) * lane) | 1    # odd x-plane stride
+        size = (nx + 2) * plane
+        self._flat = np.zeros(size)
+        item = self._flat.itemsize
+        #: The padded pressure on the odd-strided layout, filled by
+        #: :meth:`unpack`; edge and corner ghosts are never read.
+        self.padded = np.lib.stride_tricks.as_strided(
+            self._flat, shape=(nx + 2, ny + 2, nz + 2),
+            strides=(plane * item, lane * item, item),
         )
-        # The same operands on the interior rows, per colour.
-        self._sor_rows = tuple(
-            (keep[rows], tuple(c[rows] for c in cw), rw[rows])
-            for keep, cw, rw in self._sor_operands
+        q = self.padded
+        self.interior = q[1:-1, 1:-1, 1:-1]
+        #: ``(plus, minus)`` neighbour views of the interior, per axis.
+        self.neighbours = (
+            (q[2:, 1:-1, 1:-1], q[:-2, 1:-1, 1:-1]),
+            (q[1:-1, 2:, 1:-1], q[1:-1, :-2, 1:-1]),
+            (q[1:-1, 1:-1, 2:], q[1:-1, 1:-1, :-2]),
         )
-        # One (reads, dst, src) triple per ping-pong direction.
-        self._dirs = []
-        for si, di in ((0, 1), (1, 0)):
-            src, *reads = self.bufs[si].flat_rows()
-            self._dirs.append((tuple(reads), self.bufs[di].flat[rows], src))
+        self._spacing2 = (mesh.dx**2, mesh.dx**2, mesh.dy**2, mesh.dy**2,
+                          mesh.dz**2, mesh.dz**2)
+        offsets = (plane, -plane, lane, -lane, 1, -1)  # xp, xm, yp, ym, zp, zm
 
-    @property
-    def src(self) -> PaddedScratch:
-        return self.bufs[self.cur]
+        # Flat index of every interior cell, and each face's cells with
+        # the flat offset of their ghost, the Dirichlet outlet last.
+        cells = (
+            np.arange(plane, (nx + 1) * plane, plane)[:, None, None]
+            + np.arange(lane, (ny + 1) * lane, lane)[:, None]
+            + np.arange(1, nz + 1)
+        )
+        faces = (
+            (cells[0], -plane), (cells[:, 0], -lane), (cells[:, -1], lane),
+            (cells[:, :, 0], -1), (cells[:, :, -1], 1), (cells[-1], plane),
+        )
+        face_cells = np.concatenate([c.ravel() for c, _ in faces])
+        ghosts = np.concatenate([(c + o).ravel() for c, o in faces])
+        n_neumann = face_cells.size - cells[-1].size
+
+        self._colours = (_Colour(), _Colour())  # red, black
+        longest = 0
+        for parity, c in zip((1, 0), self._colours):
+            own = cells[cells % 2 == parity]
+            c.sweep = slice(own[0] // 2, own[-1] // 2 + 1)
+            longest = max(longest, c.sweep.stop - c.sweep.start)
+            # Each slot's nearest cell: itself inside, the adjacent cell
+            # at a face ghost.
+            big_i, rem = np.divmod(np.arange(parity, size, 2), plane)
+            big_j, big_k = np.divmod(rem, lane)
+            i = np.clip(big_i - 1, 0, nx - 1)
+            j = np.clip(big_j - 1, 0, ny - 1)
+            k = np.clip(big_k - 1, 0, nz - 1)
+            c.cells = (i * ny + j) * nz + k
+            inside = (i == big_i - 1) & (j == big_j - 1) & (k == big_k - 1)
+            c.omega = SOR_OMEGA * inside[c.sweep]
+            c.keep = 1.0 - c.omega
+            # The same cells' flat index in a PaddedScratch (the rhs).
+            c.rhs_at = (((i + 1) * (ny + 2) + j + 1) * (nz + 2) + k + 1)[c.sweep]
+            c.p = np.zeros(c.cells.size)
+            c.mobility = np.zeros(c.cells.size)
+            c.own = c.p[c.sweep]
+            c.cw = tuple(np.zeros(c.own.size) for _ in offsets)
+            c.rw = np.zeros(c.own.size)
+            mine = face_cells % 2 == parity
+            c.ghost_src = face_cells[mine] // 2
+            c.ghost_dst = ghosts[mine] // 2
+            c.ghost_buf = np.zeros(c.ghost_src.size)
+            c.outlet_buf = c.ghost_buf[np.count_nonzero(mine[:n_neumann]):]
+        tmp = np.zeros(longest)
+        for parity, c, other in zip((1, 0), self._colours, self._colours[::-1]):
+            a, b = c.sweep.start, c.sweep.stop
+            shifts = [(parity + o) // 2 for o in offsets]
+            c.reads = tuple(other.p[a + s:b + s] for s in shifts)
+            c.mobility_reads = tuple(other.mobility[a + s:b + s] for s in shifts)
+            c.tmp = tmp[:b - a]
+        self._unpack = tuple(
+            (self._flat[parity::2], c.p) for parity, c in zip((1, 0), self._colours)
+        )
+
+    def load_operands(self, mobility: np.ndarray, rhs: PaddedScratch) -> None:
+        """Per-step SOR operands from the cell mobility and the
+        right-hand side ``div(u*)/dt`` in ``rhs``'s interior.
+
+        Per cell, in the reference order: ``coef_d = (nb_d + c)*0.5/d^2``,
+        ``den`` their sum over xp, xm, yp, ym, zp, zm, ``scale =
+        omega*mask/den``, ``cw_d = coef_d*scale`` and ``rw = rhs*scale``.
+        """
+        # Every index is in range by construction; "clip" spares take()
+        # the copy through a temporary that bounds checking makes.
+        cells = mobility.reshape(-1)
+        for c in self._colours:
+            np.take(cells, c.cells, out=c.mobility, mode="clip")
+        for c in self._colours:
+            centre, scale = c.mobility[c.sweep], c.tmp
+            for nb, d2, w in zip(c.mobility_reads, self._spacing2, c.cw):
+                np.add(nb, centre, out=w)
+                np.multiply(w, 0.5, out=w)
+                np.divide(w, d2, out=w)
+            np.add(c.cw[0], c.cw[1], out=scale)
+            for w in c.cw[2:]:
+                np.add(scale, w, out=scale)
+            np.divide(c.omega, scale, out=scale)
+            for w in c.cw:
+                np.multiply(w, scale, out=w)
+            np.take(rhs.flat, c.rhs_at, out=c.rw, mode="clip")
+            np.multiply(c.rw, scale, out=c.rw)
 
     def load(self, p: np.ndarray) -> None:
-        """Start a solve from initial guess ``p`` (resets the ping-pong)."""
-        self.cur = 0
-        np.copyto(self.bufs[0].interior, p)
+        """Pack the initial guess ``p`` (cell values) into both colours."""
+        cells = p.reshape(-1)
+        for c in self._colours:
+            np.take(cells, c.cells, out=c.p, mode="clip")
 
-    def swap(self) -> None:
-        self.cur = 1 - self.cur
-
-    def refresh_ghosts(self) -> None:
-        """Pressure ghost refresh: Neumann faces + the Dirichlet outlet."""
-        self.src.refresh_ghosts_outlet()
-
-    def load_sor_operands(self) -> None:
-        """Per-step SOR setup from the loaded coefficients and rhs."""
-        scale = self._scale
-        for m, (_, cw, rw) in zip(self._omega_mask, self._sor_operands):
-            np.divide(m, self.den_flat, out=scale)
-            for c, w in zip(self.coef_flat, cw):
-                np.multiply(c, scale, out=w)
-            np.multiply(self.rhs_flat, scale, out=rw)
+    def refresh_ghosts(self, colour: int) -> None:
+        """Set the face ghosts ``colour`` (0 red, 1 black) reads. They live
+        in the other colour's array and hold their cell's value: Neumann
+        faces, and the Dirichlet outlet (x = lx), where the ghost is the
+        cell's value negated so that p = 0 on the face."""
+        c = self._colours[colour]
+        np.take(c.p, c.ghost_src, out=c.ghost_buf, mode="clip")
+        np.negative(c.outlet_buf, out=c.outlet_buf)
+        self._colours[1 - colour].p[c.ghost_dst] = c.ghost_buf
 
     def sor_half_pass(self, colour: int) -> None:
-        """One red-black half-pass, source to destination:
-        ``dst = keep*src + sum_d cw_d*nb_d - rw``, i.e.
-        ``p + omega*(jacobi(p) - p)`` on ``colour`` cells and a copy on the
-        others. Same-colour cells are never stencil neighbours, so this is
-        Gauss-Seidel within a colour."""
-        reads, dst, src = self._dirs[self.cur]
-        keep, cw, rw = self._sor_rows[colour]
-        tmp = self._tmp
-        np.multiply(keep, src, out=dst)
-        for c, r in zip(cw, reads):
-            np.multiply(c, r, out=tmp)
-            np.add(dst, tmp, out=dst)
-        np.subtract(dst, rw, out=dst)
+        """One red-black half-pass, in place on ``colour``:
+        ``own = keep*own + sum_d cw_d*nb_d - rw``, i.e.
+        ``p + omega*(jacobi(p) - p)`` on its cells. Reads the face ghosts
+        as they were last refreshed."""
+        c = self._colours[colour]
+        own, tmp = c.own, c.tmp
+        np.multiply(c.keep, own, out=own)
+        for w, nb in zip(c.cw, c.reads):
+            np.multiply(w, nb, out=tmp)
+            np.add(own, tmp, out=own)
+        np.subtract(own, c.rw, out=own)
+
+    def unpack(self) -> None:
+        """Write both colours into :attr:`padded`, with every face ghost
+        refreshed from the current cells."""
+        for colour in (0, 1):
+            self.refresh_ghosts(colour)
+        for dst, p in self._unpack:
+            np.copyto(dst, p)
 
     def solve(self, sweeps: int) -> None:
-        """Run ``sweeps`` red-black sweeps on the loaded operands, with a
-        ghost refresh before every half-pass."""
+        """Run ``sweeps`` red-black sweeps (red first) on the loaded
+        operands, then :meth:`unpack`."""
         for _ in range(sweeps):
             for colour in (0, 1):
-                self.refresh_ghosts()
+                self.refresh_ghosts(colour)
                 self.sor_half_pass(colour)
-                self.swap()
+        self.unpack()
 
 
 class _StencilRows:
     """Flat views for the field stencils (advection, diffusion,
-    divergence, Poisson coefficients).
+    divergence).
 
-    The same row layout as :class:`PressureWorkspace`: every operand is a
-    contiguous slice of a flattened padded buffer, and results on the
-    ghost y/z lanes are garbage that is never read back. ``u``/``v``/
-    ``w``/``t`` hold ``(centre, xp, xm, yp, ym, zp, zm)`` of each padded
-    field (``mobility`` is the padded damping factor the Poisson
-    coefficients average); ``acc_int`` is the interior view of the
-    accumulator rows, through which a result leaves the padded layout.
+    Every operand is a contiguous slice of a flattened padded buffer, and
+    results on the ghost y/z lanes are garbage that is never read back.
+    ``u``/``v``/``w``/``t`` hold ``(centre, xp, xm, yp, ym, zp, zm)`` of
+    each padded field, and ``u_diff``/... its ``(f[n], f[n - s])`` pairs
+    per axis, over the rows extended by that axis's stride ``s``;
+    ``diff`` holds per axis the difference scratch ``d`` over that
+    extended range with its ``(backward, forward)`` views ``d[n]`` and
+    ``d[n + s]``. ``acc_int`` is the interior view of the accumulator
+    rows, through which a result leaves the padded layout.
     """
 
-    __slots__ = ("u", "v", "w", "t", "mobility", "upwind", "acc", "acc_int",
-                 "buoy", "div", "lap", "t1", "t2")
+    __slots__ = ("u", "v", "w", "t", "u_diff", "v_diff", "w_diff", "t_diff",
+                 "diff", "upwind", "acc", "acc_int", "buoy", "div", "lap",
+                 "t1", "t2")
 
     def __init__(self, solver: "ProjectionSolver") -> None:
         rows = solver._adv.rows
+        a, b = rows.start, rows.stop
+        _, ny2, nz2 = solver._adv.padded.shape
+        strides = (ny2 * nz2, nz2, 1)
+
+        def diffs(ws: PaddedScratch) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+            return tuple((ws.flat[a:b + s], ws.flat[a - s:b]) for s in strides)
+
         self.u = solver._wu.flat_rows()
         self.v = solver._wv.flat_rows()
         self.w = solver._ww.flat_rows()
         self.t = solver._wt.flat_rows()
-        self.mobility = solver._wd.flat_rows()
+        self.u_diff = diffs(solver._wu)
+        self.v_diff = diffs(solver._wv)
+        self.w_diff = diffs(solver._ww)
+        self.t_diff = diffs(solver._wt)
+        n, d = b - a, solver._f1
+        self.diff = tuple((d[:n + s], d[:n], d[s:n + s]) for s in strides)
         self.upwind = tuple(m[rows] for m in solver._upwind)
         self.acc = solver._adv.flat[rows]
         self.acc_int = solver._adv.interior
@@ -335,7 +433,6 @@ class ProjectionSolver:
         self._wv = PaddedScratch(shape)
         self._ww = PaddedScratch(shape)
         self._wt = PaddedScratch(shape)
-        self._wd = PaddedScratch(shape)   # mobility (damp) for Poisson coeffs
 
         # Interior-shaped scratch.
         self._t1 = np.zeros(shape)
@@ -351,7 +448,8 @@ class ProjectionSolver:
         # Padded scratch for the field stencils, which run on the flat
         # padded-row layout (see _StencilRows). The advection
         # result doubles as the predictor accumulator, read back through
-        # its interior view; buoyancy is padded so it joins the flat sum.
+        # its interior view; buoyancy is padded so it joins the flat sum;
+        # the divergence rows hold the pressure rhs during a step.
         self._adv = PaddedScratch(shape)
         self._buoy = PaddedScratch(shape)
         self._div = PaddedScratch(shape)
@@ -362,7 +460,7 @@ class ProjectionSolver:
         self._upwind = tuple(np.zeros(n_padded, dtype=bool) for _ in range(3))
         self._rows = _StencilRows(self)
 
-        self.pressure = PressureWorkspace(shape)
+        self.pressure = PressureWorkspace(mesh)
 
     # -- stability ------------------------------------------------------------
 
@@ -433,28 +531,26 @@ class ProjectionSolver:
         for ws, mask in zip((self._wu, self._wv, self._ww), self._upwind):
             np.greater(ws.flat, 0, out=mask)
 
-    def _advect_rows(self, nb: tuple[np.ndarray, ...]) -> None:
+    def _advect_rows(self, diffs: tuple[tuple[np.ndarray, np.ndarray], ...]) -> None:
         """First-order upwind ``(U . grad) f`` of the padded field whose
-        flat views are ``nb``, into the accumulator rows: per cell,
-        ``vel * backward`` where ``vel > 0`` else ``vel * forward``."""
+        per-axis difference operands are ``diffs``, into the accumulator
+        rows: per cell, ``vel * backward`` where ``vel > 0`` else
+        ``vel * forward``. One difference per axis serves both terms: the
+        forward difference at a cell is the backward one a stride on."""
         r = self._rows
-        c, xp, xm, yp, ym, zp, zm = nb
-        t1, out = r.t1, r.acc
-        for axis, (vel, pos, mns, upwind, d) in enumerate((
-            (r.u[0], xp, xm, r.upwind[0], self._dx),
-            (r.v[0], yp, ym, r.upwind[1], self._dy),
-            (r.w[0], zp, zm, r.upwind[2], self._dz),
+        out, t2 = r.acc, r.t2
+        for axis, ((hi, lo), (diff, back, fwd), vel, upwind, d) in enumerate(zip(
+            diffs, r.diff, (r.u[0], r.v[0], r.w[0]), r.upwind,
+            (self._dx, self._dy, self._dz),
         )):
-            t2 = out if axis == 0 else r.t2
-            np.subtract(c, mns, out=t1)
-            np.divide(t1, d, out=t1)
-            np.multiply(vel, t1, out=t1)       # vel * backward difference
-            np.subtract(pos, c, out=t2)
-            np.divide(t2, d, out=t2)
-            np.multiply(vel, t2, out=t2)       # vel * forward difference
-            np.copyto(t2, t1, where=upwind)    # upwind select
+            dst = out if axis == 0 else t2
+            np.subtract(hi, lo, out=diff)
+            np.divide(diff, d, out=diff)
+            np.multiply(vel, fwd, out=dst)        # vel * forward difference
+            np.multiply(vel, back, out=back)      # vel * backward difference
+            np.copyto(dst, back, where=upwind)    # upwind select
             if axis:
-                np.add(out, t2, out=out)
+                np.add(out, dst, out=out)
 
     def _lap_rows(self, nb: tuple[np.ndarray, ...]) -> None:
         """7-point Laplacian of the padded field ``nb`` into the lap rows."""
@@ -518,16 +614,15 @@ class ProjectionSolver:
         current ``f.u``/``f.v``/``f.w``."""
         r = self._rows
         acc, t2 = r.acc, r.t2
-        for nb, star, buoyant in (
-            (r.u, self._ustar, False),
-            (r.v, self._vstar, False),
-            (r.w, self._wstar, True),
+        for nb, diffs, star, buoyant in (
+            (r.u, r.u_diff, self._ustar, False),
+            (r.v, r.v_diff, self._vstar, False),
+            (r.w, r.w_diff, self._wstar, True),
         ):
-            self._advect_rows(nb)
+            self._advect_rows(diffs)
             self._lap_rows(nb)
-            np.negative(acc, out=acc)
             np.multiply(NU_EFFECTIVE, r.lap, out=t2)
-            np.add(acc, t2, out=acc)
+            np.subtract(t2, acc, out=acc)         # -adv + nu*lap, exactly
             if buoyant:
                 np.add(acc, r.buoy, out=acc)
             np.multiply(self.config.dt, acc, out=acc)
@@ -536,12 +631,10 @@ class ProjectionSolver:
 
     def _correct(self, f: FlowFields) -> None:
         """Pressure-gradient correction, in place."""
-        pw = self.pressure.src
         t1 = self._t1
-        for target, pos, mns, d in (
-            (f.u, pw.xp, pw.xm, self._2dx),
-            (f.v, pw.yp, pw.ym, self._2dy),
-            (f.w, pw.zp, pw.zm, self._2dz),
+        for target, (pos, mns), d in zip(
+            (f.u, f.v, f.w), self.pressure.neighbours,
+            (self._2dx, self._2dy, self._2dz),
         ):
             np.subtract(pos, mns, out=t1)
             np.divide(t1, d, out=t1)
@@ -554,34 +647,21 @@ class ProjectionSolver:
         Needs the temperature buffer and the corrected velocities loaded."""
         r = self._rows
         acc, t2 = r.acc, r.t2
-        self._advect_rows(r.t)
+        self._advect_rows(r.t_diff)
         self._lap_rows(r.t)
-        np.negative(acc, out=acc)
         np.multiply(ALPHA_EFFECTIVE, r.lap, out=t2)
-        np.add(acc, t2, out=acc)
+        np.subtract(t2, acc, out=acc)             # -adv + alpha*lap, exactly
         np.multiply(self.config.dt, acc, out=acc)
         np.add(f.temperature, r.acc_int, out=self._tstar)
 
     def _load_poisson(self, f: FlowFields) -> None:
-        """Per-step pressure setup: coefficients, rhs, SOR operands and
-        the initial guess."""
-        ws = self.pressure
-        self._wd.load(self._damp)
-        c, *nbs = self._rows.mobility
-        spacing2 = (self._dx2, self._dx2, self._dy2, self._dy2,
-                    self._dz2, self._dz2)
-        for nb, d2, coef in zip(nbs, spacing2, ws.coef):
-            np.add(nb, c, out=coef)
-            np.multiply(coef, 0.5, out=coef)
-            np.divide(coef, d2, out=coef)
-        np.copyto(ws.den, ws.coef[0])
-        for coef in ws.coef[1:]:
-            np.add(ws.den, coef, out=ws.den)
-        # rhs = div(u*) / dt from the (already loaded) velocity buffers.
-        self._divergence_rows(ws.rhs)
-        np.divide(ws.rhs, self.config.dt, out=ws.rhs)
-        ws.load_sor_operands()
-        ws.load(f.p)
+        """Per-step pressure setup: rhs = div(u*)/dt from the (already
+        loaded) velocity buffers, the SOR operands and the initial guess."""
+        div = self._rows.div
+        self._divergence_rows(div)
+        np.divide(div, self.config.dt, out=div)
+        self.pressure.load_operands(self._damp, self._div)
+        self.pressure.load(f.p)
 
     def _solve_pressure(self) -> None:
         """Run the fixed SOR sweeps on the loaded workspace."""
@@ -611,18 +691,22 @@ class ProjectionSolver:
     def step(self, f: FlowFields) -> None:
         """Advance one time step in place (allocation-free hot path).
 
-        Instrumentation lives in this thin wrapper so the untraced path
-        (``NULL_TRACER``, the default) pays exactly one attribute load and
-        branch over the raw kernel -- asserted <3% by
-        ``benchmarks/test_obs_overhead.py``, which times ``_step_impl``
-        directly as the baseline.
+        Instrumentation lives in :meth:`_traced`, so the untraced path
+        (``NULL_TRACER``, the default) pays one call and branch over the
+        raw kernel -- asserted <3% by ``benchmarks/test_obs_overhead.py``,
+        which times ``_step_impl`` directly as the baseline.
         """
+        self._traced(self._step_impl, f)
+
+    def _traced(self, body: Callable[[FlowFields], None], f: FlowFields) -> None:
+        """Run one step's ``body`` on ``f``, as a ``cfd.step`` span when
+        tracing."""
         tr = self._tracer
         if not tr.enabled:
-            self._step_impl(f)
+            body(f)
             return
         span = tr.span("cfd.step", category="cfd")
-        self._step_impl(f)
+        body(f)
         span.annotate(pressure_sweeps=self.config.poisson_iterations).end()
         m = tr.metrics
         m.counter("cfd.steps", help="time steps advanced").inc()
@@ -632,15 +716,24 @@ class ProjectionSolver:
         ).observe(span.duration_wall)
 
     def _step_impl(self, f: FlowFields) -> None:
+        self._enter(f)
+        self._advance(f)
+
+    def _enter(self, f: FlowFields) -> None:
+        """The state a step starts from: boundary values applied, and the
+        velocity buffers and upwind masks loaded from ``f``. Every step
+        ends in it (the BCs are idempotent)."""
         self.apply_velocity_bcs(f)
         self.apply_temperature_bcs(f)
+        self._load_velocity_buffers(f)
+        self._update_upwind_masks()
 
+    def _advance(self, f: FlowFields) -> None:
+        """One step from the state :meth:`_enter` sets up, ending in it."""
         # Predictor: advection + diffusion + screen sink + buoyancy. The
         # Darcy-Forchheimer sink is treated implicitly (divide by
         # 1 + dt*drag): screen cells have dt*drag >> 1, where an explicit
         # sink oscillates and blows up.
-        self._load_velocity_buffers(f)
-        self._update_upwind_masks()
         self._update_damp_buoy(f)
         self._predict()
         f.u, self._ustar = self._ustar, f.u
@@ -656,15 +749,15 @@ class ProjectionSolver:
         self._load_velocity_buffers(f)
         self._load_poisson(f)
         self._solve_pressure()
-        np.copyto(f.p, self.pressure.src.interior)
+        np.copyto(f.p, self.pressure.interior)
 
         # Corrector, damped by the same mobility.
-        self.pressure.refresh_ghosts()
         np.multiply(self.config.dt, self._damp, out=self._dtdamp)
         self._correct(f)
         self.apply_velocity_bcs(f)
 
-        # Temperature transport (with the corrected velocities).
+        # Temperature transport (with the corrected velocities, which the
+        # next step's predictor reads from the same buffers).
         self._load_transport_buffers(f)
         self._transport_temperature(f)
         f.temperature, self._tstar = self._tstar, f.temperature
@@ -680,15 +773,19 @@ class ProjectionSolver:
             )
 
     def solve(self, fields: Optional[FlowFields] = None) -> SolverResult:
-        """Run the configured number of steps from rest (or given fields)."""
+        """Run the configured number of steps from rest (or given fields),
+        the same as that many :meth:`step` calls."""
         f = fields if fields is not None else FlowFields(self.mesh).initialize_uniform(
             temperature=self.bcs.interior_temperature_k
         )
-        result = SolverResult(fields=f)
-        for _ in range(self.config.n_steps):
-            self.step(f)
-            result.divergence_history.append(self.divergence_norm(f))
-            result.kinetic_energy_history.append(f.kinetic_energy())
-            result.steps_run += 1
-        self._check_finite(f, f"after {result.steps_run} steps")
-        return result
+        n_steps = self.config.n_steps
+        self._enter(f)
+        for _ in range(n_steps):
+            self._traced(self._advance, f)
+        self._check_finite(f, f"after {n_steps} steps")
+        return SolverResult(
+            fields=f,
+            steps_run=n_steps,
+            final_divergence=self.divergence_norm(f),
+            final_kinetic_energy=f.kinetic_energy(),
+        )

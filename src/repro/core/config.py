@@ -43,7 +43,7 @@ HPC_NODES = 8
 #: fix). The twin's per-station ratio calibration absorbs that bias.
 #: The pressure solve is 5 fixed red-black SOR sweeps: its final
 #: divergence is at or below that of the 40 Jacobi sweeps it replaced,
-#: at under half the step cost.
+#: in 10 half-passes over half the cells each (docs/calibration.md).
 TWIN_SOLVER = SolverConfig(dt=0.1, n_steps=200, poisson_iterations=5)
 
 #: Carrier bandwidth of the farm's 5G TDD cell.

@@ -3,9 +3,12 @@
 Each stencil here builds a padded copy of its field with ``np.pad`` on
 every call: slow, but each is a few readable lines. :func:`reference_step`
 runs a whole projection step on them. Its red-black SOR loop gives every
-cell the same IEEE operations, in the same order, as the solver's fused
-half-pass (``dst = keep*src + sum_d cw_d*nb_d - rw``), so
+cell of a colour the same IEEE operations, in the same order, as the
+solver's packed half-pass (``own = keep*own + sum_d cw_d*nb_d - rw``), so
 ``tests/cfd/test_kernel_parity.py`` can assert the two are bit-identical.
+(Here the other colour's cells pass through as ``1*p + sum 0*nb - 0``,
+which equals ``p``, though it can turn a -0.0 into +0.0; the solver
+leaves them untouched.)
 With ``jacobi_sweeps`` the step runs the fixed-sweep Jacobi loop the solver
 used before SOR instead, bit for bit; the SOR quality tests compare
 against it.
@@ -146,7 +149,7 @@ def red_black_sor(
     """``sweeps`` red-black SOR sweeps, red (even ``i+j+k``) first.
 
     Each half-pass is ``p + omega*(jacobi(p) - p)`` on its colour and a
-    copy elsewhere, written as the solver fuses it: ``keep*p + sum_d
+    copy elsewhere, written as the solver computes it: ``keep*p + sum_d
     cw_d*nb_d - rw`` with ``keep = 1 - omega*mask``, ``cw_d =
     coef_d*(omega*mask/denom)`` and ``rw = rhs*(omega*mask/denom)``.
     """

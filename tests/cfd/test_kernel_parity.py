@@ -3,7 +3,7 @@
 The buffered flat-row kernels must reproduce the seed ``np.pad``-based
 kernels **bit for bit** -- same operands, same IEEE operation order. The
 reference step (``tests/cfd/reference.py``) runs the seed kernels with a
-red-black SOR loop in the fused half-pass's per-cell order, so any drift
+red-black SOR loop in the packed half-pass's per-cell order, so any drift
 in the solver shows up as an exact-equality failure here rather than as a
 slow physics regression elsewhere.
 """
@@ -15,6 +15,7 @@ from repro.cfd import (
     BoundaryConditions,
     FlowFields,
     PaddedScratch,
+    PressureWorkspace,
     ProjectionSolver,
     SolverConfig,
     StructuredMesh,
@@ -24,6 +25,7 @@ from repro.cfd.boundary import cups_screen_walls
 from repro.cfd.mesh import default_mesh
 from repro.cfd.solver import SOR_OMEGA, nonfinite_fields
 from repro.core.config import TWIN_SOLVER, FabricConfig
+from repro.obs.trace import Tracer
 from tests.cfd.reference import (
     divergence,
     divergence_norm,
@@ -66,14 +68,6 @@ class TestPaddedScratch:
         ws.load(x)
         assert np.array_equal(ws.padded, np.pad(x, 1, mode="edge"))
 
-    def test_outlet_refresh_matches_pad_pressure(self):
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(6, 5, 4))
-        ws = PaddedScratch(x.shape)
-        np.copyto(ws.interior, x)
-        ws.refresh_ghosts_outlet()
-        assert np.array_equal(ws.padded, pad_pressure(x))
-
     def test_reload_overwrites_previous_state(self):
         ws = PaddedScratch((3, 3, 3))
         ws.load(np.full((3, 3, 3), 9.0))
@@ -101,6 +95,58 @@ class TestSerialBitParity:
                 new.step(fn)
                 reference_step(ref, fr)
                 assert_bit_identical(fn, fr, f"{mesh.shape} step {i}")
+
+    @pytest.mark.parametrize("shape", [
+        (3, 3, 3),   # padded y and z odd: no lane or plane padding
+        (4, 5, 4),   # y odd, z even: the z lane is padded
+        (4, 6, 5),   # y even, z odd: the x-plane stride is padded
+        (5, 4, 6),   # both even: lane and plane padded
+    ])
+    def test_step_matches_reference_for_each_packed_padding(self, shape):
+        mesh = StructuredMesh(*shape, lx=140.0, ly=140.0, lz=30.0)
+        _, bcs, cfg = build_case(mesh)
+        new = ProjectionSolver(mesh, bcs, cfg)
+        ref = ProjectionSolver(mesh, bcs, cfg)
+        fn = FlowFields(mesh).initialize_uniform(temperature=294.0)
+        fr = FlowFields(mesh).initialize_uniform(temperature=294.0)
+        for i in range(cfg.n_steps):
+            new.step(fn)
+            reference_step(ref, fr)
+            assert_bit_identical(fn, fr, f"{shape} step {i}")
+
+    def test_twin_solve_matches_reference_steps(self):
+        """``solve()`` (boundary values and buffers loaded once, the
+        diagnostics of the final fields only) equals ``n_steps``
+        reference steps, on the twin's mesh and sweep count."""
+        mesh, bcs, _ = build_case(FabricConfig().twin_mesh)
+        cfg = SolverConfig(dt=TWIN_SOLVER.dt, n_steps=30,
+                           poisson_iterations=TWIN_SOLVER.poisson_iterations)
+        solver = ProjectionSolver(mesh, bcs, cfg)
+        result = solver.solve()
+        f = FlowFields(mesh).initialize_uniform(
+            temperature=bcs.interior_temperature_k
+        )
+        for _ in range(cfg.n_steps):
+            reference_step(solver, f)
+        assert_bit_identical(result.fields, f, "twin solve")
+        assert result.steps_run == cfg.n_steps
+        assert result.final_divergence == divergence_norm(f)
+
+    def test_solve_from_given_fields_matches_reference_steps(self):
+        mesh, bcs, cfg = build_case()
+        rng = np.random.default_rng(11)
+        start = FlowFields(mesh).initialize_uniform(temperature=294.0)
+        for name in FIELDS:
+            arr = getattr(start, name)
+            arr += rng.normal(scale=0.5, size=arr.shape)
+        f = start.copy()
+        solver = ProjectionSolver(mesh, bcs, cfg)
+        for _ in range(cfg.n_steps):
+            reference_step(solver, f)
+        result = solver.solve(start)
+        assert result.fields is start
+        assert_bit_identical(start, f, "solve(fields)")
+        assert result.final_divergence == divergence_norm(f)
 
     def test_divergence_norm_matches_reference(self):
         mesh, bcs, cfg = build_case()
@@ -143,7 +189,7 @@ class TestSorPressureSolver:
         assert sor.divergence_norm(fs) <= sor.divergence_norm(fj)
 
     def test_fused_half_pass_matches_two_step_formulation(self):
-        """``dst = keep*src + sum cw*nb - rw`` equals
+        """``own = keep*own + sum cw*nb - rw`` equals
         ``p + omega*mask*(jacobi(p) - p)`` on every interior cell."""
         mesh, bcs, cfg = build_case()
         solver = ProjectionSolver(mesh, bcs, cfg)
@@ -158,20 +204,21 @@ class TestSorPressureSolver:
         rhs = divergence(f) / cfg.dt
         ii, jj, kk = np.indices(mesh.shape)
         red = (ii + jj + kk) % 2 == 0
+        p = f.p
         for colour, mask in enumerate((red, ~red)):
-            ws.load(f.p)
-            ws.refresh_ghosts()
-            p = ws.src.interior.copy()
             expected = p + SOR_OMEGA * mask * (
                 jacobi(p, coeffs, denom, rhs, 1) - p
             )
 
+            ws.load(p)
+            ws.refresh_ghosts(colour)
             ws.sor_half_pass(colour)
-            fused = ws.bufs[1 - ws.cur].interior
+            ws.unpack()
+            fused = ws.interior
             scale = np.max(np.abs(expected))
             assert scale > 0.0
             assert np.max(np.abs(fused - expected)) <= 1e-12 * scale
-            # Off-colour cells are copied through exactly.
+            # Off-colour cells are left exactly as they were.
             assert np.array_equal(fused[~mask], p[~mask])
 
     def test_sor_stays_finite_over_many_steps(self):
@@ -181,6 +228,41 @@ class TestSorPressureSolver:
         for _ in range(20):
             solver.step(f)
         assert nonfinite_fields(f) == []
+
+
+class TestPressureWorkspace:
+    def test_unpacked_ghosts_match_pad_pressure(self):
+        """Packing, the ghost maps and unpacking reproduce the reference
+        padding at every face ghost: Neumann edges, and the negated
+        Dirichlet outlet."""
+        rng = np.random.default_rng(8)
+        for shape in ((6, 5, 4), (5, 4, 6), (3, 3, 3)):
+            x = rng.normal(size=shape)
+            ws = PressureWorkspace(StructuredMesh(*shape))
+            ws.load(x)
+            ws.unpack()
+            expected = pad_pressure(x)
+            # The interior and its face ghosts (edges and corners are
+            # never read).
+            inner = np.zeros(expected.shape, dtype=bool)
+            inner[1:-1, 1:-1, 1:-1] = True
+            read = inner.copy()
+            for axis in range(3):
+                read |= np.roll(inner, 1, axis) | np.roll(inner, -1, axis)
+            assert np.array_equal(ws.padded[read], expected[read]), shape
+
+
+class TestTracedSolve:
+    def test_traced_solve_records_every_step(self):
+        mesh, bcs, cfg = build_case()
+        tracer = Tracer()
+        result = ProjectionSolver(mesh, bcs, cfg, tracer=tracer).solve()
+        assert len(tracer.spans_named("cfd.step")) == cfg.n_steps
+        assert result.steps_run == cfg.n_steps
+        assert tracer.metrics.counter("cfd.steps").value() == cfg.n_steps
+        assert tracer.metrics.counter("cfd.poisson.sweeps").value() == (
+            cfg.n_steps * cfg.poisson_iterations
+        )
 
 
 class TestFiniteChecks:

@@ -51,6 +51,13 @@ class TestMesh:
         with pytest.raises(ValueError):
             StructuredMesh(4, 4, 4, lx=-1.0)
 
+    @pytest.mark.parametrize("axis, value", [("nx", 3.5), ("ny", 4.0), ("nz", 12.0)])
+    def test_cell_counts_must_be_integers(self, axis, value):
+        counts = {"nx": 4, "ny": 4, "nz": 4}
+        with pytest.raises(TypeError, match=f"{axis} must be an integer"):
+            StructuredMesh(**{**counts, axis: value})
+        assert StructuredMesh(**{**counts, axis: np.int64(5)}).n_cells == 80
+
     @pytest.mark.parametrize("extent", ["lx", "ly", "lz"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_extent(self, extent, value):
