@@ -23,7 +23,7 @@ overhead estimate is the **median of the per-pair ratios** -- slow phases
 equally and cancel in the ratio. The acceptance gate: disabled-mode
 overhead < 3% on both loops, recorded in ``BENCH_obs.json`` (schema: one
 record per ``{benchmark, mode, per_op_us}`` plus one
-``{benchmark, overhead_pct}`` summary per loop).
+``{benchmark, overhead_pct}`` summary per loop, each with ``host_cores``).
 
 A second gate covers the *always-on* streaming stack
 (``test_streaming_overhead``): a whole fabric run carrying the flight
@@ -266,11 +266,13 @@ def test_disabled_tracing_overhead(benchmark):
             records.append({
                 "benchmark": name, "mode": mode,
                 "per_op_us": modes[mode] * 1e6,
+                "host_cores": os.cpu_count(),
             })
             table.add(f"{name:14s} {mode}", modes[mode] * 1e6, unit="us/op")
         records.append({
             "benchmark": name, "mode": "disabled-vs-baseline",
             "overhead_pct": modes["overhead"] * 100.0,
+            "host_cores": os.cpu_count(),
         })
         table.add(f"{name:14s} overhead", modes["overhead"] * 100.0, unit="%")
     table.print()
@@ -393,6 +395,7 @@ def test_streaming_overhead(benchmark):
         "benchmark": "fabric_streaming", "mode": "streaming-vs-untraced",
         "overhead_pct": result["overhead"] * 100.0,
         "attempts": result["attempts"],
+        "host_cores": os.cpu_count(),
     }
     existing = []
     if os.path.exists(ARTIFACT):

@@ -161,9 +161,8 @@ class _Colour:
     :class:`PressureWorkspace`)."""
 
     __slots__ = ("p", "mobility", "cells", "sweep", "own", "rhs_at",
-                 "omega", "keep", "cw", "rw", "tmp", "reads",
-                 "mobility_reads", "ghost_src", "ghost_dst", "ghost_buf",
-                 "outlet_buf")
+                 "omega", "keep", "coef", "cw", "rw", "tmp", "reads",
+                 "ghost_src", "ghost_dst", "ghost_buf", "outlet_buf")
 
 
 class PressureWorkspace:
@@ -187,7 +186,10 @@ class PressureWorkspace:
     small index map before each half-pass. The operands are built once
     per step, at half length, from a packed mobility in which every slot
     holds the mobility of its nearest cell (edge replication at the face
-    ghosts, and positive everywhere). :meth:`unpack` writes both colours
+    ghosts, and positive everywhere). Each face coefficient is computed
+    once for the two cells it joins: a red cell's coefficient towards
+    offset ``o`` is bit-for-bit its black neighbour's towards ``-o``,
+    since ``nb + c`` commutes. :meth:`unpack` writes both colours
     into :attr:`padded`, every face ghost current, for the corrector.
     Sweeps allocate nothing; inside them only the ghost refresh indexes.
     """
@@ -266,8 +268,28 @@ class PressureWorkspace:
             a, b = c.sweep.start, c.sweep.stop
             shifts = [(parity + o) // 2 for o in offsets]
             c.reads = tuple(other.p[a + s:b + s] for s in shifts)
-            c.mobility_reads = tuple(other.mobility[a + s:b + s] for s in shifts)
             c.tmp = tmp[:b - a]
+        # The raw face coefficients, one array per red offset, indexed by
+        # red slot over the range both colours read: face d of red slot r
+        # joins black slot r + s_d, whose coefficient towards the opposite
+        # offset (d ^ 1) it also is.
+        red, black = self._colours
+        self._faces = []
+        red_views, black_views = [], []
+        for d, o in enumerate(offsets):
+            s = (1 + o) // 2
+            lo = min(red.sweep.start, black.sweep.start - s)
+            hi = max(red.sweep.stop, black.sweep.stop - s)
+            face = np.zeros(hi - lo)
+            self._faces.append((face, black.mobility[lo + s:hi + s],
+                                red.mobility[lo:hi], self._spacing2[d]))
+            red_views.append(face[red.sweep.start - lo:red.sweep.stop - lo])
+            black_views.append(
+                face[black.sweep.start - s - lo:black.sweep.stop - s - lo]
+            )
+        red.coef = tuple(red_views)
+        # Black's offset d is red's face d ^ 1: xp <-> xm, yp <-> ym, zp <-> zm.
+        black.coef = tuple(black_views[d ^ 1] for d in range(len(offsets)))
         self._unpack = tuple(
             (self._flat[parity::2], c.p) for parity, c in zip((1, 0), self._colours)
         )
@@ -285,18 +307,18 @@ class PressureWorkspace:
         cells = mobility.reshape(-1)
         for c in self._colours:
             np.take(cells, c.cells, out=c.mobility, mode="clip")
+        for face, nb, centre, d2 in self._faces:
+            np.add(nb, centre, out=face)
+            np.multiply(face, 0.5, out=face)
+            np.divide(face, d2, out=face)
         for c in self._colours:
-            centre, scale = c.mobility[c.sweep], c.tmp
-            for nb, d2, w in zip(c.mobility_reads, self._spacing2, c.cw):
-                np.add(nb, centre, out=w)
-                np.multiply(w, 0.5, out=w)
-                np.divide(w, d2, out=w)
-            np.add(c.cw[0], c.cw[1], out=scale)
-            for w in c.cw[2:]:
-                np.add(scale, w, out=scale)
+            scale = c.tmp
+            np.add(c.coef[0], c.coef[1], out=scale)
+            for coef in c.coef[2:]:
+                np.add(scale, coef, out=scale)
             np.divide(c.omega, scale, out=scale)
-            for w in c.cw:
-                np.multiply(w, scale, out=w)
+            for coef, w in zip(c.coef, c.cw):
+                np.multiply(coef, scale, out=w)
             np.take(rhs.flat, c.rhs_at, out=c.rw, mode="clip")
             np.multiply(c.rw, scale, out=c.rw)
 

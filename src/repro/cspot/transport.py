@@ -29,6 +29,7 @@ one-way (radio frame alignment + core UPF), and the UCSB<->ND Internet path
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -53,6 +54,19 @@ from repro.simkernel import Engine, Process
 from repro.simkernel.streams import CSPOT_TRANSPORT, cspot_fault_stream, shard_stream
 
 
+@functools.lru_cache(maxsize=64)
+def _lognormal_params(mean: float, sd: float) -> tuple[float, float]:
+    """``(mu, sigma)`` of the lognormal with mean ``mean`` and SD ``sd``.
+
+    A path's (mean, SD) pair is fixed, so each pair's logarithms are taken
+    once rather than on every leg; keyed by value, a cached pair can never
+    go stale.
+    """
+    sigma2 = np.log(1.0 + (sd / mean) ** 2)
+    mu = np.log(mean) - 0.5 * sigma2
+    return mu, np.sqrt(sigma2)
+
+
 def lognormal_delay_s(
     one_way_ms: float, jitter_ms: float, rng: np.random.Generator
 ) -> float:
@@ -64,11 +78,8 @@ def lognormal_delay_s(
     """
     if jitter_ms == 0.0:
         return one_way_ms / 1e3
-    mean, sd = one_way_ms, jitter_ms
-    # Lognormal with the requested mean and SD.
-    sigma2 = np.log(1.0 + (sd / mean) ** 2)
-    mu = np.log(mean) - 0.5 * sigma2
-    return float(rng.lognormal(mu, np.sqrt(sigma2))) / 1e3
+    mu, sigma = _lognormal_params(one_way_ms, jitter_ms)
+    return float(rng.lognormal(mu, sigma)) / 1e3
 
 
 @dataclass

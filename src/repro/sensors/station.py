@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.sensors.breach import BreachSchedule
-from repro.sensors.weather import SyntheticWeather, WeatherState
+from repro.sensors.weather import SyntheticWeather, WeatherState, clip
 from repro.simkernel.streams import sensor_stream
 
 if TYPE_CHECKING:
@@ -135,12 +135,10 @@ class WeatherStation:
                 state.wind_direction_deg + float(rng.normal(0.0, 5.0))
             ) % 360.0,
             temperature_k=temp + float(rng.normal(0.0, self.temp_noise_sigma)),
-            relative_humidity=float(
-                np.clip(
-                    state.relative_humidity
-                    + rng.normal(0.0, self.humidity_noise_sigma),
-                    0.0, 1.0,
-                )
+            relative_humidity=clip(
+                state.relative_humidity
+                + float(rng.normal(0.0, self.humidity_noise_sigma)),
+                0.0, 1.0,
             ),
             interior=self.interior,
         )

@@ -23,6 +23,13 @@ if TYPE_CHECKING:
 SECONDS_PER_DAY = 86_400.0
 
 
+def clip(x: float, lo: float, hi: float) -> float:
+    """``float(np.clip(x, lo, hi))`` for one Python float, without numpy's
+    per-call overhead: the same value for every input, -0.0 and NaN
+    included (NaN fails both comparisons and passes through)."""
+    return lo if x < lo else hi if x > hi else x
+
+
 @dataclass(frozen=True)
 class WeatherState:
     """Ground truth at one instant."""
@@ -136,8 +143,12 @@ class SyntheticWeather:
             raise ValueError(f"negative time: {time_s}")
         self._advance_to(time_s)
         phase = 2 * np.pi * (time_s % SECONDS_PER_DAY) / SECONDS_PER_DAY
-        # Peak at ~15:00: offset the sinusoid accordingly.
-        diurnal = np.sin(phase - 2 * np.pi * 9 / 24)
+        # Peak at ~15:00: offset the sinusoid accordingly. Taken as a
+        # Python float, so everything downstream is float arithmetic (the
+        # same IEEE operations as on np.float64, without numpy's scalar
+        # overhead). np.sin itself stays: math.sin is not guaranteed to
+        # round every input the same way.
+        diurnal = float(np.sin(phase - 2 * np.pi * 9 / 24))
         sw, sd, st = self._shift_totals(time_s)
         wind = max(
             0.0,
@@ -147,14 +158,13 @@ class SyntheticWeather:
         ext_t = self.base_temperature_k + st + 5.0 * diurnal
         # Interior runs warmer (greenhouse effect) and damped.
         int_t = self.base_temperature_k + st + 2.0 + 3.0 * diurnal
-        humidity = float(np.clip(self.base_humidity - 0.15 * diurnal, 0.05, 0.98))
         return WeatherState(
             time_s=time_s,
-            wind_speed_mps=float(wind),
-            wind_direction_deg=float(direction),
-            exterior_temperature_k=float(ext_t),
-            interior_temperature_k=float(int_t),
-            relative_humidity=humidity,
+            wind_speed_mps=wind,
+            wind_direction_deg=direction,
+            exterior_temperature_k=ext_t,
+            interior_temperature_k=int_t,
+            relative_humidity=clip(self.base_humidity - 0.15 * diurnal, 0.05, 0.98),
         )
 
     def add_shift(self, shift: RegimeShift) -> None:

@@ -15,9 +15,8 @@ event ids produces -- the deterministic FIFO tie-break needs no id at all
 
 from __future__ import annotations
 
-import heapq
-import math
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
@@ -99,13 +98,14 @@ class Engine:
             return
         event._scheduled = True
         when = self._now + delay
-        if math.isnan(when):
+        if when != when:  # NaN
             raise SimulationError(f"cannot schedule at NaN time (delay={delay})")
-        bucket = self._buckets.get(when)
+        buckets = self._buckets
+        bucket = buckets.get(when)
         if bucket is None:
             # First event at this timestamp: one heap push per distinct time.
-            bucket = self._buckets[when] = deque()
-            heapq.heappush(self._times, when)
+            bucket = buckets[when] = deque()
+            heappush(self._times, when)
         bucket.append(event)
         self._n_pending += 1
 
@@ -129,18 +129,20 @@ class Engine:
 
     def step(self) -> None:
         """Process the single next event."""
-        if not self._times:
+        times = self._times
+        if not times:
             raise SimulationError("step() on an empty event queue")
-        when = self._times[0]
-        bucket = self._buckets[when]
+        when = times[0]
+        buckets = self._buckets
+        bucket = buckets[when]
         event = bucket.popleft()
         self._n_pending -= 1
         if not bucket:
             # Drained: retire the timestamp before callbacks run, so a
             # callback re-scheduling at this same instant opens a fresh
             # bucket (and re-pushes the timestamp) instead of racing us.
-            del self._buckets[when]
-            heapq.heappop(self._times)
+            del buckets[when]
+            heappop(times)
         if when < self._now:  # pragma: no cover - defensive
             raise SimulationError("time went backwards")
         self._now = when
@@ -150,9 +152,9 @@ class Engine:
         assert callbacks is not None
         for cb in callbacks:
             cb(event)
-        if not event.ok and not getattr(event, "_defused", False):
+        if not event._ok and not event._defused:
             # An unfailed-unwaited event would silently swallow errors.
-            raise event.value
+            raise event._value
 
     def step_batch(self) -> int:
         """Process *all* events at the next pending timestamp.
@@ -192,8 +194,9 @@ class Engine:
                 f"drain_window until {horizon} is in the past ({self._now})"
             )
         n = 0
-        while self._times and self._times[0] <= horizon:
-            self.step()
+        times, step = self._times, self.step
+        while times and times[0] <= horizon:
+            step()
             n += 1
         self._now = horizon
         return n
@@ -209,9 +212,12 @@ class Engine:
             an :class:`Event` -- run until that event is processed, returning
             its value (or raising its exception).
         """
+        # One bound step() per event; the loops read the heap list, which
+        # is mutated in place and never replaced.
+        times, step = self._times, self.step
         if until is None:
-            while self._times:
-                self.step()
+            while times:
+                step()
             return None
 
         if isinstance(until, Event):
@@ -220,15 +226,15 @@ class Engine:
 
             def _mark(ev: Event) -> None:
                 done.append(ev)
-                ev._defused = True  # type: ignore[attr-defined]
+                ev._defused = True
 
             sentinel.add_callback(_mark)
             while not done:
-                if not self._times:
+                if not times:
                     raise SimulationError(
                         "event queue drained before the awaited event triggered"
                     )
-                self.step()
+                step()
             if sentinel.ok:
                 return sentinel.value
             raise sentinel.value
@@ -236,7 +242,7 @@ class Engine:
         horizon = float(until)
         if horizon < self._now:
             raise SimulationError(f"run until {horizon} is in the past ({self._now})")
-        while self._times and self._times[0] <= horizon:
-            self.step()
+        while times and times[0] <= horizon:
+            step()
         self._now = horizon
         return None

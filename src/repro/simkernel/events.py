@@ -118,11 +118,17 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(engine)
-        self.delay = float(delay)
+        # Born triggered: each slot is set once here, not defaulted by
+        # Event.__init__ and then overwritten (one timeout per yield).
+        self.engine = engine
+        self.callbacks = []
         self._value = value
         self._ok = True
-        engine._schedule(self, delay=self.delay)
+        self._scheduled = False
+        self._defused = False
+        self._abandoned = False
+        self.delay = float(delay)
+        engine._schedule(self, self.delay)
 
 
 class Interrupt(Exception):

@@ -46,10 +46,14 @@ class Process(Event):
         self.name: str = name or getattr(generator, "__name__", "process")
         self._generator = generator
         self._waiting_on: Optional[Event] = None
-        # Bootstrap: resume once at the current time.
+        # Bootstrap: resume once at the current time, after the events
+        # already queued for it. A fresh event is untriggered and
+        # unprocessed, so it is triggered here directly.
         boot = Event(engine)
-        boot.add_callback(self._resume)
-        boot.succeed()
+        boot.callbacks = [self._resume]
+        boot._value = None
+        boot._ok = True
+        engine._schedule(boot)
 
     @property
     def is_alive(self) -> bool:
@@ -84,11 +88,11 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
-        if event.ok:
-            self._step(event.value, throw=False)
+        if event._ok:
+            self._step(event._value, False)
         else:
-            event._defused = True  # type: ignore[attr-defined]
-            self._step(event.value, throw=True)
+            event._defused = True
+            self._step(event._value, True)
 
     def _step(self, value: Any, throw: bool) -> None:
         try:

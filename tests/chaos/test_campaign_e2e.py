@@ -8,6 +8,7 @@ zero lost and zero duplicate sensor records, and the report must carry a
 recovery time for every fault.
 """
 
+import hashlib
 import json
 import warnings
 
@@ -15,6 +16,9 @@ import pytest
 
 from repro.chaos import (
     ChaosCampaign,
+    CspotAckLossInjector,
+    CspotPartitionInjector,
+    UePowerLossInjector,
     run_campaign,
     standard_campaign,
 )
@@ -104,6 +108,50 @@ class TestStandardCampaign:
         rep = run_campaign(fab, standard_campaign(DURATION_S), DURATION_S)
         assert rep.delivery.exactly_once
         assert all(f.recovered for f in rep.faults)
+
+
+class TestRetryPathDigest:
+    """A literal digest of the reliable append's retry paths: seed 3 at the
+    storm's 10 s cadence with ``RESILIENT_POLICIES``, for 2 h, under a
+    ``unl->ucsb`` partition, an ack-loss window and a UE power loss. It
+    pins every telemetry log entry (append time and payload) and the
+    resilience report's canonical JSON, so a change to the partition,
+    power-loss, ack-loss or dedup path of an append shows here, on the
+    fast lane, and not only in the e2e storm digest."""
+
+    GOLDEN = "7fd1ae45ebc9c25a0995f5cb862b3de72ccf6cffd38ea4e3bb519065102b1053"
+
+    def test_digest_is_pinned(self):
+        fab = XGFabric(
+            FabricConfig(
+                seed=3, telemetry_interval_s=10.0, policies=RESILIENT_POLICIES
+            )
+        )
+        campaign = ChaosCampaign([
+            CspotPartitionInjector(
+                start_s=1800.0, duration_s=900.0, src="unl", dst="ucsb"
+            ),
+            CspotAckLossInjector(
+                start_s=3000.0, duration_s=600.0, src="unl", dst="ucsb",
+                ack_loss_prob=0.3,
+            ),
+            UePowerLossInjector(start_s=4500.0, duration_s=1200.0),
+        ])
+        rep = run_campaign(fab, campaign, 2 * 3600.0)
+        assert rep.exactly_once and rep.all_recovered
+        # Lost acks were retried and absorbed server-side.
+        assert fab.hub.ucsb.dedup.hits > 0
+        logs = {
+            station.station_id: [
+                [entry.appended_at, entry.payload.hex()]
+                for entry in fab.hub.ucsb.get_log(
+                    f"telemetry.{station.station_id}"
+                ).scan()
+            ]
+            for station in fab.farm.stations
+        }
+        blob = json.dumps({"logs": logs, "report": rep.to_json()}, sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.GOLDEN
 
 
 class TestCampaignGuards:

@@ -3,6 +3,7 @@ exactly-once semantics, the size-cache optimization and fault tolerance."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,8 @@ from repro.cspot import (
     RetryPolicy,
     Transport,
 )
+from repro.cspot.boundary import CrossShardLink
+from repro.cspot.paths import testbed_paths as table1_paths
 from repro.simkernel import Engine
 
 
@@ -287,6 +290,37 @@ class TestPathValidation:
     def test_non_finite_latency_rejected(self, latency):
         with pytest.raises(ValueError, match="finite"):
             NetworkPath("p", **latency)
+
+
+def _per_leg_formula_s(one_way_ms, jitter_ms, rng):
+    """A leg's draw with the lognormal parameters computed on the spot."""
+    if jitter_ms == 0.0:
+        return one_way_ms / 1e3
+    sigma2 = np.log(1.0 + (jitter_ms / one_way_ms) ** 2)
+    mu = np.log(one_way_ms) - 0.5 * sigma2
+    return float(rng.lognormal(mu, np.sqrt(sigma2))) / 1e3
+
+
+class TestLegDraws:
+    """The cached lognormal parameters must leave every leg's draw bit for
+    bit what the per-leg formula gives: the fabric digests pin them."""
+
+    @pytest.mark.parametrize("key", sorted(table1_paths()))
+    def test_cached_parameters_draw_bit_equal(self, key):
+        path = table1_paths()[key]
+        link = CrossShardLink.from_path(path)
+        got, got_link, want = (np.random.default_rng(11) for _ in range(3))
+        for _ in range(2000):
+            expected = _per_leg_formula_s(path.one_way_ms, path.jitter_ms, want)
+            assert path.delay_s(got) == expected
+            assert link.delay_s(got_link) == expected
+
+    def test_zero_jitter_is_the_mean_and_draws_nothing(self):
+        path = NetworkPath("flat", one_way_ms=4.0, jitter_ms=0.0)
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        assert path.delay_s(rng) == 4.0 / 1e3 == _per_leg_formula_s(4.0, 0.0, rng)
+        assert rng.bit_generator.state == before
 
 
 @settings(max_examples=30, deadline=None)

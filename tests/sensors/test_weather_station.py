@@ -1,5 +1,7 @@
 """Tests for the weather process, stations, and breach schedule."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from repro.sensors import (
     station_grid,
 )
 from repro.sensors.station import BREACH_ATTENUATION, INTACT_ATTENUATION
-from repro.sensors.weather import RegimeShift, SECONDS_PER_DAY
+from repro.sensors.weather import RegimeShift, SECONDS_PER_DAY, clip
 
 
 @pytest.fixture
@@ -71,6 +73,29 @@ class TestSyntheticWeather:
             SyntheticWeather(rng, base_humidity=1.5)
         with pytest.raises(ValueError):
             SyntheticWeather(rng).at(-5.0)
+
+
+class TestClip:
+    """The sensors' scalar clip must return ``np.clip``'s value bit for
+    bit: humidity readings are pinned by the fabric digests."""
+
+    @pytest.mark.parametrize("lo, hi", [(0.05, 0.98), (0.0, 1.0)])
+    @pytest.mark.parametrize("where", [
+        "+0", "-0", "lo", "hi", "below lo", "above hi", "inside", "nan",
+        "-nan", "-inf", "+inf",
+    ])
+    def test_equals_np_clip(self, lo, hi, where):
+        x = {
+            "+0": 0.0, "-0": -0.0, "lo": lo, "hi": hi,
+            "below lo": math.nextafter(lo, -math.inf),
+            "above hi": math.nextafter(hi, math.inf),
+            "inside": 0.5 * (lo + hi), "nan": math.nan, "-nan": -math.nan,
+            "-inf": -math.inf, "+inf": math.inf,
+        }[where]
+        got, want = clip(x, lo, hi), float(np.clip(x, lo, hi))
+        assert type(got) is float
+        # Compare bits: this tells -0.0 from 0.0 and keeps NaN's sign.
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestBreachSchedule:
