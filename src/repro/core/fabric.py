@@ -235,8 +235,9 @@ class ChangeDetection:
     One Laminar change-detection program (Welch t, Mann-Whitney U and KS,
     voted 2 of 3) on the hub's CSPOT hosts. Each :meth:`decide` is one
     epoch: the last two ``WINDOW_SIZE`` windows of a farm's exterior
-    wind. The :class:`Hub` decides its one farm; a sharded fabric's hub
-    site decides every farm on one program, one epoch each.
+    wind. :meth:`duty_cycle_loop` decides each watched farm every duty
+    cycle: the :class:`Hub` watches its one farm, and a sharded fabric's
+    hub every farm, on one program, one epoch each.
     """
 
     def __init__(
@@ -246,6 +247,7 @@ class ChangeDetection:
         transport: Transport,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
+        self.engine = engine
         self.tracer = tracer
         self.graph = build_change_detection_graph()
         self.runtime = LaminarRuntime(
@@ -288,6 +290,32 @@ class ChangeDetection:
         decision = self.decision(epoch)
         span.annotate(alert=decision.alert).end()
         return decision
+
+    def duty_cycle_loop(
+        self,
+        repository: CSPOTNode,
+        logs: Sequence[str],
+        duration_s: float,
+        metrics: FabricMetrics,
+        on_decision: Callable[[int, Decision], None],
+    ) -> FabricProcess:
+        """Every duty cycle, one epoch per watched farm, in farm order.
+
+        ``logs[i]`` names farm ``i``'s exterior-wind log on
+        ``repository``; ``on_decision(i, decision)`` sees every verdict.
+        While the repository is dark (power-loss fault) the cycle decides
+        nothing: the parked telemetry serves the next one.
+        """
+        engine = self.engine
+        while engine.now + DUTY_CYCLE_S <= duration_s:
+            yield engine.timeout(DUTY_CYCLE_S)
+            metrics.duty_cycles += 1
+            if not repository.alive:
+                continue
+            for farm, log in enumerate(logs):
+                decision = yield from self.decide(repository.get_log(log))
+                if decision is not None:
+                    on_decision(farm, decision)
 
     def decision(self, epoch: int) -> Decision:
         """The verdicts of a completed epoch."""
@@ -400,30 +428,26 @@ class Hub:
         if self.bg_load is not None:
             self.bg_load.start(duration_s)
         engine = self.engine
-        engine.process(self._duty_cycle_loop(duration_s), name="duty-cycle")
+        exterior = f"telemetry.{self.farm.exterior_station.station_id}"
+        engine.process(
+            self.detection.duty_cycle_loop(
+                self.ucsb, [exterior], duration_s, self.metrics, self._decided
+            ),
+            name="duty-cycle",
+        )
         engine.process(self._alert_poll_loop(duration_s), name="nd-alert-poller")
         if self.config.policies.pilot_watchdog_s > 0:
             engine.process(self._pilot_watchdog(duration_s), name="pilot-watchdog")
 
     # -- processes ------------------------------------------------------------
 
-    def _duty_cycle_loop(self, duration_s: float) -> FabricProcess:
-        exterior = f"telemetry.{self.farm.exterior_station.station_id}"
-        while self.engine.now + DUTY_CYCLE_S <= duration_s:
-            yield self.engine.timeout(DUTY_CYCLE_S)
-            self.metrics.duty_cycles += 1
-            if not self.ucsb.alive:
-                # The repository is dark (power-loss fault): detection has
-                # nothing to read; the parked telemetry serves next cycle.
-                continue
-            decision = yield from self.detection.decide(
-                self.ucsb.get_log(exterior)
+    def _decided(self, _farm: int, decision: Decision) -> None:
+        """An alert goes into the alert log ND polls."""
+        if decision.alert:
+            self.metrics.change_alerts += 1
+            self.ucsb.local_append(
+                "alerts", f"alert@{self.engine.now:.0f}".encode()
             )
-            if decision is not None and decision.alert:
-                self.metrics.change_alerts += 1
-                self.ucsb.local_append(
-                    "alerts", f"alert@{self.engine.now:.0f}".encode()
-                )
 
     def _alert_poll_loop(self, duration_s: float) -> FabricProcess:
         """ND fetches the alert log on the 30-minute duty cycle.

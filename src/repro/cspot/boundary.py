@@ -5,8 +5,8 @@ topology by cell, so an append whose destination node lives on another
 shard cannot execute locally -- there is no server object to deliver to.
 This module is the transport's seam for exactly that case: the append is
 *exported* as a :class:`FabricEnvelope`, a time-stamped, totally-ordered
-message the coordinator carries across the shard boundary at the next
-conservative window barrier.
+message the coordinator collects at the next window barrier and hands to
+the receiving hub, which ingests it at exactly ``send_t + latency_s``.
 
 The envelope's key ``(send_t, src_cell, seq)`` mirrors the
 ``(t, shard, seq)`` total order of the merge layer: ``send_t`` is the
@@ -26,8 +26,7 @@ payload, ack) plus the server-side append cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,44 +105,32 @@ class CrossShardLink:
 
 @dataclass(frozen=True)
 class FabricEnvelope:
-    """One cross-shard CSPOT transfer, carried between window barriers.
+    """One cross-shard CSPOT transfer, from a farm shard to the hub.
 
     Attributes
     ----------
     send_t / src_cell / seq:
         The total-order key: simulated send time, stable shard id of the
         sending cell, and the sender's monotonic transfer counter.
-    dst_cell:
-        Stable shard id of the destination cell (the owner of the target
-        CSPOT node).
     log:
-        Destination log name on the receiving node.
+        Destination log name on the hub.
     payload:
         The appended bytes, verbatim.
     latency_s:
         End-to-end transfer latency stamped at export time from the
         sender's per-cell stream.
-    deliver_t:
-        Assigned by the coordinator's bus: the simulated delivery time,
-        ``max(send_t + latency_s, next barrier)`` -- never earlier than
-        the barrier after the sending window (conservatively correct by
-        construction). ``None`` until routed.
     """
 
     send_t: float
     src_cell: int
     seq: int
-    dst_cell: int
     log: str
     payload: bytes
     latency_s: float
-    deliver_t: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.src_cell < 0 or self.dst_cell < 0:
-            raise ValueError(
-                f"negative cell index: src={self.src_cell} dst={self.dst_cell}"
-            )
+        if self.src_cell < 0:
+            raise ValueError(f"negative cell index: {self.src_cell}")
         if self.seq < 0:
             raise ValueError(f"negative envelope seq: {self.seq}")
         if self.latency_s <= 0:
@@ -157,27 +144,9 @@ class FabricEnvelope:
         return (self.send_t, self.src_cell, self.seq)
 
     @property
-    def delivery_key(self) -> tuple[float, int, int]:
-        """``(deliver_t, src_cell, seq)``: the destination ingest order."""
-        if self.deliver_t is None:
-            raise ValueError(
-                f"envelope {self.key} has not been routed yet "
-                "(deliver_t unassigned)"
-            )
-        return (self.deliver_t, self.src_cell, self.seq)
-
-    @property
     def arrival_t(self) -> float:
-        """Unclamped arrival time; the bus clamps it to the next barrier."""
+        """When the hub ingests the transfer: exactly ``send_t + latency_s``."""
         return self.send_t + self.latency_s
-
-    def stamped(self, deliver_t: float) -> "FabricEnvelope":
-        """A copy with the bus-assigned delivery time."""
-        if deliver_t < self.send_t:
-            raise ValueError(
-                f"deliver_t {deliver_t} precedes send_t {self.send_t}"
-            )
-        return replace(self, deliver_t=deliver_t)
 
 
 class ShardBoundary:
@@ -200,7 +169,6 @@ class ShardBoundary:
         *,
         send_t: float,
         src_cell: int,
-        dst_cell: int,
         log: str,
         payload: bytes,
         rng: np.random.Generator,
@@ -212,7 +180,6 @@ class ShardBoundary:
             send_t=send_t,
             src_cell=src_cell,
             seq=seq,
-            dst_cell=dst_cell,
             log=log,
             payload=payload,
             latency_s=self.link.transfer_latency_s(rng),

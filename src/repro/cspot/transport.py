@@ -222,28 +222,23 @@ class Transport:
         self._boundary = boundary
 
     def export_append(
-        self,
-        src_cell: int,
-        dst_cell: int,
-        log_name: str,
-        payload: bytes,
+        self, src_cell: int, log_name: str, payload: bytes
     ) -> "FabricEnvelope":
-        """Export an append whose destination node lives on another shard.
+        """Export an append to the hub, whose node lives off this shard.
 
         Latency is stamped from the *sender's* per-cell
         ``shard.cell<ccc>.transfer`` stream, so the draw is
-        worker-count-invariant; delivery happens at the coordinator's next
-        window barrier, never sooner.
+        worker-count-invariant; the hub ingests the append at exactly
+        ``send_t + latency_s``.
         """
         if self._boundary is None:
             raise AppendError(
-                f"append to cell {dst_cell} crosses the shard boundary but "
+                f"append to {log_name!r} crosses the shard boundary but "
                 "no boundary is bound (Transport.bind_boundary)"
             )
         return self._boundary.export(
             send_t=self.engine.now,
             src_cell=src_cell,
-            dst_cell=dst_cell,
             log=log_name,
             payload=payload,
             rng=self.engine.rng(shard_stream(src_cell, "transfer")),

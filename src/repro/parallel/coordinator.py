@@ -1,7 +1,6 @@
-"""The coordinator: partition, barrier, exchange, merge.
+"""The coordinator: partition, barrier, hub, merge.
 
-Two generic executors drive any shard runner under the conservative
-window-barrier protocol:
+Two generic executors drive any shard runner window by window:
 
 * :func:`run_shards_serial` -- every shard runs in-process, interleaved
   window by window. No pickling, no processes; the reference executor
@@ -11,19 +10,21 @@ window-barrier protocol:
   start method is required: a forked child would inherit the parent's
   RNG registry and import-time state mid-run (see REPRO404).
 
-Both executors run the identical per-barrier exchange: deliver the
-envelopes routed at the previous barrier, advance every shard to the
-barrier, collect the envelopes each shard exported during the window,
-and route them through the :class:`~repro.parallel.envelope.FabricBus`
-for delivery no earlier than the *next* barrier. Scenarios without
-cross-shard traffic (the radio scale workload) pass ``bus=None`` and the
-exchange degenerates to the plain barrier loop.
+Traffic flows one way, from the shards to a :class:`HubRunner` that
+runs here, in the coordinator. Both executors run the identical
+per-barrier step: advance every shard to the barrier, collect the
+envelopes each shard exported during the window, and hand them to the
+hub, which then advances through the same window. Nothing is ever sent
+back, so the shards need no quantum: under spawn they already run the
+next window while the hub catches up, and the barriers (one per
+sampling window) only batch what the shards send. Scenarios without
+cross-shard traffic (the radio scale workload) pass ``hub=None``.
 
 Failure surface (tested in ``tests/parallel/test_worker_failures.py``):
 a worker that raises ships an ``("error", ...)`` message the coordinator
-re-raises with worker context; a worker that dies silently closes its
-pipe and the timed receive turns the EOF (or a stall) into a clear
-``RuntimeError`` naming the worker -- the coordinator never hangs.
+re-raises with worker context; a worker that dies silently closes or
+resets its pipe, and the timed receive turns that (or a stall) into a
+clear ``RuntimeError`` naming the worker -- the coordinator never hangs.
 
 :class:`ShardedScenario` holds what every sharded scenario shares:
 validation, the :class:`~repro.parallel.plan.ShardPlan`, the barrier
@@ -32,13 +33,14 @@ is the scale workload -- a declarative UE population sampled over a
 horizon, partitioned by cell across workers and merged into one
 :class:`~repro.parallel.report.ParallelReport`. (Its fabric sibling,
 :class:`repro.core.fabric_sharded.ShardedFabricScenario`, drives the
-same executors with a live bus.)
+same executors with its hub.)
 
 Determinism invariant (tested in ``tests/parallel/``): same seed + same
-scenario produce byte-identical reports for any worker count and either
-executor, because every quantity is keyed by cell, every RNG stream is
-named by cell, every envelope is delivered at a partition-independent
-time in a total order, and every merge is exact.
+scenario produce byte-identical reports for any worker count, either
+executor and any barrier placement, because every quantity is keyed by
+cell, every RNG stream is named by cell, the hub ingests every envelope
+at its own exact arrival time in a total order, and every merge is
+exact.
 """
 
 from __future__ import annotations
@@ -47,10 +49,9 @@ import math
 import multiprocessing as mp
 from dataclasses import KW_ONLY, dataclass, field
 from multiprocessing.connection import Connection
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Protocol, Sequence
 
 from repro.cspot.boundary import FabricEnvelope
-from repro.parallel.envelope import FabricBus
 from repro.parallel.merge import merge_sketches, merge_streams
 from repro.parallel.plan import CellFault, ShardPlan
 from repro.parallel.report import ParallelReport
@@ -66,41 +67,47 @@ EXECUTORS = ("serial", "spawn")
 DEFAULT_WORKER_TIMEOUT_S = 120.0
 
 
-def _route(
-    bus: Optional[FabricBus],
+class HubRunner(Protocol):
+    """The receiving end of a sharded run, driven in the coordinator.
+
+    :meth:`advance` takes the envelopes every shard exported up to
+    ``barrier_t``, then runs the hub through the same window: the hub is
+    one window behind its senders, so it already holds every envelope
+    that can arrive before ``barrier_t`` (none arrives before it is
+    sent).
+    """
+
+    def advance(
+        self, barrier_t: float, envelopes: Sequence[FabricEnvelope]
+    ) -> None: ...
+
+
+def _to_hub(
+    hub: Optional[HubRunner],
     per_worker_outbound: Sequence[tuple[FabricEnvelope, ...]],
-    next_barrier_t: Optional[float],
-    n_workers: int,
-) -> list[tuple[FabricEnvelope, ...]]:
-    """One barrier's exchange step: route outbound, return inbound."""
-    if bus is None:
-        for batch in per_worker_outbound:
-            if batch:
-                raise RuntimeError(
-                    f"{len(batch)} cross-shard envelopes exported but the "
-                    "scenario runs without a fabric bus"
-                )
-        return [() for _ in range(n_workers)]
-    inbound = bus.route(
-        [e for batch in per_worker_outbound for e in batch], next_barrier_t
-    )
-    return [tuple(batch) for batch in inbound]
+    barrier_t: float,
+) -> None:
+    """One barrier's hub step: the window's envelopes, then the window."""
+    envelopes = [e for batch in per_worker_outbound for e in batch]
+    if hub is not None:
+        hub.advance(barrier_t, envelopes)
+    elif envelopes:
+        raise RuntimeError(
+            f"{len(envelopes)} cross-shard envelopes exported but the "
+            "scenario runs without a hub"
+        )
 
 
 def run_shards_serial(
     tasks: Sequence[ShardTask],
     barriers: Sequence[float],
-    bus: Optional[FabricBus] = None,
+    hub: Optional[HubRunner] = None,
 ) -> list[Any]:
-    """Drive every shard in-process under the barrier/exchange protocol."""
+    """Drive every shard in-process, then the hub, window by window."""
     runners = [task.build_runner() for task in tasks]
-    n = len(runners)
-    pending: list[tuple[FabricEnvelope, ...]] = [() for _ in range(n)]
-    for i, barrier_t in enumerate(barriers):
-        next_barrier_t = barriers[i + 1] if i + 1 < len(barriers) else None
+    for barrier_t in barriers:
         for w, runner in enumerate(runners):
             try:
-                runner.deliver(pending[w])
                 runner.advance(barrier_t)
             except (Exception, SystemExit) as error:
                 # SystemExit is the "die without a reply" injection; under
@@ -111,8 +118,7 @@ def run_shards_serial(
                     f"shard worker {w} (cells {tasks[w].cells}) failed at "
                     f"barrier t={barrier_t}: {error!r}"
                 ) from error
-        outbound = [runner.collect_outbound() for runner in runners]
-        pending = _route(bus, outbound, next_barrier_t, n)
+        _to_hub(hub, [r.collect_outbound() for r in runners], barrier_t)
     results: list[Any] = []
     for runner in runners:
         results.extend(runner.finish())
@@ -122,7 +128,7 @@ def run_shards_serial(
 def _recv(
     conn: Connection, worker: int, timeout_s: float
 ) -> tuple[Any, ...]:
-    """One timed receive; EOF and stalls become clear errors, not hangs."""
+    """One timed receive; a lost pipe or a stall becomes a clear error."""
     if not conn.poll(timeout_s):
         raise RuntimeError(
             f"shard worker {worker} sent no reply within {timeout_s}s "
@@ -130,11 +136,23 @@ def _recv(
         )
     try:
         message: tuple[Any, ...] = conn.recv()
-    except EOFError as eof:
+    except (EOFError, OSError) as lost:
+        # EOF: the worker closed its end. ECONNRESET: it exited with our
+        # next message still unread in its end of the pipe.
         raise RuntimeError(
-            f"shard worker {worker} died without a reply (pipe closed)"
-        ) from eof
+            f"shard worker {worker} died without a reply ({lost!r})"
+        ) from lost
     return message
+
+
+def _broadcast(pipes: Sequence[Connection], message: tuple[Any, ...]) -> None:
+    for w, conn in enumerate(pipes):
+        try:
+            conn.send(message)
+        except OSError as broken:
+            raise RuntimeError(
+                f"shard worker {w} is gone (could not send {message!r})"
+            ) from broken
 
 
 def _expect(
@@ -153,16 +171,18 @@ def _expect(
 def run_shards_spawn(
     tasks: Sequence[ShardTask],
     barriers: Sequence[float],
-    bus: Optional[FabricBus] = None,
+    hub: Optional[HubRunner] = None,
     timeout_s: float = DEFAULT_WORKER_TIMEOUT_S,
 ) -> tuple[list[Any], list[dict[str, Any]]]:
-    """Drive every shard in a spawned process; returns (results, timings)."""
+    """Drive every shard in a spawned process; returns (results, timings).
+
+    The workers run window k + 1 while the hub runs window k here.
+    """
     ctx = mp.get_context("spawn")
     processes: list[mp.process.BaseProcess] = []
     pipes: list[Connection] = []
     results: list[Any] = []
     timings: list[dict[str, Any]] = []
-    n = len(tasks)
     try:
         for task in tasks:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
@@ -174,24 +194,17 @@ def run_shards_spawn(
             parent_conn.send(task)
             processes.append(process)
             pipes.append(parent_conn)
-        pending: list[tuple[FabricEnvelope, ...]] = [() for _ in range(n)]
+        if barriers:
+            _broadcast(pipes, ("advance", barriers[0]))
         for i, barrier_t in enumerate(barriers):
-            next_barrier_t = barriers[i + 1] if i + 1 < len(barriers) else None
-            for w, conn in enumerate(pipes):
-                try:
-                    conn.send(("advance", barrier_t, pending[w]))
-                except (BrokenPipeError, OSError) as broken:
-                    raise RuntimeError(
-                        f"shard worker {w} is gone (send failed at barrier "
-                        f"t={barrier_t})"
-                    ) from broken
-            outbound: list[tuple[FabricEnvelope, ...]] = []
-            for w, conn in enumerate(pipes):
-                reply = _expect(_recv(conn, w, timeout_s), "done", w)
-                outbound.append(tuple(reply[3]))
-            pending = _route(bus, outbound, next_barrier_t, n)
-        for conn in pipes:
-            conn.send(("finish",))
+            outbound = [
+                _expect(_recv(conn, w, timeout_s), "done", w)[3]
+                for w, conn in enumerate(pipes)
+            ]
+            if i + 1 < len(barriers):
+                _broadcast(pipes, ("advance", barriers[i + 1]))
+            _to_hub(hub, outbound, barrier_t)
+        _broadcast(pipes, ("finish",))
         for w, conn in enumerate(pipes):
             reply = _expect(_recv(conn, w, timeout_s), "results", w)
             results.extend(reply[1])
@@ -221,15 +234,13 @@ class ShardedScenario:
     seed:
         Master seed shared by every shard's registry.
     horizon_s / window_s:
-        Simulated horizon and per-cell sampling window.
+        Simulated horizon and per-cell sampling window; one barrier
+        falls at the end of every window.
     workers:
         Number of shards to execute concurrently (1..n_cells).
     executor:
         ``"serial"`` (in-process, the default) or ``"spawn"`` (see
         module docstring).
-    interaction_delay_s:
-        Minimum cross-shard interaction delay bounding the conservative
-        sync window; ``None`` declares the shards decoupled.
     relative_error:
         Error bound of the per-cell sketches.
     worker_timeout_s:
@@ -241,7 +252,6 @@ class ShardedScenario:
     window_s: float
     workers: int = 1
     executor: str = "serial"
-    interaction_delay_s: Optional[float] = None
     relative_error: float = 0.01
     worker_timeout_s: float = DEFAULT_WORKER_TIMEOUT_S
     #: Per-worker timing side channel from the last spawn run (empty for
@@ -251,17 +261,12 @@ class ShardedScenario:
     )
 
     def __post_init__(self) -> None:
-        # A NaN or infinite horizon or quantum would never reach its last
+        # A NaN or infinite horizon or window would never reach its last
         # barrier; reject it here rather than hang in run().
         for name in ("horizon_s", "window_s", "worker_timeout_s"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite: {value}")
-        delay = self.interaction_delay_s
-        if delay is not None and not (math.isfinite(delay) and delay > 0):
-            raise ValueError(
-                f"interaction_delay_s must be positive and finite: {delay}"
-            )
         if not 0.0 < self.relative_error < 1.0:
             raise ValueError(
                 f"relative_error must be in (0, 1): {self.relative_error}"
@@ -285,22 +290,20 @@ class ShardedScenario:
         return int(self.horizon_s // self.window_s)
 
     def _barriers(self) -> tuple[float, ...]:
-        return self.plan.barrier_times(
-            self.horizon_s, self.window_s, self.interaction_delay_s
-        )
+        return self.plan.barrier_times(self.horizon_s, self.window_s)
 
     def _execute(
-        self, tasks: Sequence[ShardTask], bus: Optional[FabricBus] = None
+        self, tasks: Sequence[ShardTask], hub: Optional[HubRunner] = None
     ) -> list[Any]:
         """Run every shard on the configured executor; results by cell."""
         barriers = self._barriers()
         results: list[Any]
         if self.executor == "serial":
-            results = run_shards_serial(tasks, barriers, bus)
+            results = run_shards_serial(tasks, barriers, hub)
             self.last_timings = []
         else:
             results, self.last_timings = run_shards_spawn(
-                tasks, barriers, bus, timeout_s=self.worker_timeout_s
+                tasks, barriers, hub, timeout_s=self.worker_timeout_s
             )
         results.sort(key=lambda r: r.cell_index)
         return results
@@ -326,11 +329,6 @@ class ShardedScaleScenario(ShardedScenario):
     faults:
         Chaos faults, each routed to the worker owning its cell; each
         must target one of the run's windows.
-
-    ``interaction_delay_s`` stays ``None`` by default: the pure sampling
-    workload has no cross-shard message. Pass
-    :data:`~repro.parallel.plan.CSPOT_TRANSFER_FLOOR_S` to model the
-    CSPOT transfer floor.
     """
 
     population: UEPopulation

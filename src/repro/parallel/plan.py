@@ -9,20 +9,18 @@ onto ``n_workers`` processes in contiguous balanced blocks (sizes differ
 by at most one cell), and nothing a worker computes depends on which
 block it drew.
 
-The plan also derives the conservative synchronization window: workers
-may only advance ``sync_window_s`` past the last global barrier, where
-``sync_window_s`` is bounded by the minimum cross-shard interaction delay
-(for this fabric, the CSPOT transfer latency floor -- no message can
-affect another shard sooner than it can cross the 5G + backhaul path).
-``interaction_delay_s=None`` declares the shards fully decoupled, in
-which case the sampling window itself is the natural barrier quantum.
+The plan also lays out the barrier calendar: one barrier per sampling
+window, the horizon last. Shards never receive a message (traffic flows
+one way, shard -> hub), so no interaction delay bounds the window: a
+barrier only batches what the shards send, and where barriers fall
+changes no byte.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence, TypeVar
+from typing import Protocol, Sequence, TypeVar
 
 # The canonical per-shard stream-name helper lives in the stream
 # registry (the constants module every subsystem's names migrate onto);
@@ -30,17 +28,11 @@ from typing import Optional, Protocol, Sequence, TypeVar
 from repro.simkernel.streams import shard_stream
 
 __all__ = [
-    "CSPOT_TRANSFER_FLOOR_S",
     "CellFault",
     "LinkFault",
     "ShardPlan",
     "shard_stream",
 ]
-
-#: Conservative default for the minimum cross-shard interaction delay:
-#: the paper's measured ~200 ms sensor->HPC CSPOT transfer floor
-#: (section 4.4); no cross-shard effect can propagate faster.
-CSPOT_TRANSFER_FLOOR_S = 0.2
 
 
 @dataclass(frozen=True)
@@ -187,47 +179,22 @@ class ShardPlan:
         """Route link-severing faults to the *sender* shard."""
         return self.route_by_cell(faults)
 
-    def sync_window_s(
-        self, window_s: float, interaction_delay_s: Optional[float]
-    ) -> float:
-        """The conservative barrier quantum for this plan.
-
-        No shard may advance more than the minimum cross-shard
-        interaction delay past the last barrier (events it would receive
-        cannot arrive sooner), so the quantum is
-        ``min(window_s, interaction_delay_s)``. A ``None`` delay declares
-        the shards decoupled: the sampling window is the quantum.
-        """
-        if not (math.isfinite(window_s) and window_s > 0):
-            raise ValueError(f"window_s must be positive and finite: {window_s}")
-        if interaction_delay_s is None:
-            return window_s
-        if not (math.isfinite(interaction_delay_s) and interaction_delay_s > 0):
-            raise ValueError(
-                f"interaction_delay_s must be positive and finite: "
-                f"{interaction_delay_s}"
-            )
-        return min(window_s, interaction_delay_s)
-
     def barrier_times(
-        self,
-        horizon_s: float,
-        window_s: float,
-        interaction_delay_s: Optional[float],
+        self, horizon_s: float, window_s: float
     ) -> tuple[float, ...]:
         """Every global barrier the coordinator will impose, in order.
 
-        Multiples of the sync quantum up to and including the horizon;
-        the horizon itself is always the final barrier so every shard
+        Multiples of the window up to and including the horizon; the
+        horizon itself is always the final barrier so every shard
         finishes at the same instant.
         """
-        if not (math.isfinite(horizon_s) and horizon_s > 0):
-            raise ValueError(f"horizon_s must be positive and finite: {horizon_s}")
-        quantum = self.sync_window_s(window_s, interaction_delay_s)
+        for name, value in (("horizon_s", horizon_s), ("window_s", window_s)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite: {value}")
         times: list[float] = []
         k = 1
         while True:
-            t = k * quantum
+            t = k * window_s
             if t >= horizon_s:
                 break
             times.append(t)

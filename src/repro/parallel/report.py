@@ -75,20 +75,21 @@ class FabricParallelReport:
     The cross-shard counterpart of :class:`ParallelReport`. Everything
     here is keyed by cell or carried in ``(t, shard, seq)`` total order,
     so the canonical bytes are invariant under worker count, executor,
-    and partition -- including the transfer accounting: an envelope's
-    delivery time is assigned by the bus from barrier times and its own
-    stamped latency, never from which worker ran which site.
+    partition and barrier placement -- including the transfer
+    accounting: the hub ingests each envelope at exactly
+    ``send_t + latency_s``, a function of the sender's cell alone. The
+    hub's own records carry shard id ``n_sites``.
     """
 
     n_sites: int
-    hub_site: int
     sim_seconds: float
     #: Nominal telemetry rounds in the horizon (``horizon // interval``).
     n_windows: int
     #: Station readings taken, over every farm.
     samples: int
-    #: Cross-shard transfer ledger: sent = delivered + in_flight (parked
-    #: records became envelopes only once flushed).
+    #: Cross-shard transfer ledger: sent = delivered + in_flight, where
+    #: in flight means arriving after the horizon (parked records became
+    #: envelopes only once flushed).
     transfers_sent: int
     transfers_delivered: int
     transfers_in_flight: int
@@ -103,10 +104,8 @@ class FabricParallelReport:
     per_site_samples: tuple[int, ...]
     per_site_sent: tuple[int, ...]
     per_site_parked: tuple[int, ...]
-    #: Merged send-side transfer-latency sketch snapshot.
+    #: Merged transfer-latency sketch snapshot (every envelope sent).
     transfer_sketch: dict[str, Any]
-    #: Merged hub-side effective delivery-latency sketch snapshot.
-    ingest_sketch: dict[str, Any]
     #: Merged SLO timeline in ``(t, shard, seq)`` total order.
     slo: tuple[dict[str, Any], ...]
     #: Merged trace records in ``(t, shard, seq)`` total order.
@@ -116,7 +115,6 @@ class FabricParallelReport:
         """JSON-ready payload (everything but the record streams)."""
         return {
             "n_sites": self.n_sites,
-            "hub_site": self.hub_site,
             "sim_seconds": self.sim_seconds,
             "n_windows": self.n_windows,
             "samples": self.samples,
@@ -132,7 +130,6 @@ class FabricParallelReport:
             "per_site_sent": list(self.per_site_sent),
             "per_site_parked": list(self.per_site_parked),
             "transfer_sketch": self.transfer_sketch,
-            "ingest_sketch": self.ingest_sketch,
         }
 
     def canonical_json(self) -> str:

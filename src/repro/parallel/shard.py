@@ -23,7 +23,7 @@ spawned process, so the two paths cannot drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generic, Iterable, Optional, Sequence, TypeVar
+from typing import Any, Callable, Generic, Iterable, Optional, TypeVar
 
 from repro.cspot.boundary import FabricEnvelope
 from repro.obs.stream import QuantileSketch
@@ -114,8 +114,8 @@ class ShardRunner(Generic[ResultT]):
     """Advances one shard's cells on a local engine, barrier by barrier.
 
     Subclasses build their per-cell state, ``_results`` and the events
-    that drive them after ``super().__init__``. A runner exchanges no
-    cross-shard envelopes unless it overrides :meth:`deliver` and
+    that drive them after ``super().__init__``. A runner receives
+    nothing; it sends envelopes to the hub only if it overrides
     :meth:`collect_outbound`.
     """
 
@@ -130,21 +130,11 @@ class ShardRunner(Generic[ResultT]):
             key = (fault.cell_index, fault.window)
             self._derates[key] = self._derates.get(key, 1.0) * fault.derate
 
-    def deliver(self, envelopes: Sequence[FabricEnvelope]) -> None:
-        """Accept inbound cross-shard envelopes (none by default)."""
-        if envelopes:
-            raise ValueError(
-                f"shard owning cells {self.task.cells} received "
-                f"{len(envelopes)} cross-shard envelopes; only fabric "
-                "shards exchange messages"
-            )
-
     def advance(self, barrier_t: float) -> int:
         """Drain every event up to the barrier; return events processed.
 
-        The conservative protocol's shard-side step: the coordinator
-        guarantees no cross-shard influence can land before ``barrier_t``,
-        so everything up to it is safe to process.
+        A shard never receives, so nothing can land in the window it
+        drains: everything up to ``barrier_t`` is safe to process.
         """
         crash = self.task.crash
         if crash is not None and self._advances == crash.barrier_index:

@@ -1,22 +1,22 @@
 """The spawned worker process: a pipe-driven loop around a shard runner.
 
-Protocol (coordinator -> worker, worker -> coordinator), all messages
+Protocol (coordinator -> worker, worker -> coordinator), three messages
 pickled over a ``multiprocessing`` duplex pipe:
 
-============================  ==========================================
-``("advance", t, inbound)``   deliver the inbound cross-shard envelopes,
-                              drain the shard to barrier ``t``, then
-                              reply ``("done", t, events_processed,
-                              outbound)`` with the envelopes exported
-                              during the window
-``("finish",)``               reply ``("results", [result, ...],
-                              timings)`` and exit the loop
-============================  ==========================================
+=====================  ==================================================
+the task               build the runner
+``("advance", t)``     drain the shard to barrier ``t``, then reply
+                       ``("done", t, events_processed, outbound)`` with
+                       the envelopes exported during the window
+``("finish",)``        reply ``("results", [result, ...], timings)`` and
+                       exit the loop
+=====================  ==================================================
 
-``inbound``/``outbound`` are tuples of
-:class:`~repro.cspot.boundary.FabricEnvelope`; radio scale shards carry
-empty tuples on both legs, so the two scenario families share one
-protocol. The task itself arrives as the first message and builds its
+``outbound`` is a tuple of :class:`~repro.cspot.boundary.FabricEnvelope`
+bound for the hub, which runs in the coordinator; radio scale shards
+send empty tuples, so the two scenario families share one protocol.
+Nothing flows back to a worker but the next ``advance``: a worker may be
+a whole window ahead of the hub. The task arrives first and builds its
 runner (:meth:`~repro.parallel.shard.ShardTask.build_runner`), so the
 spawned interpreter only needs the module import path -- the **spawn**
 start method is the whole point: a fresh interpreter with no inherited
@@ -34,8 +34,9 @@ Failure surface: an exception inside the loop is shipped as an
 ``("error", repr)`` message before the worker dies, so the coordinator
 can re-raise with context instead of timing out. A worker that dies
 *without* a reply (e.g. ``SystemExit``, which is not an ``Exception``)
-closes the pipe, and the coordinator's timed receive turns the EOF into
-a clear error -- never a hang.
+closes the pipe, or resets it if the coordinator's next message is still
+unread, and the coordinator's timed receive turns either into a clear
+error naming the worker -- never a hang.
 
 Wall-clock note: this module is one of the deliberate REPRO101 allowlist
 seams (like the CFD solver's perf probe). The worker measures its own
@@ -63,9 +64,7 @@ def worker_main(conn: Connection) -> None:
             message: tuple[Any, ...] = conn.recv()
             if message[0] == "advance":
                 barrier_t = float(message[1])
-                inbound = message[2] if len(message) > 2 else ()
                 t0 = time.perf_counter()
-                runner.deliver(inbound)
                 events = runner.advance(barrier_t)
                 outbound = runner.collect_outbound()
                 compute_wall += time.perf_counter() - t0

@@ -30,7 +30,6 @@ def _envelope(**overrides):
         send_t=1.0,
         src_cell=2,
         seq=0,
-        dst_cell=0,
         log="fabric.telemetry",
         payload=b"x" * 16,
         latency_s=0.1,
@@ -43,20 +42,13 @@ class TestEnvelope:
     def test_key_mirrors_the_merge_total_order(self):
         envelope = _envelope()
         assert envelope.key == (1.0, 2, 0)
-        assert envelope.arrival_t == pytest.approx(1.1)
 
-    def test_delivery_key_requires_routing_first(self):
-        envelope = _envelope()
-        with pytest.raises(ValueError, match="deliver_t unassigned"):
-            envelope.delivery_key
-        stamped = envelope.stamped(1.5)
-        assert stamped.delivery_key == (1.5, 2, 0)
-        # stamped() is a copy: the original stays unrouted.
-        assert envelope.deliver_t is None
-
-    def test_stamping_before_send_time_rejected(self):
-        with pytest.raises(ValueError, match="precedes send_t"):
-            _envelope().stamped(0.5)
+    def test_arrival_is_exactly_send_time_plus_latency(self):
+        # The hub ingests at this instant: the same float sum a farm's
+        # engine.timeout(latency_s) lands on, never a later barrier.
+        envelope = _envelope(send_t=300.37, latency_s=0.1013)
+        assert envelope.arrival_t == 300.37 + 0.1013
+        assert envelope.arrival_t > envelope.send_t
 
     def test_validation(self):
         with pytest.raises(ValueError, match="cell"):
@@ -132,7 +124,6 @@ class TestShardBoundary:
             envelope = boundary.export(
                 send_t=0.5,
                 src_cell=src,
-                dst_cell=0,
                 log="fabric.telemetry",
                 payload=b"p",
                 rng=rng,
@@ -149,7 +140,6 @@ class TestShardBoundary:
             boundary.export(
                 send_t=1.0,
                 src_cell=0,
-                dst_cell=1,
                 log="fabric.telemetry",
                 payload=b"p",
                 rng=rng,
@@ -162,7 +152,6 @@ class TestShardBoundary:
         envelope = boundary.export(
             send_t=2.0,
             src_cell=0,
-            dst_cell=1,
             log="fabric.telemetry",
             payload=b"p",
             rng=rng,
@@ -175,7 +164,7 @@ class TestTransportSeam:
         engine = Engine(seed=0)
         transport = Transport(engine)
         with pytest.raises(AppendError, match="no boundary is bound"):
-            transport.export_append(0, 1, "fabric.telemetry", b"p")
+            transport.export_append(0, "fabric.telemetry", b"p")
 
     def test_double_bind_rejected(self):
         engine = Engine(seed=0)
@@ -190,9 +179,9 @@ class TestTransportSeam:
         boundary = ShardBoundary(LINK)
         transport.bind_boundary(boundary)
         engine.drain_window(3.25)
-        envelope = transport.export_append(2, 0, "fabric.telemetry", b"p")
+        envelope = transport.export_append(2, "fabric.telemetry", b"p")
         assert envelope.send_t == 3.25
-        assert envelope.dst_cell == 0
+        assert envelope.src_cell == 2
         assert boundary.drain() == (envelope,)
 
     def test_export_append_draws_the_senders_transfer_stream(self):
@@ -205,9 +194,9 @@ class TestTransportSeam:
             transport = Transport(engine)
             transport.bind_boundary(ShardBoundary(LINK))
             for cell in other_cells:
-                transport.export_append(cell, 9, "fabric.telemetry", b"p")
+                transport.export_append(cell, "fabric.telemetry", b"p")
             latencies.append(
-                transport.export_append(2, 9, "fabric.telemetry", b"p").latency_s
+                transport.export_append(2, "fabric.telemetry", b"p").latency_s
             )
         assert latencies[0] == latencies[1]
 

@@ -2,12 +2,13 @@
 
 The headline CI invariant of the sharded fabric: one multi-farm run --
 real farm sites (weather, stations, 5G uplink), telemetry records
-crossing shard boundaries, the hub's Laminar vote per farm, chaos faults
-severing links mid-run -- merges to byte-identical canonical bytes
-(report JSON, trace JSONL, SLO JSONL, SHA-256 digest) for 1, 2, 4, and 8
-workers, on either executor. Everything here compares full
-serializations, never approximate aggregates: the contract is
-bit-identity.
+crossing shard boundaries to the hub, the hub's Laminar vote per farm,
+chaos faults severing links mid-run -- merges to byte-identical
+canonical bytes (report JSON, trace JSONL, SLO JSONL, SHA-256 digest)
+for 1, 2, 4, and 8 workers, on either executor, wherever the barriers
+fall. Everything here compares full serializations, never approximate
+aggregates: the contract is bit-identity. The hub ingests every record
+at exactly its ``send_t + latency_s``, and says so loudly otherwise.
 """
 
 import functools
@@ -17,7 +18,9 @@ import pytest
 
 from repro.chaos import ShardChaosCampaign
 from repro.core import ShardedFabricScenario
-from repro.cspot import CrossShardLink, NetworkPath
+from repro.core.fabric_sharded import FabricHubRunner
+from repro.core.telemetry import TelemetryRecord
+from repro.cspot import CrossShardLink, FabricEnvelope, NetworkPath
 from repro.parallel import CellFault, LinkFault
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -40,6 +43,13 @@ BOUNDARY_CAMPAIGN = ShardChaosCampaign(
 SLOW_LINK = CrossShardLink.from_path(
     NetworkPath("degraded backhaul", one_way_ms=60_000.0)
 )
+
+#: Scenario overrides the barrier and delivery checks run under.
+CASES = {
+    "clean": {},
+    "chaos": {"campaign": BOUNDARY_CAMPAIGN},
+    "slow-link": {"link": SLOW_LINK},
+}
 
 
 def _scenario(**overrides):
@@ -149,6 +159,136 @@ class TestExecutorEquivalence:
         assert spawn.canonical_json() == serial.canonical_json()
 
 
+class TestBarrierPlacement:
+    """Barriers only batch what the farms send: moving them moves no byte."""
+
+    @staticmethod
+    def _run(barriers, **overrides):
+        scenario = _scenario(**overrides)
+        scenario._barriers = lambda: barriers(scenario.horizon_s)
+        return scenario.run()
+
+    def test_one_barrier_per_telemetry_round(self):
+        barriers = _scenario()._barriers()
+        assert barriers == tuple(300.0 * k for k in range(1, 19))
+
+    @pytest.mark.parametrize(
+        "barriers",
+        [
+            lambda horizon: (horizon,),
+            lambda horizon: tuple(7.5 * k for k in range(1, 720)) + (horizon,),
+        ],
+        ids=["horizon-only", "every-7.5-s"],
+    )
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bytes_do_not_depend_on_the_barriers(self, barriers, case):
+        reference = _report(**CASES[case])
+        report = self._run(barriers, workers=2, **CASES[case])
+        assert report.canonical_json() == reference.canonical_json()
+
+    def test_spawn_with_one_barrier_matches(self):
+        report = self._run(lambda horizon: (horizon,), workers=2, executor="spawn")
+        assert report.canonical_json() == _report().canonical_json()
+
+
+def _per_farm(trace, kind, farm_field):
+    """``kind`` records of ``trace``, in order, grouped by farm."""
+    grouped = {}
+    for r in trace:
+        if r["kind"] == kind:
+            grouped.setdefault(r[farm_field], []).append(r)
+    return grouped
+
+
+class TestExactDelivery:
+    """The hub ingests each record at exactly ``send_t + latency_s``."""
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_record_ingests_at_its_send_time_plus_latency(self, case):
+        report = _report(**CASES[case])
+        exports = _per_farm(report.trace, "cspot.export", "shard")
+        ingests = _per_farm(report.trace, "hub.ingest", "src")
+        assert sum(map(len, ingests.values())) == report.transfers_delivered > 0
+        for src, ingested in ingests.items():
+            # A farm waits out each transfer before its next send, so its
+            # records arrive in the order it sent them.
+            for sent, got in zip(exports[src], ingested):
+                assert got["t"] == sent["t"] + sent["latency_s"]
+                assert got["latency_s"] == sent["latency_s"]
+                assert got["station"] == sent["station"]
+        # What did not arrive by the horizon is exactly what is in flight.
+        late = [
+            e for src, sent in exports.items()
+            for e in sent[len(ingests.get(src, ())):]
+        ]
+        assert len(late) == report.transfers_in_flight
+        assert all(e["t"] + e["latency_s"] > HORIZON_S for e in late)
+
+    def test_slo_records_carry_the_stamped_latency(self):
+        report = _report()
+        ingests = [r for r in report.trace if r["kind"] == "hub.ingest"]
+        assert [r["value_s"] for r in report.slo] == [
+            r["latency_s"] for r in ingests
+        ]
+        assert [r["t"] for r in report.slo] == [r["t"] for r in ingests]
+
+
+def _envelope(send_t, src_cell=0, seq=0, latency_s=0.1):
+    payload = TelemetryRecord(
+        station_id="cups-ext-0", time_s=send_t, wind_speed_mps=3.0,
+        wind_direction_deg=90.0, temperature_k=290.0,
+        relative_humidity=0.5, interior=False,
+    ).to_bytes()
+    return FabricEnvelope(
+        send_t=send_t, src_cell=src_cell, seq=seq,
+        log="telemetry.cups-ext-0", payload=payload, latency_s=latency_s,
+    )
+
+
+class TestHubChecks:
+    """The hub owns the transfer stream's invariants and raises on a breach."""
+
+    @staticmethod
+    def _hub():
+        return FabricHubRunner(n_sites=2, seed=3, horizon_s=HORIZON_S)
+
+    def test_ingests_at_arrival_and_keeps_late_ones_in_flight(self):
+        hub = self._hub()
+        hub.advance(300.0, [_envelope(299.95, seq=0), _envelope(150.0, seq=1)])
+        ingested = [r for r in hub.records if r["kind"] == "hub.ingest"]
+        assert [r["t"] for r in ingested] == [150.0 + 0.1]
+        late = _envelope(HORIZON_S - 0.05, src_cell=1)
+        hub.advance(HORIZON_S, [late])
+        assert [r["t"] for r in hub.records if r["kind"] == "hub.ingest"] == [
+            150.0 + 0.1, 299.95 + 0.1,
+        ]
+        assert hub.in_flight == [late]
+        assert hub.delivered == 2
+
+    def test_duplicate_key_rejected(self):
+        hub = self._hub()
+        hub.advance(300.0, [_envelope(100.0)])
+        with pytest.raises(ValueError, match="duplicate envelope key"):
+            hub.advance(600.0, [_envelope(100.0, latency_s=0.2)])
+
+    def test_arrival_in_the_hubs_past_rejected(self):
+        hub = self._hub()
+        hub.advance(300.0, [])
+        # Sent in a window the hub has already run: it would land in the
+        # hub's past, so the hub was not a window behind its farms.
+        with pytest.raises(RuntimeError, match="not after the hub's clock"):
+            hub.advance(600.0, [_envelope(299.0, latency_s=1.0)])
+        with pytest.raises(RuntimeError, match="not after the hub's clock"):
+            hub.advance(600.0, [_envelope(299.0, seq=1, latency_s=0.5)])
+
+    def test_ingest_at_any_other_time_rejected(self):
+        hub = self._hub()
+        hub.advance(300.0, [])
+        with pytest.raises(RuntimeError, match="send_t \\+ latency_s"):
+            hub.ingest(_envelope(299.0, latency_s=0.5))
+        assert hub.delivered == 0
+
+
 class TestTransferLedger:
     def test_ledger_balances(self):
         report = _report(workers=2)
@@ -158,11 +298,10 @@ class TestTransferLedger:
             == report.transfers_sent
         )
         assert report.transfer_sketch["count"] == report.transfers_sent
-        assert report.ingest_sketch["count"] == report.transfers_delivered
 
-    def test_hub_site_sends_through_the_same_bus(self):
-        # Uniformity: the hub's own telemetry also rides the bus, so the
-        # partition cannot matter -- every site sends every reading.
+    def test_every_farm_sends_every_reading(self):
+        # Every farm's records take one path to the hub, whichever worker
+        # runs it -- so every site sends every reading it takes.
         report = _report()
         assert set(report.per_site_sent) == {report.per_site_samples[0]}
         assert report.per_site_samples[0] == (report.n_windows - 1) * STATIONS
@@ -212,13 +351,13 @@ class TestTransferLedger:
 
 class TestGoldenDigests:
     """Literal digests of the rebuilt fabric: any change to a reading, a
-    transfer draw, a parked record or a vote shows here. 8 farms, seed
-    23, 1.5 h, one worker (the battery above pins every other layout to
-    the same bytes)."""
+    transfer draw, an arrival time, a parked record or a vote shows here.
+    8 farms, seed 23, 1.5 h, one worker (the battery above pins every
+    other layout and barrier placement to the same bytes)."""
 
     GOLDEN = {
-        "clean": "1fdd5ec2338197547e9379a0a504a2ff3059a02597063266320a9ce55a5e1ec2",
-        "chaos": "c6a99667790e8cd2b2733819a3c029d045c777e0bf26606adc083712354a8bc9",
+        "clean": "b72886a49c7042a06d13a1331ee23cd7835a0998f24a35d41faa369aae0c9fcc",
+        "chaos": "89988f1b8edad0c3725e58a6bed12f75d35f0bfd8f5724742a49b71aeb5bf666",
     }
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -236,17 +375,73 @@ class TestValidation:
         with pytest.raises(ValueError):
             _scenario(workers=9)  # more workers than sites
         with pytest.raises(ValueError):
-            _scenario(hub_site=8)  # out of range
-        with pytest.raises(ValueError):
             _scenario(executor="threads")
 
     def test_the_farms_run_at_the_paper_operating_points(self):
-        # No farm knob: the window is the telemetry interval, the
-        # barrier quantum the CSPOT transfer floor.
+        # No farm knob: the window, and with it the barrier calendar, is
+        # the telemetry interval.
         settable = {f.name for f in fields(ShardedFabricScenario) if f.init}
         assert settable == {
             "seed", "horizon_s", "workers", "executor", "relative_error",
-            "worker_timeout_s", "n_sites", "hub_site", "campaign", "link",
+            "worker_timeout_s", "n_sites", "campaign", "link",
         }
-        scenario = _scenario()
-        assert (scenario.window_s, scenario.interaction_delay_s) == (300.0, 0.2)
+        assert _scenario().window_s == 300.0
+
+
+class TestFaultReach:
+    """A fault on a round its farm never reaches is rejected, not ignored.
+
+    2 farms, seed 1, 30 min: the farm starts round r at (r + 1) x 300 s
+    plus the transfer latencies of every earlier round that sent, so its
+    last round is 4. Round 5 starts exactly at the horizon only if rounds
+    0-4 all parked their records, and shows only if it parks too: a round
+    that sends (or flushes) ends after the horizon.
+    """
+
+    @staticmethod
+    def _digest(*faults):
+        cell = tuple(f for f in faults if isinstance(f, CellFault))
+        link = tuple(f for f in faults if isinstance(f, LinkFault))
+        return ShardedFabricScenario(
+            n_sites=2, seed=1, horizon_s=1800.0,
+            campaign=ShardChaosCampaign(faults=cell, link_faults=link),
+        ).run().digest
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            (CellFault(1, 4, 0.25),),
+            (LinkFault(1, 4, 4),),
+            (LinkFault(1, 4, 99),),
+            # Rounds 0-4 park and take no time: round 5 starts at 1800 s.
+            (LinkFault(1, 0, 5), CellFault(1, 5, 0.25)),
+            (LinkFault(1, 0, 4), LinkFault(1, 5, 5)),
+        ],
+        ids=["cell-4", "link-4", "link-4-outlasting", "cell-5-after-parking",
+             "link-5-after-parking"],
+    )
+    def test_last_reached_round_is_accepted_and_bites(self, faults):
+        assert self._digest(*faults) != self._digest(*faults[:-1])
+
+    @pytest.mark.parametrize(
+        "faults, round_",
+        [
+            ((CellFault(1, 5, 0.25),), 5),
+            ((CellFault(1, 999, 0.25),), 999),
+            ((LinkFault(1, 5, 5),), 5),
+            ((LinkFault(1, 6, 6),), 6),
+            ((LinkFault(1, 500, 600),), 500),
+            # Round 3 sends, so round 5 is pushed past the horizon.
+            ((LinkFault(1, 0, 2), LinkFault(1, 4, 4), CellFault(1, 5)), 5),
+            # Round 5 flushes the parked records first: its reads come
+            # after the horizon.
+            ((LinkFault(1, 0, 4), CellFault(1, 5)), 5),
+        ],
+        ids=["cell-5", "cell-999", "link-5", "link-6", "link-500",
+             "cell-5-after-a-sending-round", "cell-5-flushing"],
+    )
+    def test_first_unreached_round_is_rejected(self, faults, round_):
+        with pytest.raises(
+            ValueError, match=rf"strikes round {round_}, which farm 1 never"
+        ):
+            self._digest(*faults)

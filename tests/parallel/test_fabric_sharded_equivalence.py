@@ -1,16 +1,15 @@
 """A sharded farm is the farm ``XGFabric`` runs: same readings, same votes.
 
 The reference is a single-engine build of the same classes --
-:class:`FarmSite` on farm 0's streams, :class:`Hub`, one transport with
-reliable appends, the hub's own processes -- and the subject a 1-farm,
-1-worker serial :class:`ShardedFabricScenario` with the same seed. The two
-differ only in how a record reaches the hub: the reference draws its
-append latencies from ``cspot.transport``, the sharded farm from its
-``shard.cell000.transfer`` stream, and the bus moves deliveries to
-barriers. So read times move by under a second, the telemetry values by a
-hair (the weather and the instrument noise are the same draws), and the
-Laminar verdicts not at all. Arrival times and latencies are not
-compared.
+:class:`FarmSite` on farm 0's streams, :class:`Hub` with its own
+processes -- whose uplink draws each transfer's latency the way a farm
+shard does: from the farm uplink link and the ``shard.cell000.transfer``
+stream, with the record stored in the hub's log when it arrives. The
+subject is a 1-farm, 1-worker serial :class:`ShardedFabricScenario` with
+the same seed, whose hub runs in the coordinator. The hub ingests each
+record at exactly its send time plus its latency, so everything matches
+exactly: read times, values, the hub log's append times and every duty
+cycle's verdicts.
 """
 
 import warnings
@@ -19,21 +18,20 @@ import pytest
 
 from repro.core import FabricConfig, ShardedFabricScenario
 from repro.core.fabric import FabricMetrics, FarmSite, Hub
+from repro.core.fabric_sharded import farm_uplink
 from repro.core.telemetry import TelemetryRecord
 from repro.cspot.paths import ucsb_nd_internet, unl_ucsb_5g
-from repro.cspot.transport import RemoteAppendClient, Transport
+from repro.cspot.transport import Transport
+from repro.parallel import shard_stream
 from repro.simkernel import Engine
 
 SEED = 3
 #: Six duty-cycle decisions: the first needs two full windows (1.5 h).
 HORIZON_S = 4 * 3600.0
-#: Values may differ by this much (m/s, K and fraction). Moving every read
-#: time by up to 0.8 s moves them by at most ~1.4e-4.
-VALUE_TOLERANCE = 1e-3
 
 
 def reference_run():
-    """FarmSite + Hub on one engine; returns (records by station, hub)."""
+    """FarmSite + Hub on one engine; returns (log entries by station, hub)."""
     config = FabricConfig(seed=SEED)
     engine = Engine(seed=SEED)
     metrics = FabricMetrics()
@@ -42,16 +40,14 @@ def reference_run():
     hub = Hub(engine, config, transport, metrics, farm)
     transport.connect("unl", "ucsb", unl_ucsb_5g())
     transport.connect("ucsb", "nd", ucsb_nd_internet())
-    appenders = {
-        s.station_id: RemoteAppendClient(
-            transport, farm.unl, hub.ucsb, f"telemetry.{s.station_id}",
-            policy=config.policies.append,
-        )
-        for s in farm.stations
-    }
+    link = farm_uplink()
+    transfer = engine.rng(shard_stream(0, "transfer"))
 
     def uplink(station, payload):
-        return appenders[station.station_id].append(payload)
+        arrived = engine.timeout(link.transfer_latency_s(transfer))
+        log = f"telemetry.{station.station_id}"
+        arrived.add_callback(lambda _e: hub.ucsb.local_append(log, payload))
+        return arrived
 
     def telemetry():
         interval = config.telemetry_interval_s
@@ -62,14 +58,11 @@ def reference_run():
     engine.process(telemetry())
     hub.start(HORIZON_S)
     engine.run(until=HORIZON_S)
-    records = {
-        s.station_id: [
-            TelemetryRecord.from_bytes(e.payload)
-            for e in hub.ucsb.get_log(f"telemetry.{s.station_id}").scan()
-        ]
+    entries = {
+        s.station_id: list(hub.ucsb.get_log(f"telemetry.{s.station_id}").scan())
         for s in farm.stations
     }
-    return records, hub
+    return entries, hub
 
 
 @pytest.fixture(scope="module")
@@ -84,30 +77,29 @@ def runs():
 
 
 def test_telemetry_values_agree_per_round(runs):
-    (records, _hub), report = runs
+    (entries, _hub), report = runs
     ingested = {}
     for r in report.trace:
         if r["kind"] == "hub.ingest":
             ingested.setdefault(r["station"], []).append(r)
-    assert ingested.keys() == records.keys()
-    for station, reference in records.items():
+    assert ingested.keys() == entries.keys()
+    for station, reference in entries.items():
         sharded = ingested[station]
         assert len(sharded) == len(reference) == report.n_windows - 1
-        for ref, got in zip(reference, sharded):
-            assert got["read_t"] == pytest.approx(ref.time_s, abs=1.0)
-            assert got["wind_mps"] == pytest.approx(
-                ref.wind_speed_mps, abs=VALUE_TOLERANCE
-            )
-            assert got["temperature_k"] == pytest.approx(
-                ref.temperature_k, abs=VALUE_TOLERANCE
-            )
-            assert got["humidity"] == pytest.approx(
-                ref.relative_humidity, abs=VALUE_TOLERANCE
+        for entry, got in zip(reference, sharded):
+            ref = TelemetryRecord.from_bytes(entry.payload)
+            assert got["t"] == entry.appended_at
+            assert (
+                got["read_t"], got["wind_mps"], got["temperature_k"],
+                got["humidity"],
+            ) == (
+                ref.time_s, ref.wind_speed_mps, ref.temperature_k,
+                ref.relative_humidity,
             )
 
 
 def test_every_duty_cycle_votes_identically(runs):
-    (_records, hub), report = runs
+    (_entries, hub), report = runs
     detection = hub.detection
     reference = [
         detection.decision(epoch) for epoch in range(detection.epochs)
@@ -115,9 +107,9 @@ def test_every_duty_cycle_votes_identically(runs):
     sharded = [r for r in report.trace if r["kind"] == "hub.decision"]
     assert len(reference) == len(sharded) == report.decisions == 6
     for ref, got in zip(reference, sharded):
-        assert (got["epoch"], got["welch_t"], got["mann_whitney"], got["ks"]) == (
-            ref.epoch, ref.welch_t, ref.mann_whitney, ref.ks,
-        )
-        assert got["alert"] == ref.alert
+        assert (
+            got["epoch"], got["welch_t"], got["mann_whitney"], got["ks"],
+            got["alert"],
+        ) == (ref.epoch, ref.welch_t, ref.mann_whitney, ref.ks, ref.alert)
     assert report.alerts >= 1, "the run must raise at least one alert"
     assert report.alerts == sum(ref.alert for ref in reference)

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.parallel import (
-    CSPOT_TRANSFER_FLOOR_S,
-    CellFault,
-    ShardPlan,
-    shard_stream,
-)
+from repro.parallel import CellFault, ShardPlan, shard_stream
 
 
 class TestBuild:
@@ -77,33 +72,27 @@ class TestFaultRouting:
 
 class TestSyncWindows:
     def test_decoupled_shards_use_full_window(self):
+        # Shards never receive, so nothing shortens the window: one
+        # barrier per sampling window.
         plan = ShardPlan.build(4, 2)
-        assert plan.sync_window_s(10.0, None) == 10.0
-
-    def test_interaction_delay_bounds_the_quantum(self):
-        plan = ShardPlan.build(4, 2)
-        assert plan.sync_window_s(10.0, CSPOT_TRANSFER_FLOOR_S) == (
-            CSPOT_TRANSFER_FLOOR_S
-        )
-        # A delay longer than the window never stretches the quantum.
-        assert plan.sync_window_s(10.0, 60.0) == 10.0
+        assert plan.barrier_times(40.0, 10.0) == (10.0, 20.0, 30.0, 40.0)
 
     def test_barrier_times_end_exactly_at_horizon(self):
         plan = ShardPlan.build(4, 2)
-        barriers = plan.barrier_times(30.0, 10.0, None)
+        barriers = plan.barrier_times(30.0, 10.0)
         assert barriers[-1] == 30.0
         assert list(barriers) == sorted(barriers)
         assert barriers == (10.0, 20.0, 30.0)
 
-    def test_barrier_times_with_interaction_delay(self):
+    def test_partial_last_window_ends_at_the_horizon(self):
         plan = ShardPlan.build(2, 2)
-        barriers = plan.barrier_times(1.0, 1.0, 0.25)
-        assert barriers == (0.25, 0.5, 0.75, 1.0)
+        assert plan.barrier_times(1.0, 0.25) == (0.25, 0.5, 0.75, 1.0)
+        assert plan.barrier_times(1.0, 0.3) == (0.3, 0.6, 0.8999999999999999, 1.0)
 
-    def test_nonpositive_delay_rejected(self):
+    def test_nonpositive_window_rejected(self):
         plan = ShardPlan.build(2, 2)
-        with pytest.raises(ValueError):
-            plan.sync_window_s(10.0, 0.0)
+        with pytest.raises(ValueError, match="window_s"):
+            plan.barrier_times(10.0, 0.0)
 
 
 class TestStreamNaming:

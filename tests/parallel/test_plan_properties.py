@@ -2,9 +2,9 @@
 
 Hypothesis sweeps (n_cells, n_workers) pairs and fault sets; the plan
 must always (1) assign every cell exactly once, (2) in contiguous
-balanced blocks, (3) derive strictly increasing barrier times whose
-quantum never exceeds min(window, interaction delay), and (4) route
-faults totally -- every fault to exactly the worker owning its cell.
+balanced blocks, (3) derive strictly increasing barrier times, one per
+window and the horizon last, and (4) route faults totally -- every
+fault to exactly the worker owning its cell.
 """
 
 import pytest
@@ -60,24 +60,15 @@ def test_owner_of_agrees_with_assignments(plan):
     plan=plans(),
     horizon_s=st.floats(min_value=0.5, max_value=500.0),
     window_s=st.floats(min_value=0.01, max_value=50.0),
-    interaction_delay_s=st.one_of(
-        st.none(), st.floats(min_value=0.01, max_value=10.0)
-    ),
 )
-def test_barriers_strictly_increase_to_the_horizon(
-    plan, horizon_s, window_s, interaction_delay_s
-):
-    barriers = plan.barrier_times(horizon_s, window_s, interaction_delay_s)
+def test_barriers_strictly_increase_to_the_horizon(plan, horizon_s, window_s):
+    barriers = plan.barrier_times(horizon_s, window_s)
     assert barriers, "at least the horizon barrier must exist"
     assert barriers[-1] == horizon_s
     assert all(b2 > b1 for b1, b2 in zip(barriers, barriers[1:]))
-    quantum = plan.sync_window_s(window_s, interaction_delay_s)
-    assert quantum <= window_s
-    if interaction_delay_s is not None:
-        assert quantum <= interaction_delay_s
-    # Interior barriers sit on quantum multiples below the horizon.
+    # Interior barriers sit on window multiples below the horizon.
     for k, barrier in enumerate(barriers[:-1], start=1):
-        assert barrier == k * quantum
+        assert barrier == k * window_s
         assert barrier < horizon_s
 
 

@@ -5,12 +5,15 @@ trace JSONL, SHA-256 digest) -- not approximate aggregates -- because the
 subsystem's contract is bit-identity, not statistical agreement.
 """
 
+from dataclasses import fields
+
 import pytest
 
 from repro.parallel import (
-    CSPOT_TRANSFER_FLOOR_S,
     CellFault,
     ShardedScaleScenario,
+    run_shards_serial,
+    run_shards_spawn,
 )
 from repro.radio.population import Distribution, RandomVariable, UEPopulation
 
@@ -136,20 +139,36 @@ class TestExecutorEquivalence:
             _scenario(executor="threads")
 
 
-class TestConservativeSync:
-    def test_interaction_delay_changes_barriers_not_bytes(self):
-        reference = _scenario(workers=4).run()
-        tight = _scenario(
-            workers=4, interaction_delay_s=CSPOT_TRANSFER_FLOOR_S
-        ).run()
-        assert tight.canonical_json() == reference.canonical_json()
+def _cell_bytes(results):
+    """Each cell's trace records and sketch, in cell order."""
+    return [
+        (r.cell_index, r.records, r.sketch.to_dict())
+        for r in sorted(results, key=lambda r: r.cell_index)
+    ]
 
-    def test_tight_sync_still_matches_under_spawn(self):
-        serial = _scenario(workers=2, interaction_delay_s=2.5).run()
-        spawn = _scenario(
-            workers=2, executor="spawn", interaction_delay_s=2.5
-        ).run()
-        assert spawn.canonical_json() == serial.canonical_json()
+
+class TestBarrierPlacement:
+    """Barriers change when shards stop, never what they compute."""
+
+    #: 0.2 s barriers across the 30 s horizon, the 10 s windows among them.
+    FINE = tuple(round(0.2 * k, 1) for k in range(1, 151))
+    #: Barriers between the windows' sampling instants (0, 10 and 20 s).
+    OFF_GRID = (2.5, 7.5, 12.5, 17.5, 22.5, 27.5, 30.0)
+
+    def test_finer_barriers_change_no_byte(self):
+        scenario = _scenario(workers=4)
+        assert scenario._barriers() == (10.0, 20.0, 30.0)
+        reference = run_shards_serial(scenario._tasks(), scenario._barriers())
+        for barriers in (self.FINE, self.OFF_GRID):
+            moved = run_shards_serial(scenario._tasks(), barriers)
+            assert _cell_bytes(moved) == _cell_bytes(reference)
+
+    def test_moved_barriers_still_match_under_spawn(self):
+        scenario = _scenario(workers=2)
+        serial = run_shards_serial(scenario._tasks(), scenario._barriers())
+        spawned, timings = run_shards_spawn(scenario._tasks(), self.OFF_GRID)
+        assert len(timings) == 2
+        assert _cell_bytes(spawned) == _cell_bytes(serial)
 
 
 class TestFaultRouting:
@@ -216,6 +235,13 @@ class TestAccounting:
         assert payload["aggregate_mean_mbps"] == pytest.approx(
             report.aggregate_mean_bps / 1e6
         )
+
+    def test_settable_fields(self):
+        settable = {f.name for f in fields(ShardedScaleScenario) if f.init}
+        assert settable == {
+            "seed", "horizon_s", "window_s", "workers", "executor",
+            "relative_error", "worker_timeout_s", "population", "faults",
+        }
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):

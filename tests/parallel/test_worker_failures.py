@@ -5,16 +5,24 @@ Two injected failure modes (:class:`~repro.parallel.shard.WorkerCrash`):
 pipe; ``"exit"`` -- the worker dies without a protocol reply
 (``SystemExit`` is not an ``Exception``, so the worker loop cannot
 convert it to an ``("error", ...)`` message and the coordinator sees the
-pipe close). Both must surface as a clear ``RuntimeError`` naming the
-worker, on both executors, within bounded time.
+pipe close). A worker that exits before it reads the coordinator's next
+message resets the pipe instead. Each must surface as a clear
+``RuntimeError`` naming the worker, on both executors, within bounded
+time.
 """
+
+import os
+from dataclasses import dataclass
 
 import pytest
 
-from repro.core.fabric_sharded import FabricShardTask, ShardedFabricScenario
+from repro.core.fabric_sharded import (
+    FabricHubRunner,
+    FabricShardTask,
+    ShardedFabricScenario,
+)
 from repro.parallel import (
     CellFault,
-    FabricBus,
     ScaleShardTask,
     ShardedScaleScenario,
     ShardPlan,
@@ -43,8 +51,8 @@ def _scale_task(**overrides):
     return ScaleShardTask(**{**fields, **overrides})
 
 
-#: Past the first telemetry round (t=300 s), so fabric shards exchange
-#: envelopes before the horizon.
+#: Past the first telemetry round (t=300 s), so fabric shards send
+#: envelopes to the hub before the horizon.
 FABRIC_HORIZON_S = 400.0
 
 
@@ -67,7 +75,19 @@ def _fabric_tasks(crash=None, crash_worker=1):
 
 
 def _fabric_barriers(plan):
-    return plan.barrier_times(FABRIC_HORIZON_S, 300.0, 0.2)
+    return plan.barrier_times(FABRIC_HORIZON_S, 300.0)
+
+
+def _fabric_hub():
+    return FabricHubRunner(N_SITES, 3, FABRIC_HORIZON_S)
+
+
+@dataclass(frozen=True, kw_only=True)
+class _ExitingTask(ScaleShardTask):
+    """A task whose worker exits before it reads its first ``advance``."""
+
+    def build_runner(self):
+        os._exit(3)
 
 
 def _radio_tasks(crash=None):
@@ -123,12 +143,11 @@ NAN, INF = float("nan"), float("inf")
 #: Scenario inputs that would make ``run()`` spin forever on its barrier
 #: schedule, fail only inside it, or run but sample wrongly or inject
 #: nothing: (family, overrides, message). The fabric family fixes its
-#: window and interaction delay.
+#: window.
 SCENARIO_REJECTIONS = [
     ("scale", {"horizon_s": NAN}, "horizon_s"),
     ("scale", {"horizon_s": INF}, "horizon_s"),
     ("scale", {"window_s": NAN}, "window_s"),
-    ("scale", {"interaction_delay_s": NAN}, "interaction_delay_s"),
     ("scale", {"worker_timeout_s": 0.0}, "worker_timeout_s"),
     ("scale", {"relative_error": NAN}, "relative_error"),
     # A window takes one sample per UE per second: 2.5 s and 0.5 s
@@ -163,10 +182,10 @@ def test_scenario_rejects_unrunnable_inputs(family, overrides, message):
         build(**overrides)
 
 
-@pytest.mark.parametrize("window_s, delay_s", [(INF, None), (2.0, NAN)])
-def test_sync_window_rejects_non_finite_quantum(window_s, delay_s):
+@pytest.mark.parametrize("horizon_s, window_s", [(4.0, INF), (4.0, NAN), (NAN, 2.0)])
+def test_barrier_times_reject_non_finite_inputs(horizon_s, window_s):
     with pytest.raises(ValueError, match="must be positive and finite"):
-        ShardPlan.build(2, 1).sync_window_s(window_s, delay_s)
+        ShardPlan.build(2, 1).barrier_times(horizon_s, window_s)
 
 
 class TestCrashValidation:
@@ -182,49 +201,58 @@ class TestCrashValidation:
 class TestSerialExecutor:
     def test_raise_surfaces_with_worker_context(self):
         plan, tasks = _fabric_tasks(WorkerCrash(barrier_index=1))
-        bus = FabricBus(plan, FABRIC_HORIZON_S)
         with pytest.raises(RuntimeError, match=r"worker 1 .*barrier"):
-            run_shards_serial(tasks, _fabric_barriers(plan), bus)
+            run_shards_serial(tasks, _fabric_barriers(plan), _fabric_hub())
 
     def test_exit_is_contained_not_propagated(self):
         # SystemExit from a shard must not terminate the host process
         # (which would kill pytest itself); the serial executor converts
         # it to the same coordinator error the spawn path produces.
         plan, tasks = _fabric_tasks(WorkerCrash(barrier_index=0, mode="exit"))
-        bus = FabricBus(plan, FABRIC_HORIZON_S)
         with pytest.raises(RuntimeError, match="worker 1"):
-            run_shards_serial(tasks, _fabric_barriers(plan), bus)
+            run_shards_serial(tasks, _fabric_barriers(plan), _fabric_hub())
 
     def test_radio_shard_crash_surfaces_too(self):
         plan, tasks = _radio_tasks(WorkerCrash(barrier_index=0))
         with pytest.raises(RuntimeError, match="worker 1"):
-            run_shards_serial(tasks, plan.barrier_times(4.0, 2.0, None))
+            run_shards_serial(tasks, plan.barrier_times(4.0, 2.0))
 
 
 class TestSpawnExecutor:
     def test_raise_ships_the_error_over_the_pipe(self):
         plan, tasks = _fabric_tasks(WorkerCrash(barrier_index=1))
-        bus = FabricBus(plan, FABRIC_HORIZON_S)
         with pytest.raises(
             RuntimeError, match=r"worker 1 failed.*injected shard crash"
         ):
             run_shards_spawn(
-                tasks, _fabric_barriers(plan), bus, timeout_s=60.0
+                tasks, _fabric_barriers(plan), _fabric_hub(), timeout_s=60.0
             )
 
     def test_exit_closes_the_pipe_and_raises_cleanly(self):
         plan, tasks = _fabric_tasks(WorkerCrash(barrier_index=0, mode="exit"))
-        bus = FabricBus(plan, FABRIC_HORIZON_S)
         with pytest.raises(RuntimeError, match=r"worker 1 died|worker 1"):
             run_shards_spawn(
-                tasks, _fabric_barriers(plan), bus, timeout_s=60.0
+                tasks, _fabric_barriers(plan), _fabric_hub(), timeout_s=60.0
             )
+
+    def test_exit_before_reading_names_the_worker(self):
+        # The worker dies while the coordinator's next message sits
+        # unread in its end of the pipe: the coordinator's receive sees
+        # the connection reset, not an EOF.
+        population = _scale_task().population
+        tasks = [
+            _ExitingTask(population=population, seed=3, horizon_s=4.0,
+                         window_s=2.0, cells=cells)
+            for cells in ShardPlan.build(2, 2).assignments
+        ]
+        with pytest.raises(RuntimeError, match=r"shard worker 0 died"):
+            run_shards_spawn(tasks, (2.0, 4.0), timeout_s=60.0)
 
     def test_radio_spawn_crash_does_not_hang(self):
         plan, tasks = _radio_tasks(WorkerCrash(barrier_index=0, mode="exit"))
         with pytest.raises(RuntimeError, match="worker 1"):
             run_shards_spawn(
-                tasks, plan.barrier_times(4.0, 2.0, None), timeout_s=60.0
+                tasks, plan.barrier_times(4.0, 2.0), timeout_s=60.0
             )
 
 
@@ -232,16 +260,17 @@ class TestHealthyProtocol:
     def test_serial_and_spawn_agree_without_crashes(self):
         plan, tasks = _fabric_tasks(None)
         barriers = _fabric_barriers(plan)
-        serial = run_shards_serial(tasks, barriers, FabricBus(plan, FABRIC_HORIZON_S))
-        spawned, timings = run_shards_spawn(
-            tasks, barriers, FabricBus(plan, FABRIC_HORIZON_S)
-        )
+        serial_hub, spawn_hub = _fabric_hub(), _fabric_hub()
+        serial = run_shards_serial(tasks, barriers, serial_hub)
+        spawned, timings = run_shards_spawn(tasks, barriers, spawn_hub)
         assert len(timings) == 2
         serial.sort(key=lambda r: r.cell_index)
         spawned.sort(key=lambda r: r.cell_index)
         assert [r.records for r in serial] == [r.records for r in spawned]
+        assert serial_hub.records == spawn_hub.records
+        assert serial_hub.delivered == N_SITES * 5
 
-    def test_busless_run_rejects_cross_shard_traffic(self):
+    def test_hubless_run_rejects_cross_shard_traffic(self):
         plan, tasks = _fabric_tasks(None)
-        with pytest.raises(RuntimeError, match="without a fabric bus"):
-            run_shards_serial(tasks, _fabric_barriers(plan), bus=None)
+        with pytest.raises(RuntimeError, match="without a hub"):
+            run_shards_serial(tasks, _fabric_barriers(plan), hub=None)
