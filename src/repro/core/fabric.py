@@ -46,7 +46,12 @@ from repro.cspot.errors import NodeDownError, PartitionedError
 from repro.cspot.log import WooF
 from repro.cspot.node import CSPOTNode
 from repro.cspot.paths import testbed_paths
-from repro.cspot.transport import RemoteAppendClient, Transport
+from repro.cspot.transport import (
+    RemoteAppendClient,
+    RetriesExhausted,
+    Transport,
+    retry,
+)
 from repro.hpc.site import QueueLoadGenerator
 from repro.hpc.sites import anvil, nd_crc, stampede3
 from repro.laminar.change_detect import WINDOW_SIZE, build_change_detection_graph
@@ -458,28 +463,29 @@ class Hub:
         up. Degraded means late here, never crashed.
         """
         cfg = self.config
-        policy = cfg.policies.fetch
+        engine = self.engine
         # Offset by one telemetry interval so polls trail detections.
-        yield self.engine.timeout(cfg.telemetry_interval_s)
-        while self.engine.now + DUTY_CYCLE_S <= duration_s:
-            yield self.engine.timeout(DUTY_CYCLE_S)
-            entries = None
-            for attempt in range(policy.max_attempts):
-                try:
-                    entries = yield self.transport.remote_fetch(
-                        self.nd, self.ucsb, "alerts",
-                        since_seqno=self._last_alert_seqno,
-                    )
-                    break
-                except (PartitionedError, NodeDownError):
-                    delay = policy.delay_s(attempt)
-                    if delay:
-                        yield self.engine.timeout(delay)
+        yield engine.timeout(cfg.telemetry_interval_s)
+        while engine.now + DUTY_CYCLE_S <= duration_s:
+            yield engine.timeout(DUTY_CYCLE_S)
+            try:
+                entries = yield from retry(
+                    engine, cfg.policies.fetch, self._fetch_alerts,
+                    (PartitionedError, NodeDownError),
+                )
+            except RetriesExhausted:
+                continue
             if not entries:
                 continue
             self._last_alert_seqno = entries[-1].seqno
             if not self._cfd_busy:
                 self.engine.process(self._cfd_trigger(), name="cfd-trigger")
+
+    def _fetch_alerts(self, _attempt: int) -> Event:
+        """One fetch of the alerts ND has not seen."""
+        return self.transport.remote_fetch(
+            self.nd, self.ucsb, "alerts", since_seqno=self._last_alert_seqno
+        )
 
     def _pilot_watchdog(self, duration_s: float) -> FabricProcess:
         """Re-bootstrap the pilot layer when faults empty it.
@@ -502,7 +508,6 @@ class Hub:
     def _cfd_trigger(self) -> FabricProcess:
         """Alert -> pilot -> CFD -> twin refresh (the HPC arm of Fig. 3)."""
         cfg = self.config
-        policy = cfg.policies.pilot
         placement = self.placement
         cores = placement.cores_per_task
         self._cfd_busy = True
@@ -527,12 +532,9 @@ class Hub:
                 )[0]
             )
             queue_start = self.engine.now
-            site_name = self.site.name
-            task: Optional[Task] = None
-            # A pilot can expire or be killed between selection and
-            # execution; acquire a fresh one and retry (the delay-tolerant
-            # discipline again), up to the configured attempt budget.
-            for attempt in range(policy.max_attempts):
+            placed: list[tuple[str, Task]] = []
+
+            def run_on_a_pilot(attempt: int) -> Event:
                 site_name, pilot = placement.acquire_pilot(
                     case.input_size_bytes()
                 )
@@ -541,15 +543,18 @@ class Hub:
                     nodes=placement.nodes_for_task(placement.sites[site_name]),
                     runtime_s=runtime,
                 )
-                try:
-                    yield pilot.run_task(task)
-                    break
-                except RuntimeError:
-                    delay = policy.delay_s(attempt)
-                    if delay:
-                        yield self.engine.timeout(delay)
-                    continue
-            else:
+                placed.append((site_name, task))
+                return pilot.run_task(task)
+
+            # A pilot can expire or be killed between selection and
+            # execution; acquire a fresh one and retry (the delay-tolerant
+            # discipline again), up to the configured attempt budget.
+            try:
+                yield from retry(
+                    self.engine, cfg.policies.pilot, run_on_a_pilot,
+                    (RuntimeError,),
+                )
+            except RetriesExhausted:
                 # Budget exhausted (e.g. the cluster lost its nodes
                 # mid-campaign): give the trigger up instead of crashing
                 # the run; later alerts trigger afresh.
@@ -558,9 +563,9 @@ class Hub:
                     self.tracer.metrics.counter(
                         "fabric.cfd_failures",
                         help="CFD triggers abandoned after pilot retries",
-                    ).inc(site=site_name)
+                    ).inc(site=placed[-1][0])
                 return
-            assert task is not None  # the retry loop always built one
+            site_name, task = placed[-1]
             queue_wait = (task.start_time or queue_start) - queue_start
             tr = self.tracer
             sim_span = None

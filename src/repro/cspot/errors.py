@@ -26,9 +26,13 @@ class AckLostError(CSPOTError):
 
 
 class ElementSizeError(AppendError):
-    """Payload does not fit the log's fixed element size, or a stale
-    client-side size cache disagrees with the server (the documented failure
-    of the latency optimization in section 4.2)."""
+    """Payload does not fit the log's fixed element size."""
+
+
+class StaleSizeError(ElementSizeError):
+    """A frame built on a cached element size was rejected: the cache may
+    be stale (the documented failure of the latency optimization in
+    section 4.2). A retry that fetches the size afresh can succeed."""
 
 
 class EvictedError(CSPOTError):

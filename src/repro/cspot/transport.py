@@ -33,7 +33,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 import numpy as np
 
@@ -46,11 +46,12 @@ from repro.cspot.errors import (
     ElementSizeError,
     NodeDownError,
     PartitionedError,
+    StaleSizeError,
 )
 from repro.cspot.faults import FaultInjector
 from repro.cspot.node import CSPOTNode
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.simkernel import Engine, Process
+from repro.simkernel import Engine, Event, Process
 from repro.simkernel.streams import CSPOT_TRANSPORT, cspot_fault_stream, shard_stream
 
 
@@ -127,11 +128,11 @@ DEFAULT_APPEND_COST_S = 0.001
 class RetryPolicy:
     """Capped exponential backoff over a bounded number of attempts.
 
-    The one home of the backoff rule: the reliable append
-    (:class:`RemoteAppendClient`) retries on it, and the fabric's alert
-    fetch and pilot acquisition loops read their delays from it
-    (:class:`~repro.chaos.policies.FabricPolicies`). Pure data and
-    arithmetic -- no engine, no randomness.
+    The one home of the backoff rule. Pure data and arithmetic -- no
+    engine, no randomness: :func:`retry` runs attempts on it, for the
+    reliable append (:class:`RemoteAppendClient`) and the fabric's alert
+    fetch and pilot acquisition
+    (:class:`~repro.chaos.policies.FabricPolicies`).
 
     Attributes
     ----------
@@ -194,6 +195,47 @@ class RetryPolicy:
 DEFAULT_APPEND_POLICY = RetryPolicy(
     max_attempts=100, backoff_s=0.5, backoff_factor=2.0, max_backoff_s=60.0
 )
+
+
+class RetriesExhausted(Exception):
+    """Every attempt a :class:`RetryPolicy` allows has failed."""
+
+    def __init__(self, attempts: int, last_error: Exception) -> None:
+        super().__init__(
+            f"failed after {attempts} attempts; last error: {last_error}"
+        )
+        self.last_error = last_error
+
+
+def retry(
+    engine: Engine,
+    policy: RetryPolicy,
+    attempt: Callable[[int], Event],
+    retry_on: tuple[type[Exception], ...],
+) -> Generator[Event, Any, Any]:
+    """Run ``attempt(0)``, ``attempt(1)``, ... until one succeeds.
+
+    The one attempt/catch/backoff loop; a process body delegates to it
+    with ``yield from`` and gets the successful event's value back.
+    ``attempt(i)`` starts try ``i`` and returns the event it ends with;
+    only that event's failures of a ``retry_on`` type are caught (any
+    other error propagates). The wait is between attempts only:
+    ``policy.delay_s(i)`` after failed attempt ``i`` (none when it is 0),
+    and nothing after the last one, which raises
+    :class:`RetriesExhausted` at once -- so an exhausted loop has waited
+    exactly ``policy.total_budget_s()`` in backoff.
+    """
+    last = policy.max_attempts - 1
+    for i in range(policy.max_attempts):
+        event = attempt(i)
+        try:
+            return (yield event)
+        except retry_on as exc:
+            if i == last:
+                raise RetriesExhausted(policy.max_attempts, exc) from exc
+        delay = policy.delay_s(i)
+        if delay:
+            yield engine.timeout(delay)
 
 
 class Transport:
@@ -361,7 +403,8 @@ class Transport:
 
         if len(payload) > element_size:
             # With a correct size this is caught client-side before sending.
-            raise ElementSizeError(
+            error = ElementSizeError if cached_element_size is None else StaleSizeError
+            raise error(
                 f"payload {len(payload)}B exceeds element size {element_size}B "
                 f"for log {log_name!r}"
             )
@@ -372,7 +415,7 @@ class Transport:
         log = server.logs[log_name]
         if cached_element_size is not None and cached_element_size != log.element_size:
             # Stale cache: server rejects the mis-framed message.
-            raise ElementSizeError(
+            raise StaleSizeError(
                 f"stale cached element size {cached_element_size} != "
                 f"server's {log.element_size} for log {log_name!r}"
             )
@@ -493,15 +536,19 @@ class RemoteAppendClient:
     retried until it succeeds or the application terminates the
     computation". Retries reuse the same op id so the server's dedup table
     upgrades at-least-once to exactly-once. The client optionally caches the
-    element size after the first success (the latency optimization), and
-    invalidates the cache on a stale-size failure.
+    element size after a success (the latency optimization); only a first
+    attempt trusts the cache, so a stale one costs one retry.
 
-    ``policy`` bounds the attempts and spaces them: after a partition,
-    a dead node or a lost ack the client waits ``policy.delay_s(attempt)``
-    (no wait at all when it is 0); a stale-cache failure retries at once.
+    ``policy`` bounds the attempts and spaces them (:func:`retry`): a
+    partition, a dark node, a lost ack or a stale size cache is retried
+    after ``policy.delay_s(attempt)``; a payload too big for the log is
+    not retried.
     """
 
     _ids = itertools.count()
+
+    #: The failures a reliable append retries.
+    RETRY_ON = (PartitionedError, NodeDownError, AckLostError, StaleSizeError)
 
     def __init__(
         self,
@@ -532,57 +579,36 @@ class RemoteAppendClient:
         )
 
     def _retry_body(self, payload: bytes, op_id: str) -> Generator:
-        engine = self.transport.engine
+        try:
+            seqno = yield from retry(
+                self.transport.engine,
+                self.policy,
+                lambda attempt: self._attempt(payload, op_id, attempt),
+                self.RETRY_ON,
+            )
+        except RetriesExhausted as exc:
+            raise AppendError(
+                f"append to {self.log_name!r} {exc}"
+            ) from exc.last_error
+        if self.use_size_cache:
+            self._cached_size = self.server.logs[self.log_name].element_size
+        return seqno
+
+    def _attempt(self, payload: bytes, op_id: str, attempt: int) -> Process:
+        """Start one try of the append (the same op id every time)."""
+        self.attempts += 1
         tracer = self.transport.tracer
-        policy = self.policy
-        last_error: Exception | None = None
-        for attempt in range(policy.max_attempts):
-            self.attempts += 1
-            if tracer.enabled:
-                tracer.metrics.counter(
-                    "cspot.append.attempts", help="reliable-append attempts"
-                ).inc(log=self.log_name)
-            cached = self._cached_size if self.use_size_cache else None
-            try:
-                seqno = yield self.transport.remote_append(
-                    self.client,
-                    self.server,
-                    self.log_name,
-                    payload,
-                    client_id=self.client_id,
-                    op_id=op_id,
-                    cached_element_size=cached,
-                )
-            except ElementSizeError as exc:
-                if cached is not None:
-                    # Stale cache: invalidate and retry with a size fetch.
-                    self._cached_size = None
-                    last_error = exc
-                    if tracer.enabled:
-                        tracer.metrics.counter(
-                            "cspot.append.retries", help="retried appends"
-                        ).inc(log=self.log_name, error=type(exc).__name__)
-                    continue
-                raise  # genuinely oversized payload: not retryable
-            except (PartitionedError, NodeDownError, AckLostError) as exc:
-                last_error = exc
-                if tracer.enabled:
-                    tracer.metrics.counter(
-                        "cspot.append.retries", help="retried appends"
-                    ).inc(log=self.log_name, error=type(exc).__name__)
-                if policy.backoff_s and attempt + 1 < policy.max_attempts:
-                    # Long partitions (the paper's "frequent network
-                    # interruption" in remote deployments) are waited out
-                    # rather than hammered. The wait is between attempts
-                    # only: an exhausted append raises when its last
-                    # attempt fails, at most total_budget_s() after the
-                    # first began.
-                    yield engine.timeout(policy.delay_s(attempt))
-                continue
-            if self.use_size_cache and self._cached_size is None:
-                self._cached_size = self.server.logs[self.log_name].element_size
-            return seqno
-        raise AppendError(
-            f"append to {self.log_name!r} failed after {policy.max_attempts} "
-            f"attempts; last error: {last_error}"
+        if tracer.enabled:
+            tracer.metrics.counter(
+                "cspot.append.attempts", help="reliable-append attempts"
+            ).inc(log=self.log_name)
+        trust_cache = self.use_size_cache and attempt == 0
+        return self.transport.remote_append(
+            self.client,
+            self.server,
+            self.log_name,
+            payload,
+            client_id=self.client_id,
+            op_id=op_id,
+            cached_element_size=self._cached_size if trust_cache else None,
         )

@@ -15,12 +15,14 @@ from repro.cspot import (
     ElementSizeError,
     NetworkPath,
     NodeDownError,
+    PartitionedError,
     RemoteAppendClient,
     RetryPolicy,
     Transport,
 )
 from repro.cspot.boundary import CrossShardLink
 from repro.cspot.paths import testbed_paths as table1_paths
+from repro.cspot.transport import RetriesExhausted, retry
 from repro.simkernel import Engine
 
 
@@ -224,10 +226,95 @@ class TestDelayTolerance:
         # Server-side recreation with a different element size.
         del server.logs["telemetry"]
         server.create_log("telemetry", element_size=2048)
-        # The stale cache fails once, invalidates, refetches, succeeds.
+        # The stale cache fails once; the retry refetches and succeeds.
+        attempts = appender.attempts
         seqno = engine.run(until=appender.append(b"b"))
         assert seqno == 1  # fresh log
+        assert appender.attempts == attempts + 2
         assert appender._cached_size == 2048
+
+    def test_oversized_payload_is_not_retried(self):
+        engine = Engine(seed=0)
+        transport, client, server, _ = make_pair(engine, element_size=8)
+        appender = RemoteAppendClient(transport, client, server, "telemetry")
+        with pytest.raises(ElementSizeError, match="exceeds"):
+            engine.run(until=appender.append(b"x" * 9))
+        assert appender.attempts == 1
+
+
+class TestRetry:
+    """The one attempt/catch/backoff loop: it waits between attempts only."""
+
+    @staticmethod
+    def _run(policy, outcomes, retry_on=(PartitionedError,)):
+        """Drive ``retry`` over attempts that fail or succeed in turn;
+        returns (attempt start times, end time, result or exception)."""
+        engine = Engine(seed=0)
+        starts = []
+
+        def attempt(i):
+            starts.append(engine.now)
+            event = engine.event()
+            outcome = outcomes[i]
+            if isinstance(outcome, Exception):
+                event.fail(outcome)
+            else:
+                event.succeed(outcome)
+            return event
+
+        def body():
+            try:
+                return (yield from retry(engine, policy, attempt, retry_on))
+            except Exception as exc:
+                return exc
+
+        result = engine.run(until=engine.process(body()))
+        return starts, engine.now, result
+
+    def test_exhausted_loop_raises_with_its_last_failure(self):
+        policy = RetryPolicy(max_attempts=8, backoff_s=5.0, max_backoff_s=120.0)
+        failures = [PartitionedError(f"try {i}") for i in range(8)]
+        starts, end, result = self._run(policy, failures)
+        assert starts == [0.0, 5.0, 15.0, 35.0, 75.0, 155.0, 275.0, 395.0]
+        # No backoff follows the last attempt.
+        assert end == starts[-1] == policy.total_budget_s()
+        assert isinstance(result, RetriesExhausted)
+        assert result.last_error is failures[-1]
+        assert "after 8 attempts" in str(result)
+
+    def test_first_success_ends_the_loop(self):
+        policy = RetryPolicy(max_attempts=5, backoff_s=1.0)
+        starts, end, result = self._run(
+            policy, [PartitionedError("a"), PartitionedError("b"), 42]
+        )
+        assert starts == [0.0, 1.0, 3.0]
+        assert (end, result) == (3.0, 42)
+
+    def test_zero_backoff_retries_in_the_same_instant(self):
+        policy = RetryPolicy(
+            max_attempts=3, backoff_s=0.0, backoff_factor=1.0, max_backoff_s=0.0
+        )
+        starts, end, result = self._run(policy, [RuntimeError("x")] * 3, (RuntimeError,))
+        assert starts == [0.0, 0.0, 0.0] and end == 0.0
+        assert isinstance(result, RetriesExhausted)
+
+    def test_other_errors_propagate_at_once(self):
+        policy = RetryPolicy(max_attempts=5, backoff_s=1.0)
+        error = NodeDownError("not retried here")
+        starts, end, result = self._run(policy, [error, 1])
+        assert starts == [0.0] and end == 0.0
+        assert result is error
+
+    def test_an_attempt_that_cannot_start_is_not_retried(self):
+        engine = Engine(seed=0)
+
+        def attempt(_i):
+            raise PartitionedError("raised while starting the attempt")
+
+        with pytest.raises(PartitionedError, match="while starting"):
+            engine.run(until=engine.process(
+                retry(engine, RetryPolicy(), attempt, (PartitionedError,))
+            ))
 
 
 class TestPartitionWindows:
