@@ -11,8 +11,7 @@ up at duration:
   actual fronts, not with runtime);
 * every CFD refresh stays within the real-time envelope;
 * both breaches detected, localized, and confirmed;
-* the Laminar runtime's working state stays bounded (epoch pruning);
-* observability memory stays bounded too: the run is traced with
+* observability memory stays bounded: the run is traced with
   ``Tracer(max_spans=...)`` ring retention, so peak span memory is
   O(ring size) regardless of horizon (streaming sinks keep the exact
   aggregates).

@@ -4,8 +4,9 @@ The Figure 3 pipeline has two sites:
 
 * :class:`FarmSite` -- one farm inside its private 5G cell: the weather
   truth, the stations, the Farm-ng robot, the ``unl`` CSPOT node, and the
-  5G network with its gateway UE. A telemetry round reads every station
-  and sends each record up an uplink.
+  5G network with its gateway UE. Its telemetry clock reads every
+  station once per interval and parks each record in the ``unl`` outbox
+  log; its one uplink process sends the outbox in order.
 * :class:`Hub` -- the repository and HPC side: the ``ucsb`` and ``nd``
   nodes, Laminar change detection on the duty cycle
   (:class:`ChangeDetection`), ND's alert poll, one pilot placement
@@ -26,8 +27,9 @@ the robot on suspicion. The sharded fabric
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Generator, Optional, Sequence
+from typing import Any, Callable, Generator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -43,15 +45,10 @@ from repro.core.config import (
 from repro.core.digital_twin import DigitalTwin
 from repro.core.telemetry import TELEMETRY_ELEMENT_SIZE, TelemetryRecord
 from repro.cspot.errors import NodeDownError, PartitionedError
-from repro.cspot.log import WooF
+from repro.cspot.log import LogEntry, WooF
 from repro.cspot.node import CSPOTNode
 from repro.cspot.paths import testbed_paths
-from repro.cspot.transport import (
-    RemoteAppendClient,
-    RetriesExhausted,
-    Transport,
-    retry,
-)
+from repro.cspot.transport import RemoteAppendClient, RetriesExhausted, Transport, retry
 from repro.hpc.site import QueueLoadGenerator
 from repro.hpc.sites import anvil, nd_crc, stampede3
 from repro.laminar.change_detect import WINDOW_SIZE, build_change_detection_graph
@@ -76,10 +73,6 @@ from repro.simkernel import Engine, Event
 
 #: Process bodies yield events and may receive any triggered value back.
 FabricProcess = Generator[Event, Any, None]
-
-#: A farm's telemetry uplink: sends one station's record bytes and returns
-#: the event the farm waits on before it reads the next station.
-Uplink = Callable[[WeatherStation, bytes], Event]
 
 
 @dataclass
@@ -129,14 +122,16 @@ class FarmSite:
     """One farm inside its private 5G cell.
 
     The weather truth, the station grid, the Farm-ng robot, the ``unl``
-    CSPOT node (it holds the operator's inbox), and the 5G network with
-    the gateway UE every byte leaves through.
+    CSPOT node (it holds the operator's inbox and the telemetry outbox),
+    and the 5G network with the gateway UE every byte leaves through. The
+    telemetry clock (:meth:`telemetry_rounds`) parks readings in the
+    outbox and the uplink (:meth:`uplink`) sends them on, so a busy or
+    broken uplink never delays a read ("data parked in logs", section 3.1).
 
     Parameters
     ----------
     engine / metrics:
-        The simulation engine and the metrics the telemetry rounds count
-        into.
+        The simulation engine and the metrics the uplink counts into.
     cell:
         The farm's cell in a sharded fabric: its sensors draw their own
         ``shard.cell<ccc>.*`` streams. ``None`` (the one farm of a
@@ -155,6 +150,7 @@ class FarmSite:
         self.engine = engine
         self.metrics = metrics
         self.tracer = tracer
+        self.name = "the farm" if cell is None else f"farm {cell}"
         #: Ground-truth breach schedule the interior stations feel.
         self.breaches = BreachSchedule()
         self.weather = SyntheticWeather.from_engine(engine, cell)
@@ -164,6 +160,13 @@ class FarmSite:
         self.instruments = instrument_rng(engine, cell)
         self.unl = CSPOTNode(engine, "unl")
         self.unl.create_log("operator.inbox", element_size=256, history_size=1024)
+        self.outbox = self.unl.create_log(
+            "telemetry.outbox", element_size=TELEMETRY_ELEMENT_SIZE, history_size=4096
+        )
+        #: Seqno of the last outbox record whose send has ended.
+        self.sent_seqno = 0
+        #: What an idle uplink waits on; the next round triggers it.
+        self._idle: Optional[Event] = None
         # The private 5G network: byte accounting and the attach pipeline.
         self.radio = NetworkDeployment.build(
             "5g-tdd", RADIO_BANDWIDTH_MHZ, name="prod"
@@ -172,50 +175,80 @@ class FarmSite:
         if tracer.enabled:
             self.radio.gnb.bind_metrics(tracer.metrics)
 
-    def telemetry_round(
-        self, uplink: Uplink, derate: Optional[float] = None
-    ) -> Generator[Event, Any, list[StationReading]]:
-        """Read every station once and send each record up ``uplink``.
+    def telemetry_rounds(
+        self, interval_s: float, horizon_s: float,
+        on_round: Callable[[int, list[StationReading]], None],
+        derates: Optional[Mapping[int, float]] = None,
+    ) -> FabricProcess:
+        """The telemetry clock: round ``r`` reads at (r + 1) x ``interval_s``.
 
-        The farm waits for each send before it reads the next station, so
-        a round's read times trail its start by the uplink latencies. A
-        ``derate`` scales the round's wind readings (a degraded sensor
-        block). Returns the round's readings.
+        Exactly on that grid and strictly before ``horizon_s``, whatever
+        the uplink is doing. ``derates[r]`` scales round ``r``'s wind
+        (a degraded sensor block); ``on_round(r, readings)`` sees it.
         """
-        tr = self.tracer
+        derates = derates or {}
+        round_ = 0
+        while (due := (round_ + 1) * interval_s) < horizon_s:
+            yield self.engine.timeout(due - self.engine.now)
+            on_round(round_, self.telemetry_round(derates.get(round_)))
+            round_ += 1
+
+    def telemetry_round(self, derate: Optional[float] = None) -> list[StationReading]:
+        """Read every station now and park each record in the outbox.
+
+        One record per station, in grid order, so outbox seqno ``s`` holds
+        station ``(s - 1) mod n``. While ``unl`` is dark the stations have
+        nowhere to log and nothing is read. A round that would overwrite
+        a record the uplink has not sent fails the run instead.
+        """
+        if not self.unl.alive:
+            return []
+        outbox, now = self.outbox, self.engine.now
+        unsent = outbox.last_seqno - self.sent_seqno
+        if unsent + len(self.stations) > outbox.history_size:
+            raise RuntimeError(
+                f"{self.name}'s {outbox.history_size}-slot outbox holds {unsent} unsent "
+                f"records at t={now} s: this round's would overwrite the oldest"
+            )
         readings: list[StationReading] = []
         for station in self.stations:
-            reading = station.read(
-                self.weather,
-                self.engine.now,
-                self.instruments,
-                breaches=self.breaches,
-            )
+            reading = station.read(self.weather, now, self.instruments, breaches=self.breaches)
             if derate is not None:
-                reading = replace(
-                    reading, wind_speed_mps=reading.wind_speed_mps * derate
-                )
+                reading = replace(reading, wind_speed_mps=reading.wind_speed_mps * derate)
             readings.append(reading)
-            payload = TelemetryRecord.from_reading(reading).to_bytes()
-            start = self.engine.now
-            if tr.enabled:
-                # The uplink TX itself is an instant here: its
-                # serialization cost is folded into the calibrated
-                # UNL->UCSB path latency of the append that follows.
-                tr.record(
-                    "radio.tx", start, start,
-                    category="radio",
-                    attrs={
-                        "station": station.station_id,
-                        "bytes": len(payload),
-                    },
-                )
-            yield uplink(station, payload)
-            self.metrics.telemetry_latencies_s.append(self.engine.now - start)
-            self.metrics.telemetry_sent += 1
-            self.metrics.telemetry_bytes += len(payload)
-            self.route_uplink(len(payload))
+            outbox.append(TelemetryRecord.from_reading(reading).to_bytes(), now=now)
+        idle, self._idle = self._idle, None
+        if idle is not None:
+            idle.succeed()
         return readings
+
+    def uplink(self, send: Callable[[WeatherStation, LogEntry], FabricProcess]) -> FabricProcess:
+        """Send the outbox, oldest record first, one at a time, for good.
+
+        ``send(station, entry)`` carries one record toward the repository;
+        the record, its bytes and its own send time (not its wait in the
+        outbox) count when it returns. An idle uplink waits for a round.
+        """
+        engine, outbox, metrics, tr = self.engine, self.outbox, self.metrics, self.tracer
+        while True:
+            if self.sent_seqno == outbox.last_seqno:
+                self._idle = engine.event()
+                yield self._idle
+            entry = outbox.get(self.sent_seqno + 1)
+            station = self.stations[(entry.seqno - 1) % len(self.stations)]
+            n_bytes = len(entry.payload)
+            start = engine.now
+            if tr.enabled:
+                # The TX is an instant: its serialization cost is folded
+                # into the calibrated UNL->UCSB path latency of the send.
+                tr.record("radio.tx", start, start, category="radio",
+                          attrs={"station": station.station_id, "bytes": n_bytes})
+            yield from send(station, entry)
+            metrics.telemetry_latencies_s.append(engine.now - start)
+            metrics.telemetry_sent += 1
+            metrics.telemetry_bytes += n_bytes
+            self.route_uplink(n_bytes)
+            self.sent_seqno = entry.seqno
 
     def route_uplink(self, n_bytes: int) -> None:
         """Account ``n_bytes`` through the 5G core while the UE is attached."""
@@ -457,20 +490,28 @@ class Hub:
     def _alert_poll_loop(self, duration_s: float) -> FabricProcess:
         """ND fetches the alert log on the 30-minute duty cycle.
 
+        Poll ``k`` falls at one telemetry interval (so polls trail
+        detections) plus ``k`` duty cycles, whatever earlier polls cost.
         Fetches retry on the configured fetch policy; if a partition or a
         dark repository outlasts the whole budget, the *cycle* is given up
         -- the alerts stay parked in the log and the next poll picks them
-        up. Degraded means late here, never crashed.
+        up (a cycle still retrying then absorbs it). Degraded means late
+        here, never crashed.
         """
         cfg = self.config
         engine = self.engine
-        # Offset by one telemetry interval so polls trail detections.
-        yield engine.timeout(cfg.telemetry_interval_s)
-        while engine.now + DUTY_CYCLE_S <= duration_s:
-            yield engine.timeout(DUTY_CYCLE_S)
+        for k in itertools.count(1):
+            due = cfg.telemetry_interval_s + k * DUTY_CYCLE_S
+            if due > duration_s:
+                return
+            if due < engine.now:
+                continue
+            yield engine.timeout(due - engine.now)
+            since = self._last_alert_seqno
             try:
                 entries = yield from retry(
-                    engine, cfg.policies.fetch, self._fetch_alerts,
+                    engine, cfg.policies.fetch,
+                    lambda _: self.transport.remote_fetch(self.nd, self.ucsb, "alerts", since),
                     (PartitionedError, NodeDownError),
                 )
             except RetriesExhausted:
@@ -479,13 +520,7 @@ class Hub:
                 continue
             self._last_alert_seqno = entries[-1].seqno
             if not self._cfd_busy:
-                self.engine.process(self._cfd_trigger(), name="cfd-trigger")
-
-    def _fetch_alerts(self, _attempt: int) -> Event:
-        """One fetch of the alerts ND has not seen."""
-        return self.transport.remote_fetch(
-            self.nd, self.ucsb, "alerts", since_seqno=self._last_alert_seqno
-        )
+                engine.process(self._cfd_trigger(), name="cfd-trigger")
 
     def _pilot_watchdog(self, duration_s: float) -> FabricProcess:
         """Re-bootstrap the pilot layer when faults empty it.
@@ -535,9 +570,7 @@ class Hub:
             placed: list[tuple[str, Task]] = []
 
             def run_on_a_pilot(attempt: int) -> Event:
-                site_name, pilot = placement.acquire_pilot(
-                    case.input_size_bytes()
-                )
+                site_name, pilot = placement.acquire_pilot(case.input_size_bytes())
                 task = Task(
                     name=f"cfd-{int(trigger_time)}-a{attempt}",
                     nodes=placement.nodes_for_task(placement.sites[site_name]),
@@ -550,10 +583,7 @@ class Hub:
             # execution; acquire a fresh one and retry (the delay-tolerant
             # discipline again), up to the configured attempt budget.
             try:
-                yield from retry(
-                    self.engine, cfg.policies.pilot, run_on_a_pilot,
-                    (RuntimeError,),
-                )
+                yield from retry(self.engine, cfg.policies.pilot, run_on_a_pilot, (RuntimeError,))
             except RetriesExhausted:
                 # Budget exhausted (e.g. the cluster lost its nodes
                 # mid-campaign): give the trigger up instead of crashing
@@ -791,6 +821,7 @@ class XGFabric:
             else NULL_SPAN
         )
         self.engine.process(self._telemetry_loop(duration_s), name="telemetry-loop")
+        self.engine.process(self.farm.uplink(self._send), name="telemetry-uplink")
         self.hub.start(duration_s)
         self.engine.run(until=duration_s)
         root.annotate(
@@ -803,19 +834,18 @@ class XGFabric:
     # -- processes --------------------------------------------------------------------
 
     def _telemetry_loop(self, duration_s: float) -> FabricProcess:
-        interval = self.config.telemetry_interval_s
-        while self.engine.now + interval <= duration_s:
-            yield self.engine.timeout(interval)
-            readings = yield from self.farm.telemetry_round(self._uplink)
-            # Twin comparison against the freshest interior measurements.
-            self._compare_twin(readings)
+        yield from self.farm.telemetry_rounds(
+            self.config.telemetry_interval_s, duration_s, self._compare_twin
+        )
 
-    def _uplink(self, station: WeatherStation, payload: bytes) -> Event:
-        return self._appenders[station.station_id].append(payload)
+    def _send(self, station: WeatherStation, entry: LogEntry) -> FabricProcess:
+        """The farm's uplink send: one reliable append into the hub's log."""
+        yield self._appenders[station.station_id].append(entry.payload)
 
-    def _compare_twin(self, readings: list[StationReading]) -> None:
+    def _compare_twin(self, _round: int, readings: list[StationReading]) -> None:
+        """Compare one round's readings with the twin's freshest prediction."""
         twin = self.hub.twin
-        if not twin.has_prediction:
+        if not readings or not twin.has_prediction:
             return
         farm = self.farm
         exterior = next(r for r in readings if not r.interior)

@@ -8,14 +8,13 @@ Every cell is a :class:`~repro.core.fabric.FarmSite` -- the farm
 streams. The repository every farm reports into is no cell: it is the
 :class:`FabricHubRunner`, which runs in the coordinator.
 
-* **Uplink.** Each telemetry round, a farm reads its stations and sends
-  every :class:`~repro.core.telemetry.TelemetryRecord` through
+* **Uplink.** A farm runs ``XGFabric``'s telemetry clock and uplink
+  (round ``r`` reads at exactly (r + 1) x 300 s into the ``unl``
+  outbox). Its send is
   :meth:`~repro.cspot.transport.Transport.export_append`: the record
   leaves the farm's shard as a
   :class:`~repro.cspot.boundary.FabricEnvelope` stamped with its
-  transfer latency. The farm waits out that latency before its next
-  read, as a reliable append does in ``XGFabric``, so its read cadence
-  is the same.
+  transfer latency, which the uplink waits out before the next record.
 * **Hub.** The coordinator hands each window's envelopes to the hub,
   which advances through window k only after every farm shard has
   finished window k. Records flow one way, so the farms never wait for
@@ -30,10 +29,11 @@ streams. The repository every farm reports into is no cell: it is the
   A :class:`~repro.parallel.plan.CellFault` derates one round's wind
   readings (a degraded sensor block). A
   :class:`~repro.parallel.plan.LinkFault` severs a farm's uplink for a
-  range of rounds: records park in the farm's local CSPOT log (CSPOT's
-  delay tolerance) and flush, in order, at the first healthy round, or
-  stay parked if the fault outlasts the run. A fault on a round its farm
-  never reaches is rejected at construction.
+  range of rounds: the export waits them out, so records stay parked in
+  the outbox (CSPOT's delay tolerance) and go out in order from the
+  first healthy round, or stay parked if the fault outlasts the run. A
+  fault strikes round ``r`` exactly when (r + 1) x 300 s < ``horizon_s``;
+  one on a later round is rejected at construction.
 
 Barriers fall once per telemetry round, and where they fall changes no
 byte: the merged :class:`~repro.parallel.report.FabricParallelReport` is
@@ -51,6 +51,7 @@ to unpickle its task; ``repro.parallel`` itself stays free of it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
 from heapq import heappop, heappush
 from typing import Any, Optional, Sequence
@@ -64,10 +65,10 @@ from repro.core.fabric import (
     FabricMetrics,
     FabricProcess,
     FarmSite,
-    Uplink,
 )
 from repro.core.telemetry import TELEMETRY_ELEMENT_SIZE, TelemetryRecord
 from repro.cspot.boundary import CrossShardLink, FabricEnvelope, ShardBoundary
+from repro.cspot.log import LogEntry
 from repro.cspot.node import CSPOTNode
 from repro.cspot.paths import unl_ucsb_5g
 from repro.cspot.transport import Transport
@@ -78,12 +79,11 @@ from repro.parallel.merge import merge_sketches, merge_streams
 from repro.parallel.plan import CellFault, LinkFault
 from repro.parallel.report import FabricParallelReport
 from repro.parallel.shard import ShardRunner, ShardTask
-from repro.sensors.station import WeatherStation, station_grid
+from repro.sensors.station import StationReading, WeatherStation, station_grid
 from repro.simkernel import Engine
-from repro.simkernel.events import Event
 
-#: A farm's local log where records of severed rounds wait to be flushed.
-PARKED_LOG = "telemetry.parked"
+#: Every farm's telemetry interval: the paper's 300 s, and the window.
+INTERVAL_S = FabricConfig.telemetry_interval_s
 
 #: Transfer budget of the per-delivery SLO timeline: the objective of the
 #: sensor -> edge append SLO that monitors the same leg in ``XGFabric``.
@@ -106,7 +106,7 @@ def hub_log(src_cell: int, log_name: str) -> str:
 class FabricShardTask(ShardTask):
     """A fabric shard: the owned farms of an ``n_cells``-farm fabric.
 
-    Every fault must strike a telemetry round its farm reaches.
+    Every fault must strike a round its farm reads: (r + 1) x 300 s < horizon.
     """
 
     n_cells: int
@@ -118,37 +118,14 @@ class FabricShardTask(ShardTask):
         self._require_owned(
             "link fault", (f.cell_index for f in self.link_faults)
         )
-        struck: list[tuple[CellFault | LinkFault, int]] = [
-            (f, f.window) for f in self.faults
-        ]
+        struck: list[tuple[CellFault | LinkFault, int]] = [(f, f.window) for f in self.faults]
         struck += [(f, f.start_window) for f in self.link_faults]
         for fault, round_ in struck:
-            if not self._reaches(fault.cell_index, round_):
+            if (round_ + 1) * INTERVAL_S >= self.horizon_s:
                 raise ValueError(
                     f"{fault} strikes round {round_}, which farm "
                     f"{fault.cell_index} never reaches in {self.horizon_s} s"
                 )
-
-    def _reaches(self, cell: int, round_: int) -> bool:
-        """Whether a fault on farm ``cell``'s round ``round_`` can show.
-
-        A round starts one interval after the previous round's sends: (r
-        + 1) intervals in, later by every earlier round's transfer
-        latencies (a severed round parks its records and takes no time).
-        So a round due after the horizon never runs. One due exactly at
-        the horizon shows only if it and every earlier round park: a
-        round that sends ends after the horizon, and so do its records.
-        A round due before the horizon may still be pushed past it; only
-        a farm loop that keeps its clock (ROADMAP.md, item 1) makes the
-        rule exact.
-        """
-        due = (round_ + 1) * FabricConfig.telemetry_interval_s
-        if due != self.horizon_s:
-            return due < self.horizon_s
-        return all(
-            any(f.cell_index == cell and f.severs(r) for f in self.link_faults)
-            for r in range(round_ + 1)
-        )
 
     def _n_cells(self) -> int:
         return self.n_cells
@@ -164,11 +141,11 @@ class SiteShardResult:
     cell_index: int
     #: Station readings the farm took.
     samples: int = 0
-    #: Envelopes exported toward the hub (includes flushed parked ones).
+    #: Envelopes exported toward the hub.
     sent: int = 0
-    #: Records ever parked behind a severed link.
+    #: Records read while the link was severed (they waited in the outbox).
     parked_total: int = 0
-    #: Records still parked when the run ended (fault outlasted it).
+    #: Records still in the outbox, unsent, when the run ended.
     parked_remaining: int = 0
     #: Transfer latency sketch (the stamped draws).
     transfer_sketch: QuantileSketch = field(
@@ -185,107 +162,75 @@ class FabricShardRunner(ShardRunner[SiteShardResult]):
 
     def __init__(self, task: FabricShardTask) -> None:
         super().__init__(task)
-        self.config = FabricConfig(seed=task.seed)
         self.transport = Transport(self.engine)
         self.boundary = ShardBoundary(task.link)
         self.transport.bind_boundary(self.boundary)
-        self._seqs: dict[int, int] = {c: 0 for c in task.cells}
-        #: Seqno of the last parked record each farm has flushed.
-        self._flushed: dict[int, int] = {c: 0 for c in task.cells}
-        self._link_faults: dict[int, list[LinkFault]] = {
-            c: [] for c in task.cells
-        }
-        for link_fault in task.link_faults:
-            self._link_faults[link_fault.cell_index].append(link_fault)
         self._farms: dict[int, FarmSite] = {}
         for c in task.cells:
-            farm = FarmSite(self.engine, FabricMetrics(), cell=c)
-            farm.unl.create_log(
-                PARKED_LOG,
-                element_size=TELEMETRY_ELEMENT_SIZE,
-                history_size=4096,
-            )
-            self._farms[c] = farm
+            farm = self._farms[c] = FarmSite(self.engine, FabricMetrics(), cell=c)
             self._results[c] = SiteShardResult(
                 cell_index=c,
                 transfer_sketch=QuantileSketch.identity(task.relative_error),
             )
-            self.engine.process(self._farm_loop(c), name=f"farm{c:03d}")
+            derates = {w: d for (cell, w), d in self._derates.items() if cell == c}
+            rounds = farm.telemetry_rounds(
+                INTERVAL_S, task.horizon_s, functools.partial(self._read, c), derates
+            )
+            self.engine.process(rounds, name=f"farm{c:03d}")
+            uplink = farm.uplink(functools.partial(self._send, c))
+            self.engine.process(uplink, name=f"farm{c:03d}.uplink")
 
     # -- accounting -------------------------------------------------------------
 
     def _record(self, cell: int, kind: str, **fields: Any) -> None:
-        seq = self._seqs[cell]
-        self._seqs[cell] = seq + 1
-        self._results[cell].records.append(
-            {"t": self.engine.now, "shard": cell, "seq": seq, "kind": kind, **fields}
-        )
+        records = self._results[cell].records
+        records.append({
+            "t": self.engine.now, "shard": cell, "seq": len(records),
+            "kind": kind, **fields,
+        })
 
     # -- the farms --------------------------------------------------------------
 
     def _severed(self, cell: int, round_: int) -> bool:
-        return any(f.severs(round_) for f in self._link_faults[cell])
+        return any(
+            f.cell_index == cell and f.severs(round_) for f in self.task.link_faults
+        )
 
-    def _farm_loop(self, cell: int) -> FabricProcess:
-        """The farm's telemetry cadence: one round per interval."""
-        farm = self._farms[cell]
-        interval = self.config.telemetry_interval_s
-        round_ = 0
-        while self.engine.now + interval <= self.task.horizon_s:
-            yield self.engine.timeout(interval)
-            severed = self._severed(cell, round_)
-            if not severed:
-                yield from self._flush(cell, round_)
-            # None = no fault on this (cell, round); avoids a float sentinel.
-            derate = self._derates.get((cell, round_))
-            readings = yield from farm.telemetry_round(
-                self._uplink(cell, round_, severed), derate=derate
-            )
-            self._results[cell].samples += len(readings)
-            self._record(
-                cell, "farm.round", round=round_, readings=len(readings),
-                derate=1.0 if derate is None else derate,
-            )
-            round_ += 1
+    def _read(self, cell: int, round_: int, readings: list[StationReading]) -> None:
+        """Account one telemetry round of farm ``cell``."""
+        result = self._results[cell]
+        result.samples += len(readings)
+        if self._severed(cell, round_):
+            result.parked_total += len(readings)
+        self._record(
+            cell, "farm.round", round=round_, readings=len(readings),
+            derate=self._derates.get((cell, round_), 1.0),
+        )
 
-    def _uplink(self, cell: int, round_: int, severed: bool) -> Uplink:
-        def send(station: WeatherStation, payload: bytes) -> Event:
-            if not severed:
-                return self._export(cell, round_, station.station_id, payload)
-            # Severed: the record parks in the farm's own log, durably.
-            seqno = self._farms[cell].unl.local_append(PARKED_LOG, payload)
-            self._results[cell].parked_total += 1
-            self._record(
-                cell, "farm.parked", round=round_,
-                station=station.station_id, parked=seqno - self._flushed[cell],
-            )
-            return self.engine.timeout(0.0)
+    def _send(self, cell: int, station: WeatherStation, entry: LogEntry) -> FabricProcess:
+        """The farm's uplink send: export one record to the hub.
 
-        return send
-
-    def _flush(self, cell: int, round_: int) -> FabricProcess:
-        """Send every parked record, oldest first, before the round's reads."""
-        log = self._farms[cell].unl.get_log(PARKED_LOG)
-        for entry in list(log.scan(self._flushed[cell])):
-            self._flushed[cell] = entry.seqno
-            station_id = TelemetryRecord.from_bytes(entry.payload).station_id
-            yield self._export(cell, round_, station_id, entry.payload)
-
-    def _export(
-        self, cell: int, round_: int, station_id: str, payload: bytes
-    ) -> Event:
-        """Send one record to the hub; the farm waits out its latency."""
+        A severed link holds the record until the first healthy round
+        starts; the farm then waits out the transfer latency.
+        """
+        engine = self.engine
+        round_ = int(engine.now // INTERVAL_S) - 1
+        if self._severed(cell, round_):
+            while self._severed(cell, round_):
+                round_ += 1
+            yield engine.timeout((round_ + 1) * INTERVAL_S - engine.now)
         envelope = self.transport.export_append(
-            cell, f"telemetry.{station_id}", payload
+            cell, f"telemetry.{station.station_id}", entry.payload
         )
         result = self._results[cell]
         result.sent += 1
         result.transfer_sketch.add(envelope.latency_s)
         self._record(
-            cell, "cspot.export", round=round_, station=station_id,
-            envelope_seq=envelope.seq, latency_s=envelope.latency_s,
+            cell, "cspot.export", station=station.station_id,
+            read_t=entry.appended_at, envelope_seq=envelope.seq,
+            latency_s=envelope.latency_s,
         )
-        return self.engine.timeout(envelope.latency_s)
+        yield engine.timeout(envelope.latency_s)
 
     # -- the barrier protocol ---------------------------------------------------
 
@@ -295,9 +240,10 @@ class FabricShardRunner(ShardRunner[SiteShardResult]):
 
     def finish(self) -> list[SiteShardResult]:
         """Per-site results in cell-index order (ascending, stable)."""
+        # The uplink sends in seqno order: the unsent are those after ``sent``.
         for c, farm in self._farms.items():
-            parked = farm.unl.get_log(PARKED_LOG).last_seqno
-            self._results[c].parked_remaining = parked - self._flushed[c]
+            result = self._results[c]
+            result.parked_remaining = sum(1 for _ in farm.outbox.scan(result.sent))
         return super().finish()
 
 
@@ -459,9 +405,7 @@ class ShardedFabricScenario(ShardedScenario):
 
     n_sites: int = 8
     horizon_s: float = 7200.0
-    window_s: float = field(
-        default=FabricConfig.telemetry_interval_s, init=False
-    )
+    window_s: float = field(default=INTERVAL_S, init=False)
     campaign: Optional[ShardChaosCampaign] = None
     link: CrossShardLink = field(default_factory=farm_uplink)
 
@@ -497,6 +441,12 @@ class ShardedFabricScenario(ShardedScenario):
         """Execute the farm shards and the hub, merge canonically."""
         hub = FabricHubRunner(self.n_sites, self.seed, self.horizon_s)
         results: list[SiteShardResult] = self._execute(self._tasks(), hub)
+        for r in results:
+            if r.samples != r.sent + r.parked_remaining:
+                raise RuntimeError(
+                    f"farm {r.cell_index} read {r.samples} records but sent "
+                    f"{r.sent} with {r.parked_remaining} left in its outbox"
+                )
         sent = sum(r.sent for r in results)
         if sent != hub.delivered + len(hub.in_flight):
             raise RuntimeError(

@@ -30,9 +30,8 @@ class ElementSizeError(AppendError):
 
 
 class StaleSizeError(ElementSizeError):
-    """A frame built on a cached element size was rejected: the cache may
-    be stale (the documented failure of the latency optimization in
-    section 4.2). A retry that fetches the size afresh can succeed."""
+    """A frame built on a cached element size was rejected: the cache may be
+    stale (the documented failure of the latency optimization in section 4.2)."""
 
 
 class EvictedError(CSPOTError):

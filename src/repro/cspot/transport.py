@@ -198,13 +198,7 @@ DEFAULT_APPEND_POLICY = RetryPolicy(
 
 
 class RetriesExhausted(Exception):
-    """Every attempt a :class:`RetryPolicy` allows has failed."""
-
-    def __init__(self, attempts: int, last_error: Exception) -> None:
-        super().__init__(
-            f"failed after {attempts} attempts; last error: {last_error}"
-        )
-        self.last_error = last_error
+    """Every attempt a :class:`RetryPolicy` allows failed (see ``__cause__``)."""
 
 
 def retry(
@@ -213,26 +207,23 @@ def retry(
     attempt: Callable[[int], Event],
     retry_on: tuple[type[Exception], ...],
 ) -> Generator[Event, Any, Any]:
-    """Run ``attempt(0)``, ``attempt(1)``, ... until one succeeds.
+    """The one attempt/catch/backoff loop, for ``yield from`` in a process.
 
-    The one attempt/catch/backoff loop; a process body delegates to it
-    with ``yield from`` and gets the successful event's value back.
     ``attempt(i)`` starts try ``i`` and returns the event it ends with;
-    only that event's failures of a ``retry_on`` type are caught (any
-    other error propagates). The wait is between attempts only:
-    ``policy.delay_s(i)`` after failed attempt ``i`` (none when it is 0),
-    and nothing after the last one, which raises
-    :class:`RetriesExhausted` at once -- so an exhausted loop has waited
-    exactly ``policy.total_budget_s()`` in backoff.
+    that event's ``retry_on`` failures are retried, and its value is
+    returned. The wait is between attempts only (``policy.delay_s(i)``,
+    none when 0): the last failure raises :class:`RetriesExhausted` at
+    once, ``policy.total_budget_s()`` of backoff after the first began.
     """
-    last = policy.max_attempts - 1
     for i in range(policy.max_attempts):
         event = attempt(i)
         try:
             return (yield event)
         except retry_on as exc:
-            if i == last:
-                raise RetriesExhausted(policy.max_attempts, exc) from exc
+            if i + 1 == policy.max_attempts:
+                raise RetriesExhausted(
+                    f"failed after {i + 1} attempts; last error: {exc}"
+                ) from exc
         delay = policy.delay_s(i)
         if delay:
             yield engine.timeout(delay)
@@ -537,18 +528,14 @@ class RemoteAppendClient:
     computation". Retries reuse the same op id so the server's dedup table
     upgrades at-least-once to exactly-once. The client optionally caches the
     element size after a success (the latency optimization); only a first
-    attempt trusts the cache, so a stale one costs one retry.
+    attempt trusts it, so a stale cache costs one retry.
 
-    ``policy`` bounds the attempts and spaces them (:func:`retry`): a
-    partition, a dark node, a lost ack or a stale size cache is retried
-    after ``policy.delay_s(attempt)``; a payload too big for the log is
-    not retried.
+    ``policy`` bounds and spaces the attempts (:func:`retry`): a
+    partition, a dark node, a lost ack and a stale size cache are
+    retried; a payload too big for the log is not.
     """
 
     _ids = itertools.count()
-
-    #: The failures a reliable append retries.
-    RETRY_ON = (PartitionedError, NodeDownError, AckLostError, StaleSizeError)
 
     def __init__(
         self,
@@ -581,15 +568,12 @@ class RemoteAppendClient:
     def _retry_body(self, payload: bytes, op_id: str) -> Generator:
         try:
             seqno = yield from retry(
-                self.transport.engine,
-                self.policy,
+                self.transport.engine, self.policy,
                 lambda attempt: self._attempt(payload, op_id, attempt),
-                self.RETRY_ON,
+                (PartitionedError, NodeDownError, AckLostError, StaleSizeError),
             )
         except RetriesExhausted as exc:
-            raise AppendError(
-                f"append to {self.log_name!r} {exc}"
-            ) from exc.last_error
+            raise AppendError(f"append to {self.log_name!r} {exc}") from exc.__cause__
         if self.use_size_cache:
             self._cached_size = self.server.logs[self.log_name].element_size
         return seqno
@@ -602,13 +586,8 @@ class RemoteAppendClient:
             tracer.metrics.counter(
                 "cspot.append.attempts", help="reliable-append attempts"
             ).inc(log=self.log_name)
-        trust_cache = self.use_size_cache and attempt == 0
+        cached = self._cached_size if self.use_size_cache and attempt == 0 else None
         return self.transport.remote_append(
-            self.client,
-            self.server,
-            self.log_name,
-            payload,
-            client_id=self.client_id,
-            op_id=op_id,
-            cached_element_size=self._cached_size if trust_cache else None,
+            self.client, self.server, self.log_name, payload,
+            client_id=self.client_id, op_id=op_id, cached_element_size=cached,
         )

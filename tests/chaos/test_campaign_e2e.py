@@ -24,6 +24,7 @@ from repro.chaos import (
 )
 from repro.chaos.policies import RESILIENT_POLICIES
 from repro.core import FabricConfig, XGFabric
+from repro.core.telemetry import TelemetryRecord
 from repro.obs.trace import Tracer
 from repro.sensors import BreachEvent
 from repro.sensors.weather import RegimeShift
@@ -110,6 +111,31 @@ class TestStandardCampaign:
         assert all(f.recovered for f in rep.faults)
 
 
+class TestStormClock:
+    """The storm's stations read every 10 s straight through its CSPOT
+    partition (900 s) and UE power loss (1,200 s): the records wait in the
+    farm's outbox and go out after each heal, so seed 3 reads 2,879 rounds
+    (10, 20, ..., 28,790 s) and every hub log holds them in read order."""
+
+    def test_no_read_gap_and_logs_in_read_order(self):
+        fab = XGFabric(
+            FabricConfig(
+                seed=3, telemetry_interval_s=10.0, policies=RESILIENT_POLICIES
+            )
+        )
+        rep = run_campaign(fab, standard_campaign(DURATION_S), DURATION_S)
+        assert rep.exactly_once and rep.all_recovered
+        grid = [10.0 * k for k in range(1, 2880)]
+        for station in fab.farm.stations:
+            log = fab.hub.ucsb.get_log(f"telemetry.{station.station_id}")
+            times = [TelemetryRecord.from_bytes(e.payload).time_s for e in log.scan()]
+            assert times == grid, station.station_id
+        assert fab.metrics.telemetry_sent == 5 * 2879
+        # Each latency is one append's own duration: the ~0.25 s mean is
+        # ~0.1 s appends plus the two appends that waited out an outage.
+        assert 0.15 <= fab.metrics.mean_telemetry_latency_s <= 0.30
+
+
 class TestRetryPathDigest:
     """A literal digest of the reliable append's retry paths: seed 3 at the
     storm's 10 s cadence with ``RESILIENT_POLICIES``, for 2 h, under a
@@ -119,7 +145,7 @@ class TestRetryPathDigest:
     power-loss, ack-loss or dedup path of an append shows here, on the
     fast lane, and not only in the e2e storm digest."""
 
-    GOLDEN = "7fd1ae45ebc9c25a0995f5cb862b3de72ccf6cffd38ea4e3bb519065102b1053"
+    GOLDEN = "7fa9e27bfcea3e0d0858e0277fc681bcc6b4bc38c9b9b8286409466cee91563b"
 
     def test_digest_is_pinned(self):
         fab = XGFabric(

@@ -7,9 +7,13 @@ from dataclasses import asdict
 
 import pytest
 
+import repro.core.fabric as fabric_module
+from repro.chaos.policies import DEFAULT_FETCH_POLICY, FabricPolicies
 from repro.core import FabricConfig, XGFabric, analyze_end_to_end
 from repro.core.config import DUTY_CYCLE_S
+from repro.core.telemetry import TelemetryRecord
 from repro.cspot.log import WooF
+from repro.cspot.transport import RetriesExhausted, RetryPolicy, Transport
 from repro.sensors import BreachEvent
 from repro.sensors.weather import RegimeShift
 
@@ -47,8 +51,8 @@ def eventful_run():
 class TestTelemetryPath:
     def test_telemetry_flows_every_interval(self, quiet_run):
         fab, m = quiet_run
-        # 4 h / 300 s: 47 batches x 5 stations (append latencies drift
-        # each batch slightly later, so the 48th falls past the horizon).
+        # 4 h / 300 s: rounds at 300, 600, ..., 14,100 s, strictly before
+        # the horizon: 47 rounds x 5 stations.
         assert m.telemetry_sent == 47 * 5
 
     def test_latency_matches_table1(self, quiet_run):
@@ -65,6 +69,135 @@ class TestTelemetryPath:
         fab, m = quiet_run
         assert fab.farm.radio is not None
         assert fab.farm.radio.core.total_uplink_bytes() == m.telemetry_bytes
+
+
+def read_times(fab):
+    """Each station's record times, in the order of its hub-log seqnos."""
+    return {
+        station.station_id: [
+            TelemetryRecord.from_bytes(entry.payload).time_s
+            for entry in fab.hub.ucsb.get_log(
+                f"telemetry.{station.station_id}"
+            ).scan()
+        ]
+        for station in fab.farm.stations
+    }
+
+
+class TestTelemetryClock:
+    """Rounds fall on the 300 s grid; the uplink never delays a read."""
+
+    def test_rounds_read_at_exact_multiples_of_the_interval(self, eventful_run):
+        fab, m = eventful_run
+        # 8 h: rounds at 300, 600, ..., 28,500 s (strictly before the
+        # horizon), every record sent and stored in read order.
+        grid = [300.0 * k for k in range(1, 96)]
+        assert read_times(fab) == {s.station_id: grid for s in fab.farm.stations}
+        assert m.telemetry_sent == 95 * 5
+        assert fab.farm.sent_seqno == fab.farm.outbox.last_seqno == 475
+
+    def test_reads_continue_through_a_partition(self):
+        fab = XGFabric(small_config(seed=3))
+        fab.transport.path("unl", "ucsb").faults.add_partition(1000.0, 2500.0)
+        m = fab.run(3600.0)
+        grid = [300.0 * k for k in range(1, 12)]
+        assert read_times(fab) == {s.station_id: grid for s in fab.farm.stations}
+        assert m.telemetry_sent == 11 * 5
+        # The record caught in the partition waited it out; the ones
+        # parked behind it went out after the heal at their own pace.
+        assert max(m.telemetry_latencies_s) > 60.0
+        assert sorted(m.telemetry_latencies_s)[-2] < 0.3
+
+
+class TestAlertPollGrid:
+    """ND polls at one interval plus k duty cycles, whatever polls cost.
+
+    Seed 3, 4 h, the ucsb-nd path partitioned over [3,600, 9,000) s: the
+    polls at 3,900, 5,700 and 7,500 s exhaust the 8-attempt fetch policy
+    (5, 10, 20, 40, 80, 120 and 120 s apart), and nothing, neither a last
+    backoff nor the next poll, moves off the grid.
+    """
+
+    @staticmethod
+    def _run(policies=None):
+        """Fetch attempt times and ``(start, end, outcome)`` per fetch cycle."""
+        config = FabricConfig(seed=3) if policies is None else FabricConfig(
+            seed=3, policies=policies
+        )
+        fetch_policy = config.policies.fetch
+        attempts, cycles = [], []
+        fetch, retry = Transport.remote_fetch, fabric_module.retry
+
+        def spy_fetch(transport, *args, **kwargs):
+            attempts.append(transport.engine.now)
+            return fetch(transport, *args, **kwargs)
+
+        def spy_retry(engine, policy, attempt, retry_on):
+            if policy is not fetch_policy:  # a pilot acquisition
+                return (yield from retry(engine, policy, attempt, retry_on))
+            start = engine.now
+            try:
+                value = yield from retry(engine, policy, attempt, retry_on)
+            except RetriesExhausted:
+                cycles.append((start, engine.now, "exhausted"))
+                raise
+            cycles.append((start, engine.now, "fetched"))
+            return value
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Transport, "remote_fetch", spy_fetch)
+            mp.setattr(fabric_module, "retry", spy_retry)
+            fab = XGFabric(config)
+            fab.transport.path("ucsb", "nd").faults.add_partition(3600.0, 9000.0)
+            fab.run(4 * 3600.0)
+        return attempts, cycles
+
+    @pytest.fixture(scope="class")
+    def polls(self):
+        return self._run()
+
+    def test_polls_fall_on_the_grid(self, polls):
+        _attempts, cycles = polls
+        starts = [start for start, _end, _outcome in cycles]
+        assert starts == [2100.0, 3900.0, 5700.0, 7500.0, 9300.0, 11100.0, 12900.0]
+        assert [outcome for *_, outcome in cycles] == (
+            ["fetched"] + ["exhausted"] * 3 + ["fetched"] * 3
+        )
+
+    def test_no_backoff_follows_the_last_attempt(self, polls):
+        attempts, cycles = polls
+        offsets = [0.0, 5.0, 15.0, 35.0, 75.0, 155.0, 275.0, 395.0]
+        assert [t for t in attempts if 3900.0 <= t < 5700.0] == [
+            3900.0 + dt for dt in offsets
+        ]
+        # The exhausted cycle ends with its 8th attempt, at 4,295 s.
+        assert cycles[1] == (3900.0, 4295.0, "exhausted")
+        assert DEFAULT_FETCH_POLICY.total_budget_s() == 395.0
+
+    def test_a_cycle_still_retrying_absorbs_the_next_poll(self):
+        # 30 attempts, 3,035 s of backoff: the 3,900 s cycle retries until
+        # 6,935 s, so the 5,700 s poll is skipped, and the next falls on
+        # the grid again, at 7,500 s.
+        policy = RetryPolicy(max_attempts=30, backoff_s=5.0, max_backoff_s=120.0)
+        _attempts, cycles = self._run(FabricPolicies(fetch=policy))
+        assert [(start, outcome) for start, _end, outcome in cycles] == [
+            (2100.0, "fetched"), (3900.0, "exhausted"), (7500.0, "fetched"),
+            (9300.0, "fetched"), (11100.0, "fetched"), (12900.0, "fetched"),
+        ]
+        assert cycles[1][1] == 3900.0 + policy.total_budget_s()
+
+
+class TestOutbox:
+    def test_an_unsent_record_is_never_overwritten(self):
+        # At a 5 s cadence a 5,000 s partition parks 5 records a second:
+        # the round that would overwrite the oldest unsent one fails the
+        # run, naming the farm, instead of losing it.
+        fab = XGFabric(small_config(seed=3, telemetry_interval_s=5.0))
+        fab.transport.path("unl", "ucsb").faults.add_partition(100.0, 5100.0)
+        with pytest.raises(RuntimeError, match="the farm's 4096-slot outbox"):
+            fab.run(6000.0)
+        assert fab.engine.now == 4195.0
+        assert fab.farm.outbox.last_seqno - fab.farm.sent_seqno == 4095
 
 
 class TestChangeDetection:
@@ -208,7 +341,7 @@ class TestGoldenDigest:
     ``metrics`` plus the appended bytes, so the digest pins the fabric's
     behaviour whatever its internal layout."""
 
-    GOLDEN = "32ebcb8dbb0d613269771791434102f014abdc033a35538d7ded859e9230331c"
+    GOLDEN = "697ffe27c20ef3bd21a4c797a0d364506bbcbe6dc012ad724ed47d3822c7eefc"
 
     def test_digest_is_pinned(self, monkeypatch):
         appended = []

@@ -279,7 +279,7 @@ class TestRetry:
         # No backoff follows the last attempt.
         assert end == starts[-1] == policy.total_budget_s()
         assert isinstance(result, RetriesExhausted)
-        assert result.last_error is failures[-1]
+        assert result.__cause__ is failures[-1]
         assert "after 8 attempts" in str(result)
 
     def test_first_success_ends_the_loop(self):

@@ -118,11 +118,20 @@ class TestChaosInvariance:
         clean = _report()
         chaotic = _report(campaign=BOUNDARY_CAMPAIGN)
         # The fault severs rounds 0-1 and ends inside the run, so every
-        # parked record flushes at the first healthy round: nothing
-        # remains parked and the hub still ingests every record read.
+        # parked record goes out from the first healthy round on, oldest
+        # first: nothing remains parked and the hub still ingests every
+        # record read.
         assert chaotic.parked_total == 2 * STATIONS
         assert chaotic.per_site_parked[3] == 2 * STATIONS
         assert chaotic.parked_remaining == 0
+        assert chaotic.samples == clean.samples
+        exports = [
+            r for r in chaotic.trace
+            if r["kind"] == "cspot.export" and r["shard"] == 3
+        ]
+        held = [r["read_t"] for r in exports if r["read_t"] < 900.0]
+        assert held == [300.0] * STATIONS + [600.0] * STATIONS
+        assert exports[0]["t"] == 900.0
         assert chaotic.transfers_sent == clean.transfers_sent
         assert (
             chaotic.transfers_delivered + chaotic.transfers_in_flight
@@ -315,17 +324,22 @@ class TestTransferLedger:
         assert report.decisions == report.n_sites
 
     def test_transfers_past_the_horizon_are_in_flight(self):
-        # A degraded backhaul (4 min per transfer) makes each farm's
-        # round take 20 min: the third record of the round that starts
-        # at t=4800 s arrives at 5520 s, after the horizon, so it is
-        # accounted in flight, never silently dropped.
+        # A degraded backhaul (4 min per transfer) sends 1.25 records per
+        # round of 5 while the stations keep reading: from 300 s on each
+        # farm exports every 240.001 s, so its 22nd record leaves at
+        # 5,340 s and arrives after the horizon. It is accounted in
+        # flight, and the 63 records behind it stay in the outbox.
         report = _report(link=SLOW_LINK)
         assert report.transfers_in_flight == report.n_sites
         assert report.in_flight_bytes > 0
+        assert set(report.per_site_sent) == {22}
+        assert report.parked_remaining == report.n_sites * (85 - 22)
+        assert report.parked_total == 0
         assert (
             report.transfers_delivered + report.transfers_in_flight
             == report.transfers_sent
         )
+        assert report.samples == report.transfers_sent + report.parked_remaining
 
     def test_in_flight_accounting_is_worker_count_invariant(self):
         digests = {
@@ -349,6 +363,34 @@ class TestTransferLedger:
         assert len(set(keys)) == len(keys)
 
 
+class TestOutbox:
+    """A farm's 4,096-slot outbox never drops a record silently.
+
+    One farm, seed 3, 72 h: 863 rounds, 4,315 records. Severed through
+    round 800, its 4,005 parked records fit and all go out after the
+    heal. Severed through round 830 they would not: the round that would
+    overwrite the oldest unsent record fails the run, naming the farm.
+    """
+
+    @staticmethod
+    def _run(end_window):
+        return ShardedFabricScenario(
+            n_sites=1, seed=3, horizon_s=259200.0,
+            campaign=ShardChaosCampaign.severed_link(0, 0, end_window),
+        ).run()
+
+    def test_every_parked_record_is_sent(self):
+        report = self._run(800)
+        assert report.samples == 863 * STATIONS
+        assert report.parked_total == 801 * STATIONS
+        assert report.transfers_sent == report.samples
+        assert report.parked_remaining == 0
+
+    def test_an_overflowing_outbox_fails_loudly(self):
+        with pytest.raises(RuntimeError, match="farm 0's 4096-slot outbox"):
+            self._run(830)
+
+
 class TestGoldenDigests:
     """Literal digests of the rebuilt fabric: any change to a reading, a
     transfer draw, an arrival time, a parked record or a vote shows here.
@@ -356,8 +398,8 @@ class TestGoldenDigests:
     other layout and barrier placement to the same bytes)."""
 
     GOLDEN = {
-        "clean": "b72886a49c7042a06d13a1331ee23cd7835a0998f24a35d41faa369aae0c9fcc",
-        "chaos": "89988f1b8edad0c3725e58a6bed12f75d35f0bfd8f5724742a49b71aeb5bf666",
+        "clean": "f595b5ffa6355b8678573884efd4ae6edb2900a1f150c3cfb43f17b5daec45cb",
+        "chaos": "1a053af0cf468013513c4a555a8f6ab5015f4a8e135e287ec9466233dff60ea2",
     }
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -389,59 +431,53 @@ class TestValidation:
 
 
 class TestFaultReach:
-    """A fault on a round its farm never reaches is rejected, not ignored.
+    """A fault strikes round r exactly when (r + 1) x 300 s < horizon_s.
 
-    2 farms, seed 1, 30 min: the farm starts round r at (r + 1) x 300 s
-    plus the transfer latencies of every earlier round that sent, so its
-    last round is 4. Round 5 starts exactly at the horizon only if rounds
-    0-4 all parked their records, and shows only if it parks too: a round
-    that sends (or flushes) ends after the horizon.
+    2 farms, seed 1: round r reads at (r + 1) x 300 s whatever the uplink
+    does, so at a 1,800 s horizon the last round is 4, and at 1,801 s it
+    is 5. Every accepted fault changes the bytes; any later one is
+    rejected at construction.
     """
 
     @staticmethod
-    def _digest(*faults):
+    def _digest(horizon_s, *faults):
         cell = tuple(f for f in faults if isinstance(f, CellFault))
         link = tuple(f for f in faults if isinstance(f, LinkFault))
         return ShardedFabricScenario(
-            n_sites=2, seed=1, horizon_s=1800.0,
+            n_sites=2, seed=1, horizon_s=horizon_s,
             campaign=ShardChaosCampaign(faults=cell, link_faults=link),
         ).run().digest
 
     @pytest.mark.parametrize(
-        "faults",
+        "horizon_s, fault",
         [
-            (CellFault(1, 4, 0.25),),
-            (LinkFault(1, 4, 4),),
-            (LinkFault(1, 4, 99),),
-            # Rounds 0-4 park and take no time: round 5 starts at 1800 s.
-            (LinkFault(1, 0, 5), CellFault(1, 5, 0.25)),
-            (LinkFault(1, 0, 4), LinkFault(1, 5, 5)),
+            (1800.0, CellFault(1, 4, 0.25)),
+            (1800.0, LinkFault(1, 4, 4)),
+            (1800.0, LinkFault(1, 4, 99)),
+            (1801.0, CellFault(1, 5, 0.25)),
+            (1801.0, LinkFault(1, 5, 5)),
         ],
-        ids=["cell-4", "link-4", "link-4-outlasting", "cell-5-after-parking",
-             "link-5-after-parking"],
+        ids=["cell-4@1800", "link-4@1800", "link-4-outlasting@1800",
+             "cell-5@1801", "link-5@1801"],
     )
-    def test_last_reached_round_is_accepted_and_bites(self, faults):
-        assert self._digest(*faults) != self._digest(*faults[:-1])
+    def test_last_reached_round_is_accepted_and_bites(self, horizon_s, fault):
+        assert self._digest(horizon_s, fault) != self._digest(horizon_s)
 
     @pytest.mark.parametrize(
-        "faults, round_",
+        "horizon_s, fault, round_",
         [
-            ((CellFault(1, 5, 0.25),), 5),
-            ((CellFault(1, 999, 0.25),), 999),
-            ((LinkFault(1, 5, 5),), 5),
-            ((LinkFault(1, 6, 6),), 6),
-            ((LinkFault(1, 500, 600),), 500),
-            # Round 3 sends, so round 5 is pushed past the horizon.
-            ((LinkFault(1, 0, 2), LinkFault(1, 4, 4), CellFault(1, 5)), 5),
-            # Round 5 flushes the parked records first: its reads come
-            # after the horizon.
-            ((LinkFault(1, 0, 4), CellFault(1, 5)), 5),
+            (1800.0, CellFault(1, 5, 0.25), 5),
+            (1800.0, LinkFault(1, 5, 5), 5),
+            (1801.0, CellFault(1, 6, 0.25), 6),
+            (1801.0, LinkFault(1, 6, 6), 6),
+            (1800.0, CellFault(1, 999, 0.25), 999),
+            (1800.0, LinkFault(1, 500, 600), 500),
         ],
-        ids=["cell-5", "cell-999", "link-5", "link-6", "link-500",
-             "cell-5-after-a-sending-round", "cell-5-flushing"],
+        ids=["cell-5@1800", "link-5@1800", "cell-6@1801", "link-6@1801",
+             "cell-999", "link-500"],
     )
-    def test_first_unreached_round_is_rejected(self, faults, round_):
+    def test_first_unreached_round_is_rejected(self, horizon_s, fault, round_):
         with pytest.raises(
             ValueError, match=rf"strikes round {round_}, which farm 1 never"
         ):
-            self._digest(*faults)
+            self._digest(horizon_s, fault)

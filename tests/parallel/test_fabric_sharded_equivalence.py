@@ -1,15 +1,15 @@
 """A sharded farm is the farm ``XGFabric`` runs: same readings, same votes.
 
 The reference is a single-engine build of the same classes --
-:class:`FarmSite` on farm 0's streams, :class:`Hub` with its own
-processes -- whose uplink draws each transfer's latency the way a farm
-shard does: from the farm uplink link and the ``shard.cell000.transfer``
-stream, with the record stored in the hub's log when it arrives. The
-subject is a 1-farm, 1-worker serial :class:`ShardedFabricScenario` with
-the same seed, whose hub runs in the coordinator. The hub ingests each
-record at exactly its send time plus its latency, so everything matches
-exactly: read times, values, the hub log's append times and every duty
-cycle's verdicts.
+:class:`FarmSite` on farm 0's streams with its own telemetry clock and
+uplink, :class:`Hub` with its own processes -- whose uplink send draws
+each transfer's latency the way a farm shard does: from the farm uplink
+link and the ``shard.cell000.transfer`` stream, with the record stored
+in the hub's log when it arrives. The subject is a 1-farm, 1-worker
+serial :class:`ShardedFabricScenario` with the same seed, whose hub runs
+in the coordinator. The hub ingests each record at exactly its send time
+plus its latency, so everything matches exactly: read times, values, the
+hub log's append times and every duty cycle's verdicts.
 """
 
 import warnings
@@ -43,19 +43,14 @@ def reference_run():
     link = farm_uplink()
     transfer = engine.rng(shard_stream(0, "transfer"))
 
-    def uplink(station, payload):
-        arrived = engine.timeout(link.transfer_latency_s(transfer))
-        log = f"telemetry.{station.station_id}"
-        arrived.add_callback(lambda _e: hub.ucsb.local_append(log, payload))
-        return arrived
+    def send(station, entry):
+        yield engine.timeout(link.transfer_latency_s(transfer))
+        hub.ucsb.local_append(f"telemetry.{station.station_id}", entry.payload)
 
-    def telemetry():
-        interval = config.telemetry_interval_s
-        while engine.now + interval <= HORIZON_S:
-            yield engine.timeout(interval)
-            yield from farm.telemetry_round(uplink)
-
-    engine.process(telemetry())
+    engine.process(farm.telemetry_rounds(
+        config.telemetry_interval_s, HORIZON_S, lambda _round, _readings: None
+    ))
+    engine.process(farm.uplink(send))
     hub.start(HORIZON_S)
     engine.run(until=HORIZON_S)
     entries = {
