@@ -153,9 +153,9 @@ class QuantileSketch:
             raise ValueError("cannot sketch NaN")
         self.count += 1
         if value < self.min:
-            self.min = value
+            self.min = value + 0.0  # a zero as +0.0: any partition merges alike
         if value > self.max:
-            self.max = value
+            self.max = value + 0.0
         if not math.isfinite(value):
             # An infinity joins the count, the extremes and the sum but no
             # bucket, exactly as in add_array.
@@ -195,10 +195,9 @@ class QuantileSketch:
         arr = np.asarray(values, dtype=np.float64).ravel()
         if arr.size == 0:
             return
-        # The first occurrence of each extreme, as sequential adds keep it
-        # (numpy's min/max may return either signed zero). NaN propagates.
-        lo = float(arr[arr.argmin()])
-        hi = float(arr[arr.argmax()])
+        # The extremes as sequential adds keep them; NaN propagates.
+        lo = float(arr.min()) + 0.0
+        hi = float(arr.max()) + 0.0
         if lo != lo:
             raise ValueError("cannot sketch NaN")
         self.count += int(arr.size)

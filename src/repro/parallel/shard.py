@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generic, Iterable, Optional, TypeVar
 
+import numpy as np
+
 from repro.cspot.boundary import FabricEnvelope
 from repro.obs.stream import QuantileSketch
 from repro.parallel.plan import CellFault, shard_stream
@@ -244,6 +246,8 @@ class ScaleShardRunner(ShardRunner[CellShardResult]):
             c: self.engine.rng(shard_stream(c, "radio")) for c in task.cells
         }
         self._samples_per_window = int(task.window_s)
+        # Every window samples into this block (fresh ones left heap holes).
+        self._block = np.empty(max(p.n_ues for p in cells) * self._samples_per_window)
         for c in task.cells:
             self._results[c] = CellShardResult(
                 cell_index=c,
@@ -267,11 +271,12 @@ class ScaleShardRunner(ShardRunner[CellShardResult]):
         rng = self._rngs[cell]
         result = self._results[cell]
         n_samples = self._samples_per_window
+        out = self._block[:population.n_ues * n_samples].reshape(-1, n_samples)
         # None = no fault on this (cell, window); avoids a float sentinel.
         derate = self._derates.get((cell, window))
 
         def _sample(_event: Event) -> None:
-            block = population.uplink_matrix(rng, n_samples)
+            block = population.uplink_matrix(rng, n_samples, out)
             if derate is not None:
                 block *= derate  # the block is this call's own: no copy
             result.sketch.add_array(block)

@@ -258,7 +258,7 @@ class CellPopulation:
         return grants
 
     def uplink_matrix(
-        self, rng: np.random.Generator, n_samples: int
+        self, rng: np.random.Generator, n_samples: int, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Vectorized per-second uplink samples, ``(n_ues, n_samples)`` bits/s.
 
@@ -271,8 +271,8 @@ class CellPopulation:
         fleet cell runs one round at a time and a small cell its whole
         window at once. Each chunk's normals go into one reused buffer, in
         the order one ``(n_samples, n_ues, 2)`` draw would take them, and
-        its granted samples go straight into the returned block. Neither
-        that tensor nor a dense grant matrix is ever built.
+        its granted samples go straight into the returned block, ``out`` if
+        given. Neither that tensor nor a dense grant matrix is ever built.
         """
         if n_samples <= 0:
             raise ValueError(f"n_samples must be positive: {n_samples}")
@@ -294,7 +294,9 @@ class CellPopulation:
         # The gather branch reads only the UEs granted an extra PRB, ranks
         # that wrap mod n; the dense branch reads every UE.
         state = self._state_through(int(extra.max()) + 1 if gather else n)
-        block = np.zeros((n, n_samples)) if gather else np.empty((n, n_samples))
+        block = np.empty((n, n_samples)) if out is None else out
+        if gather:
+            block.fill(0.0)
         per_chunk = min(n_samples, max(1, _CHUNK_DRAWS // (2 * n)))
         z_buf = np.empty((per_chunk, n, 2))
         for r0 in range(0, n_samples, per_chunk):

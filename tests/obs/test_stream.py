@@ -172,6 +172,22 @@ class TestQuantileSketchMechanics:
         for q in QUANTILES:
             assert merged.quantile(q) == full.quantile(q)
 
+    @pytest.mark.parametrize("values", [[1.0, 0.0, -0.0], [-0.0, 1.0, 0.0]])
+    def test_a_zero_extreme_is_positive_zero(self, values):
+        """Which signed zero came first does not show: the stream split
+        anywhere, and fed per value or per array, serializes alike."""
+        whole, by_array = QuantileSketch(0.01), QuantileSketch(0.01)
+        for v in values:
+            whole.add(v)
+        by_array.add_array(np.array(values))
+        head, tail = QuantileSketch(0.01), QuantileSketch(0.01)
+        head.add(values[0])
+        tail.add_array(np.array(values[1:]))
+        assert math.copysign(1.0, whole.min) == 1.0
+        expected = json.dumps(whole.to_dict())
+        assert json.dumps(by_array.to_dict()) == expected
+        assert json.dumps(head.merge(tail).to_dict()) == expected
+
     def test_merge_requires_same_error_bound(self):
         with pytest.raises(ValueError, match="error bounds"):
             QuantileSketch(0.01).merge(QuantileSketch(0.02))

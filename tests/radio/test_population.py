@@ -183,6 +183,26 @@ class TestCellPopulation:
             for j, uid in enumerate(cell.ue_ids()):
                 assert np.array_equal(obj[uid], vec[j])
 
+    @pytest.mark.parametrize("n_ues", [6, 450])
+    def test_uplink_matrix_into_a_reused_block(self, n_ues: int) -> None:
+        """Windows written into one dirty ``out`` equal fresh blocks; at
+        450 UEs (the gather branch) an entry no UE was granted is zeroed,
+        not left from the window before."""
+        fresh, reused = (
+            UEPopulation(
+                n_cells=1,
+                ues_per_cell=RandomVariable(float(n_ues), Distribution.CONSTANT),
+                network="5g-tdd",
+                bandwidth_mhz=40.0,
+            ).realize_cells(RngRegistry(9), [0])[0]
+            for _ in range(2)
+        )
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        out = np.full((n_ues, 5), np.nan)
+        for _ in range(2):
+            assert reused.uplink_matrix(rng_b, 5, out) is out
+            assert np.array_equal(fresh.uplink_matrix(rng_a, 5), out)
+
     def test_materialize_bounds(self, cell: CellPopulation) -> None:
         assert len(cell.materialize(0)) == 0
         assert len(cell.materialize()) == cell.n_ues
