@@ -10,11 +10,11 @@ streams. The repository every farm reports into is no cell: it is the
 
 * **Uplink.** A farm runs ``XGFabric``'s telemetry clock and uplink
   (round ``r`` reads at exactly (r + 1) x 300 s into the ``unl``
-  outbox). Its send is
-  :meth:`~repro.cspot.transport.Transport.export_append`: the record
-  leaves the farm's shard as a
-  :class:`~repro.cspot.boundary.FabricEnvelope` stamped with its
-  transfer latency, which the uplink waits out before the next record.
+  outbox). Its send leaves the farm's shard as a
+  :class:`~repro.cspot.boundary.FabricEnvelope`
+  (:func:`~repro.cspot.boundary.stamp_envelope`) whose ``seq`` is the
+  farm's count of records sent and whose transfer latency the uplink
+  waits out before the next record.
 * **Hub.** The coordinator hands each window's envelopes to the hub,
   which advances through window k only after every farm shard has
   finished window k. Records flow one way, so the farms never wait for
@@ -67,7 +67,7 @@ from repro.core.fabric import (
     FarmSite,
 )
 from repro.core.telemetry import TELEMETRY_ELEMENT_SIZE, TelemetryRecord
-from repro.cspot.boundary import CrossShardLink, FabricEnvelope, ShardBoundary
+from repro.cspot.boundary import CrossShardLink, FabricEnvelope, stamp_envelope
 from repro.cspot.log import LogEntry
 from repro.cspot.node import CSPOTNode
 from repro.cspot.paths import unl_ucsb_5g
@@ -162,9 +162,7 @@ class FabricShardRunner(ShardRunner[SiteShardResult]):
 
     def __init__(self, task: FabricShardTask) -> None:
         super().__init__(task)
-        self.transport = Transport(self.engine)
-        self.boundary = ShardBoundary(task.link)
-        self.transport.bind_boundary(self.boundary)
+        self._outbound: list[FabricEnvelope] = []
         self._farms: dict[int, FarmSite] = {}
         for c in task.cells:
             farm = self._farms[c] = FarmSite(self.engine, FabricMetrics(), cell=c)
@@ -219,10 +217,12 @@ class FabricShardRunner(ShardRunner[SiteShardResult]):
             while self._severed(cell, round_):
                 round_ += 1
             yield engine.timeout((round_ + 1) * INTERVAL_S - engine.now)
-        envelope = self.transport.export_append(
-            cell, f"telemetry.{station.station_id}", entry.payload
-        )
         result = self._results[cell]
+        envelope = stamp_envelope(
+            engine, self.task.link, src_cell=cell, seq=result.sent,
+            log=f"telemetry.{station.station_id}", payload=entry.payload,
+        )
+        self._outbound.append(envelope)
         result.sent += 1
         result.transfer_sketch.add(envelope.latency_s)
         self._record(
@@ -236,7 +236,9 @@ class FabricShardRunner(ShardRunner[SiteShardResult]):
 
     def collect_outbound(self) -> tuple[FabricEnvelope, ...]:
         """Envelopes exported during the window just drained."""
-        return self.boundary.drain()
+        out = tuple(self._outbound)
+        self._outbound.clear()
+        return out
 
     def finish(self) -> list[SiteShardResult]:
         """Per-site results in cell-index order (ascending, stable)."""

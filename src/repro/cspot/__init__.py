@@ -17,18 +17,18 @@ Python reimplementation of the CSPOT runtime the paper builds xGFabric on
   multi-event synchronization is done by scanning logs.
 * **Delay-tolerant networking** -- network partitions and power loss are
   masked by retry against persistent logs; data is "parked" in logs until
-  consumers (e.g. batch HPC jobs) fetch it.
+  consumers (e.g. batch HPC jobs) fetch it. The package has no log pump
+  of its own: a farm's records leave its ``unl`` outbox log through the
+  reliable append, one at a time and in order
+  (:meth:`~repro.core.fabric.FarmSite.uplink`), and in the sharded
+  fabric through :mod:`repro.cspot.boundary`.
 * **Two-round-trip transport** -- the ZeroMQ-based protocol fetches the
   log's element size before sending the payload; a client-side size cache
   halves the latency but fails if the server-side element size changes
   (both behaviours implemented, cf. the Table 1 discussion).
 """
 
-from repro.cspot.boundary import (
-    CrossShardLink,
-    FabricEnvelope,
-    ShardBoundary,
-)
+from repro.cspot.boundary import CrossShardLink, FabricEnvelope
 from repro.cspot.errors import (
     AckLostError,
     AppendError,
@@ -50,7 +50,6 @@ from repro.cspot.transport import (
     Transport,
 )
 from repro.cspot.latency import LatencyProbe, measure_path_latency
-from repro.cspot.replication import LogReplicator
 
 __all__ = [
     "CSPOTError",
@@ -72,8 +71,6 @@ __all__ = [
     "DEFAULT_APPEND_POLICY",
     "LatencyProbe",
     "measure_path_latency",
-    "LogReplicator",
     "CrossShardLink",
     "FabricEnvelope",
-    "ShardBoundary",
 ]

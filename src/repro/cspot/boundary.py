@@ -1,26 +1,25 @@
 """The shard boundary: CSPOT transfers that leave the local engine.
 
-A sharded fabric run (:mod:`repro.parallel`) partitions the CSPOT node
-topology by cell, so an append whose destination node lives on another
-shard cannot execute locally -- there is no server object to deliver to.
-This module is the transport's seam for exactly that case: the append is
-*exported* as a :class:`FabricEnvelope`, a time-stamped, totally-ordered
-message the coordinator collects at the next window barrier and hands to
-the receiving hub, which ingests it at exactly ``send_t + latency_s``.
+A sharded fabric run (:mod:`repro.parallel`) puts each farm on a shard
+and the hub in the coordinator, so a farm's append to the hub's
+repository cannot execute locally -- there is no server object to
+deliver to. The farm's send instead stamps a :class:`FabricEnvelope`
+(:func:`stamp_envelope`), a time-stamped, totally-ordered message the
+coordinator collects at the next window barrier and hands to the hub,
+which ingests it at exactly ``send_t + latency_s``.
 
 The envelope's key ``(send_t, src_cell, seq)`` mirrors the
 ``(t, shard, seq)`` total order of the merge layer: ``send_t`` is the
 simulated send time, ``src_cell`` the stable shard id of the sender, and
-``seq`` a per-source monotonic counter -- so the global envelope stream
-has one worker-count-invariant order with no run-to-run ambiguity.
+``seq`` the sender's count of earlier transfers -- so the global envelope
+stream has one worker-count-invariant order with no run-to-run ambiguity.
 
-Latency is stamped at export time from a per-cell named RNG stream
-(``shard.cell<ccc>.transfer``, drawn by
-:meth:`~repro.cspot.transport.Transport.export_append`), which makes the
-draw a function of ``(master seed, cell, draw index)`` alone -- never of
-the worker layout. The two-round-trip cost model mirrors
-:meth:`Transport._append_body`: four path legs (size fetch + response,
-payload, ack) plus the server-side append cost.
+Latency is stamped from the sender's per-cell RNG stream
+(``shard.cell<ccc>.transfer``), which makes the draw a function of
+``(master seed, cell, draw index)`` alone -- never of the worker layout.
+The two-round-trip cost model mirrors
+:meth:`~repro.cspot.transport.Transport.remote_append`: four path legs
+(size fetch + response, payload, ack) plus the server-side append cost.
 """
 
 from __future__ import annotations
@@ -35,6 +34,8 @@ from repro.cspot.transport import (
     NetworkPath,
     lognormal_delay_s,
 )
+from repro.simkernel import Engine
+from repro.simkernel.streams import shard_stream
 
 #: Message legs in one uncached remote append: size request, size
 #: response, payload transfer, ack (section 4.2's two-round-trip protocol).
@@ -149,50 +150,29 @@ class FabricEnvelope:
         return self.send_t + self.latency_s
 
 
-class ShardBoundary:
-    """Collects appends destined for CSPOT nodes owned by another shard.
+def stamp_envelope(
+    engine: Engine,
+    link: CrossShardLink,
+    *,
+    src_cell: int,
+    seq: int,
+    log: str,
+    payload: bytes,
+) -> FabricEnvelope:
+    """Stamp one transfer farm ``src_cell`` sends at ``engine.now``.
 
-    One boundary per shard-local :class:`~repro.cspot.transport.Transport`.
-    Every exported append becomes a :class:`FabricEnvelope` with a
-    per-source monotonic ``seq``; the shard runner drains the buffer at
-    each window barrier and hands the envelopes to the coordinator.
+    ``seq`` is the sender's count of earlier transfers. The latency is
+    drawn from the sender's ``shard.cell<ccc>.transfer`` stream, so it
+    depends on the seed, the cell and the draw index, not on what else
+    the engine carries.
     """
-
-    def __init__(self, link: CrossShardLink) -> None:
-        self.link = link
-        self._outbound: list[FabricEnvelope] = []
-        self._seqs: dict[int, int] = {}
-        self.exported = 0
-
-    def export(
-        self,
-        *,
-        send_t: float,
-        src_cell: int,
-        log: str,
-        payload: bytes,
-        rng: np.random.Generator,
-    ) -> FabricEnvelope:
-        """Buffer one outbound transfer; returns the stamped envelope."""
-        seq = self._seqs.get(src_cell, 0)
-        self._seqs[src_cell] = seq + 1
-        envelope = FabricEnvelope(
-            send_t=send_t,
-            src_cell=src_cell,
-            seq=seq,
-            log=log,
-            payload=payload,
-            latency_s=self.link.transfer_latency_s(rng),
-        )
-        self._outbound.append(envelope)
-        self.exported += 1
-        return envelope
-
-    def drain(self) -> tuple[FabricEnvelope, ...]:
-        """Hand back (and clear) every envelope exported since last drain."""
-        out = tuple(self._outbound)
-        self._outbound.clear()
-        return out
-
-    def __len__(self) -> int:
-        return len(self._outbound)
+    return FabricEnvelope(
+        send_t=engine.now,
+        src_cell=src_cell,
+        seq=seq,
+        log=log,
+        payload=payload,
+        latency_s=link.transfer_latency_s(
+            engine.rng(shard_stream(src_cell, "transfer"))
+        ),
+    )

@@ -33,12 +33,9 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cspot.boundary import FabricEnvelope, ShardBoundary
 
 from repro.cspot.errors import (
     AckLostError,
@@ -52,7 +49,7 @@ from repro.cspot.faults import FaultInjector
 from repro.cspot.node import CSPOTNode
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.simkernel import Engine, Event, Process
-from repro.simkernel.streams import CSPOT_TRANSPORT, cspot_fault_stream, shard_stream
+from repro.simkernel.streams import CSPOT_TRANSPORT, cspot_fault_stream
 
 
 @functools.lru_cache(maxsize=64)
@@ -237,45 +234,6 @@ class Transport:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._paths: dict[tuple[str, str], NetworkPath] = {}
         self._rng = engine.rng(CSPOT_TRANSPORT)
-        self._boundary: Optional["ShardBoundary"] = None
-
-    # -- shard boundary seam ----------------------------------------------------
-
-    def bind_boundary(self, boundary: "ShardBoundary") -> None:
-        """Attach the shard boundary for appends that leave this engine.
-
-        In a sharded fabric run (:mod:`repro.parallel`) each shard's
-        transport only knows the CSPOT nodes its shard owns; appends to
-        any other node are exported through the boundary as
-        :class:`~repro.cspot.boundary.FabricEnvelope` messages instead of
-        executing locally. Unsharded fabrics never bind one.
-        """
-        if self._boundary is not None:
-            raise AppendError("a shard boundary is already bound")
-        self._boundary = boundary
-
-    def export_append(
-        self, src_cell: int, log_name: str, payload: bytes
-    ) -> "FabricEnvelope":
-        """Export an append to the hub, whose node lives off this shard.
-
-        Latency is stamped from the *sender's* per-cell
-        ``shard.cell<ccc>.transfer`` stream, so the draw is
-        worker-count-invariant; the hub ingests the append at exactly
-        ``send_t + latency_s``.
-        """
-        if self._boundary is None:
-            raise AppendError(
-                f"append to {log_name!r} crosses the shard boundary but "
-                "no boundary is bound (Transport.bind_boundary)"
-            )
-        return self._boundary.export(
-            send_t=self.engine.now,
-            src_cell=src_cell,
-            log=log_name,
-            payload=payload,
-            rng=self.engine.rng(shard_stream(src_cell, "transfer")),
-        )
 
     def connect(self, src: str, dst: str, path: NetworkPath, bidirectional: bool = True) -> None:
         """Register a path between two node names.

@@ -13,8 +13,9 @@ no cross-shard traffic) and the farm fabric (:class:`repro.core
 live beside it in ``repro.core``), whose farms send CSPOT transfers one
 way, to a :class:`HubRunner` in the coordinator that runs one window
 behind them and ingests each transfer at its exact arrival time. This
-package imports none of the fabric stack (sensors, Laminar, CFD): every
-spawned worker imports it. See ``docs/parallel.md``.
+package imports none of the fabric stack (sensors, CSPOT, Laminar, CFD):
+every spawned worker imports it, and it passes what a shard sends to
+the hub without reading it. See ``docs/parallel.md``.
 """
 
 from repro.parallel.coordinator import (

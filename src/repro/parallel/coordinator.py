@@ -51,7 +51,6 @@ from dataclasses import KW_ONLY, dataclass, field
 from multiprocessing.connection import Connection
 from typing import Any, Optional, Protocol, Sequence
 
-from repro.cspot.boundary import FabricEnvelope
 from repro.parallel.merge import merge_sketches, merge_streams
 from repro.parallel.plan import CellFault, ShardPlan
 from repro.parallel.report import ParallelReport
@@ -74,17 +73,17 @@ class HubRunner(Protocol):
     ``barrier_t``, then runs the hub through the same window: the hub is
     one window behind its senders, so it already holds every envelope
     that can arrive before ``barrier_t`` (none arrives before it is
-    sent).
+    sent). The envelopes are opaque here: the hub that receives them
+    defines them (the fabric's are
+    :class:`~repro.cspot.boundary.FabricEnvelope`).
     """
 
-    def advance(
-        self, barrier_t: float, envelopes: Sequence[FabricEnvelope]
-    ) -> None: ...
+    def advance(self, barrier_t: float, envelopes: Sequence[Any]) -> None: ...
 
 
 def _to_hub(
     hub: Optional[HubRunner],
-    per_worker_outbound: Sequence[tuple[FabricEnvelope, ...]],
+    per_worker_outbound: Sequence[tuple[Any, ...]],
     barrier_t: float,
 ) -> None:
     """One barrier's hub step: the window's envelopes, then the window."""

@@ -27,7 +27,6 @@ from typing import Any, Callable, Generic, Iterable, Optional, TypeVar
 
 import numpy as np
 
-from repro.cspot.boundary import FabricEnvelope
 from repro.obs.stream import QuantileSketch
 from repro.parallel.plan import CellFault, shard_stream
 from repro.radio.population import CellPopulation, UEPopulation
@@ -153,7 +152,7 @@ class ShardRunner(Generic[ResultT]):
         self._advances += 1
         return self.engine.drain_window(barrier_t)
 
-    def collect_outbound(self) -> tuple[FabricEnvelope, ...]:
+    def collect_outbound(self) -> tuple[Any, ...]:
         """Envelopes exported during the window just drained (none by default)."""
         return ()
 

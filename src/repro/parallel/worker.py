@@ -12,9 +12,12 @@ the task               build the runner
                        exit the loop
 =====================  ==================================================
 
-``outbound`` is a tuple of :class:`~repro.cspot.boundary.FabricEnvelope`
-bound for the hub, which runs in the coordinator; radio scale shards
-send empty tuples, so the two scenario families share one protocol.
+``outbound`` is the tuple the runner's
+:meth:`~repro.parallel.shard.ShardRunner.collect_outbound` returns: the
+fabric's farm shards send :class:`~repro.cspot.boundary.FabricEnvelope`
+records bound for the hub, which runs in the coordinator, and radio
+scale shards send empty tuples. The worker passes them on unread, so the
+two scenario families share one protocol.
 Nothing flows back to a worker but the next ``advance``: a worker may be
 a whole window ahead of the hub. The task arrives first and builds its
 runner (:meth:`~repro.parallel.shard.ShardTask.build_runner`), so the

@@ -37,7 +37,7 @@ from repro.radio.state import UeStateArrays, rate_per_prb_table, sample_throughp
 from repro.radio.scheduler import round_robin_rounds
 from repro.radio.gnb import GNodeB
 from repro.radio.network import PrivateCellularNetwork, NetworkDeployment
-from repro.radio.iperf import IperfClient, IperfResult, run_downlink_test, run_uplink_test
+from repro.radio.iperf import IperfResult, run_downlink_test, run_uplink_test
 from repro.radio.population import (
     CellPopulation,
     Distribution,
@@ -84,7 +84,6 @@ __all__ = [
     "GNodeB",
     "PrivateCellularNetwork",
     "NetworkDeployment",
-    "IperfClient",
     "IperfResult",
     "run_uplink_test",
     "run_downlink_test",

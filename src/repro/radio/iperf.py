@@ -62,27 +62,6 @@ class IperfResult:
         }
 
 
-@dataclass
-class IperfClient:
-    """A saturating uplink traffic source bound to one UE."""
-
-    ue: UserEquipment
-
-    def run(
-        self,
-        gnb: GNodeB,
-        core: Core5G,
-        rng: np.random.Generator,
-        n_samples: int = 100,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> IperfResult:
-        """Single-UE convenience wrapper over :func:`run_uplink_test`."""
-        results = run_uplink_test(
-            gnb, core, [self.ue], rng, n_samples=n_samples, metrics=metrics
-        )
-        return results[self.ue.ue_id]
-
-
 def run_uplink_test(
     gnb: GNodeB,
     core: Core5G,

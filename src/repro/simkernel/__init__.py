@@ -11,9 +11,9 @@ The kernel provides:
   monotonic simulated clock.
 * :class:`~repro.simkernel.process.Process` -- generator-based cooperative
   processes (``yield Timeout(dt)`` / ``yield event``).
-* :class:`~repro.simkernel.resources.Resource`,
-  :class:`~repro.simkernel.resources.Store` -- capacity-limited resources and
-  FIFO message stores for producer/consumer coupling.
+* :class:`~repro.simkernel.resources.Resource` -- a counted resource with
+  FIFO waiters (a pilot's node pool). Data moves between processes through
+  CSPOT logs and events; the kernel keeps no message queue of its own.
 * :class:`~repro.simkernel.rng.RngRegistry` -- named, independently seeded
   ``numpy.random.Generator`` streams so adding a new random consumer does not
   perturb existing ones.
@@ -22,7 +22,7 @@ The kernel provides:
 from repro.simkernel.engine import Engine, SimulationError
 from repro.simkernel.events import Event, Timeout, AnyOf, AllOf, Interrupt
 from repro.simkernel.process import Process, ProcessDied
-from repro.simkernel.resources import Resource, Store, PriorityStore
+from repro.simkernel.resources import Resource
 from repro.simkernel.rng import RngRegistry
 
 __all__ = [
@@ -36,7 +36,5 @@ __all__ = [
     "Process",
     "ProcessDied",
     "Resource",
-    "Store",
-    "PriorityStore",
     "RngRegistry",
 ]

@@ -156,23 +156,6 @@ class Engine:
             # An unfailed-unwaited event would silently swallow errors.
             raise event._value
 
-    def step_batch(self) -> int:
-        """Process *all* events at the next pending timestamp.
-
-        Includes events that those callbacks schedule at the same instant
-        (they join the tail of the batch in eid order, exactly as the
-        one-at-a-time loop would process them). Returns the number of
-        events processed.
-        """
-        if not self._times:
-            raise SimulationError("step_batch() on an empty event queue")
-        when = self._times[0]
-        n = 0
-        while self._times and self._times[0] <= when:
-            self.step()
-            n += 1
-        return n
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._times[0] if self._times else float("inf")

@@ -1,11 +1,9 @@
-"""Capacity-limited resources and message stores."""
+"""Capacity-limited resources."""
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
-from itertools import count
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING
 
 from repro.simkernel.events import Event
 
@@ -68,87 +66,3 @@ class Resource:
             self._waiters.popleft()
             self._in_use += amount
             ev.succeed(amount)
-
-
-class Store:
-    """Unbounded FIFO store of items; ``get`` waits until an item exists."""
-
-    def __init__(self, engine: "Engine") -> None:
-        self.engine = engine
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit an item, waking the oldest live waiting getter if any."""
-        while self._getters:
-            getter = self._getters.popleft()
-            if not getter.triggered and not getter._abandoned:
-                getter.succeed(item)
-                return
-        self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that triggers with the next available item."""
-        ev = Event(self.engine)
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; None if empty."""
-        return self._items.popleft() if self._items else None
-
-
-class PriorityStore(Store):
-    """Store that hands out the lowest-priority item first.
-
-    Items are ``(priority, payload)`` pairs; ties break FIFO.
-    """
-
-    def __init__(self, engine: "Engine") -> None:
-        super().__init__(engine)
-        self._heap: list[tuple[Any, int, Any]] = []
-        self._seq = count()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def put(self, item: Any) -> None:
-        try:
-            priority, payload = item
-        except (TypeError, ValueError):
-            raise TypeError(
-                "PriorityStore items must be (priority, payload) pairs"
-            ) from None
-        while self._getters:
-            getter = self._getters.popleft()
-            if not getter.triggered and not getter._abandoned:
-                if self._heap:
-                    # Respect ordering: insert then pop the minimum.
-                    heappush(self._heap, (priority, next(self._seq), payload))
-                    p, _, best = heappop(self._heap)
-                    getter.succeed((p, best))
-                else:
-                    getter.succeed((priority, payload))
-                return
-        heappush(self._heap, (priority, next(self._seq), payload))
-
-    def get(self) -> Event:
-        ev = Event(self.engine)
-        if self._heap:
-            priority, _, payload = heappop(self._heap)
-            ev.succeed((priority, payload))
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Optional[Any]:
-        if not self._heap:
-            return None
-        priority, _, payload = heappop(self._heap)
-        return (priority, payload)

@@ -1,21 +1,15 @@
-"""The CSPOT shard-boundary seam: envelopes, links, transport export."""
+"""The CSPOT shard boundary: envelopes, links, and the send that stamps them."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from repro.core import ShardedFabricScenario
-from repro.cspot import (
-    CrossShardLink,
-    CSPOTNode,
-    FabricEnvelope,
-    NetworkPath,
-    ShardBoundary,
-    Transport,
-)
-from repro.cspot.boundary import TRANSFER_LEGS
-from repro.cspot.errors import AppendError
+from repro.core.fabric_sharded import FabricShardTask
+from repro.cspot import CrossShardLink, FabricEnvelope, NetworkPath
+from repro.cspot.boundary import TRANSFER_LEGS, stamp_envelope
 from repro.cspot.paths import TABLE1_ANCHORS, unl_ucsb_5g
 from repro.simkernel import Engine
 
@@ -23,6 +17,8 @@ pytestmark = pytest.mark.filterwarnings("error")
 
 #: Any link will do where the latency model is not under test.
 LINK = CrossShardLink.from_path(unl_ucsb_5g())
+#: Stations per farm at the paper's operating points.
+STATIONS = 5
 
 
 def _envelope(**overrides):
@@ -115,97 +111,84 @@ class TestCrossShardLink:
             CrossShardLink(name="bad", **{**link, field: value})
 
 
-class TestShardBoundary:
-    def test_export_assigns_monotonic_per_source_seq(self):
-        boundary = ShardBoundary(LINK)
-        rng = np.random.default_rng(0)
-        keys = []
-        for src in (1, 1, 2, 1):
-            envelope = boundary.export(
-                send_t=0.5,
-                src_cell=src,
-                log="fabric.telemetry",
-                payload=b"p",
-                rng=rng,
-            )
-            keys.append(envelope.key)
-        assert keys == [(0.5, 1, 0), (0.5, 1, 1), (0.5, 2, 0), (0.5, 1, 2)]
-        assert len(boundary) == 4
-        assert boundary.exported == 4
-
-    def test_drain_clears_and_preserves_order(self):
-        boundary = ShardBoundary(LINK)
-        rng = np.random.default_rng(0)
-        for _ in range(3):
-            boundary.export(
-                send_t=1.0,
-                src_cell=0,
-                log="fabric.telemetry",
-                payload=b"p",
-                rng=rng,
-            )
-        drained = boundary.drain()
-        assert [e.seq for e in drained] == [0, 1, 2]
-        assert len(boundary) == 0
-        assert boundary.drain() == ()
-        # seq keeps counting across drains: the stream stays a total order.
-        envelope = boundary.export(
-            send_t=2.0,
-            src_cell=0,
-            log="fabric.telemetry",
-            payload=b"p",
-            rng=rng,
-        )
-        assert envelope.seq == 3
+def _stamp(engine, src_cell, seq=0):
+    return stamp_envelope(
+        engine, LINK, src_cell=src_cell, seq=seq,
+        log="fabric.telemetry", payload=b"p",
+    )
 
 
-class TestTransportSeam:
-    def test_export_append_requires_a_bound_boundary(self):
+class TestStampEnvelope:
+    def test_stamps_the_engine_clock(self):
         engine = Engine(seed=0)
-        transport = Transport(engine)
-        with pytest.raises(AppendError, match="no boundary is bound"):
-            transport.export_append(0, "fabric.telemetry", b"p")
-
-    def test_double_bind_rejected(self):
-        engine = Engine(seed=0)
-        transport = Transport(engine)
-        transport.bind_boundary(ShardBoundary(LINK))
-        with pytest.raises(AppendError, match="already bound"):
-            transport.bind_boundary(ShardBoundary(LINK))
-
-    def test_export_append_stamps_the_engine_clock(self):
-        engine = Engine(seed=0)
-        transport = Transport(engine)
-        boundary = ShardBoundary(LINK)
-        transport.bind_boundary(boundary)
         engine.drain_window(3.25)
-        envelope = transport.export_append(2, "fabric.telemetry", b"p")
-        assert envelope.send_t == 3.25
-        assert envelope.src_cell == 2
-        assert boundary.drain() == (envelope,)
+        envelope = _stamp(engine, 2, seq=7)
+        assert envelope.key == (3.25, 2, 7)
+        assert (envelope.log, envelope.payload) == ("fabric.telemetry", b"p")
 
-    def test_export_append_draws_the_senders_transfer_stream(self):
+    def test_draws_the_senders_transfer_stream(self):
         # The latency is a function of (seed, sending cell, draw index):
         # the same cell on another engine with the same seed draws the
         # same latency, whatever else that engine carries.
         latencies = []
         for other_cells in ((), (0, 1)):
             engine = Engine(seed=5)
-            transport = Transport(engine)
-            transport.bind_boundary(ShardBoundary(LINK))
             for cell in other_cells:
-                transport.export_append(cell, "fabric.telemetry", b"p")
-            latencies.append(
-                transport.export_append(2, "fabric.telemetry", b"p").latency_s
-            )
+                _stamp(engine, cell)
+            latencies.append(_stamp(engine, 2).latency_s)
         assert latencies[0] == latencies[1]
 
-    def test_local_appends_still_work_alongside_the_boundary(self):
-        engine = Engine(seed=0)
-        transport = Transport(engine)
-        transport.bind_boundary(ShardBoundary(LINK))
-        node = CSPOTNode(engine, "site000")
-        node.create_log("telemetry", element_size=32, history_size=8)
-        node.local_append("telemetry", b"local")
-        log = node.logs["telemetry"]
-        assert [entry.payload for entry in log.scan()] == [b"local"]
+
+@functools.lru_cache(maxsize=None)
+def _two_farm_shard():
+    """One 2-farm shard over six 300 s barriers.
+
+    Returns each barrier's collected batch, what a second collect at the
+    same barrier returned, and the per-farm results.
+    """
+    runner = FabricShardTask(
+        n_cells=2, seed=3, horizon_s=1800.0, cells=(0, 1)
+    ).build_runner()
+    batches, recollected = [], []
+    for k in range(1, 7):
+        runner.advance(300.0 * k)
+        batches.append(runner.collect_outbound())
+        recollected.append(runner.collect_outbound())
+    return tuple(batches), tuple(recollected), tuple(runner.finish())
+
+
+class TestShardBoundary:
+    """The send side of the boundary: a farm shard's outbound envelopes."""
+
+    def test_export_assigns_monotonic_per_source_seq(self):
+        batches, _, results = _two_farm_shard()
+        envelopes = [e for batch in batches for e in batch]
+        # Both farms send between the same barriers, so one per-shard
+        # counter would interleave their seqs; each farm counts its own.
+        assert any({e.src_cell for e in batch} == {0, 1} for batch in batches)
+        for cell, result in zip((0, 1), results):
+            exported = [
+                r["envelope_seq"] for r in result.records
+                if r["kind"] == "cspot.export"
+            ]
+            assert result.sent == 5 * STATIONS
+            assert exported == list(range(result.sent))
+            assert [e.seq for e in envelopes if e.src_cell == cell] == exported
+
+    def test_drain_clears_and_preserves_order(self):
+        batches, recollected, _ = _two_farm_shard()
+        assert recollected == ((),) * len(batches)
+        for batch in batches:
+            assert [e.send_t for e in batch] == sorted(e.send_t for e in batch)
+        for cell in (0, 1):
+            sent = [
+                [e.seq for e in batch if e.src_cell == cell]
+                for batch in batches
+            ]
+            sent = [seqs for seqs in sent if seqs]
+            # seq keeps counting across drains: the stream stays a total order.
+            assert len(sent) > 1
+            assert [seq for seqs in sent for seq in seqs] == list(
+                range(sum(map(len, sent)))
+            )
+            assert sent[1][0] == len(sent[0])

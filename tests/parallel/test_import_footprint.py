@@ -3,8 +3,9 @@
 A spawned worker imports ``repro.parallel.worker`` (and with it the
 package) before it can run its shard, so whatever the package pulls in
 lands in each worker's start-up time and memory. The fabric stack --
-sensors, Laminar and CFD -- must stay out, and so must ``scipy``, which
-only the tests import.
+sensors, Laminar and CFD -- must stay out, and so must CSPOT: the layer
+passes the envelopes a shard sends to its hub without reading them. So
+must ``scipy``, which only the tests import.
 """
 
 import json
@@ -34,5 +35,5 @@ def test_package_import_loads_only_the_shard_stack():
         env=env, check=True, capture_output=True, text=True,
     ).stdout
     loaded = json.loads(out)
-    assert loaded["repro"] == ["cspot", "obs", "parallel", "radio", "simkernel"]
+    assert loaded["repro"] == ["obs", "parallel", "radio", "simkernel"]
     assert loaded["scipy"] is False

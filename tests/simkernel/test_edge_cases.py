@@ -6,7 +6,6 @@ from repro.simkernel import (
     Engine,
     Interrupt,
     Resource,
-    Store,
 )
 
 
@@ -117,27 +116,6 @@ class TestProcessEdges:
         for _ in range(50):
             p = eng.process(link(p))
         assert eng.run(until=p) == 50
-
-    def test_store_interleaved_producers_consumers(self):
-        eng = Engine()
-        store = Store(eng)
-        consumed = []
-
-        def consumer(n):
-            for _ in range(n):
-                item = yield store.get()
-                consumed.append(item)
-
-        def producer(items, delay):
-            for item in items:
-                yield eng.timeout(delay)
-                store.put(item)
-
-        eng.process(consumer(6))
-        eng.process(producer([1, 3, 5], 2.0))
-        eng.process(producer([2, 4, 6], 3.0))
-        eng.run()
-        assert sorted(consumed) == [1, 2, 3, 4, 5, 6]
 
 
 class TestClockEdges:

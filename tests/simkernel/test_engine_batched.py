@@ -117,35 +117,6 @@ def test_single_timestamp_storm_is_fifo() -> None:
     assert len(engine) == 0
 
 
-def test_step_batch_drains_one_timestamp() -> None:
-    engine = Engine(seed=0)
-    seen: list[str] = []
-    for i in range(3):
-        engine.timeout(1.0).add_callback(lambda _e, i=i: seen.append(f"a{i}"))
-    engine.timeout(2.0).add_callback(lambda _e: seen.append("later"))
-    n = engine.step_batch()
-    assert n == 3
-    assert seen == ["a0", "a1", "a2"]
-    assert engine.now == 1.0
-    assert engine.peek() == 2.0
-
-
-def test_step_batch_includes_same_instant_reschedules() -> None:
-    """A callback scheduling at delay 0 joins the tail of the batch."""
-    engine = Engine(seed=0)
-    seen: list[str] = []
-
-    def first(_event) -> None:
-        seen.append("first")
-        engine.timeout(0.0).add_callback(lambda _e: seen.append("chained"))
-
-    engine.timeout(1.0).add_callback(first)
-    engine.timeout(1.0).add_callback(lambda _e: seen.append("second"))
-    n = engine.step_batch()
-    assert n == 3
-    assert seen == ["first", "second", "chained"]
-
-
 def test_peek_and_len_track_buckets() -> None:
     engine = Engine(seed=0)
     assert engine.peek() == float("inf")
@@ -165,8 +136,6 @@ def test_empty_queue_errors() -> None:
     engine = Engine(seed=0)
     with pytest.raises(SimulationError):
         engine.step()
-    with pytest.raises(SimulationError):
-        engine.step_batch()
 
 
 def test_nan_schedule_rejected() -> None:

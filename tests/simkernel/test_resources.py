@@ -1,8 +1,8 @@
-"""Unit tests for Resource / Store / PriorityStore."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.simkernel import Engine, PriorityStore, Resource, Store
+from repro.simkernel import Engine, Resource
 
 
 def test_resource_grant_immediate_when_available():
@@ -60,81 +60,3 @@ def test_resource_validation():
         res.request(3)
     with pytest.raises(ValueError):
         res.release(1)  # nothing in use
-
-
-def test_store_put_then_get():
-    eng = Engine()
-    store = Store(eng)
-    store.put("x")
-    ev = store.get()
-    assert ev.triggered and ev.value == "x"
-    assert len(store) == 0
-
-
-def test_store_get_waits_for_put():
-    eng = Engine()
-    store = Store(eng)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append((item, eng.now))
-
-    def producer():
-        yield eng.timeout(4.0)
-        store.put("payload")
-
-    eng.process(consumer())
-    eng.process(producer())
-    eng.run()
-    assert got == [("payload", 4.0)]
-
-
-def test_store_fifo_order():
-    eng = Engine()
-    store = Store(eng)
-    for i in range(5):
-        store.put(i)
-    assert [store.get().value for _ in range(5)] == [0, 1, 2, 3, 4]
-
-
-def test_store_try_get():
-    eng = Engine()
-    store = Store(eng)
-    assert store.try_get() is None
-    store.put(7)
-    assert store.try_get() == 7
-
-
-def test_priority_store_lowest_first():
-    eng = Engine()
-    ps = PriorityStore(eng)
-    ps.put((3, "c"))
-    ps.put((1, "a"))
-    ps.put((2, "b"))
-    assert ps.get().value == (1, "a")
-    assert ps.get().value == (2, "b")
-    assert ps.get().value == (3, "c")
-
-
-def test_priority_store_waiting_getter_gets_min():
-    eng = Engine()
-    ps = PriorityStore(eng)
-    got = []
-
-    def consumer():
-        item = yield ps.get()
-        got.append(item)
-
-    eng.process(consumer())
-    eng.run()
-    ps.put((5, "later"))
-    eng.run()
-    assert got == [(5, "later")]
-
-
-def test_priority_store_rejects_non_pairs():
-    eng = Engine()
-    ps = PriorityStore(eng)
-    with pytest.raises(TypeError):
-        ps.put("bare item")
